@@ -19,21 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoefficientSet
-from .tree import ScenarioTree
-
-
-def _tt(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
-
-
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix @ vector over the node axis."""
-    return np.einsum("kij,kj->ki", mats, vecs)
-
-
-def _mv1(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Batched matrix @ (single shared vector) over the node axis."""
-    return mats @ vec
+from .tree import ScenarioTree, _mv
 
 
 def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
@@ -104,8 +90,8 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
         uk = controls[k]
         ubar = tree.expect(uk)
         rhs = cond + dt * (
-            _mv(coeffs.B[k], uk) + _mv1(coeffs.B_bar[k], ubar)
-            + _mv(coeffs.C[k], zk) + _mv1(coeffs.C_bar[k], zbar)
+            _mv(coeffs.B[k], uk) + coeffs.B_bar[k] @ ubar
+            + _mv(coeffs.C[k], zk) + coeffs.C_bar[k] @ zbar
         )
         lhs = eye[None] - dt * coeffs.A[k]
         # Solve (I - dt A) [y | M] = [rhs | dt A_bar] in one batched call:

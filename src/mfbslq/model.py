@@ -96,6 +96,11 @@ class CoefficientSet:
     def with_zero_terminal(self) -> "CoefficientSet":
         return dataclasses.replace(self, xi=np.zeros_like(self.xi))
 
+    def mean_weights(self, k: int) -> tuple:
+        """Level-k weights of the mean cost terms: E[Q_bar], E[R_bar], E[N_bar]."""
+        return (self.Q_bar[k].mean(axis=0), self.R_bar[k].mean(axis=0),
+                self.N_bar[k].mean(axis=0))
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -61,19 +61,11 @@ from ._errors import InfeasibleEtaError, NumericsError
 from .bsde import solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _mv, _t
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
 _GUARD_TOL = 1e-10
-
-
-def _t(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
-
-
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,kj->ki", mats, vecs)
 
 
 def eta_dimension(tree: ScenarioTree, coeffs: CoefficientSet) -> int:
@@ -306,12 +298,13 @@ def mean_cost_weights(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
     d = eta_dimension(tree, coeffs)
     w = np.zeros((d, d))
     for k in range(n_steps):
+        qb, rb, nb = coeffs.mean_weights(k)
         sl = slice(k * n, (k + 1) * n)
-        w[sl, sl] = coeffs.Q_bar[k].mean(axis=0)
+        w[sl, sl] = qb
         sl = slice(n_steps * n + k * n, n_steps * n + (k + 1) * n)
-        w[sl, sl] = coeffs.R_bar[k].mean(axis=0)
+        w[sl, sl] = rb
         sl = slice(2 * n_steps * n + k * m, 2 * n_steps * n + (k + 1) * m)
-        w[sl, sl] = coeffs.N_bar[k].mean(axis=0)
+        w[sl, sl] = nb
     return w
 
 
@@ -372,21 +365,8 @@ def solve_constrained_problem(tree: ScenarioTree, coeffs: CoefficientSet,
     if ops is None:
         ops = probe_operators(tree, coeffs, ric)
     eta_vec = np.asarray(eta_vec, dtype=float)
-    rhs = eta_vec - ops.p_xi - ops.P_eta @ eta_vec
-    lam = ops.solve_lambda(rhs)
-    residual = float(np.linalg.norm(ops.L @ lam - rhs))
-    if residual > _CERT_TOL * (1.0 + float(np.linalg.norm(rhs))):
-        raise InfeasibleEtaError(
-            f"target means are not attainable: multiplier residual {residual:.3e} "
-            f"(operator rank {ops.rank} of {ops.L.shape[0]})"
-        )
-    sol = solve_decoupled(tree, coeffs, ric, lam, eta_vec)
-    return ConstrainedSolution(
-        u=sol.u, y=sol.y, z=sol.z, x=sol.x, phi=sol.phi, vtheta=sol.vtheta,
-        lam=lam, eta=eta_vec, means=sol.means,
-        lambda_residual=residual,
-        constraint_residual=sol.means - eta_vec,
-    )
+    lam = ops.solve_lambda(eta_vec - ops.p_xi - ops.P_eta @ eta_vec)
+    return constrained_solution_at(tree, coeffs, ric, lam, eta_vec, ops)
 
 
 def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -404,7 +384,8 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
     residual = float(np.linalg.norm(ops.L @ lam_vec - rhs))
     if residual > _CERT_TOL * (1.0 + float(np.linalg.norm(rhs))):
         raise InfeasibleEtaError(
-            f"multiplier/mean pair is inconsistent: residual {residual:.3e}"
+            f"target means are not attainable: multiplier residual {residual:.3e} "
+            f"(operator rank {ops.rank} of {ops.L.shape[0]})"
         )
     sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
     return ConstrainedSolution(

@@ -3,11 +3,17 @@
 This module never touches the Riccati/multiplier pipeline.  It treats the
 discrete problem as the finite-dimensional convex program it is: the cost
 is evaluated by actually solving the controlled mean-field BSDE, the
-optimizer is found either by assembling the dense reduced Hessian from
-impulse responses (small trees) or by factoring the sparse KKT system of
-the full discretization (large trees), and optimality is certified with an
-exact discrete adjoint gradient that is computed independently of either
-solve.
+optimizer is found by factoring the sparse KKT system of the full
+discretization (sparse LU plus a Schur complement on the level means), and
+optimality is certified with an exact discrete adjoint gradient that is
+computed independently of the solve.  A dense route, which assembles the
+reduced Hessian from unit-impulse responses, runs only when asked for and
+serves as a cross-check of the sparse one on small trees.
+
+Every evaluation of the cost goes through one function, the Gram matrix
+of its bilinear form over (control, solved state) pairs (:func:`cost_gram`):
+the cost of a control, a directional derivative, the dense route's reduced
+Hessian and the pipeline's outer quadratic are all read off such a matrix.
 
 Controls are lists of per-level arrays (2**k, m).  The natural geometry is
 the weighted l2 product <u, v> = sum_k dt 2^{-k} sum_j u_kj . v_kj, which
@@ -17,6 +23,7 @@ to it so tolerances are mesh-independent.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +34,9 @@ import scipy.sparse.linalg
 from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import MeanfieldBsdeSolution, solve_forward_sde, solve_meanfield_bsde
 from .model import CoefficientSet
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _mv, _t
 
 DENSE_SIZE_CAP = 20000
-
-
-def _t(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
-
-
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,kj->ki", mats, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -93,29 +92,62 @@ def control_error(tree: ScenarioTree, u: list, reference: list) -> float:
 # cost
 
 
-def _mean_weights(coeffs: CoefficientSet, k: int):
-    return (coeffs.Q_bar[k].mean(axis=0), coeffs.R_bar[k].mean(axis=0),
-            coeffs.N_bar[k].mean(axis=0))
+def cost_gram(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
+              states: list) -> np.ndarray:
+    """Gram matrix of the cost's bilinear form over (control, solved state) pairs.
+
+    Entry [a, b] pairs the G term on Y(0), the node terms Q, R, N weighted
+    by dt 2^-k and the level-mean terms weighted by dt; entry [a, a] is the
+    cost of control a with its own state.  Each level is stacked once and
+    contracted with itself.
+    """
+    y0 = np.stack([s.y[0][0] for s in states])
+    gram = y0 @ coeffs.G @ y0.T
+    for k in range(tree.n_steps):
+        w = tree.dt * tree.node_probability(k)
+        qb, rb, nb = coeffs.mean_weights(k)
+        for levels, weight in (([s.y[k] for s in states], coeffs.Q[k]),
+                               ([s.z[k] for s in states], coeffs.R[k]),
+                               ([u[k] for u in controls], coeffs.N[k])):
+            stacked = np.stack(levels)
+            gram += w * np.einsum("ajx,jxy,bjy->ab", stacked, weight, stacked)
+        for means, weight in (([s.y_mean[k] for s in states], qb),
+                              ([s.z_mean[k] for s in states], rb),
+                              ([s.u_mean[k] for s in states], nb)):
+            stacked = np.stack(means)
+            gram += tree.dt * (stacked @ weight @ stacked.T)
+    return gram
 
 
 def cost_of_solution(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
                      sol: MeanfieldBsdeSolution) -> float:
     """Quadrature of the cost functional on an already-solved state."""
-    y0 = sol.y[0][0]
-    total = float(y0 @ coeffs.G @ y0)
-    for k in range(tree.n_steps):
-        w = tree.dt * tree.node_probability(k)
-        node = (
-            np.einsum("ji,jik,jk->", sol.y[k], coeffs.Q[k], sol.y[k])
-            + np.einsum("ji,jik,jk->", sol.z[k], coeffs.R[k], sol.z[k])
-            + np.einsum("ji,jik,jk->", controls[k], coeffs.N[k], controls[k])
+    return float(cost_gram(tree, coeffs, [controls], [sol])[0, 0])
+
+
+def reduced_quadratic(tree: ScenarioTree, coeffs: CoefficientSet, base: list,
+                      directions: Sequence) -> tuple:
+    """The cost on the affine family base + sum_j t_j directions[j].
+
+    Returns (hessian, linear, constant) with J(t) = t' hessian t
+    + 2 linear' t + constant.  The base control is solved with the real
+    terminal value and every direction with a zero one, so the states are
+    exactly affine in t; one Gram matrix over all of them gives every
+    coefficient.  More than DENSE_SIZE_CAP directions are refused before
+    anything is solved.
+    """
+    if len(directions) > DENSE_SIZE_CAP:
+        raise SizeCapError(
+            f"dense reduced quadratic needs {len(directions)} directions, "
+            f"cap is {DENSE_SIZE_CAP}; use the sparse oracle route"
         )
-        qb, rb, nb = _mean_weights(coeffs, k)
-        mean = (sol.y_mean[k] @ qb @ sol.y_mean[k]
-                + sol.z_mean[k] @ rb @ sol.z_mean[k]
-                + sol.u_mean[k] @ nb @ sol.u_mean[k])
-        total += w * float(node) + tree.dt * float(mean)
-    return total
+    controls = [base, *directions]
+    zero_terminal = coeffs.with_zero_terminal()
+    states = [solve_meanfield_bsde(tree, coeffs, base)]
+    states += [solve_meanfield_bsde(tree, zero_terminal, v) for v in controls[1:]]
+    gram = cost_gram(tree, coeffs, controls, states)
+    gram = 0.5 * (gram + gram.T)
+    return gram[1:, 1:], gram[0, 1:], float(gram[0, 0])
 
 
 def evaluate_cost(tree: ScenarioTree, coeffs: CoefficientSet, controls: list) -> float:
@@ -154,7 +186,7 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
             half = tree.sqrt_dt * tree.child_signs(k - 1)  # +/- sqrt(dt) per child
             r = r + 0.5 * tree.to_children(mu1_prev)
             r = r + (half / (2.0 * tree.dt))[:, None] * tree.to_children(mu2_prev)
-        qb, rb, nb = _mean_weights(coeffs, k)
+        qb, rb, nb = coeffs.mean_weights(k)
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
         #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j
@@ -197,21 +229,8 @@ def directional_derivative(tree: ScenarioTree, coeffs: CoefficientSet, controls:
     if sol is None:
         sol = solve_meanfield_bsde(tree, coeffs, controls)
     lin = solve_meanfield_bsde(tree, coeffs.with_zero_terminal(), direction)
-    y0, y1 = sol.y[0][0], lin.y[0][0]
-    total = 2.0 * float(y0 @ coeffs.G @ y1)
-    for k in range(tree.n_steps):
-        w = tree.dt * tree.node_probability(k)
-        node = (
-            np.einsum("ji,jik,jk->", sol.y[k], coeffs.Q[k], lin.y[k])
-            + np.einsum("ji,jik,jk->", sol.z[k], coeffs.R[k], lin.z[k])
-            + np.einsum("ji,jik,jk->", controls[k], coeffs.N[k], direction[k])
-        )
-        qb, rb, nb = _mean_weights(coeffs, k)
-        mean = (sol.y_mean[k] @ qb @ lin.y_mean[k]
-                + sol.z_mean[k] @ rb @ lin.z_mean[k]
-                + sol.u_mean[k] @ nb @ lin.u_mean[k])
-        total += 2.0 * (w * float(node) + tree.dt * float(mean))
-    return total
+    gram = cost_gram(tree, coeffs, [controls, direction], [sol, lin])
+    return 2.0 * float(gram[0, 1])
 
 
 def directional_derivative_fd(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -236,15 +255,16 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
     if sol is None:
         sol = solve_meanfield_bsde(tree, coeffs, controls)
     x0 = -(coeffs.G @ sol.y[0][0])
+    weights = [coeffs.mean_weights(k) for k in range(tree.n_steps)]
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        qb = coeffs.Q_bar[k].mean(axis=0)
+        qb = weights[k][0]
         mean_term = tree.expect(_mv(_t(coeffs.A_bar[k]), x))
         return -(_mv(_t(coeffs.A[k]), x) + mean_term[None]
                  - _mv(coeffs.Q[k], sol.y[k]) - (qb @ sol.y_mean[k])[None])
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
-        rb = coeffs.R_bar[k].mean(axis=0)
+        rb = weights[k][1]
         mean_term = tree.expect(_mv(_t(coeffs.C_bar[k]), x))
         return -(_mv(_t(coeffs.C[k]), x) + mean_term[None]
                  - _mv(coeffs.R[k], sol.z[k]) - (rb @ sol.z_mean[k])[None])
@@ -252,7 +272,7 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
     x = solve_forward_sde(tree, x0, drift, diffusion)
     total = 0.0
     for k in range(tree.n_steps):
-        nb = coeffs.N_bar[k].mean(axis=0)
+        nb = weights[k][2]
         res = (_mv(coeffs.N[k], controls[k]) + (nb @ sol.u_mean[k])[None]
                - _mv(_t(coeffs.B[k]), x[k])
                - tree.expect(_mv(_t(coeffs.B_bar[k]), x[k]))[None])
@@ -264,47 +284,30 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 # dense route: reduced quadratic program from impulse responses
 
 
-def _basis_responses(tree: ScenarioTree, coeffs: CoefficientSet):
-    """Solve the BSDE for the zero control with the real terminal value and
-    for every unit control impulse with zero terminal value."""
-    d = control_dimension(tree, coeffs.m)
-    zero_coeffs = coeffs.with_zero_terminal()
-    sols = [solve_meanfield_bsde(tree, coeffs, zero_controls(tree, coeffs.m))]
-    controls = [zero_controls(tree, coeffs.m)]
-    for i in range(d):
-        u = unstack_controls(np.eye(1, d, i)[0], tree, coeffs.m)
-        sols.append(solve_meanfield_bsde(tree, zero_coeffs, u))
-        controls.append(u)
-    return sols, controls
+class _UnitImpulses(Sequence):
+    """Every unit control impulse, each built only when it is read."""
+
+    def __init__(self, tree: ScenarioTree, m: int):
+        self.tree, self.m = tree, m
+        self.dim = control_dimension(tree, m)
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def __getitem__(self, i: int) -> list:
+        if not 0 <= i < self.dim:
+            raise IndexError(i)
+        return unstack_controls(np.eye(1, self.dim, i)[0], self.tree, self.m)
 
 
-def _pairwise_cost_matrix(tree: ScenarioTree, coeffs: CoefficientSet,
-                          sols: list, controls: list) -> np.ndarray:
-    nb_sol = len(sols)
-    mat = np.zeros((nb_sol, nb_sol))
-    y0 = np.stack([s.y[0][0] for s in sols])
-    mat += y0 @ coeffs.G @ y0.T
-    for k in range(tree.n_steps):
-        w = tree.dt * tree.node_probability(k)
-        ys = np.stack([s.y[k] for s in sols])
-        zs = np.stack([s.z[k] for s in sols])
-        us = np.stack([c[k] for c in controls])
-        mat += w * np.einsum("ajx,jxy,bjy->ab", ys, coeffs.Q[k], ys)
-        mat += w * np.einsum("ajx,jxy,bjy->ab", zs, coeffs.R[k], zs)
-        mat += w * np.einsum("ajx,jxy,bjy->ab", us, coeffs.N[k], us)
-        qb, rb, nb = _mean_weights(coeffs, k)
-        ybar = np.stack([s.y_mean[k] for s in sols])
-        zbar = np.stack([s.z_mean[k] for s in sols])
-        ubar = np.stack([s.u_mean[k] for s in sols])
-        mat += tree.dt * (ybar @ qb @ ybar.T + zbar @ rb @ zbar.T + ubar @ nb @ ubar.T)
-    return mat
+def _impulse_quadratic(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
+    """Reduced quadratic in the raw control values (zero base, unit impulses)."""
+    return reduced_quadratic(tree, coeffs, zero_controls(tree, coeffs.m),
+                             _UnitImpulses(tree, coeffs.m))
 
 
-def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet):
-    sols, controls = _basis_responses(tree, coeffs)
-    mat = _pairwise_cost_matrix(tree, coeffs, sols, controls)
-    mat = 0.5 * (mat + mat.T)
-    hess, lin, const = mat[1:, 1:], mat[0, 1:], mat[0, 0]
+def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
+    hess, lin, _ = _impulse_quadratic(tree, coeffs)
     try:
         factor = scipy.linalg.cho_factor(hess)
     except np.linalg.LinAlgError as exc:
@@ -312,7 +315,7 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet):
     u_vec = scipy.linalg.cho_solve(factor, -lin)
     for _ in range(2):  # iterative refinement sharpens the certificate
         u_vec -= scipy.linalg.cho_solve(factor, hess @ u_vec + lin)
-    return unstack_controls(u_vec, tree, coeffs.m), hess, lin, const
+    return unstack_controls(u_vec, tree, coeffs.m)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +478,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet, chunk: int = 24):
 
     k22 = np.zeros((lay.small_dim, lay.small_dim))
     for k in range(n_steps):
-        qb, rb, nb = _mean_weights(coeffs, k)
+        qb, rb, nb = coeffs.mean_weights(k)
         sl = slice(lay.ybar_off + k * n, lay.ybar_off + (k + 1) * n)
         k22[sl, sl] = 2.0 * dt * qb
         sl = slice(lay.zbar_off + k * n, lay.zbar_off + (k + 1) * n)
@@ -510,29 +513,20 @@ class OracleSolution:
     gradient_norm: float     # dual norm of the exact discrete gradient at u
     grad0_norm: float        # same at the zero control (sets the scale)
     certified: bool
-    method: str
-    hessian: np.ndarray | None = None   # dense route only: reduced Hessian
-    linear: np.ndarray | None = None
-    constant: float | None = None
+    method: str              # "sparse" or "dense"
 
 
-def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet, method: str = "auto",
-                 size_cap: int = DENSE_SIZE_CAP,
+def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet, method: str = "sparse",
                  certificate_tol: float = 1e-9) -> OracleSolution:
-    """Solve the discrete problem head-on and certify first-order optimality."""
-    d = control_dimension(tree, coeffs.m)
-    if method == "auto":
-        method = "dense" if d <= size_cap else "sparse"
-    if method == "dense" and d > size_cap:
-        raise SizeCapError(
-            f"dense oracle needs {d} control unknowns, cap is {size_cap}; "
-            f"use method='sparse'"
-        )
+    """Solve the discrete problem head-on and certify first-order optimality.
+
+    ``method="dense"`` solves through the reduced Hessian instead of the
+    sparse KKT system; it is a cross-check for small trees and raises
+    SizeCapError above DENSE_SIZE_CAP control unknowns."""
     if method == "dense":
-        u, hess, lin, const = _solve_dense(tree, coeffs)
+        u = _solve_dense(tree, coeffs)
     elif method == "sparse":
         u = _solve_sparse(tree, coeffs)
-        hess = lin = const = None
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
@@ -549,19 +543,17 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet, method: str = "auto
     return OracleSolution(
         u=u, cost=cost, gradient_norm=grad_norm, grad0_norm=grad0,
         certified=certified, method=method,
-        hessian=hess, linear=lin, constant=const,
     )
 
 
-def weighted_hessian_eigenvalues(tree: ScenarioTree, coeffs: CoefficientSet,
-                                 oracle: OracleSolution) -> np.ndarray:
+def weighted_hessian_eigenvalues(tree: ScenarioTree,
+                                 coeffs: CoefficientSet) -> np.ndarray:
     """Eigenvalues of the cost Hessian in the weighted control geometry.
 
     For a cost with no state feedback (B = 0, N = I) these are exactly 2,
-    which pins the normalization used by the convexity margin."""
-    if oracle.hessian is None:
-        raise SizeCapError("Hessian eigenvalues need the dense oracle route")
-    w = control_weights(tree, coeffs.m)
-    scale = 1.0 / np.sqrt(w)
-    sym = 2.0 * oracle.hessian * scale[:, None] * scale[None, :]
-    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    which pins the normalization used by the convexity margin.  The Hessian
+    is assembled densely, so trees above DENSE_SIZE_CAP control unknowns
+    raise SizeCapError."""
+    hess, _, _ = _impulse_quadratic(tree, coeffs)
+    scale = 1.0 / np.sqrt(control_weights(tree, coeffs.m))
+    return np.linalg.eigvalsh(2.0 * hess * scale[:, None] * scale[None, :])

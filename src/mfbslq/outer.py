@@ -10,10 +10,11 @@ and the plain feedback control.
 Independently of that selection, the realized cost is an exact quadratic
 in eta: the constrained solver maps eta to a control affinely and the
 controlled dynamics are linear.  This module assembles that quadratic from
-d+1 constrained solves — each probed control is fed back through the
-controlled dynamics solver and the cost bilinear form is evaluated
-pairwise on the re-solved states — and uses it as a certificate: it must
-be positive semidefinite, and the selected eta is scored against it.
+d+1 constrained solves — the control at eta = 0 and the control change per
+unit eta direction are fed back through the controlled dynamics solver and
+read off one Gram matrix of the cost (:func:`.oracle.reduced_quadratic`) —
+and uses it as a certificate: it must be positive semidefinite, and the
+selected eta is scored against it.
 
 The reported cost re-runs the controlled mean-field BSDE at the final
 control, and the reported stationarity residual re-derives the first-order
@@ -38,7 +39,7 @@ from .multipliers import (ConstrainedSolution, MeanOperators,
                           probe_operators, solve_constrained_problem,
                           solve_outer_system, split_blocks)
 from .oracle import (OracleSolution, control_error, cost_of_solution,
-                     smp_stationarity_residual, solve_oracle)
+                     reduced_quadratic, smp_stationarity_residual, solve_oracle)
 from .riccati import RiccatiSolution, solve_riccati
 from .tree import ScenarioTree, build_tree
 
@@ -53,50 +54,20 @@ class OuterQuadratic:
     min_eigenvalue: float
 
 
-def _pairwise_cost(tree: ScenarioTree, coeffs: CoefficientSet,
-                   controls: list, states: list) -> np.ndarray:
-    """Pairwise cost bilinear form: running node weights, running mean
-    weights, and the initial-state weight, evaluated on re-solved states."""
-    nb = len(states)
-    mat = np.zeros((nb, nb))
-    y0 = np.stack([s.y[0][0] for s in states])
-    mat += y0 @ coeffs.G @ y0.T
-    for k in range(tree.n_steps):
-        w = tree.dt * tree.node_probability(k)
-        ys = np.stack([s.y[k] for s in states])
-        zs = np.stack([s.z[k] for s in states])
-        us = np.stack([u[k] for u in controls])
-        mat += w * np.einsum("ajx,jxy,bjy->ab", ys, coeffs.Q[k], ys)
-        mat += w * np.einsum("ajx,jxy,bjy->ab", zs, coeffs.R[k], zs)
-        mat += w * np.einsum("ajx,jxy,bjy->ab", us, coeffs.N[k], us)
-        ym = np.stack([s.y_mean[k] for s in states])
-        zm = np.stack([s.z_mean[k] for s in states])
-        um = np.stack([s.u_mean[k] for s in states])
-        mat += tree.dt * (ym @ coeffs.Q_bar[k].mean(axis=0) @ ym.T)
-        mat += tree.dt * (zm @ coeffs.R_bar[k].mean(axis=0) @ zm.T)
-        mat += tree.dt * (um @ coeffs.N_bar[k].mean(axis=0) @ um.T)
-    return mat
-
-
 def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
                              ric: RiccatiSolution,
                              ops: MeanOperators) -> OuterQuadratic:
     """Probe the cost as a function of eta and return it in closed form."""
     d = eta_dimension(tree, coeffs)
-    basis = [solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops)]
+    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
+    directions = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
-        basis.append(solve_constrained_problem(tree, coeffs, ric, e, ops))
-    controls = [b.u for b in basis]
-    states = [solve_meanfield_bsde(tree, coeffs, u) for u in controls]
-    mat = _pairwise_cost(tree, coeffs, controls, states)
+        u = solve_constrained_problem(tree, coeffs, ric, e, ops).u
+        directions.append([a - b for a, b in zip(u, base)])
+    hess, lin, const = reduced_quadratic(tree, coeffs, base, directions)
 
-    hess = (mat[1:, 1:] - mat[1:, :1] - mat[:1, 1:] + mat[0, 0])
-    lin = mat[0, 1:] - mat[0, 0]
-    const = float(mat[0, 0])
-
-    hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
     min_eig = float(eigs[0])
     if min_eig < -_PSD_TOL * max(1.0, float(eigs[-1])):
@@ -171,7 +142,7 @@ class PipelineResult:
 
 
 def run_pipeline(spec: ProblemSpec, n_steps: int, with_oracle: bool = False,
-                 oracle_method: str = "auto", validate: bool = True) -> PipelineResult:
+                 validate: bool = True) -> PipelineResult:
     """Full solve: realize, validate, Riccati, probe, outer solve, certify."""
     timings: dict = {}
 
@@ -210,7 +181,7 @@ def run_pipeline(spec: ProblemSpec, n_steps: int, with_oracle: bool = False,
         stationarity_residual=stationarity, timings=timings,
     )
     if with_oracle:
-        oracle = staged("oracle", lambda: solve_oracle(tree, coeffs, oracle_method))
+        oracle = staged("oracle", lambda: solve_oracle(tree, coeffs))
         result.oracle = oracle
         result.oracle_control_error = control_error(tree, final.u, oracle.u)
         result.oracle_cost_gap = cost - oracle.cost

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._errors import RiccatiError
 from .model import CoefficientSet
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _t
 
 _NEWTON_TOL = 1e-12
 _MAX_NEWTON = 50
@@ -48,10 +48,6 @@ class RiccatiSolution:
     min_conditioner_sv: float   # min singular value of I + Sigma R over nodes
     newton_iterations: int      # worst per-level Newton iteration count
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _t(mats: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mats, -1, -2)
 
 
 def _sym_basis(n: int) -> list:

@@ -26,6 +26,16 @@ MAX_DEPTH = 24
 DEFAULT_DEPTH = 16
 
 
+def _t(mats: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes of a stack of matrices."""
+    return np.swapaxes(mats, -1, -2)
+
+
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Batched matrix @ vector over the node axis."""
+    return np.einsum("kij,kj->ki", mats, vecs)
+
+
 class ScenarioTree:
     """Time grid plus the exact conditional-expectation calculus of the walk."""
 

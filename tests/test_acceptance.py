@@ -222,8 +222,7 @@ def test_criterion_10_convexity(capsys, corpus):
     for spec in corpus.values():
         tree = build_tree(spec.horizon, 8)
         coeffs = realize(spec, tree)
-        sol = solve_oracle(tree, coeffs)
-        eigs = weighted_hessian_eigenvalues(tree, coeffs, sol)
+        eigs = weighted_hessian_eigenvalues(tree, coeffs)
         min_eig = min(min_eig, float(eigs.min()))
         d = control_dimension(tree, coeffs.m)
         for _ in range(20):

@@ -16,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from mfbslq import build_tree, realize, solve_meanfield_bsde
-from mfbslq.oracle import (control_dimension, control_error, cost_gradient,
+from mfbslq import SizeCapError, build_tree, realize, solve_meanfield_bsde
+from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
                            cost_of_solution, directional_derivative,
                            directional_derivative_fd, evaluate_cost,
                            gradient_dual_norm, solve_oracle, unstack_controls,
@@ -103,11 +103,17 @@ def test_dense_and_sparse_routes_agree(m1, d2):
         assert dense.certified and sparse.certified
 
 
-def test_auto_switches_on_size(s1):
+def test_sparse_default_and_dense_size_cap(s1):
+    # the default route is sparse; the dense route and the dense Hessian
+    # refuse a tree above the cap before solving anything
     tree, coeffs = _setup(s1, 4)
-    assert solve_oracle(tree, coeffs, method="auto").method == "dense"
-    assert solve_oracle(tree, coeffs, method="auto",
-                        size_cap=3).method == "sparse"
+    assert solve_oracle(tree, coeffs).method == "sparse"
+    deep, deep_coeffs = _setup(s1, 15)
+    assert control_dimension(deep, deep_coeffs.m) > DENSE_SIZE_CAP
+    with pytest.raises(SizeCapError):
+        solve_oracle(deep, deep_coeffs, method="dense")
+    with pytest.raises(SizeCapError):
+        weighted_hessian_eigenvalues(deep, deep_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +174,7 @@ def test_hessian_normalization_without_state_feedback():
     # weighted Hessian spectrum is exactly {2}
     spec = scalar_spec(B=0.0, Q=1.0, terminal=WALK_TERMINAL)
     tree, coeffs = _setup(spec, 4)
-    sol = solve_oracle(tree, coeffs)
-    eigs = weighted_hessian_eigenvalues(tree, coeffs, sol)
+    eigs = weighted_hessian_eigenvalues(tree, coeffs)
     assert np.abs(eigs - 2.0).max() <= 1e-11
 
 
