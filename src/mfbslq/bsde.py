@@ -2,7 +2,10 @@
 
 Everything here works level-by-level on flat per-level arrays.  A process
 is represented as a list indexed by level: entry k is an array of shape
-(2**k, dim) (or (2**k, dim, dim) for matrix processes).
+(2**k, dim) (or (2**k, dim, dim) for matrix processes).  Several processes
+driven by the same coefficients can share one sweep: they are stacked on a
+trailing column axis, (2**k, dim, c), and every per-node product becomes a
+batched matrix product over the columns.
 
 Backward equations are solved with an implicit step in the node-local
 drift and an exact conditional expectation down the tree; the mean-field
@@ -18,40 +21,126 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._errors import StepSizeError
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mv
+from .tree import ScenarioTree, _mm, _t
+
+# An inverted one-step matrix whose smallest singular value falls below this
+# amplifies rounding errors by more than 1e6: the step is refused.
+_MIN_STEP_SV = 1e-6
+
+
+def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
+    """Invert one level's stack of per-node matrices after checking them.
+
+    Returns (inverses, smallest singular value over the level's nodes).
+    Raises StepSizeError naming the matrix, the level and the value when
+    that singular value is below _MIN_STEP_SV or not finite."""
+    min_sv = float(np.sqrt(max(
+        float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
+    if not _MIN_STEP_SV < min_sv < np.inf:
+        raise StepSizeError(
+            f"{name} is singular or not finite at level {level}: smallest singular value "
+            f"{min_sv:.3e} (needs > {_MIN_STEP_SV:.0e}); refine the time grid"
+        )
+    return np.linalg.inv(mats), min_sv
+
+
+def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
+    """Per-level (I - dt A)^{-1} and dt (I - dt A)^{-1} A_bar of the backward
+    step, plus the smallest singular value of I - dt A over the tree.
+
+    Depends on the coefficients only, so it is computed once per
+    coefficient set and time step and cached on the set."""
+    key = ("implicit_steps", tree.dt)
+    cached = coeffs._cache.get(key)
+    if cached is None:
+        eye = np.eye(coeffs.n)
+        inverses, mean_ops, worst = [], [], np.inf
+        for k in range(tree.n_steps):
+            inv, min_sv = checked_inverse(eye[None] - tree.dt * coeffs.A[k],
+                                          "I - dt A", k)
+            inverses.append(inv)
+            mean_ops.append(tree.dt * (inv @ coeffs.A_bar[k]))
+            worst = min(worst, min_sv)
+        cached = coeffs._cache[key] = (inverses, mean_ops, worst)
+    return cached
 
 
 def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
     """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree.
 
-    ``drift(k, x)`` and ``diffusion(k, x)`` receive the level index and the
-    level-k values of shape (2**k, dim) and must return arrays of the same
-    shape.  Returns the list of levels 0..n_steps.  The sign convention
-    matches the backward-equation family this module solves: to integrate
-    dX = +b ds + s dW, pass callbacks returning -b and -s.
+    ``initial`` has shape (dim,) or (dim, c).  ``drift(k, x)`` and
+    ``diffusion(k, x)`` receive the level index and the level-k values of
+    shape (2**k, dim) (or (2**k, dim, c)) and must return arrays of the
+    same shape.  Returns the list of levels 0..n_steps.  The sign
+    convention matches the backward-equation family this module solves: to
+    integrate dX = +b ds + s dW, pass callbacks returning -b and -s.
     """
-    x0 = np.asarray(initial, dtype=float).reshape(1, -1)
-    levels = [x0]
+    levels = [np.atleast_1d(np.asarray(initial, dtype=float))[None]]
     for k in range(tree.n_steps):
         x = levels[k]
-        b = drift(k, x)
-        s = diffusion(k, x)
-        dw = tree.sqrt_dt * tree.child_signs(k)
-        nxt = tree.to_children(x - tree.dt * b) - dw[:, None] * tree.to_children(s)
+        step = x - tree.dt * drift(k, x)
+        shock = tree.sqrt_dt * diffusion(k, x)
+        nxt = np.empty((2 * len(x),) + x.shape[1:])
+        np.subtract(step, shock, out=nxt[0::2])   # up child, dW = +sqrt(dt)
+        np.add(step, shock, out=nxt[1::2])        # down child, dW = -sqrt(dt)
         levels.append(nxt)
     return levels
 
 
 @dataclass
 class MeanfieldBsdeSolution:
-    """State/martingale pair of a mean-field linear BSDE, with level means."""
+    """State/martingale pair of a mean-field linear BSDE, with level means.
+
+    Solved column stacks keep their trailing column axis on every field."""
 
     y: list          # levels 0..n_steps, (2**k, n)
     z: list          # levels 0..n_steps - 1, (2**k, n)
     y_mean: np.ndarray   # (n_steps + 1, n)
     z_mean: np.ndarray   # (n_steps, n)
     u_mean: np.ndarray   # (n_steps, m)
+
+
+def meanfield_levels(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
+                     terminal: np.ndarray):
+    """The backward sweep of :func:`solve_meanfield_bsde` on column stacks.
+
+    ``controls[k]`` has shape (2**k, m, c) and ``terminal`` (2**n_steps, n, c)
+    or (2**n_steps, n, 1) (one terminal value for every column).  Yields
+    (k, (y, z, u, y_mean, z_mean, u_mean)) for k = n_steps-1 down to 0,
+    every entry with the columns on its last axis.  Only the level below the
+    current one is held, so a consumer that reduces each level as it comes
+    never holds the whole tree.
+    """
+    inverses, mean_ops, _ = implicit_steps(tree, coeffs)
+    dt = tree.dt
+    eye = np.eye(coeffs.n)
+    y_next = np.broadcast_to(terminal, terminal.shape[:2] + controls[0].shape[-1:])
+    del terminal
+    for k in range(tree.n_steps - 1, -1, -1):
+        zk = tree.z_from_next(y_next)
+        zbar = tree.expect(zk)
+        uk = controls[k]
+        ubar = tree.expect(uk)
+        # accumulate in place: with many columns a level's temporaries,
+        # not its results, would otherwise set the peak memory
+        rhs = _mm(coeffs.B[k], uk)
+        rhs += _mm(coeffs.B_bar[k], ubar)
+        rhs += _mm(coeffs.C[k], zk)
+        rhs += _mm(coeffs.C_bar[k], zbar)
+        rhs *= dt
+        rhs += tree.cond_expect(y_next)
+        # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
+        yk = _mm(inverses[k], rhs)
+        del rhs
+        mean_op = mean_ops[k]
+        prob = tree.node_probability(k)
+        ybar = np.linalg.solve(eye - prob * mean_op.sum(axis=0),
+                               prob * yk.sum(axis=0))
+        yk += _mm(mean_op, ybar)
+        yield k, (yk, zk, uk, ybar, zbar, ubar)
+        y_next = yk
 
 
 def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
@@ -68,43 +157,30 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
 
     where Z_k is recovered from Y_{k+1} first and the unknown level mean
     y_mean = E[Y_k] is eliminated by an n-dimensional solve.
+
+    Controls are per-level arrays (2**k, m), or (2**k, m, c) to solve c
+    controls in one sweep; the terminal is then (2**n_steps, n, c), or 2-D
+    to serve every column.  A single control runs as one column.
     """
+    single = controls[0].ndim == 2
+    stacked = [u[..., None] for u in controls] if single else controls
+    xi = np.asarray(coeffs.xi if terminal is None else terminal, dtype=float)
+    end = xi[..., None] if xi.ndim == 2 else xi
     n, n_steps = coeffs.n, tree.n_steps
-    dt = tree.dt
-    eye = np.eye(n)
-    xi = coeffs.xi if terminal is None else terminal
+    cols = stacked[0].shape[-1]
 
     y: list = [None] * (n_steps + 1)
     z: list = [None] * n_steps
-    y_mean = np.empty((n_steps + 1, n))
-    z_mean = np.empty((n_steps, n))
-    u_mean = np.empty((n_steps, coeffs.m))
-
-    y[n_steps] = xi
-    y_mean[n_steps] = tree.expect(xi)
-    for k in range(n_steps - 1, -1, -1):
-        y_next = y[k + 1]
-        zk = tree.z_from_next(y_next)
-        cond = tree.cond_expect(y_next)
-        zbar = tree.expect(zk)
-        uk = controls[k]
-        ubar = tree.expect(uk)
-        rhs = cond + dt * (
-            _mv(coeffs.B[k], uk) + coeffs.B_bar[k] @ ubar
-            + _mv(coeffs.C[k], zk) + coeffs.C_bar[k] @ zbar
-        )
-        lhs = eye[None] - dt * coeffs.A[k]
-        # Solve (I - dt A) [y | M] = [rhs | dt A_bar] in one batched call:
-        # Y_j = base_j + mean_op_j @ y_mean, then close the mean equation.
-        aug = np.concatenate([rhs[:, :, None], dt * coeffs.A_bar[k]], axis=2)
-        sol = np.linalg.solve(lhs, aug)
-        base, mean_op = sol[:, :, 0], sol[:, :, 1:]
-        prob = tree.node_probability(k)
-        ybar = np.linalg.solve(eye - prob * mean_op.sum(axis=0),
-                               prob * base.sum(axis=0))
-        y[k] = base + mean_op @ ybar
-        z[k] = zk
-        y_mean[k] = ybar
-        z_mean[k] = zbar
-        u_mean[k] = ubar
+    y_mean = np.empty((n_steps + 1, n, cols))
+    z_mean = np.empty((n_steps, n, cols))
+    u_mean = np.empty((n_steps, coeffs.m, cols))
+    y[n_steps] = xi if single else np.array(np.broadcast_to(end, end.shape[:2] + (cols,)))
+    y_mean[n_steps] = tree.expect(end)
+    for k, (yk, zk, _, ybar, zbar, ubar) in meanfield_levels(tree, coeffs, stacked, end):
+        y[k], z[k] = yk, zk
+        y_mean[k], z_mean[k], u_mean[k] = ybar, zbar, ubar
+    if single:
+        return MeanfieldBsdeSolution(
+            [yk[..., 0] for yk in y[:n_steps]] + [xi], [zk[..., 0] for zk in z],
+            y_mean[..., 0], z_mean[..., 0], u_mean[..., 0])
     return MeanfieldBsdeSolution(y, z, y_mean, z_mean, u_mean)

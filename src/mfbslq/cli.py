@@ -33,13 +33,21 @@ CHECK_COST_GAP = -1e-9
 
 
 def _pin_threads() -> None:
+    """Pin BLAS thread pools to ``MFBSLQ_THREADS`` (a positive integer).
+
+    Unset or empty leaves the pools alone; any other value that is not a
+    positive integer raises ConfigurationError.  Pinning needs the optional
+    threadpoolctl package and is skipped without it."""
     value = os.environ.get("MFBSLQ_THREADS")
     if not value:
         return
     try:
         limit = int(value)
     except ValueError:
-        return
+        limit = 0
+    if limit < 1:
+        raise ConfigurationError(
+            f"MFBSLQ_THREADS must be a positive integer, got {value!r}")
     try:
         import threadpoolctl
     except ImportError:
@@ -194,9 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _pin_threads()
     args = _build_parser().parse_args(argv)
     try:
+        _pin_threads()
         return args.fn(args)
     except (ConfigurationError, SpecValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,9 +26,8 @@ trivial on the tree, so a random G has nowhere to live.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,9 +91,10 @@ class CoefficientSet:
     N_bar: list
     G: np.ndarray
     xi: np.ndarray
-
-    def with_zero_terminal(self) -> "CoefficientSet":
-        return dataclasses.replace(self, xi=np.zeros_like(self.xi))
+    # matrices derived from the coefficients (the implicit BSDE step);
+    # never part of equality, and a replaced copy starts with an empty one
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def mean_weights(self, k: int) -> tuple:
         """Level-k weights of the mean cost terms: E[Q_bar], E[R_bar], E[N_bar]."""

@@ -28,10 +28,10 @@ scheme onto the discrete optimizer and hides genuine time-step error).
 
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]);
-both are probed column by column with unit impulses, the probe is
-cross-checked by superposition on a dense test vector, and the multiplier
-equation L lam = eta - p_xi - P_eta eta is solved by SVD with a certified
-residual.
+both are probed with unit impulses, run as the columns of a few batched
+sweeps; the probe is cross-checked by superposition on a dense test
+vector, and the multiplier equation L lam = eta - p_xi - P_eta eta is
+solved by SVD with a certified residual.
 
 The outer optimality conditions couple the two probed maps: at the
 optimum the multipliers must equal the mean-cost gradients minus the
@@ -58,26 +58,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
-from .bsde import solve_forward_sde
+from .bsde import checked_inverse, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _mv, _t
+from .tree import ScenarioTree, _mm, _mv, _t
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
 _GUARD_TOL = 1e-10
+# Columns solved together in one batched sweep.  Fixed, so results never
+# depend on the machine; every per-column buffer lives for one block only.
+_COLUMN_BLOCK = 16
 
 
 def eta_dimension(tree: ScenarioTree, coeffs: CoefficientSet) -> int:
     return tree.n_steps * (2 * coeffs.n + coeffs.m)
 
 
+def column_blocks(count: int) -> list:
+    """Slices covering ``count`` columns, _COLUMN_BLOCK at a time."""
+    return [slice(start, min(start + _COLUMN_BLOCK, count))
+            for start in range(0, count, _COLUMN_BLOCK)]
+
+
 def split_blocks(vec: np.ndarray, tree: ScenarioTree, coeffs: CoefficientSet):
-    """Unstack a means/multiplier vector into per-level (y, z, u) components."""
+    """Unstack a means/multiplier vector (d,) or column stack (d, c) into
+    per-level (y, z, u) components (n_steps, n[, c])."""
     n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
-    a = vec[: n_steps * n].reshape(n_steps, n)
-    b = vec[n_steps * n: 2 * n_steps * n].reshape(n_steps, n)
-    g = vec[2 * n_steps * n:].reshape(n_steps, m)
+    cols = vec.shape[1:]
+    a = vec[: n_steps * n].reshape(n_steps, n, *cols)
+    b = vec[n_steps * n: 2 * n_steps * n].reshape(n_steps, n, *cols)
+    g = vec[2 * n_steps * n:].reshape(n_steps, m, *cols)
     return a, b, g
 
 
@@ -94,37 +105,46 @@ class DecoupledWorkspace:
     sig_c: list        # S = (Sigma_k + E_k[Sigma_{k+1}]) / 2
     phi_step: list     # (I + dt (Sigma Q - A))^{-1}
     vtheta_coef: list  # (Phi R - C) H
-    lam2_coef: list    # (Phi + C S) H'
-    BNinv: list        # B N^{-1}
+    source: list       # [-Sigma | -B N^{-1} | -(Phi + C S) H' | A_bar | B_bar | C_bar]
     Ninv: list         # N^{-1}
     x_drift: list      # A' - Q Sigma
     x_diff: list       # C' - G1 (Phi + S C')
     zx: list           # H (Phi + S C')
+    min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
+    min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
 
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                     ric: RiccatiSolution) -> DecoupledWorkspace:
+    """Assemble (and memoize on the Riccati pair) the per-level matrices.
+    Both inverted matrices are checked; StepSizeError names the level."""
     key = "decoupled_workspace"
     cached = ric._cache.get(key)
     if cached is not None and cached[0] is coeffs:
         return cached[1]
     n = coeffs.n
     eye = np.eye(n)
-    ws = DecoupledWorkspace([], [], [], [], [], [], [], [], [], [], [])
+    ws = DecoupledWorkspace(*([] for _ in range(10)))
     for k in range(tree.n_steps):
         sig, phi = ric.sigma[k], ric.phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
         sig_c = 0.5 * (sig + tree.cond_expect(ric.sigma[k + 1]))
-        H = np.linalg.inv(eye[None] + sig_c @ R)
+        H, cond_sv = checked_inverse(eye[None] + sig_c @ R, "I + S R", k)
+        phi_step, step_sv = checked_inverse(eye[None] + tree.dt * (sig @ Q - A),
+                                            "I + dt (Sigma Q - A)", k)
+        ws.min_conditioner_sv = min(ws.min_conditioner_sv, cond_sv)
+        ws.min_phi_step_sv = min(ws.min_phi_step_sv, step_sv)
         G1 = R @ H
         mart = phi + sig_c @ _t(C)
         ws.H.append(H)
         ws.G1.append(G1)
         ws.sig_c.append(sig_c)
-        ws.phi_step.append(np.linalg.inv(eye[None] + tree.dt * (sig @ Q - A)))
+        ws.phi_step.append(phi_step)
         ws.vtheta_coef.append((phi @ R - C) @ H)
-        ws.lam2_coef.append((phi + C @ sig_c) @ _t(H))
-        ws.BNinv.append(_t(np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))))
+        ws.source.append(np.concatenate([
+            -sig, -_t(np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))),
+            -(phi + C @ sig_c) @ _t(H),
+            coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
         ws.Ninv.append(np.linalg.inv(coeffs.N[k]))
         ws.x_drift.append(_t(A) - Q @ sig)
         ws.x_diff.append(_t(C) - G1 @ mart)
@@ -146,29 +166,37 @@ class DecoupledSolution:
     guard: float   # worst pointwise defect of N u - B' x + lam3
 
 
+def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j mats_j' x_j over a level's nodes, one GEMM: (n, k)' x (n, c)."""
+    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
 def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
                     lam_vec: np.ndarray, eta_vec: np.ndarray) -> DecoupledSolution:
-    """Solve the (lam, eta) optimality system and return fields plus means."""
+    """Solve the (lam, eta) optimality system and return fields plus means.
+
+    ``lam_vec`` and ``eta_vec`` are (d,) or column stacks (d, c); a stack is
+    solved in one sweep and every field and mean keeps the column axis
+    last.  A single pair runs as one column."""
     ws = build_workspace(tree, coeffs, ric)
+    lam_vec = np.asarray(lam_vec, dtype=float)
+    single = lam_vec.ndim == 1
+    lam = lam_vec[:, None] if single else lam_vec
+    eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
     n_steps, dt = tree.n_steps, tree.dt
-    lam1, lam2, lam3 = split_blocks(lam_vec, tree, coeffs)
-    alpha, beta, gamma = split_blocks(eta_vec, tree, coeffs)
+    lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
+    alpha, beta, gamma = split_blocks(eta, tree, coeffs)
 
     # backward sweep for (phi, vtheta)
     phi: list = [None] * (n_steps + 1)
     vtheta: list = [None] * n_steps
-    phi[n_steps] = -coeffs.xi
+    phi[n_steps] = np.repeat(-coeffs.xi[..., None], lam.shape[1], axis=2)
     for k in range(n_steps - 1, -1, -1):
         vth = tree.z_from_next(phi[k + 1])
-        cond = tree.cond_expect(phi[k + 1])
-        rest = (
-            _mv(ws.vtheta_coef[k], vth)
-            - ric.sigma[k] @ lam1[k] - ws.BNinv[k] @ lam3[k]
-            - ws.lam2_coef[k] @ lam2[k]
-            + coeffs.A_bar[k] @ alpha[k] + coeffs.B_bar[k] @ gamma[k]
-            + coeffs.C_bar[k] @ beta[k]
-        )
-        phi[k] = _mv(ws.phi_step[k], cond - dt * rest)
+        # the six multiplier/target terms of E as one GEMM over ws.source
+        inputs = np.concatenate([lam1[k], lam3[k], lam2[k], alpha[k], gamma[k], beta[k]])
+        rest = _mm(ws.vtheta_coef[k], vth) + _mm(ws.source[k], inputs)
+        phi[k] = _mm(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
         vtheta[k] = vth
 
     # forward sweep for the adjoint
@@ -176,11 +204,11 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     x0 = np.linalg.solve(np.eye(coeffs.n) + g_mat @ ric.sigma[0][0], g_mat @ phi[0][0])
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        return -(_mv(ws.x_drift[k], x) + _mv(coeffs.Q[k], phi[k]) - lam1[k][None])
+        return -(_mm(ws.x_drift[k], x) + _mm(coeffs.Q[k], phi[k]) - lam1[k][None])
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
-        aff = _mv(ws.G1[k], ws.sig_c[k] @ lam2[k] + vtheta[k]) - lam2[k][None]
-        return -(_mv(ws.x_diff[k], x) + aff)
+        aff = _mm(ws.G1[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
+        return -(_mm(ws.x_diff[k], x) + aff)
 
     x = solve_forward_sde(tree, x0, drift, diffusion)
 
@@ -188,35 +216,36 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     u: list = [None] * n_steps
     y: list = [None] * (n_steps + 1)
     z: list = [None] * n_steps
-    means = np.empty(eta_dimension(tree, coeffs))
-    coupling = np.empty(eta_dimension(tree, coeffs))
-    n, m = coeffs.n, coeffs.m
-    guard = 0.0
-    y[n_steps] = _mv(ric.sigma[n_steps], x[n_steps]) - phi[n_steps]
+    means = np.empty(lam.shape)
+    coupling = np.empty(lam.shape)
+    mean_y, mean_z, mean_u = split_blocks(means, tree, coeffs)
+    cpl_y, cpl_z, cpl_u = split_blocks(coupling, tree, coeffs)
+    guard = np.zeros(lam.shape[1])
+    y[n_steps] = _mm(ric.sigma[n_steps], x[n_steps]) - phi[n_steps]
     for k in range(n_steps):
-        bx = _mv(_t(coeffs.B[k]), x[k])
-        u[k] = _mv(ws.Ninv[k], bx - lam3[k][None])
-        y[k] = _mv(ric.sigma[k], x[k]) - phi[k]
-        z[k] = _mv(ws.zx[k], x[k]) - _mv(ws.H[k], ws.sig_c[k] @ lam2[k] + vtheta[k])
-        defect = np.abs(_mv(coeffs.N[k], u[k]) - bx + lam3[k][None]).max()
-        guard = max(guard, float(defect) / (1.0 + float(np.abs(bx).max())))
+        bx = _mm(_t(coeffs.B[k]), x[k])
+        net = bx - lam3[k][None]
+        u[k] = _mm(ws.Ninv[k], net)
+        y[k] = _mm(ric.sigma[k], x[k]) - phi[k]
+        z[k] = _mm(ws.zx[k], x[k]) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
+        defect = np.abs(_mm(coeffs.N[k], u[k]) - net).max(axis=(0, 1))
+        guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
         prob = tree.node_probability(k)
-        means[k * n:(k + 1) * n] = tree.expect(y[k])
-        coupling[k * n:(k + 1) * n] = prob * np.einsum(
-            "jxy,jx->y", coeffs.A_bar[k], x[k])
-        off = n_steps * n
-        means[off + k * n: off + (k + 1) * n] = tree.expect(z[k])
-        coupling[off + k * n: off + (k + 1) * n] = prob * np.einsum(
-            "jxy,jx->y", coeffs.C_bar[k], x[k])
-        off = 2 * n_steps * n
-        means[off + k * m: off + (k + 1) * m] = tree.expect(u[k])
-        coupling[off + k * m: off + (k + 1) * m] = prob * np.einsum(
-            "jxy,jx->y", coeffs.B_bar[k], x[k])
-    if guard > _GUARD_TOL:
+        mean_y[k], mean_z[k], mean_u[k] = (tree.expect(y[k]), tree.expect(z[k]),
+                                           tree.expect(u[k]))
+        cpl_y[k] = prob * _level_coupling(coeffs.A_bar[k], x[k])
+        cpl_z[k] = prob * _level_coupling(coeffs.C_bar[k], x[k])
+        cpl_u[k] = prob * _level_coupling(coeffs.B_bar[k], x[k])
+    worst = float(guard.max())
+    if worst > _GUARD_TOL:
         raise NumericsError(
-            f"control reconstruction defect {guard:.3e} exceeds {_GUARD_TOL:.1e}"
+            f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
         )
-    return DecoupledSolution(phi, vtheta, x, u, y, z, means, coupling, guard)
+    fields = (phi, vtheta, x, u, y, z)
+    if single:
+        fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
+        means, coupling = means[:, 0], coupling[:, 0]
+    return DecoupledSolution(*fields, means, coupling, worst)
 
 
 @dataclass
@@ -237,48 +266,59 @@ class MeanOperators:
     M: np.ndarray
     svd: tuple       # (U, s, Vt) of L
     rank: int
+    superposition_error: float   # |predicted - direct| on the dense test pair
+
+    def multiplier_rhs(self, eta: np.ndarray) -> np.ndarray:
+        """eta - p_xi - P_eta eta: what L lam must equal (eta may be a column stack)."""
+        return eta - self.p_xi.reshape((-1,) + (1,) * (eta.ndim - 1)) - self.P_eta @ eta
 
     def solve_lambda(self, rhs: np.ndarray) -> np.ndarray:
+        """Rank-truncated least-squares solution of L lam = rhs; ``rhs`` is
+        (d,) or a column stack (d, c)."""
         u_mat, s, vt = self.svd
-        coef = u_mat.T @ rhs
-        coef = np.where(np.arange(s.size) < self.rank, coef / np.where(s > 0, s, 1.0), 0.0)
-        return vt.T @ coef
+        r = self.rank
+        coef = (u_mat[:, :r].T @ rhs) / s[:r].reshape((r,) + (1,) * (rhs.ndim - 1))
+        return vt[:r].T @ coef
 
 
 def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
                     ric: RiccatiSolution) -> MeanOperators:
-    """Assemble the affine maps by unit impulses; memoized on the Riccati pair."""
+    """Assemble the affine maps by unit impulses; memoized on the Riccati pair.
+
+    The 2d + 2 probe columns (the base, the d lam impulses, the d eta
+    impulses and a dense superposition test pair) run in column blocks,
+    one batched sweep per block."""
     key = "mean_operators"
     cached = ric._cache.get(key)
     if cached is not None and cached[0] is coeffs:
         return cached[1]
     d = eta_dimension(tree, coeffs)
-    zero = np.zeros(d)
-    base = solve_decoupled(tree, coeffs, ric, zero, zero)
-    p_xi, q_xi = base.means, base.coupling
-    l_mat = np.empty((d, d))
-    p_mat = np.empty((d, d))
-    m_mat = np.empty((d, d))
-    q_mat = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        s_lam = solve_decoupled(tree, coeffs, ric, e, zero)
-        s_eta = solve_decoupled(tree, coeffs, ric, zero, e)
-        l_mat[:, i] = s_lam.means - p_xi
-        m_mat[:, i] = s_lam.coupling - q_xi
-        p_mat[:, i] = s_eta.means - p_xi
-        q_mat[:, i] = s_eta.coupling - q_xi
-
+    cols = 2 * d + 2
+    lam_in = np.zeros((d, cols))
+    eta_in = np.zeros((d, cols))
+    lam_in[:, 1:d + 1] = np.eye(d)
+    eta_in[:, d + 1:2 * d + 1] = np.eye(d)
     # superposition cross-check on a dense deterministic pattern
-    lam_t = np.cos(np.arange(1, d + 1, dtype=float))
-    eta_t = np.sin(np.arange(1, d + 1, dtype=float))
-    direct = solve_decoupled(tree, coeffs, ric, lam_t, eta_t)
+    lam_t = lam_in[:, -1] = np.cos(np.arange(1, d + 1, dtype=float))
+    eta_t = eta_in[:, -1] = np.sin(np.arange(1, d + 1, dtype=float))
+    means = np.empty((d, cols))
+    coupling = np.empty((d, cols))
+    for block in column_blocks(cols):
+        sol = solve_decoupled(tree, coeffs, ric, lam_in[:, block], eta_in[:, block])
+        means[:, block], coupling[:, block] = sol.means, sol.coupling
+        del sol   # free this block's fields before the next block is solved
+
+    p_xi, q_xi = means[:, 0], coupling[:, 0]
+    l_mat = means[:, 1:d + 1] - p_xi[:, None]
+    m_mat = coupling[:, 1:d + 1] - q_xi[:, None]
+    p_mat = means[:, d + 1:2 * d + 1] - p_xi[:, None]
+    q_mat = coupling[:, d + 1:2 * d + 1] - q_xi[:, None]
+
     predicted = np.concatenate([
         p_xi + p_mat @ eta_t + l_mat @ lam_t,
         q_xi + q_mat @ eta_t + m_mat @ lam_t,
     ])
-    got = np.concatenate([direct.means, direct.coupling])
+    got = np.concatenate([means[:, -1], coupling[:, -1]])
     err = float(np.linalg.norm(got - predicted))
     if err > 1e-8 * (1.0 + float(np.linalg.norm(got))):
         raise NumericsError(
@@ -287,7 +327,8 @@ def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
 
     u_mat, s, vt = np.linalg.svd(l_mat)
     rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 1.0)))
-    ops = MeanOperators(p_xi, p_mat, l_mat, q_xi, q_mat, m_mat, (u_mat, s, vt), rank)
+    ops = MeanOperators(p_xi, p_mat, l_mat, q_xi, q_mat, m_mat, (u_mat, s, vt),
+                        rank, err)
     ric._cache[key] = (coeffs, ops)
     return ops
 
@@ -343,7 +384,8 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
 
 @dataclass
 class ConstrainedSolution:
-    """Solution of the mean-constrained subproblem at a given eta."""
+    """Solution of the mean-constrained subproblem at a given eta (or at a
+    column stack of them, every field then carrying the column axis)."""
 
     u: list
     y: list
@@ -361,11 +403,12 @@ class ConstrainedSolution:
 def solve_constrained_problem(tree: ScenarioTree, coeffs: CoefficientSet,
                               ric: RiccatiSolution, eta_vec: np.ndarray,
                               ops: MeanOperators | None = None) -> ConstrainedSolution:
-    """Pick multipliers hitting the target means, certify, and solve."""
+    """Pick multipliers hitting the target means, certify, and solve.
+    ``eta_vec`` is (d,) or a column stack (d, c) solved in one sweep."""
     if ops is None:
         ops = probe_operators(tree, coeffs, ric)
     eta_vec = np.asarray(eta_vec, dtype=float)
-    lam = ops.solve_lambda(eta_vec - ops.p_xi - ops.P_eta @ eta_vec)
+    lam = ops.solve_lambda(ops.multiplier_rhs(eta_vec))
     return constrained_solution_at(tree, coeffs, ric, lam, eta_vec, ops)
 
 
@@ -375,23 +418,25 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
                             ops: MeanOperators | None = None) -> ConstrainedSolution:
     """Solve at an explicitly given multiplier/mean pair and certify that the
     realized means do hit the targets (the outer system guarantees this up
-    to roundoff; the gate still applies)."""
+    to roundoff; the gate still applies to every column)."""
     if ops is None:
         ops = probe_operators(tree, coeffs, ric)
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
-    rhs = eta_vec - ops.p_xi - ops.P_eta @ eta_vec
-    residual = float(np.linalg.norm(ops.L @ lam_vec - rhs))
-    if residual > _CERT_TOL * (1.0 + float(np.linalg.norm(rhs))):
+    rhs = ops.multiplier_rhs(eta_vec)
+    residual = np.linalg.norm(ops.L @ lam_vec - rhs, axis=0)
+    excess = residual - _CERT_TOL * (1.0 + np.linalg.norm(rhs, axis=0))
+    if np.any(excess > 0):
+        worst = float(np.ravel(residual)[np.argmax(excess)])
         raise InfeasibleEtaError(
-            f"target means are not attainable: multiplier residual {residual:.3e} "
+            f"target means are not attainable: multiplier residual {worst:.3e} "
             f"(operator rank {ops.rank} of {ops.L.shape[0]})"
         )
     sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
     return ConstrainedSolution(
         u=sol.u, y=sol.y, z=sol.z, x=sol.x, phi=sol.phi, vtheta=sol.vtheta,
         lam=lam_vec, eta=eta_vec, means=sol.means,
-        lambda_residual=residual,
+        lambda_residual=float(residual) if residual.ndim == 0 else residual,
         constraint_residual=sol.means - eta_vec,
     )
 

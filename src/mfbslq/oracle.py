@@ -10,10 +10,13 @@ computed independently of the solve.  A dense route, which assembles the
 reduced Hessian from unit-impulse responses, runs only when asked for and
 serves as a cross-check of the sparse one on small trees.
 
-Every evaluation of the cost goes through one function, the Gram matrix
-of its bilinear form over (control, solved state) pairs (:func:`cost_gram`):
-the cost of a control, a directional derivative, the dense route's reduced
-Hessian and the pipeline's outer quadratic are all read off such a matrix.
+Every evaluation of the cost goes through one function, the per-level
+Gram matrix of its bilinear form over (control, solved state) pairs
+(:func:`_level_gram`): the cost of a control, a directional derivative, the
+dense route's reduced Hessian and the pipeline's outer quadratic are all
+read off such a matrix.  The last three stack their directions as columns
+of one backward sweep (:func:`reduced_quadratic`) and add each level's
+share as the sweep produces it.
 
 Controls are lists of per-level arrays (2**k, m).  The natural geometry is
 the weighted l2 product <u, v> = sum_k dt 2^{-k} sum_j u_kj . v_kj, which
@@ -23,7 +26,6 @@ to it so tolerances are mesh-independent.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +34,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
-from .bsde import MeanfieldBsdeSolution, solve_forward_sde, solve_meanfield_bsde
+from .bsde import (MeanfieldBsdeSolution, meanfield_levels, solve_forward_sde,
+                   solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mv, _t
+from .tree import ScenarioTree, _mm, _mv, _t
 
 DENSE_SIZE_CAP = 20000
 
@@ -92,62 +95,72 @@ def control_error(tree: ScenarioTree, u: list, reference: list) -> float:
 # cost
 
 
-def cost_gram(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
-              states: list) -> np.ndarray:
-    """Gram matrix of the cost's bilinear form over (control, solved state) pairs.
+def _flat(levels: np.ndarray) -> np.ndarray:
+    """(nodes, dim, c) -> (nodes * dim, c), a view of a contiguous stack."""
+    return levels.reshape(-1, levels.shape[-1])
 
-    Entry [a, b] pairs the G term on Y(0), the node terms Q, R, N weighted
-    by dt 2^-k and the level-mean terms weighted by dt; entry [a, a] is the
-    cost of control a with its own state.  Each level is stacked once and
-    contracted with itself.
+
+def _level_gram(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
+                left: tuple, right: tuple) -> np.ndarray:
+    """Level k's share of the Gram matrix of the cost's bilinear form.
+
+    ``left`` and ``right`` are (y, z, u, y_mean, z_mean, u_mean) at level k,
+    each a column stack (columns on the last axis, one (control, solved
+    state) pair per column).  Entry [a, b] pairs the node terms Q, R, N
+    weighted by dt 2^-k, the level-mean terms weighted by dt and, on level
+    0, the G term on Y(0); summed over the levels, entry [a, a] is the cost
+    of pair a.  Each node term is one GEMM, flat(left)' @ flat(W right).
     """
-    y0 = np.stack([s.y[0][0] for s in states])
-    gram = y0 @ coeffs.G @ y0.T
-    for k in range(tree.n_steps):
-        w = tree.dt * tree.node_probability(k)
-        qb, rb, nb = coeffs.mean_weights(k)
-        for levels, weight in (([s.y[k] for s in states], coeffs.Q[k]),
-                               ([s.z[k] for s in states], coeffs.R[k]),
-                               ([u[k] for u in controls], coeffs.N[k])):
-            stacked = np.stack(levels)
-            gram += w * np.einsum("ajx,jxy,bjy->ab", stacked, weight, stacked)
-        for means, weight in (([s.y_mean[k] for s in states], qb),
-                              ([s.z_mean[k] for s in states], rb),
-                              ([s.u_mean[k] for s in states], nb)):
-            stacked = np.stack(means)
-            gram += tree.dt * (stacked @ weight @ stacked.T)
+    y, z, u, y_mean, z_mean, u_mean = left
+    y_r, z_r, u_r, y_mean_r, z_mean_r, u_mean_r = right
+    qb, rb, nb = coeffs.mean_weights(k)
+    gram = tree.dt * (y_mean.T @ qb @ y_mean_r + z_mean.T @ rb @ z_mean_r
+                      + u_mean.T @ nb @ u_mean_r)
+    w = tree.dt * tree.node_probability(k)
+    for lhs, weight, rhs in ((y, coeffs.Q[k], y_r), (z, coeffs.R[k], z_r),
+                             (u, coeffs.N[k], u_r)):
+        gram += w * (_flat(lhs).T @ _flat(_mm(weight, rhs)))
+    if k == 0:
+        gram += y[0].T @ coeffs.G @ y_r[0]
     return gram
 
 
 def cost_of_solution(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
                      sol: MeanfieldBsdeSolution) -> float:
     """Quadrature of the cost functional on an already-solved state."""
-    return float(cost_gram(tree, coeffs, [controls], [sol])[0, 0])
+    total = 0.0
+    for k in range(tree.n_steps):
+        level = (sol.y[k][..., None], sol.z[k][..., None], controls[k][..., None],
+                 sol.y_mean[k][:, None], sol.z_mean[k][:, None],
+                 sol.u_mean[k][:, None])
+        total += float(_level_gram(tree, coeffs, k, level, level)[0, 0])
+    return total
 
 
 def reduced_quadratic(tree: ScenarioTree, coeffs: CoefficientSet, base: list,
-                      directions: Sequence) -> tuple:
+                      directions: list) -> tuple:
     """The cost on the affine family base + sum_j t_j directions[j].
 
-    Returns (hessian, linear, constant) with J(t) = t' hessian t
-    + 2 linear' t + constant.  The base control is solved with the real
-    terminal value and every direction with a zero one, so the states are
-    exactly affine in t; one Gram matrix over all of them gives every
-    coefficient.  More than DENSE_SIZE_CAP directions are refused before
-    anything is solved.
+    ``base[k]`` has shape (2**k, m) and ``directions[k]`` (2**k, m, c), one
+    direction per column.  Returns (hessian, linear, constant) with
+    J(t) = t' hessian t + 2 linear' t + constant.  The base is solved with
+    the real terminal value and the directions with a zero one, so the
+    states are exactly affine in t.  The two backward sweeps run in
+    lockstep and each level's Gram share is added as soon as the level is
+    solved, so no state is held for the whole tree.
     """
-    if len(directions) > DENSE_SIZE_CAP:
-        raise SizeCapError(
-            f"dense reduced quadratic needs {len(directions)} directions, "
-            f"cap is {DENSE_SIZE_CAP}; use the sparse oracle route"
-        )
-    controls = [base, *directions]
-    zero_terminal = coeffs.with_zero_terminal()
-    states = [solve_meanfield_bsde(tree, coeffs, base)]
-    states += [solve_meanfield_bsde(tree, zero_terminal, v) for v in controls[1:]]
-    gram = cost_gram(tree, coeffs, controls, states)
-    gram = 0.5 * (gram + gram.T)
-    return gram[1:, 1:], gram[0, 1:], float(gram[0, 0])
+    base = [u[..., None] for u in base]
+    zero = np.zeros(coeffs.xi.shape + (1,))
+    cols = directions[0].shape[-1]
+    hess, linear, constant = np.zeros((cols, cols)), np.zeros(cols), 0.0
+    for (k, b), (_, d) in zip(
+            meanfield_levels(tree, coeffs, base, coeffs.xi[..., None]),
+            meanfield_levels(tree, coeffs, directions, zero)):
+        constant += float(_level_gram(tree, coeffs, k, b, b)[0, 0])
+        # (directions, base) weights the one base column, not all c of them
+        linear += _level_gram(tree, coeffs, k, d, b)[:, 0]
+        hess += _level_gram(tree, coeffs, k, d, d)
+    return 0.5 * (hess + hess.T), linear, constant
 
 
 def evaluate_cost(tree: ScenarioTree, coeffs: CoefficientSet, controls: list) -> float:
@@ -222,15 +235,11 @@ def gradient_dual_norm(tree: ScenarioTree, grad: list) -> float:
 
 
 def directional_derivative(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
-                           direction: list,
-                           sol: MeanfieldBsdeSolution | None = None) -> float:
+                           direction: list) -> float:
     """Exact derivative of the cost along a control direction via the
     linearized state (the state map is affine, so this has no truncation)."""
-    if sol is None:
-        sol = solve_meanfield_bsde(tree, coeffs, controls)
-    lin = solve_meanfield_bsde(tree, coeffs.with_zero_terminal(), direction)
-    gram = cost_gram(tree, coeffs, [controls, direction], [sol, lin])
-    return 2.0 * float(gram[0, 1])
+    column = [v[..., None] for v in direction]
+    return 2.0 * float(reduced_quadratic(tree, coeffs, controls, column)[1][0])
 
 
 def directional_derivative_fd(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -284,26 +293,25 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 # dense route: reduced quadratic program from impulse responses
 
 
-class _UnitImpulses(Sequence):
-    """Every unit control impulse, each built only when it is read."""
-
-    def __init__(self, tree: ScenarioTree, m: int):
-        self.tree, self.m = tree, m
-        self.dim = control_dimension(tree, m)
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __getitem__(self, i: int) -> list:
-        if not 0 <= i < self.dim:
-            raise IndexError(i)
-        return unstack_controls(np.eye(1, self.dim, i)[0], self.tree, self.m)
-
-
 def _impulse_quadratic(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
-    """Reduced quadratic in the raw control values (zero base, unit impulses)."""
-    return reduced_quadratic(tree, coeffs, zero_controls(tree, coeffs.m),
-                             _UnitImpulses(tree, coeffs.m))
+    """Reduced quadratic in the raw control values (zero base, one unit
+    impulse per column).  More than DENSE_SIZE_CAP unknowns are refused
+    before anything is allocated."""
+    m = coeffs.m
+    dim = control_dimension(tree, m)
+    if dim > DENSE_SIZE_CAP:
+        raise SizeCapError(
+            f"dense reduced quadratic needs {dim} directions, "
+            f"cap is {DENSE_SIZE_CAP}; use the sparse oracle route"
+        )
+    impulses, pos = [], 0
+    for k in range(tree.n_steps):
+        cnt = tree.n_nodes(k) * m
+        level = np.zeros((tree.n_nodes(k), m, dim))
+        level.reshape(cnt, dim)[np.arange(cnt), pos + np.arange(cnt)] = 1.0
+        impulses.append(level)
+        pos += cnt
+    return reduced_quadratic(tree, coeffs, zero_controls(tree, m), impulses)
 
 
 def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:

@@ -11,10 +11,11 @@ Independently of that selection, the realized cost is an exact quadratic
 in eta: the constrained solver maps eta to a control affinely and the
 controlled dynamics are linear.  This module assembles that quadratic from
 d+1 constrained solves — the control at eta = 0 and the control change per
-unit eta direction are fed back through the controlled dynamics solver and
-read off one Gram matrix of the cost (:func:`.oracle.reduced_quadratic`) —
-and uses it as a certificate: it must be positive semidefinite, and the
-selected eta is scored against it.
+unit eta direction, solved in column blocks, are fed back as the columns of
+one controlled-dynamics sweep that accumulates the Gram matrix of the cost
+level by level (:func:`.oracle.reduced_quadratic`) — and uses it as a
+certificate: it must be positive semidefinite, and the selected eta is
+scored against it.
 
 The reported cost re-runs the controlled mean-field BSDE at the final
 control, and the reported stationarity residual re-derives the first-order
@@ -32,10 +33,10 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import ConvexityError, SpecValidationError
-from .bsde import MeanfieldBsdeSolution, solve_meanfield_bsde
+from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
-from .multipliers import (ConstrainedSolution, MeanOperators,
-                          constrained_solution_at, eta_dimension,
+from .multipliers import (ConstrainedSolution, MeanOperators, build_workspace,
+                          column_blocks, constrained_solution_at, eta_dimension,
                           probe_operators, solve_constrained_problem,
                           solve_outer_system, split_blocks)
 from .oracle import (OracleSolution, control_error, cost_of_solution,
@@ -57,15 +58,21 @@ class OuterQuadratic:
 def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
                              ric: RiccatiSolution,
                              ops: MeanOperators) -> OuterQuadratic:
-    """Probe the cost as a function of eta and return it in closed form."""
+    """Probe the cost as a function of eta and return it in closed form.
+
+    The d unit-eta constrained solves run in column blocks; each block
+    writes its control changes u(e_j) - u(0) into one preallocated column
+    stack of directions."""
     d = eta_dimension(tree, coeffs)
     base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
-    directions = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        u = solve_constrained_problem(tree, coeffs, ric, e, ops).u
-        directions.append([a - b for a, b in zip(u, base)])
+    unit = np.eye(d)
+    directions = [np.empty((tree.n_nodes(k), coeffs.m, d))
+                  for k in range(tree.n_steps)]
+    for block in column_blocks(d):
+        sol = solve_constrained_problem(tree, coeffs, ric, unit[:, block], ops)
+        for level, part, origin in zip(directions, sol.u, base):
+            np.subtract(part, origin[..., None], out=level[:, :, block])
+        del sol   # free this block's fields before the next block is solved
     hess, lin, const = reduced_quadratic(tree, coeffs, base, directions)
 
     eigs = np.linalg.eigvalsh(hess)
@@ -113,6 +120,20 @@ class PipelineResult:
     oracle_control_error: float | None = None
     oracle_cost_gap: float | None = None
 
+    def diagnostics(self) -> dict:
+        """Health numbers the solve computed along the way; deterministic."""
+        ws = build_workspace(self.tree, self.coeffs, self.riccati)
+        return {
+            "newton_iterations": self.riccati.newton_iterations,
+            "eta_residual": self.eta_residual,
+            "eta_singular": self.eta_singular,
+            "outer_min_eigenvalue": self.quadratic.min_eigenvalue,
+            "probe_superposition_error": self.operators.superposition_error,
+            "min_I_plus_SR_sv": ws.min_conditioner_sv,
+            "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
+            "min_I_minus_dt_A_sv": implicit_steps(self.tree, self.coeffs)[2],
+        }
+
     def report(self) -> dict:
         a, b, g = split_blocks(self.constrained.constraint_residual,
                                self.tree, self.coeffs)
@@ -131,6 +152,7 @@ class PipelineResult:
                 "min_sigma_eig": self.riccati.min_sigma_eig,
                 "min_I_plus_SigmaR_sv": self.riccati.min_conditioner_sv,
             },
+            "diagnostics": self.diagnostics(),
             "timings": {k: float(v) for k, v in self.timings.items()},
         }
         if self.oracle is not None:

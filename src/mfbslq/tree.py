@@ -36,6 +36,22 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
+def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``mats @ cols`` for a level's per-node matrices (nodes, r, q).
+
+    ``cols`` is a per-node column stack (nodes, q, c) or one stack (q, c)
+    shared by every node.  With q = 1 the product is a broadcast multiply
+    (the same numbers as matmul, without one BLAS call per node); a shared
+    stack is one GEMM over all the nodes' rows.
+    """
+    if mats.shape[-1] == 1:
+        return mats * cols
+    if cols.ndim == 2:
+        rows = mats.reshape(-1, mats.shape[-1]) @ cols
+        return rows.reshape(mats.shape[:-1] + cols.shape[-1:])
+    return mats @ cols
+
+
 class ScenarioTree:
     """Time grid plus the exact conditional-expectation calculus of the walk."""
 

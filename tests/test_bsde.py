@@ -1,9 +1,15 @@
 """Forward SDE stepping and the controlled mean-field backward equation."""
 
-import numpy as np
+import json
 
-from mfbslq import build_tree, realize, solve_forward_sde, solve_meanfield_bsde
-from conftest import scalar_spec
+import numpy as np
+import pytest
+
+from mfbslq import (StepSizeError, build_tree, load_spec, realize, solve_forward_sde,
+                   solve_meanfield_bsde, solve_riccati)
+from mfbslq.bsde import checked_inverse
+from mfbslq.multipliers import build_workspace
+from conftest import scalar_spec, scalar_spec_doc
 
 
 def _zero_controls(tree, m):
@@ -151,3 +157,35 @@ def test_terminal_override():
     sol = solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1),
                                terminal=custom)
     assert np.allclose(sol.y[0], 2.0)
+
+
+# ---------------------------------------------------------------------------
+# singular one-step matrices
+
+
+def test_singular_implicit_step_raises_step_size_error():
+    # A = I/dt on level 2 makes both I - dt A (backward step) and
+    # I + dt (Sigma Q - A) (multiplier step, Q = 0) exactly zero there
+    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
+    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
+    tree = build_tree(1.0, 4)
+    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    assert np.all(tree.dt * coeffs.A[2] == 1.0)
+    with pytest.raises(StepSizeError, match=r"I - dt A .*level 2.*0\.000e\+00"):
+        solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1))
+    with pytest.raises(StepSizeError, match=r"Sigma Q - A.*level 2"):
+        build_workspace(tree, coeffs, solve_riccati(tree, coeffs))
+
+
+@pytest.mark.parametrize("mats", [np.zeros((2, 1, 1)), np.full((3, 2, 2), np.nan),
+                                  np.full((1, 1, 1), np.inf)])
+def test_checked_inverse_refuses_singular_or_non_finite(mats):
+    with pytest.raises(StepSizeError, match="I \\+ S R .*level 3"):
+        checked_inverse(mats, "I + S R", 3)
+
+
+def test_checked_inverse_reports_smallest_singular_value():
+    mats = np.array([[[2.0, 0.0], [0.0, 0.5]], [[3.0, 0.0], [0.0, 4.0]]])
+    inv, min_sv = checked_inverse(mats, "M", 0)
+    assert np.allclose(inv @ mats, np.eye(2))
+    assert min_sv == pytest.approx(0.5, rel=1e-12)

@@ -36,7 +36,7 @@ def test_run_writes_report(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert {"cost", "eta_star", "lambda_residual", "constraint_residuals",
-            "stationarity_residual", "riccati", "timings",
+            "stationarity_residual", "riccati", "diagnostics", "timings",
             "oracle"} == set(report)
     assert report["oracle"]["control_error"] <= 0.10
 
@@ -185,3 +185,33 @@ def test_validate_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert main(["validate", "--spec", str(path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# environment and step-size failures
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_thread_count_is_rejected(value, monkeypatch, capsys):
+    from mfbslq import ConfigurationError
+    from mfbslq.cli import _pin_threads
+    monkeypatch.setenv("MFBSLQ_THREADS", value)
+    with pytest.raises(ConfigurationError, match="MFBSLQ_THREADS"):
+        _pin_threads()
+    assert main(["validate", "--spec", S1]) == 1
+    assert repr(value) in capsys.readouterr().err
+
+
+def test_empty_thread_count_is_ignored(monkeypatch):
+    monkeypatch.setenv("MFBSLQ_THREADS", "")
+    assert main(["validate", "--spec", S1]) == 0
+
+
+def test_singular_step_maps_to_two(tmp_path, capsys):
+    # A = 1/dt on level 2 of a 4-level tree makes I - dt A exactly zero
+    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
+    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
+    spec = _write_spec(tmp_path, doc)
+    assert main(["run", "--spec", spec, "--nt", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "singular" in err and "level 2" in err

@@ -79,12 +79,25 @@ def test_pipeline_report_contract(m1):
     report = res.report()
     assert set(report) == {"cost", "eta_star", "lambda_residual",
                            "constraint_residuals", "stationarity_residual",
-                           "riccati", "timings", "oracle"}
+                           "riccati", "diagnostics", "timings", "oracle"}
     assert set(report["constraint_residuals"]) == {"y_means", "z_means",
                                                    "u_means"}
     assert set(report["riccati"]) == {"symmetry", "min_sigma_eig",
                                       "min_I_plus_SigmaR_sv"}
     assert set(report["oracle"]) == {"cost", "control_error"}
+    diag = report["diagnostics"]
+    assert set(diag) == {"newton_iterations", "eta_residual", "eta_singular",
+                         "outer_min_eigenvalue", "probe_superposition_error",
+                         "min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
+                         "min_I_minus_dt_A_sv"}
+    assert diag["newton_iterations"] == res.riccati.newton_iterations
+    assert diag["eta_residual"] == res.eta_residual
+    assert diag["eta_singular"] is res.eta_singular
+    assert diag["outer_min_eigenvalue"] == res.quadratic.min_eigenvalue
+    assert 0.0 <= diag["probe_superposition_error"] <= 1e-8
+    for key in ("min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
+                "min_I_minus_dt_A_sv"):
+        assert 0.5 < diag[key] < 2.0   # all three are I + O(dt) at nt=4
     assert report["cost"] > 0
     assert max(report["constraint_residuals"].values()) <= 1e-8
     assert len(report["eta_star"]) == eta_dimension(res.tree, res.coeffs)
