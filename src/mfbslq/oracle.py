@@ -3,12 +3,15 @@
 This module never touches the Riccati/multiplier pipeline.  It treats the
 discrete problem as the finite-dimensional convex program it is: the cost
 is evaluated by actually solving the controlled mean-field BSDE, the
-optimizer is found by factoring the sparse KKT system of the full
-discretization (sparse LU plus a Schur complement on the level means), and
+optimizer is found from the KKT system of the full discretization, and
 optimality is certified with an exact discrete adjoint gradient that is
-computed independently of the solve.  A dense route, which assembles the
-reduced Hessian from unit-impulse responses, runs only when asked for and
-serves as a cross-check of the sparse one on small trees.
+computed independently of the solve.  The KKT system is a tree of small
+per-node blocks plus a dense tail of level means; the default ("sparse")
+route eliminates the node blocks leaves first, one checked batch of pivots
+per level, and closes the tail with one Schur-complement solve.  A dense
+route, which assembles the reduced Hessian from unit-impulse responses,
+runs only when asked for and serves as a cross-check of the sparse one on
+small trees.
 
 Every evaluation of the cost goes through one function, the per-level
 Gram matrix of its bilinear form over (control, solved state) pairs
@@ -30,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
-from .bsde import (MeanfieldBsdeSolution, meanfield_levels, solve_forward_sde,
-                   solve_meanfield_bsde)
+from .bsde import (MeanfieldBsdeSolution, checked_inverse, implicit_steps,
+                   meanfield_levels, solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
 from .tree import ScenarioTree, _mm, _mv, _t
 
@@ -186,6 +187,7 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         sol = solve_meanfield_bsde(tree, coeffs, controls)
     n_steps, dt = tree.n_steps, tree.dt
     eye = np.eye(coeffs.n)
+    inverses = implicit_steps(tree, coeffs)[0]
     grad: list = [None] * n_steps
     mu1_prev = None
     mu2_prev = None
@@ -203,9 +205,8 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
         #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j
-        lhs_t = _t(eye[None] - dt * coeffs.A[k])
-        base = np.linalg.solve(lhs_t, r[:, :, None])[:, :, 0]
-        resp = np.linalg.solve(lhs_t, np.tile(eye[None], (r.shape[0], 1, 1)))
+        resp = _t(inverses[k])          # ((I - dt A)')^{-1}, checked once
+        base = _mv(resp, r)
         abar_t = _t(coeffs.A_bar[k])
         s_base = dt * (abar_t @ base[:, :, None])[:, :, 0].sum(axis=0)
         s_resp = dt * prob * (abar_t @ resp).sum(axis=0)
@@ -327,187 +328,142 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 
 
 # ---------------------------------------------------------------------------
-# sparse route: full KKT system of the discretization
+# sparse route: the KKT system of the discretization, eliminated leaves first
+#
+# Each inner node (k, j) owns a local block [y, z, u, mu1, mu2] of size
+# 4n + m: its state, martingale term and control, and the multipliers of its
+# state recursion (e1) and martingale identity (e2).  A child's y enters only
+# its parent's e1/e2 rows, through E_k[.] and the two-point difference
+# quotient.  Each level's means and their multipliers nu form a dense tail
+# of 2(2n + m) columns, ordered [y_mean, z_mean, u_mean, nu1, nu2, nu3].
 
 
-class _KktLayout:
-    """Index bookkeeping for the sparse KKT matrix.
+def _kkt_pivots(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    """Level k's local KKT blocks (2**k, 4n + m, 4n + m), before elimination."""
+    n, m, dt = coeffs.n, coeffs.m, tree.dt
+    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    mu1, mu2 = slice(2 * n + m, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    weight = 2.0 * dt * tree.node_probability(k)
+    piv = np.zeros((tree.n_nodes(k), 4 * n + m, 4 * n + m))
+    piv[:, y, y] = weight * coeffs.Q[k] + (2.0 * coeffs.G if k == 0 else 0.0)
+    piv[:, z, z] = weight * coeffs.R[k]
+    piv[:, u, u] = weight * coeffs.N[k]
+    # e1: (I - dt A) y - dt C z - dt B u - E_k[y_next] - dt (mean terms) = 0
+    piv[:, mu1, y] = np.eye(n) - dt * coeffs.A[k]
+    piv[:, mu1, z] = -dt * coeffs.C[k]
+    piv[:, mu1, u] = -dt * coeffs.B[k]
+    # e2: z - (y_up - y_down) / (2 sqrt(dt)) = 0
+    piv[:, mu2, z] = np.eye(n)
+    cons = slice(2 * n + m, None)
+    piv[:, :2 * n + m, cons] = _t(piv[:, cons, :2 * n + m])
+    return piv
 
-    Local variables per inner node (levels 0..n_steps-1): state y, martingale
-    term z, control u; local rows: the state recursion (e1) and the
-    martingale identity (e2).  Level means and their defining rows form a
-    small dense tail handled by a Schur complement.
+
+def _kkt_tail_coupling(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    """Level k's coupling to its own tail columns (2**k, 4n + m, 2(2n + m))."""
+    n, m = coeffs.n, coeffs.m
+    states = 2 * n + m
+    cpl = np.zeros((tree.n_nodes(k), 4 * n + m, 2 * states))
+    cpl[:, states:3 * n + m, :states] = -tree.dt * np.concatenate(
+        [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2)
+    cpl[:, :states, states:] = -tree.node_probability(k) * np.eye(states)
+    return cpl
+
+
+def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
+    """Level k's own block of the tail: mean cost weights and nu = p sum y."""
+    n, m = coeffs.n, coeffs.m
+    states = 2 * n + m
+    blk = np.zeros((2 * states, 2 * states))
+    blk[:states, :states] = 2.0 * tree.dt * scipy.linalg.block_diag(
+        *coeffs.mean_weights(k))
+    blk[:states, states:] = blk[states:, :states] = np.eye(states)
+    return blk
+
+
+def _parent_coupling(tree: ScenarioTree, n: int, k: int) -> np.ndarray:
+    """E': how the y of each level-k node (k >= 1) enters its parent's
+    (mu1, mu2) rows, (2**k, n, 2n): -1/2 and -(+/-1) / (2 sqrt(dt))."""
+    sign = tree.child_signs(k - 1)[:, None, None]
+    half = np.broadcast_to(-0.5 * np.eye(n), sign.shape[:1] + (n, n))
+    return np.concatenate([half, -sign / (2.0 * tree.sqrt_dt) * np.eye(n)], axis=2)
+
+
+def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
+    """Minus the sum of E over each parent's two children, applied to the
+    children's y rows (2**(k+1), n, c): (E_k[.], difference quotient) stacked
+    on the parents' (mu1, mu2) rows, (2**k, 2n, c)."""
+    return np.concatenate([tree.cond_expect(child_rows),
+                           tree.z_from_next(child_rows)], axis=1)
+
+
+def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
+    """Optimal controls from the KKT system, by block elimination on the tree.
+
+    Forward, leaves first: each level's pivots are checked and inverted in
+    one batch, and the eliminated nodes pass a Schur update to their
+    parents' (mu1, mu2) rows and one GEMM into the dense tail.  A node at
+    level k couples only to tail columns of levels >= k, so no node holds a
+    full-width block.  After one tail solve, a root-first back-substitution
+    recovers the controls.  Pivots are checked after scaling y, z, u by
+    (dt 2^-k)^(-1/2) and the multipliers by (dt 2^-k)^(1/2), which makes the
+    cost blocks O(1) at every depth and leaves the constraint blocks as
+    they are.
     """
+    n, n_steps = coeffs.n, tree.n_steps
+    states = 2 * n + coeffs.m
+    width = 2 * states                      # tail columns per level
+    mu = slice(states, states + 2 * n)
+    # The tail runs from the deepest level to the root, so the columns of
+    # levels >= k are the first (n_steps - k) * width.  Level k's right-hand
+    # side columns are [E' (2n) | r | tail of levels >= k]; what its
+    # eliminated children pass up, [pivot fill (2n) | r | tail of levels
+    # > k], lands on its mu rows, in the same column order.
+    tail = np.zeros((n_steps * width, n_steps * width))
+    tail_rhs = np.zeros(n_steps * width)
+    leaves = coeffs.xi[..., None]
+    passed = np.concatenate([np.zeros((len(leaves) // 2, 2 * n, 2 * n)),
+                             _lift(tree, leaves)], axis=2)
+    inverses, carried = [None] * n_steps, [None] * n_steps
+    for k in range(n_steps - 1, -1, -1):
+        hi = (n_steps - k) * width
+        piv = _kkt_pivots(tree, coeffs, k)
+        piv[:, mu, mu] += passed[..., :2 * n]
+        rhs = np.zeros(piv.shape[:2] + (2 * n + 1 + hi,))
+        if k > 0:
+            rhs[:, :n, :2 * n] = _parent_coupling(tree, n, k)
+        carried[k] = passed[..., 2 * n:]
+        rhs[:, mu, 2 * n:passed.shape[2]] = carried[k]
+        rhs[:, :, -width:] = _kkt_tail_coupling(tree, coeffs, k)
 
-    def __init__(self, tree: ScenarioTree, coeffs: CoefficientSet):
-        n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
-        self.n, self.m, self.n_steps = n, m, n_steps
-        self.nodes = (1 << n_steps) - 1
-        self.node_base = [(1 << k) - 1 for k in range(n_steps + 1)]
-        self.y_off = 0
-        self.z_off = n * self.nodes
-        self.u_off = 2 * n * self.nodes
-        self.x_dim = (2 * n + m) * self.nodes
-        self.mu1_off = self.x_dim
-        self.mu2_off = self.x_dim + n * self.nodes
-        self.k11_dim = self.x_dim + 2 * n * self.nodes
-        self.ybar_off = 0
-        self.zbar_off = n * n_steps
-        self.ubar_off = 2 * n * n_steps
-        self.mean_dim = (2 * n + m) * n_steps
-        self.small_dim = 2 * self.mean_dim
+        sigma = tree.dt * tree.node_probability(k)
+        scale = np.concatenate([np.full(states, sigma ** -0.5),
+                                np.full(2 * n, sigma ** 0.5)])
+        inv, _ = checked_inverse(piv * scale[:, None] * scale[None, :],
+                                 "scaled KKT pivot", k)
+        inverses[k] = inv * scale[:, None] * scale[None, :]
+        sol = inverses[k] @ rhs
 
-    def y_idx(self, k: int) -> np.ndarray:
-        base = self.node_base[k]
-        cnt = 1 << k
-        return (self.y_off + self.n * (base + np.arange(cnt))[:, None]
-                + np.arange(self.n)[None])
+        tail[hi - width:hi, hi - width:hi] += _kkt_tail_block(tree, coeffs, k)
+        update = _flat(rhs[..., 2 * n + 1:]).T @ _flat(sol[..., 2 * n:])
+        tail_rhs[:hi] -= update[:, 0]
+        tail[:hi, :hi] -= update[:, 1:]
+        if k > 0:
+            passed = _lift(tree, sol[:, :n])
 
-    def z_idx(self, k: int) -> np.ndarray:
-        base = self.node_base[k]
-        cnt = 1 << k
-        return (self.z_off + self.n * (base + np.arange(cnt))[:, None]
-                + np.arange(self.n)[None])
+    means = np.linalg.solve(tail, tail_rhs)
 
-    def u_idx(self, k: int) -> np.ndarray:
-        base = self.node_base[k]
-        cnt = 1 << k
-        return (self.u_off + self.m * (base + np.arange(cnt))[:, None]
-                + np.arange(self.m)[None])
-
-    def mu1_idx(self, k: int) -> np.ndarray:
-        return self.mu1_off + self.y_idx(k)
-
-    def mu2_idx(self, k: int) -> np.ndarray:
-        return self.mu2_off + self.y_idx(k)
-
-
-def _block_entries(rows_idx: np.ndarray, cols_idx: np.ndarray, vals: np.ndarray):
-    """Entries of per-node dense blocks: rows (cnt, r), cols (cnt, c), vals (cnt, r, c)."""
-    cnt, r = rows_idx.shape
-    c = cols_idx.shape[1]
-    rr = np.broadcast_to(rows_idx[:, :, None], (cnt, r, c)).ravel()
-    cc = np.broadcast_to(cols_idx[:, None, :], (cnt, r, c)).ravel()
-    return rr, cc, np.ascontiguousarray(vals).ravel()
-
-
-def _diag_entries(rows_idx: np.ndarray, cols_idx: np.ndarray, vals):
-    """Entries of per-node scalar-diagonal blocks: vals scalar or (cnt, r)."""
-    rr = rows_idx.ravel()
-    cc = cols_idx.ravel()
-    vv = np.broadcast_to(vals, rows_idx.shape).ravel()
-    return rr, cc, vv
-
-
-def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet, chunk: int = 24):
-    lay = _KktLayout(tree, coeffs)
-    n, m, n_steps, dt = lay.n, lay.m, lay.n_steps, tree.dt
-    eye = np.eye(n)
-    half_z = 1.0 / (2.0 * tree.sqrt_dt)
-
-    rows, cols, vals = [], [], []
-    r12, c12, v12 = [], [], []
-
-    def add(block):
-        rr, cc, vv = block
-        rows.append(rr)
-        cols.append(cc)
-        vals.append(vv)
-
-    def add_sym(block):
-        rr, cc, vv = block
-        rows.append(rr)
-        cols.append(cc)
-        vals.append(vv)
-        rows.append(cc)
-        cols.append(rr)
-        vals.append(vv)
-
-    def add12(block):
-        rr, cc, vv = block
-        r12.append(rr)
-        c12.append(cc)
-        v12.append(vv)
-
-    rhs = np.zeros(lay.k11_dim)
+    controls, parent = [], None
     for k in range(n_steps):
-        cnt = 1 << k
-        prob = tree.node_probability(k)
-        yk, zk, uk = lay.y_idx(k), lay.z_idx(k), lay.u_idx(k)
-        m1k, m2k = lay.mu1_idx(k), lay.mu2_idx(k)
-
-        # objective curvature (2P blocks)
-        qblk = 2.0 * dt * prob * coeffs.Q[k]
-        if k == 0:
-            qblk = qblk + 2.0 * coeffs.G[None]
-        add(_block_entries(yk, yk, qblk))
-        add(_block_entries(zk, zk, 2.0 * dt * prob * coeffs.R[k]))
-        add(_block_entries(uk, uk, 2.0 * dt * prob * coeffs.N[k]))
-
-        # e1: (I - dt A) y - dt C z - dt B u - (mean terms) - avg of children = rhs
-        add_sym(_block_entries(m1k, yk, np.tile(eye[None], (cnt, 1, 1)) - dt * coeffs.A[k]))
-        add_sym(_block_entries(m1k, zk, -dt * coeffs.C[k]))
-        add_sym(_block_entries(m1k, uk, -dt * coeffs.B[k]))
-        # e2: z - (y_up - y_down) / (2 sqrt(dt)) = rhs
-        add_sym(_diag_entries(m2k, zk, 1.0))
-        if k < n_steps - 1:
-            y_next = lay.y_idx(k + 1)
-            up, down = y_next[0::2], y_next[1::2]
-            add_sym(_diag_entries(tree.to_children(m1k), y_next, -0.5))
-            add_sym(_diag_entries(m2k, up, -half_z))
-            add_sym(_diag_entries(m2k, down, half_z))
-        else:
-            xi_up, xi_down = coeffs.xi[0::2], coeffs.xi[1::2]
-            rhs[m1k.ravel()] = (0.5 * (xi_up + xi_down)).ravel()
-            rhs[m2k.ravel()] = (half_z * (xi_up - xi_down)).ravel()
-
-        # coupling to the mean tail
-        ybar_c = lay.ybar_off + k * n + np.arange(n)
-        zbar_c = lay.zbar_off + k * n + np.arange(n)
-        ubar_c = lay.ubar_off + k * m + np.arange(m)
-        nu1_c = lay.mean_dim + ybar_c
-        nu2_c = lay.mean_dim + zbar_c
-        nu3_c = lay.mean_dim + ubar_c
-        add12(_block_entries(m1k, np.tile(ybar_c[None], (cnt, 1)), -dt * coeffs.A_bar[k]))
-        add12(_block_entries(m1k, np.tile(zbar_c[None], (cnt, 1)), -dt * coeffs.C_bar[k]))
-        add12(_block_entries(m1k, np.tile(ubar_c[None], (cnt, 1)), -dt * coeffs.B_bar[k]))
-        add12(_diag_entries(yk, np.tile(nu1_c[None], (cnt, 1)), -prob))
-        add12(_diag_entries(zk, np.tile(nu2_c[None], (cnt, 1)), -prob))
-        add12(_diag_entries(uk, np.tile(nu3_c[None], (cnt, 1)), -prob))
-
-    k11 = scipy.sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(lay.k11_dim, lay.k11_dim),
-    )
-    k12 = scipy.sparse.csc_matrix(
-        (np.concatenate(v12), (np.concatenate(r12), np.concatenate(c12))),
-        shape=(lay.k11_dim, lay.small_dim),
-    )
-
-    k22 = np.zeros((lay.small_dim, lay.small_dim))
-    for k in range(n_steps):
-        qb, rb, nb = coeffs.mean_weights(k)
-        sl = slice(lay.ybar_off + k * n, lay.ybar_off + (k + 1) * n)
-        k22[sl, sl] = 2.0 * dt * qb
-        sl = slice(lay.zbar_off + k * n, lay.zbar_off + (k + 1) * n)
-        k22[sl, sl] = 2.0 * dt * rb
-        sl = slice(lay.ubar_off + k * m, lay.ubar_off + (k + 1) * m)
-        k22[sl, sl] = 2.0 * dt * nb
-    k22[: lay.mean_dim, lay.mean_dim:] += np.eye(lay.mean_dim)
-    k22[lay.mean_dim:, : lay.mean_dim] += np.eye(lay.mean_dim)
-
-    lu = scipy.sparse.linalg.splu(k11)
-    k21 = k12.T.tocsr()
-    schur = k22.copy()
-    for start in range(0, lay.small_dim, chunk):
-        stop = min(start + chunk, lay.small_dim)
-        dense_cols = np.asarray(k12[:, start:stop].todense())
-        schur[:, start:stop] -= k21 @ lu.solve(dense_cols)
-    w = lu.solve(rhs)
-    small = np.linalg.solve(schur, -(k21 @ w))
-    x_big = lu.solve(rhs - k12 @ small)
-
-    return unstack_controls(x_big[lay.u_off: lay.u_off + m * lay.nodes], tree, m)
+        hi = (n_steps - k) * width
+        vec = -(_kkt_tail_coupling(tree, coeffs, k) @ means[hi - width:hi])
+        vec[:, mu] += carried[k][..., 0] - carried[k][..., 1:] @ means[:hi - width]
+        if k > 0:
+            vec[:, :n] -= _mv(_parent_coupling(tree, n, k), tree.to_children(parent))
+        node = _mv(inverses[k], vec)
+        controls.append(node[:, 2 * n:states])
+        parent = node[:, mu]
+    return controls
 
 
 # ---------------------------------------------------------------------------

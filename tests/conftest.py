@@ -48,6 +48,14 @@ def scalar_spec(**kwargs):
     return load_spec(json.dumps(scalar_spec_doc(**kwargs)))
 
 
+def singular_step_doc() -> dict:
+    """A 4-level scalar document with A = 1/dt on level 2 (dt = 1/4), so the
+    one-step matrix I - dt A there is exactly zero."""
+    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
+    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
+    return doc
+
+
 def barred_zero_spec(name: str = "m1"):
     """A corpus spec with every mean-coupling coefficient replaced by zero."""
     raw = json.loads(corpus_path(name).read_text())

@@ -9,7 +9,7 @@ from mfbslq import (StepSizeError, build_tree, load_spec, realize, solve_forward
                    solve_meanfield_bsde, solve_riccati)
 from mfbslq.bsde import checked_inverse
 from mfbslq.multipliers import build_workspace
-from conftest import scalar_spec, scalar_spec_doc
+from conftest import scalar_spec, singular_step_doc
 
 
 def _zero_controls(tree, m):
@@ -166,10 +166,8 @@ def test_terminal_override():
 def test_singular_implicit_step_raises_step_size_error():
     # A = I/dt on level 2 makes both I - dt A (backward step) and
     # I + dt (Sigma Q - A) (multiplier step, Q = 0) exactly zero there
-    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
-    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
     tree = build_tree(1.0, 4)
-    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    coeffs = realize(load_spec(json.dumps(singular_step_doc())), tree)
     assert np.all(tree.dt * coeffs.A[2] == 1.0)
     with pytest.raises(StepSizeError, match=r"I - dt A .*level 2.*0\.000e\+00"):
         solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1))

@@ -7,7 +7,7 @@ import pytest
 
 from mfbslq import NumericsError
 from mfbslq.cli import main
-from conftest import corpus_path, scalar_spec_doc
+from conftest import corpus_path, scalar_spec_doc, singular_step_doc
 
 S1 = str(corpus_path("s1"))
 M1 = str(corpus_path("m1"))
@@ -209,9 +209,7 @@ def test_empty_thread_count_is_ignored(monkeypatch):
 
 def test_singular_step_maps_to_two(tmp_path, capsys):
     # A = 1/dt on level 2 of a 4-level tree makes I - dt A exactly zero
-    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
-    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
-    spec = _write_spec(tmp_path, doc)
+    spec = _write_spec(tmp_path, singular_step_doc())
     assert main(["run", "--spec", spec, "--nt", "4"]) == 2
     err = capsys.readouterr().err
     assert "singular" in err and "level 2" in err

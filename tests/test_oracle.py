@@ -11,19 +11,22 @@ Frozen reference values (hand-derived before the tests were written):
   the optimum is u = -g c / (1 + g) with cost g c^2 / (1 + g).
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mfbslq import SizeCapError, build_tree, realize, solve_meanfield_bsde
+from mfbslq import (SizeCapError, StepSizeError, build_tree, load_spec, realize,
+                    solve_meanfield_bsde)
+from mfbslq.bsde import MeanfieldBsdeSolution
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
                            cost_of_solution, directional_derivative,
                            directional_derivative_fd, evaluate_cost,
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
-from conftest import scalar_spec
+from conftest import scalar_spec, singular_step_doc
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -92,8 +95,9 @@ def test_zero_terminal_gives_zero_solution(m1):
 # route agreement
 
 
-def test_dense_and_sparse_routes_agree(m1, d2):
-    for spec in (m1, d2):
+def test_dense_and_sparse_routes_agree(corpus):
+    # m1_random has node-dependent A and N, so its KKT pivots differ per node
+    for spec in corpus.values():
         tree, coeffs = _setup(spec, 6)
         dense = solve_oracle(tree, coeffs, method="dense")
         sparse = solve_oracle(tree, coeffs, method="sparse")
@@ -114,6 +118,21 @@ def test_sparse_default_and_dense_size_cap(s1):
         solve_oracle(deep, deep_coeffs, method="dense")
     with pytest.raises(SizeCapError):
         weighted_hessian_eigenvalues(deep, deep_coeffs)
+
+
+def test_singular_step_raises_typed_errors():
+    # I - dt A is exactly zero on level 2: the KKT pivots there are singular
+    # and the adjoint step cannot be inverted; both are refused by name
+    tree = build_tree(1.0, 4)
+    coeffs = realize(load_spec(json.dumps(singular_step_doc())), tree)
+    with pytest.raises(StepSizeError, match="KKT pivot .*level 2"):
+        solve_oracle(tree, coeffs)
+    zero = zero_controls(tree, 1)
+    sol = MeanfieldBsdeSolution([np.zeros((tree.n_nodes(k), 1)) for k in range(5)],
+                                zero, np.zeros((5, 1)), np.zeros((4, 1)),
+                                np.zeros((4, 1)))
+    with pytest.raises(StepSizeError, match="I - dt A .*level 2"):
+        cost_gradient(tree, coeffs, zero, sol)
 
 
 # ---------------------------------------------------------------------------
