@@ -16,7 +16,7 @@ from .oracle import (OracleSolution, control_error, cost_gradient, evaluate_cost
                      smp_stationarity_residual, solve_oracle, weighted_inner,
                      weighted_norm)
 from .outer import (OuterQuadratic, PipelineResult, assemble_outer_quadratic,
-                    run_pipeline, solve_eta)
+                    run_pipeline)
 from .riccati import RiccatiSolution, solve_riccati
 from .tree import ScenarioTree, build_tree
 
@@ -38,7 +38,6 @@ __all__ = [
     "OracleSolution", "solve_oracle", "evaluate_cost", "cost_gradient",
     "control_error", "weighted_inner", "weighted_norm",
     "smp_stationarity_residual",
-    "OuterQuadratic", "PipelineResult", "assemble_outer_quadratic", "solve_eta",
-    "run_pipeline",
+    "OuterQuadratic", "PipelineResult", "assemble_outer_quadratic", "run_pipeline",
     "__version__",
 ]

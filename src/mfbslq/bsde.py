@@ -9,7 +9,7 @@ batched matrix product over the columns.
 
 Backward equations are solved with an implicit step in the node-local
 drift and an exact conditional expectation down the tree; the mean-field
-coupling through E[Y_k] is resolved by a single dim-sized linear solve per
+coupling through E[Y_k] is resolved by one checked dim-sized inverse per
 level (the per-node solves are batched).  The martingale term is recovered
 from the next level by the two-point difference quotient, which is exact
 on a binary tree.
@@ -18,6 +18,7 @@ on a binary tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,24 +47,38 @@ def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
     return np.linalg.inv(mats), min_sv
 
 
-def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
-    """Per-level (I - dt A)^{-1} and dt (I - dt A)^{-1} A_bar of the backward
-    step, plus the smallest singular value of I - dt A over the tree.
+class ImplicitSteps(NamedTuple):
+    """The checked one-step inverses of the backward step, per level."""
+
+    inverses: tuple        # (I - dt A)^{-1}, (2**k, n, n)
+    mean_ops: tuple        # dt (I - dt A)^{-1} A_bar, (2**k, n, n)
+    closings: tuple        # (I - dt E_k[(I - dt A)^{-1} A_bar])^{-1}, (n, n)
+    min_step_sv: float     # smallest singular value of I - dt A
+    min_closing_sv: float  # smallest singular value of the mean-closing matrix
+
+
+def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> ImplicitSteps:
+    """Per-level inverses of the backward step's node matrix I - dt A and of
+    its mean-closing matrix I - dt E_k[(I - dt A)^{-1} A_bar], which fixes
+    the level mean E[Y_k].  Both are checked by :func:`checked_inverse`.
 
     Depends on the coefficients only, so it is computed once per
     coefficient set and time step and cached on the set."""
     key = ("implicit_steps", tree.dt)
     cached = coeffs._cache.get(key)
     if cached is None:
-        eye = np.eye(coeffs.n)
-        inverses, mean_ops, worst = [], [], np.inf
+        eye, levels = np.eye(coeffs.n), []
         for k in range(tree.n_steps):
-            inv, min_sv = checked_inverse(eye[None] - tree.dt * coeffs.A[k],
-                                          "I - dt A", k)
-            inverses.append(inv)
-            mean_ops.append(tree.dt * (inv @ coeffs.A_bar[k]))
-            worst = min(worst, min_sv)
-        cached = coeffs._cache[key] = (inverses, mean_ops, worst)
+            inv, step_sv = checked_inverse(eye[None] - tree.dt * coeffs.A[k],
+                                           "I - dt A", k)
+            mean_op = tree.dt * (inv @ coeffs.A_bar[k])
+            closing, closing_sv = checked_inverse(
+                (eye - tree.node_probability(k) * mean_op.sum(axis=0))[None],
+                "mean-closing matrix I - dt E[(I - dt A)^-1 A_bar]", k)
+            levels.append((inv, mean_op, closing[0], step_sv, closing_sv))
+        inverses, mean_ops, closings, step_svs, closing_svs = zip(*levels)
+        cached = coeffs._cache[key] = ImplicitSteps(
+            inverses, mean_ops, closings, min(step_svs), min(closing_svs))
     return cached
 
 
@@ -113,9 +128,8 @@ def meanfield_levels(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
     current one is held, so a consumer that reduces each level as it comes
     never holds the whole tree.
     """
-    inverses, mean_ops, _ = implicit_steps(tree, coeffs)
+    steps = implicit_steps(tree, coeffs)
     dt = tree.dt
-    eye = np.eye(coeffs.n)
     y_next = np.broadcast_to(terminal, terminal.shape[:2] + controls[0].shape[-1:])
     del terminal
     for k in range(tree.n_steps - 1, -1, -1):
@@ -132,13 +146,10 @@ def meanfield_levels(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         rhs *= dt
         rhs += tree.cond_expect(y_next)
         # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
-        yk = _mm(inverses[k], rhs)
+        yk = _mm(steps.inverses[k], rhs)
         del rhs
-        mean_op = mean_ops[k]
-        prob = tree.node_probability(k)
-        ybar = np.linalg.solve(eye - prob * mean_op.sum(axis=0),
-                               prob * yk.sum(axis=0))
-        yk += _mm(mean_op, ybar)
+        ybar = steps.closings[k] @ (tree.node_probability(k) * yk.sum(axis=0))
+        yk += _mm(steps.mean_ops[k], ybar)
         yield k, (yk, zk, uk, ybar, zbar, ubar)
         y_next = yk
 
@@ -156,7 +167,8 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
                                             + C Z_k + C_bar z_mean),
 
     where Z_k is recovered from Y_{k+1} first and the unknown level mean
-    y_mean = E[Y_k] is eliminated by an n-dimensional solve.
+    y_mean = E[Y_k] is eliminated by the checked inverse of the n x n
+    mean-closing matrix (:func:`implicit_steps`).
 
     Controls are per-level arrays (2**k, m), or (2**k, m, c) to solve c
     controls in one sweep; the terminal is then (2**n_steps, n, c), or 2-D

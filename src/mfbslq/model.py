@@ -416,9 +416,8 @@ def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
     return checks
 
 
-def validate_h1_h2(coeffs: CoefficientSet, delta: float,
-                   h1_bound: float | None = None) -> ValidationReport:
-    """Check boundedness (H1) and the positivity assumptions (H2); never raises."""
+def validate_h1_h2(coeffs: CoefficientSet, delta: float) -> ValidationReport:
+    """Check finiteness (H1) and the positivity assumptions (H2); never raises."""
     checks = []
 
     max_abs = 0.0
@@ -434,11 +433,6 @@ def validate_h1_h2(coeffs: CoefficientSet, delta: float,
         "H1 coefficients finite", all_finite, margin=None,
         detail=f"max |entry| {max_abs:.6g}",
     ))
-    if h1_bound is not None:
-        checks.append(CheckResult(
-            "H1 bound", max_abs <= h1_bound, margin=h1_bound - max_abs,
-            detail=f"max |entry| {max_abs:.6g} vs bound {h1_bound:.6g}",
-        ))
 
     checks += _process_checks("Q", coeffs.Q, psd=True, floor=None)
     checks += _process_checks("Q_bar", coeffs.Q_bar, psd=True, floor=None)

@@ -16,7 +16,7 @@ small trees.
 Every evaluation of the cost goes through one function, the per-level
 Gram matrix of its bilinear form over (control, solved state) pairs
 (:func:`_level_gram`): the cost of a control, a directional derivative, the
-dense route's reduced Hessian and the pipeline's outer quadratic are all
+dense route's reduced Hessian and the on-demand outer quadratic are all
 read off such a matrix.  The last three stack their directions as columns
 of one backward sweep (:func:`reduced_quadratic`) and add each level's
 share as the sweep produces it.
@@ -41,6 +41,8 @@ from .model import CoefficientSet
 from .tree import ScenarioTree, _mm, _mv, _t
 
 DENSE_SIZE_CAP = 20000
+# solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
+CERTIFICATE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,7 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
     if sol is None:
         sol = solve_meanfield_bsde(tree, coeffs, controls)
     n_steps, dt = tree.n_steps, tree.dt
-    eye = np.eye(coeffs.n)
-    inverses = implicit_steps(tree, coeffs)[0]
+    steps = implicit_steps(tree, coeffs)
     grad: list = [None] * n_steps
     mu1_prev = None
     mu2_prev = None
@@ -204,14 +205,13 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         qb, rb, nb = coeffs.mean_weights(k)
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
-        #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j
-        resp = _t(inverses[k])          # ((I - dt A)')^{-1}, checked once
+        #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j,
+        # closed by the transposed mean-closing matrix of the primal step
+        resp = _t(steps.inverses[k])    # ((I - dt A)')^{-1}, checked once
         base = _mv(resp, r)
-        abar_t = _t(coeffs.A_bar[k])
-        s_base = dt * (abar_t @ base[:, :, None])[:, :, 0].sum(axis=0)
-        s_resp = dt * prob * (abar_t @ resp).sum(axis=0)
+        s_base = dt * (_t(coeffs.A_bar[k]) @ base[:, :, None])[:, :, 0].sum(axis=0)
         g_ybar = 2.0 * dt * (qb @ sol.y_mean[k])
-        nu1 = np.linalg.solve(eye - s_resp, -g_ybar + s_base)
+        nu1 = steps.closings[k].T @ (-g_ybar + s_base)
         mu1 = base + prob * (resp @ nu1)
 
         g_z = 2.0 * dt * prob * _mv(coeffs.R[k], sol.z[k])
@@ -451,6 +451,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
         if k > 0:
             passed = _lift(tree, sol[:, :n])
 
+    # a singular mean-closing matrix makes the tail singular: refuse it by name
+    implicit_steps(tree, coeffs)
     means = np.linalg.solve(tail, tail_rhs)
 
     controls, parent = [], None
@@ -480,8 +482,8 @@ class OracleSolution:
     method: str              # "sparse" or "dense"
 
 
-def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet, method: str = "sparse",
-                 certificate_tol: float = 1e-9) -> OracleSolution:
+def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
+                 method: str = "sparse") -> OracleSolution:
     """Solve the discrete problem head-on and certify first-order optimality.
 
     ``method="dense"`` solves through the reduced Hessian instead of the
@@ -498,11 +500,11 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet, method: str = "spar
     grad_norm = gradient_dual_norm(tree, cost_gradient(tree, coeffs, u))
     grad0 = gradient_dual_norm(
         tree, cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))
-    certified = grad_norm <= certificate_tol * (1.0 + grad0)
+    certified = grad_norm <= CERTIFICATE_TOL * (1.0 + grad0)
     if not certified:
         raise NumericsError(
             f"oracle certificate failed: |grad| = {grad_norm:.3e} "
-            f"vs tolerance {certificate_tol * (1.0 + grad0):.3e}"
+            f"vs tolerance {CERTIFICATE_TOL * (1.0 + grad0):.3e}"
         )
     return OracleSolution(
         u=u, cost=cost, gradient_norm=grad_norm, grad0_norm=grad0,

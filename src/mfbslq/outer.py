@@ -7,15 +7,15 @@ matching condition, a single linear solve over the probed affine maps.
 With all barred coefficients zero the system collapses to zero multipliers
 and the plain feedback control.
 
-Independently of that selection, the realized cost is an exact quadratic
-in eta: the constrained solver maps eta to a control affinely and the
-controlled dynamics are linear.  This module assembles that quadratic from
-d+1 constrained solves — the control at eta = 0 and the control change per
-unit eta direction, solved in column blocks, are fed back as the columns of
-one controlled-dynamics sweep that accumulates the Gram matrix of the cost
-level by level (:func:`.oracle.reduced_quadratic`) — and uses it as a
-certificate: it must be positive semidefinite, and the selected eta is
-scored against it.
+Convexity is certified by the standing assumptions: the discrete cost is a
+sum of Gram forms over the weights Q, R, N, their barred means and G, so
+once :func:`.model.validate_h1_h2` (which ``run_pipeline`` always runs) has
+shown them positive semidefinite (H2), the cost is convex in the control
+and in eta, which enters the control affinely.  The cost on the eta family
+is an exact quadratic; :func:`assemble_outer_quadratic` builds it on demand
+as a check, from d+1 constrained solves fed as the columns of one
+Gram-accumulating sweep (:func:`.oracle.reduced_quadratic`).  The pipeline
+does not run it.
 
 The reported cost re-runs the controlled mean-field BSDE at the final
 control, and the reported stationarity residual re-derives the first-order
@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._errors import ConvexityError, SpecValidationError
 from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
@@ -49,6 +48,8 @@ _PSD_TOL = 1e-9
 
 @dataclass
 class OuterQuadratic:
+    """J(eta) = eta' hessian eta + 2 linear' eta + constant on the eta family."""
+
     hessian: np.ndarray
     linear: np.ndarray
     constant: float
@@ -60,9 +61,10 @@ def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
                              ops: MeanOperators) -> OuterQuadratic:
     """Probe the cost as a function of eta and return it in closed form.
 
-    The d unit-eta constrained solves run in column blocks; each block
+    An on-demand check of the eta family; :func:`run_pipeline` does not call
+    it.  The d unit-eta constrained solves run in column blocks; each block
     writes its control changes u(e_j) - u(0) into one preallocated column
-    stack of directions."""
+    stack of directions, so this holds (2**depth, m, d) floats."""
     d = eta_dimension(tree, coeffs)
     base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
     unit = np.eye(d)
@@ -85,28 +87,12 @@ def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
     return OuterQuadratic(hess, lin, const, min_eig)
 
 
-def solve_eta(quad: OuterQuadratic):
-    """Minimize the outer quadratic; returns (eta, first-order residual,
-    singular flag).  A singular Hessian falls back to the min-norm solution."""
-    singular = False
-    try:
-        factor = scipy.linalg.cho_factor(quad.hessian)
-        eta = scipy.linalg.cho_solve(factor, -quad.linear)
-        eta -= scipy.linalg.cho_solve(factor, quad.hessian @ eta + quad.linear)
-    except np.linalg.LinAlgError:
-        singular = True
-        eta = -np.linalg.pinv(quad.hessian, rcond=1e-12) @ quad.linear
-    residual = float(np.linalg.norm(quad.hessian @ eta + quad.linear))
-    return eta, residual, singular
-
-
 @dataclass
 class PipelineResult:
     tree: ScenarioTree
     coeffs: CoefficientSet
     riccati: RiccatiSolution
     operators: MeanOperators
-    quadratic: OuterQuadratic
     eta: np.ndarray
     lam: np.ndarray
     eta_residual: float
@@ -123,15 +109,16 @@ class PipelineResult:
     def diagnostics(self) -> dict:
         """Health numbers the solve computed along the way; deterministic."""
         ws = build_workspace(self.tree, self.coeffs, self.riccati)
+        steps = implicit_steps(self.tree, self.coeffs)
         return {
             "newton_iterations": self.riccati.newton_iterations,
             "eta_residual": self.eta_residual,
             "eta_singular": self.eta_singular,
-            "outer_min_eigenvalue": self.quadratic.min_eigenvalue,
             "probe_superposition_error": self.operators.superposition_error,
             "min_I_plus_SR_sv": ws.min_conditioner_sv,
             "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
-            "min_I_minus_dt_A_sv": implicit_steps(self.tree, self.coeffs)[2],
+            "min_I_minus_dt_A_sv": steps.min_step_sv,
+            "min_mean_closing_sv": steps.min_closing_sv,
         }
 
     def report(self) -> dict:
@@ -163,9 +150,12 @@ class PipelineResult:
         return out
 
 
-def run_pipeline(spec: ProblemSpec, n_steps: int, with_oracle: bool = False,
-                 validate: bool = True) -> PipelineResult:
-    """Full solve: realize, validate, Riccati, probe, outer solve, certify."""
+def run_pipeline(spec: ProblemSpec, n_steps: int,
+                 with_oracle: bool = False) -> PipelineResult:
+    """Full solve: realize, validate, Riccati, probe, outer solve, certify.
+
+    Validation always runs: its H2 checks are the convexity certificate of
+    every returned result."""
     timings: dict = {}
 
     def staged(name: str, fn):
@@ -176,16 +166,14 @@ def run_pipeline(spec: ProblemSpec, n_steps: int, with_oracle: bool = False,
 
     tree = build_tree(spec.horizon, n_steps)
     coeffs = staged("realize", lambda: realize(spec, tree))
-    if validate:
-        report = staged("validate", lambda: validate_h1_h2(coeffs, spec.delta))
-        if not report.ok:
-            raise SpecValidationError(
-                "problem data violates the standing assumptions:\n" + report.summary()
-            )
+    report = staged("validate", lambda: validate_h1_h2(coeffs, spec.delta))
+    if not report.ok:
+        raise SpecValidationError(
+            "problem data violates the standing assumptions:\n" + report.summary()
+        )
+    implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
     ops = staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
-    quad = staged("outer_quadratic",
-                  lambda: assemble_outer_quadratic(tree, coeffs, ric, ops))
     eta, lam, eta_residual, eta_singular = staged(
         "solve_outer_system",
         lambda: solve_outer_system(tree, coeffs, ric, ops))
@@ -197,7 +185,7 @@ def run_pipeline(spec: ProblemSpec, n_steps: int, with_oracle: bool = False,
         tree, coeffs, final.u, resolved))
 
     result = PipelineResult(
-        tree=tree, coeffs=coeffs, riccati=ric, operators=ops, quadratic=quad,
+        tree=tree, coeffs=coeffs, riccati=ric, operators=ops,
         eta=eta, lam=lam, eta_residual=eta_residual, eta_singular=eta_singular,
         constrained=final, resolved=resolved, cost=cost,
         stationarity_residual=stationarity, timings=timings,

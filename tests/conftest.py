@@ -56,6 +56,15 @@ def singular_step_doc() -> dict:
     return doc
 
 
+def singular_mean_doc() -> dict:
+    """A 4-level scalar document with A_bar = 1/dt on level 2 (dt = 1/4), so
+    the mean-closing matrix I - dt E[(I - dt A)^-1 A_bar] there is exactly
+    zero while I - dt A stays the identity."""
+    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
+    doc["dynamics"]["A_bar"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
+    return doc
+
+
 def barred_zero_spec(name: str = "m1"):
     """A corpus spec with every mean-coupling coefficient replaced by zero."""
     raw = json.loads(corpus_path(name).read_text())

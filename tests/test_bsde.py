@@ -9,7 +9,7 @@ from mfbslq import (StepSizeError, build_tree, load_spec, realize, solve_forward
                    solve_meanfield_bsde, solve_riccati)
 from mfbslq.bsde import checked_inverse
 from mfbslq.multipliers import build_workspace
-from conftest import scalar_spec, singular_step_doc
+from conftest import scalar_spec, singular_mean_doc, singular_step_doc
 
 
 def _zero_controls(tree, m):
@@ -173,6 +173,10 @@ def test_singular_implicit_step_raises_step_size_error():
         solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1))
     with pytest.raises(StepSizeError, match=r"Sigma Q - A.*level 2"):
         build_workspace(tree, coeffs, solve_riccati(tree, coeffs))
+    # A_bar = I/dt on level 2 makes the mean-closing matrix exactly zero there
+    coeffs = realize(load_spec(json.dumps(singular_mean_doc())), tree)
+    with pytest.raises(StepSizeError, match=r"mean-closing .*level 2.*0\.000e\+00"):
+        solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1))
 
 
 @pytest.mark.parametrize("mats", [np.zeros((2, 1, 1)), np.full((3, 2, 2), np.nan),

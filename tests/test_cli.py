@@ -7,7 +7,7 @@ import pytest
 
 from mfbslq import NumericsError
 from mfbslq.cli import main
-from conftest import corpus_path, scalar_spec_doc, singular_step_doc
+from conftest import corpus_path, scalar_spec_doc, singular_mean_doc, singular_step_doc
 
 S1 = str(corpus_path("s1"))
 M1 = str(corpus_path("m1"))
@@ -208,8 +208,11 @@ def test_empty_thread_count_is_ignored(monkeypatch):
 
 
 def test_singular_step_maps_to_two(tmp_path, capsys):
-    # A = 1/dt on level 2 of a 4-level tree makes I - dt A exactly zero
-    spec = _write_spec(tmp_path, singular_step_doc())
-    assert main(["run", "--spec", spec, "--nt", "4"]) == 2
-    err = capsys.readouterr().err
-    assert "singular" in err and "level 2" in err
+    # A = 1/dt on level 2 of a 4-level tree makes I - dt A exactly zero;
+    # A_bar = 1/dt there makes the mean-closing matrix exactly zero
+    for doc, matrix in ((singular_step_doc(), "I - dt A"),
+                        (singular_mean_doc(), "mean-closing")):
+        spec = _write_spec(tmp_path, doc)
+        assert main(["run", "--spec", spec, "--nt", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "singular" in err and "level 2" in err and matrix in err

@@ -26,7 +26,7 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
-from conftest import scalar_spec, singular_step_doc
+from conftest import scalar_spec, singular_mean_doc, singular_step_doc
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -122,17 +122,24 @@ def test_sparse_default_and_dense_size_cap(s1):
 
 def test_singular_step_raises_typed_errors():
     # I - dt A is exactly zero on level 2: the KKT pivots there are singular
-    # and the adjoint step cannot be inverted; both are refused by name
+    # and the adjoint step cannot be inverted; both are refused by name.
+    # A_bar = 1/dt on level 2 leaves the pivots regular but makes the
+    # mean-closing matrix (and with it the KKT tail) singular.
     tree = build_tree(1.0, 4)
-    coeffs = realize(load_spec(json.dumps(singular_step_doc())), tree)
-    with pytest.raises(StepSizeError, match="KKT pivot .*level 2"):
-        solve_oracle(tree, coeffs)
     zero = zero_controls(tree, 1)
     sol = MeanfieldBsdeSolution([np.zeros((tree.n_nodes(k), 1)) for k in range(5)],
                                 zero, np.zeros((5, 1)), np.zeros((4, 1)),
                                 np.zeros((4, 1)))
-    with pytest.raises(StepSizeError, match="I - dt A .*level 2"):
-        cost_gradient(tree, coeffs, zero, sol)
+    for doc, oracle_error, step_error in (
+            (singular_step_doc(), "KKT pivot .*level 2", "I - dt A .*level 2"),
+            (singular_mean_doc(), "mean-closing .*level 2", "mean-closing .*level 2")):
+        coeffs = realize(load_spec(json.dumps(doc)), tree)
+        with pytest.raises(StepSizeError, match=oracle_error):
+            solve_oracle(tree, coeffs)
+        with pytest.raises(StepSizeError, match=step_error):
+            cost_gradient(tree, coeffs, zero, sol)
+        with pytest.raises(StepSizeError, match=step_error):
+            evaluate_cost(tree, coeffs, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Outer stage: the mean-target quadratic, the selection system, the pipeline."""
+"""Outer stage: the on-demand mean-target quadratic and the pipeline."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from mfbslq import build_tree, realize, solve_riccati
 from mfbslq.multipliers import (eta_dimension, probe_operators,
                                 solve_constrained_problem)
 from mfbslq.oracle import evaluate_cost
-from mfbslq.outer import (OuterQuadratic, assemble_outer_quadratic,
-                          run_pipeline, solve_eta)
+from mfbslq import outer
+from mfbslq.outer import assemble_outer_quadratic, run_pipeline
 from conftest import barred_zero_spec, scalar_spec
 
 
@@ -48,28 +48,6 @@ def test_quadratic_is_positive_semidefinite(corpus):
         assert np.allclose(quad.hessian, quad.hessian.T, atol=1e-12)
 
 
-def test_quadratic_minimizer_is_stationary(m1):
-    tree, coeffs, ric = _setup(m1, 3)
-    ops = probe_operators(tree, coeffs, ric)
-    quad = assemble_outer_quadratic(tree, coeffs, ric, ops)
-    eta, residual, singular = solve_eta(quad)
-    assert residual <= 1e-8 * (1 + np.abs(quad.linear).max())
-    rng = np.random.default_rng(31)
-    for _ in range(3):
-        other = eta + 0.1 * rng.standard_normal(eta.size)
-        assert _quad_value(quad, eta) <= _quad_value(quad, other) + 1e-10
-
-
-def test_degenerate_quadratic_gets_min_norm_solution():
-    quad = OuterQuadratic(
-        hessian=np.diag([1.0, 0.0]), linear=np.array([-1.0, 0.0]),
-        constant=0.0, min_eigenvalue=0.0)
-    eta, residual, singular = solve_eta(quad)
-    assert singular
-    assert np.allclose(eta, [1.0, 0.0], atol=1e-10)
-    assert residual <= 1e-10
-
-
 # ---------------------------------------------------------------------------
 # pipeline behavior
 
@@ -87,17 +65,16 @@ def test_pipeline_report_contract(m1):
     assert set(report["oracle"]) == {"cost", "control_error"}
     diag = report["diagnostics"]
     assert set(diag) == {"newton_iterations", "eta_residual", "eta_singular",
-                         "outer_min_eigenvalue", "probe_superposition_error",
-                         "min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
-                         "min_I_minus_dt_A_sv"}
+                         "probe_superposition_error", "min_I_plus_SR_sv",
+                         "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
+                         "min_mean_closing_sv"}
     assert diag["newton_iterations"] == res.riccati.newton_iterations
     assert diag["eta_residual"] == res.eta_residual
     assert diag["eta_singular"] is res.eta_singular
-    assert diag["outer_min_eigenvalue"] == res.quadratic.min_eigenvalue
     assert 0.0 <= diag["probe_superposition_error"] <= 1e-8
     for key in ("min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
-                "min_I_minus_dt_A_sv"):
-        assert 0.5 < diag[key] < 2.0   # all three are I + O(dt) at nt=4
+                "min_I_minus_dt_A_sv", "min_mean_closing_sv"):
+        assert 0.5 < diag[key] < 2.0   # all four are I + O(dt) at nt=4
     assert report["cost"] > 0
     assert max(report["constraint_residuals"].values()) <= 1e-8
     assert len(report["eta_star"]) == eta_dimension(res.tree, res.coeffs)
@@ -136,14 +113,23 @@ def test_pipeline_validates_assumptions():
     bad = scalar_spec(N=0.1)  # below the convexity floor
     with pytest.raises(SpecValidationError):
         run_pipeline(bad, 4)
-    # explicit opt-out skips the gate
-    run_pipeline(bad, 4, validate=False)
 
 
 def test_pipeline_timings_cover_stages(m1):
     res = run_pipeline(m1, 3)
     stages = dict(res.timings)
-    for stage in ("riccati", "probe_operators", "outer_quadratic",
+    for stage in ("realize", "validate", "riccati", "probe_operators",
                   "solve_outer_system", "final_solve", "cost",
                   "stationarity"):
         assert stage in stages and stages[stage] >= 0.0
+    assert "outer_quadratic" not in stages
+
+
+def test_pipeline_does_not_assemble_outer_quadratic(m1, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline must not assemble the outer quadratic")
+
+    monkeypatch.setattr(outer, "assemble_outer_quadratic", refuse)
+    res = run_pipeline(m1, 4, with_oracle=True)
+    assert res.oracle_cost_gap >= -1e-9
+    assert max(res.report()["constraint_residuals"].values()) <= 1e-8
