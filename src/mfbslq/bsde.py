@@ -5,7 +5,9 @@ is represented as a list indexed by level: entry k is an array of shape
 (2**k, dim) (or (2**k, dim, dim) for matrix processes).  Several processes
 driven by the same coefficients can share one sweep: they are stacked on a
 trailing column axis, (2**k, dim, c), and every per-node product becomes a
-batched matrix product over the columns.
+batched matrix product over the columns.  Solved from a zero terminal value,
+a stack of controls gives the linear part of the state map; the oracle's
+Hessian products are built on such sweeps.
 
 Backward equations are solved with an implicit step in the node-local
 drift and an exact conditional expectation down the tree; the mean-field
@@ -117,43 +119,6 @@ class MeanfieldBsdeSolution:
     u_mean: np.ndarray   # (n_steps, m)
 
 
-def meanfield_levels(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
-                     terminal: np.ndarray):
-    """The backward sweep of :func:`solve_meanfield_bsde` on column stacks.
-
-    ``controls[k]`` has shape (2**k, m, c) and ``terminal`` (2**n_steps, n, c)
-    or (2**n_steps, n, 1) (one terminal value for every column).  Yields
-    (k, (y, z, u, y_mean, z_mean, u_mean)) for k = n_steps-1 down to 0,
-    every entry with the columns on its last axis.  Only the level below the
-    current one is held, so a consumer that reduces each level as it comes
-    never holds the whole tree.
-    """
-    steps = implicit_steps(tree, coeffs)
-    dt = tree.dt
-    y_next = np.broadcast_to(terminal, terminal.shape[:2] + controls[0].shape[-1:])
-    del terminal
-    for k in range(tree.n_steps - 1, -1, -1):
-        zk = tree.z_from_next(y_next)
-        zbar = tree.expect(zk)
-        uk = controls[k]
-        ubar = tree.expect(uk)
-        # accumulate in place: with many columns a level's temporaries,
-        # not its results, would otherwise set the peak memory
-        rhs = _mm(coeffs.B[k], uk)
-        rhs += _mm(coeffs.B_bar[k], ubar)
-        rhs += _mm(coeffs.C[k], zk)
-        rhs += _mm(coeffs.C_bar[k], zbar)
-        rhs *= dt
-        rhs += tree.cond_expect(y_next)
-        # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
-        yk = _mm(steps.inverses[k], rhs)
-        del rhs
-        ybar = steps.closings[k] @ (tree.node_probability(k) * yk.sum(axis=0))
-        yk += _mm(steps.mean_ops[k], ybar)
-        yield k, (yk, zk, uk, ybar, zbar, ubar)
-        y_next = yk
-
-
 def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
                          terminal: np.ndarray | None = None) -> MeanfieldBsdeSolution:
     """Solve the controlled mean-field BSDE
@@ -178,21 +143,37 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
     stacked = [u[..., None] for u in controls] if single else controls
     xi = np.asarray(coeffs.xi if terminal is None else terminal, dtype=float)
     end = xi[..., None] if xi.ndim == 2 else xi
-    n, n_steps = coeffs.n, tree.n_steps
+    n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     cols = stacked[0].shape[-1]
+    steps = implicit_steps(tree, coeffs)
 
     y: list = [None] * (n_steps + 1)
     z: list = [None] * n_steps
     y_mean = np.empty((n_steps + 1, n, cols))
     z_mean = np.empty((n_steps, n, cols))
     u_mean = np.empty((n_steps, coeffs.m, cols))
-    y[n_steps] = xi if single else np.array(np.broadcast_to(end, end.shape[:2] + (cols,)))
+    y[n_steps] = np.broadcast_to(end, end.shape[:2] + (cols,))
     y_mean[n_steps] = tree.expect(end)
-    for k, (yk, zk, _, ybar, zbar, ubar) in meanfield_levels(tree, coeffs, stacked, end):
-        y[k], z[k] = yk, zk
-        y_mean[k], z_mean[k], u_mean[k] = ybar, zbar, ubar
+    for k in range(n_steps - 1, -1, -1):
+        z[k] = tree.z_from_next(y[k + 1])
+        z_mean[k] = tree.expect(z[k])
+        u_mean[k] = tree.expect(stacked[k])
+        # accumulate in place: with many columns a level's temporaries,
+        # not its results, would otherwise set the peak memory
+        rhs = _mm(coeffs.B[k], stacked[k])
+        rhs += _mm(coeffs.B_bar[k], u_mean[k])
+        rhs += _mm(coeffs.C[k], z[k])
+        rhs += _mm(coeffs.C_bar[k], z_mean[k])
+        rhs *= dt
+        rhs += tree.cond_expect(y[k + 1])
+        # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
+        y[k] = _mm(steps.inverses[k], rhs)
+        del rhs
+        y_mean[k] = steps.closings[k] @ (tree.node_probability(k) * y[k].sum(axis=0))
+        y[k] += _mm(steps.mean_ops[k], y_mean[k])
     if single:
         return MeanfieldBsdeSolution(
             [yk[..., 0] for yk in y[:n_steps]] + [xi], [zk[..., 0] for zk in z],
             y_mean[..., 0], z_mean[..., 0], u_mean[..., 0])
+    y[n_steps] = np.array(y[n_steps])
     return MeanfieldBsdeSolution(y, z, y_mean, z_mean, u_mean)

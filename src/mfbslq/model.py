@@ -27,6 +27,7 @@ trivial on the tree, so a random G has nowhere to live.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +242,16 @@ def _parse_terminal(entry, n: int) -> Coefficient:
     return Coefficient(form, {"coeffs": vecs})
 
 
+def _positive_number(doc: dict, key: str) -> float:
+    value = doc[key]
+    # bool and str are not numbers here; 1e400 parses to inf, and an int
+    # above the largest float would overflow float()
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ConfigurationError(
+            f"{key} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
 def load_spec(text: str) -> ProblemSpec:
     """Parse a JSON problem document.  Structural errors only; see validate_h1_h2."""
     try:
@@ -258,14 +269,9 @@ def load_spec(text: str) -> ProblemSpec:
         raise ConfigurationError(f"spec has unknown fields {unknown}")
 
     n, m = doc["n"], doc["m"]
-    if not (isinstance(n, int) and n >= 1) or not (isinstance(m, int) and m >= 1):
+    if not all(type(v) is int and v >= 1 for v in (n, m)):   # bool is not a size
         raise ConfigurationError(f"n and m must be integers >= 1, got n={n}, m={m}")
-    horizon = float(doc["T"])
-    if not horizon > 0:
-        raise ConfigurationError(f"T must be positive, got {horizon}")
-    delta = float(doc["delta"])
-    if not delta > 0:
-        raise ConfigurationError(f"delta must be positive, got {delta}")
+    horizon, delta = _positive_number(doc, "T"), _positive_number(doc, "delta")
 
     dims = {"n": n, "m": m}
     dyn_doc, cost_doc = doc["dynamics"], doc["cost"]

@@ -61,24 +61,17 @@ from ._errors import InfeasibleEtaError, NumericsError
 from .bsde import checked_inverse, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _mm, _mv, _t
+from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
 _GUARD_TOL = 1e-10
-# Columns solved together in one batched sweep.  Fixed, so results never
-# depend on the machine; every per-column buffer lives for one block only.
-_COLUMN_BLOCK = 16
+_PICARD_SWEEPS = 400
+_PICARD_TOL = 1e-12
 
 
 def eta_dimension(tree: ScenarioTree, coeffs: CoefficientSet) -> int:
     return tree.n_steps * (2 * coeffs.n + coeffs.m)
-
-
-def column_blocks(count: int) -> list:
-    """Slices covering ``count`` columns, _COLUMN_BLOCK at a time."""
-    return [slice(start, min(start + _COLUMN_BLOCK, count))
-            for start in range(0, count, _COLUMN_BLOCK)]
 
 
 def split_blocks(vec: np.ndarray, tree: ScenarioTree, coeffs: CoefficientSet):
@@ -479,8 +472,7 @@ def decoupling_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 
 
 def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
-                       ric: RiccatiSolution, sol: ConstrainedSolution,
-                       max_iterations: int = 400, tol: float = 1e-12) -> dict:
+                       ric: RiccatiSolution, sol: ConstrainedSolution) -> dict:
     """Re-solve the optimality system at sol's multipliers by plain
     alternation (no Riccati decoupling) and report the disagreement.
 
@@ -488,6 +480,8 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
     frozen; explicit forward step for the adjoint x given (y, z); control
     update u = N^{-1}(B' x - lam3).  The alternation contracts only on
     short horizons, which is why callers run it on a truncated problem.
+    It stops once a sweep changes u by at most _PICARD_TOL relative, or
+    after _PICARD_SWEEPS sweeps.
     """
     lam1, lam2, lam3 = split_blocks(sol.lam, tree, coeffs)
     alpha, beta, gamma = split_blocks(sol.eta, tree, coeffs)
@@ -502,7 +496,7 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
     x: list = []
     converged = False
     iterations = 0
-    for it in range(max_iterations):
+    for it in range(_PICARD_SWEEPS):
         iterations = it + 1
         y[n_steps] = coeffs.xi
         for k in range(n_steps - 1, -1, -1):
@@ -531,7 +525,7 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
             change = max(change, float(np.abs(u_new - u[k]).max()))
             scale = max(scale, float(np.abs(u_new).max()))
             u[k] = u_new
-        if change <= tol * scale:
+        if change <= _PICARD_TOL * scale:
             converged = True
             break
 

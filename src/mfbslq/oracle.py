@@ -9,17 +9,17 @@ computed independently of the solve.  The KKT system is a tree of small
 per-node blocks plus a dense tail of level means; the default ("sparse")
 route eliminates the node blocks leaves first, one checked batch of pivots
 per level, and closes the tail with one Schur-complement solve.  A dense
-route, which assembles the reduced Hessian from unit-impulse responses,
-runs only when asked for and serves as a cross-check of the sparse one on
-small trees.
+route, which assembles the reduced Hessian column by column, runs only when
+asked for and serves as a cross-check of the sparse one on small trees.
 
-Every evaluation of the cost goes through one function, the per-level
-Gram matrix of its bilinear form over (control, solved state) pairs
-(:func:`_level_gram`): the cost of a control, a directional derivative, the
-dense route's reduced Hessian and the on-demand outer quadratic are all
-read off such a matrix.  The last three stack their directions as columns
-of one backward sweep (:func:`reduced_quadratic`) and add each level's
-share as the sweep produces it.
+Every derivative of the cost comes from one function, the exact adjoint
+gradient (:func:`cost_gradient`), which takes a trailing column axis like
+the sweeps of :mod:`.bsde`.  The cost is quadratic, J(u) = u' H u +
+2 l' u + J(0), so a directional derivative is the gradient paired with the
+direction, and for any column stack D, H D is half the gradient at D with
+the state solved from a zero terminal value (:func:`hessian_product`).
+The dense route's reduced Hessian (unit impulses in column blocks), the
+Hessian spectrum and the on-demand outer quadratic are all such products.
 
 Controls are lists of per-level arrays (2**k, m).  The natural geometry is
 the weighted l2 product <u, v> = sum_k dt 2^{-k} sum_j u_kj . v_kj, which
@@ -36,9 +36,9 @@ import scipy.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, checked_inverse, implicit_steps,
-                   meanfield_levels, solve_forward_sde, solve_meanfield_bsde)
+                   solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mm, _mv, _t
+from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -54,14 +54,17 @@ def zero_controls(tree: ScenarioTree, m: int) -> list:
 
 
 def stack_controls(controls: list) -> np.ndarray:
-    return np.concatenate([lv.ravel() for lv in controls])
+    """Per-level controls (2**k, m) or column stacks (2**k, m, c) as one
+    vector (dim,) or matrix (dim, c)."""
+    return np.concatenate([lv.reshape((-1,) + lv.shape[2:]) for lv in controls])
 
 
 def unstack_controls(vec: np.ndarray, tree: ScenarioTree, m: int) -> list:
+    """Inverse of :func:`stack_controls`; trailing column axes are kept."""
     out, pos = [], 0
     for k in range(tree.n_steps):
         cnt = tree.n_nodes(k)
-        out.append(vec[pos: pos + cnt * m].reshape(cnt, m))
+        out.append(vec[pos: pos + cnt * m].reshape((cnt, m) + vec.shape[1:]))
         pos += cnt * m
     return out
 
@@ -103,67 +106,24 @@ def _flat(levels: np.ndarray) -> np.ndarray:
     return levels.reshape(-1, levels.shape[-1])
 
 
-def _level_gram(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
-                left: tuple, right: tuple) -> np.ndarray:
-    """Level k's share of the Gram matrix of the cost's bilinear form.
-
-    ``left`` and ``right`` are (y, z, u, y_mean, z_mean, u_mean) at level k,
-    each a column stack (columns on the last axis, one (control, solved
-    state) pair per column).  Entry [a, b] pairs the node terms Q, R, N
-    weighted by dt 2^-k, the level-mean terms weighted by dt and, on level
-    0, the G term on Y(0); summed over the levels, entry [a, a] is the cost
-    of pair a.  Each node term is one GEMM, flat(left)' @ flat(W right).
-    """
-    y, z, u, y_mean, z_mean, u_mean = left
-    y_r, z_r, u_r, y_mean_r, z_mean_r, u_mean_r = right
-    qb, rb, nb = coeffs.mean_weights(k)
-    gram = tree.dt * (y_mean.T @ qb @ y_mean_r + z_mean.T @ rb @ z_mean_r
-                      + u_mean.T @ nb @ u_mean_r)
-    w = tree.dt * tree.node_probability(k)
-    for lhs, weight, rhs in ((y, coeffs.Q[k], y_r), (z, coeffs.R[k], z_r),
-                             (u, coeffs.N[k], u_r)):
-        gram += w * (_flat(lhs).T @ _flat(_mm(weight, rhs)))
-    if k == 0:
-        gram += y[0].T @ coeffs.G @ y_r[0]
-    return gram
-
-
 def cost_of_solution(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
                      sol: MeanfieldBsdeSolution) -> float:
-    """Quadrature of the cost functional on an already-solved state."""
-    total = 0.0
-    for k in range(tree.n_steps):
-        level = (sol.y[k][..., None], sol.z[k][..., None], controls[k][..., None],
-                 sol.y_mean[k][:, None], sol.z_mean[k][:, None],
-                 sol.u_mean[k][:, None])
-        total += float(_level_gram(tree, coeffs, k, level, level)[0, 0])
-    return total
+    """Quadrature of the cost functional on an already-solved state.
 
-
-def reduced_quadratic(tree: ScenarioTree, coeffs: CoefficientSet, base: list,
-                      directions: list) -> tuple:
-    """The cost on the affine family base + sum_j t_j directions[j].
-
-    ``base[k]`` has shape (2**k, m) and ``directions[k]`` (2**k, m, c), one
-    direction per column.  Returns (hessian, linear, constant) with
-    J(t) = t' hessian t + 2 linear' t + constant.  The base is solved with
-    the real terminal value and the directions with a zero one, so the
-    states are exactly affine in t.  The two backward sweeps run in
-    lockstep and each level's Gram share is added as soon as the level is
-    solved, so no state is held for the whole tree.
+    Level k adds its node terms Q, R, N weighted by dt 2^-k and its
+    level-mean terms weighted by dt; level 0 also adds the G term on Y(0).
     """
-    base = [u[..., None] for u in base]
-    zero = np.zeros(coeffs.xi.shape + (1,))
-    cols = directions[0].shape[-1]
-    hess, linear, constant = np.zeros((cols, cols)), np.zeros(cols), 0.0
-    for (k, b), (_, d) in zip(
-            meanfield_levels(tree, coeffs, base, coeffs.xi[..., None]),
-            meanfield_levels(tree, coeffs, directions, zero)):
-        constant += float(_level_gram(tree, coeffs, k, b, b)[0, 0])
-        # (directions, base) weights the one base column, not all c of them
-        linear += _level_gram(tree, coeffs, k, d, b)[:, 0]
-        hess += _level_gram(tree, coeffs, k, d, d)
-    return 0.5 * (hess + hess.T), linear, constant
+    total = float(sol.y[0][0] @ coeffs.G @ sol.y[0][0])
+    for k in range(tree.n_steps):
+        qb, rb, nb = coeffs.mean_weights(k)
+        y_mean, z_mean, u_mean = sol.y_mean[k], sol.z_mean[k], sol.u_mean[k]
+        total += tree.dt * float(y_mean @ qb @ y_mean + z_mean @ rb @ z_mean
+                                 + u_mean @ nb @ u_mean)
+        w = tree.dt * tree.node_probability(k)
+        for field, weight in ((sol.y[k], coeffs.Q[k]), (sol.z[k], coeffs.R[k]),
+                              (controls[k], coeffs.N[k])):
+            total += w * float(np.sum(field * _mv(weight, field)))
+    return total
 
 
 def evaluate_cost(tree: ScenarioTree, coeffs: CoefficientSet, controls: list) -> float:
@@ -184,9 +144,19 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
     multipliers, with the mean coupling eliminated by one n-dimensional
     solve per level, exactly mirroring the primal scheme.  The result is
     the exact Euclidean gradient (machine precision, not a discretization).
+
+    Controls are per-level arrays (2**k, m), or column stacks (2**k, m, c)
+    whose gradients come back as one stack; ``sol`` then carries the same
+    column axis.  A single control runs as one column.
     """
     if sol is None:
         sol = solve_meanfield_bsde(tree, coeffs, controls)
+    single = controls[0].ndim == 2
+    if single:
+        controls = [u[..., None] for u in controls]
+        sol = MeanfieldBsdeSolution(
+            [y[..., None] for y in sol.y], [z[..., None] for z in sol.z],
+            sol.y_mean[..., None], sol.z_mean[..., None], sol.u_mean[..., None])
     n_steps, dt = tree.n_steps, tree.dt
     steps = implicit_steps(tree, coeffs)
     grad: list = [None] * n_steps
@@ -194,37 +164,50 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
     mu2_prev = None
     for k in range(n_steps):
         prob = tree.node_probability(k)
-        g_y = 2.0 * dt * prob * _mv(coeffs.Q[k], sol.y[k])
+        r = -2.0 * dt * prob * _mm(coeffs.Q[k], sol.y[k])
         if k == 0:
-            g_y = g_y + 2.0 * (sol.y[0] @ coeffs.G.T)
-        r = -g_y
+            r -= 2.0 * (coeffs.G @ sol.y[0])
         if k > 0:
             half = tree.sqrt_dt * tree.child_signs(k - 1)  # +/- sqrt(dt) per child
-            r = r + 0.5 * tree.to_children(mu1_prev)
-            r = r + (half / (2.0 * tree.dt))[:, None] * tree.to_children(mu2_prev)
+            r += 0.5 * tree.to_children(mu1_prev)
+            r += (half / (2.0 * tree.dt))[:, None, None] * tree.to_children(mu2_prev)
         qb, rb, nb = coeffs.mean_weights(k)
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
         #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j,
         # closed by the transposed mean-closing matrix of the primal step
         resp = _t(steps.inverses[k])    # ((I - dt A)')^{-1}, checked once
-        base = _mv(resp, r)
-        s_base = dt * (_t(coeffs.A_bar[k]) @ base[:, :, None])[:, :, 0].sum(axis=0)
+        base = _mm(resp, r)
+        s_base = dt * _mm(_t(coeffs.A_bar[k]), base).sum(axis=0)
         g_ybar = 2.0 * dt * (qb @ sol.y_mean[k])
         nu1 = steps.closings[k].T @ (-g_ybar + s_base)
-        mu1 = base + prob * (resp @ nu1)
+        mu1 = base + prob * _mm(resp, nu1)
 
-        g_z = 2.0 * dt * prob * _mv(coeffs.R[k], sol.z[k])
+        g_z = 2.0 * dt * prob * _mm(coeffs.R[k], sol.z[k])
         nu2 = -2.0 * dt * (rb @ sol.z_mean[k]) + dt * (
-            (_t(coeffs.C_bar[k]) @ mu1[:, :, None])[:, :, 0].sum(axis=0))
-        mu2 = -g_z + dt * _mv(_t(coeffs.C[k]), mu1) + prob * nu2[None]
+            _mm(_t(coeffs.C_bar[k]), mu1).sum(axis=0))
+        mu2 = -g_z + dt * _mm(_t(coeffs.C[k]), mu1) + prob * nu2[None]
 
-        g_u = 2.0 * dt * prob * _mv(coeffs.N[k], controls[k])
+        g_u = 2.0 * dt * prob * _mm(coeffs.N[k], controls[k])
         nu3 = -2.0 * dt * (nb @ sol.u_mean[k]) + dt * (
-            (_t(coeffs.B_bar[k]) @ mu1[:, :, None])[:, :, 0].sum(axis=0))
-        grad[k] = g_u - dt * _mv(_t(coeffs.B[k]), mu1) - prob * nu3[None]
+            _mm(_t(coeffs.B_bar[k]), mu1).sum(axis=0))
+        grad[k] = g_u - dt * _mm(_t(coeffs.B[k]), mu1) - prob * nu3[None]
         mu1_prev, mu2_prev = mu1, mu2
+    if single:
+        return [g[..., 0] for g in grad]
     return grad
+
+
+def hessian_product(tree: ScenarioTree, coeffs: CoefficientSet,
+                    directions: list) -> list:
+    """H D for a column stack of control directions D, (2**k, m, c) per level.
+
+    The cost is J(u) = u' H u + 2 l' u + J(0), and the state solved from a
+    zero terminal value is the linear part of the state map, so the
+    gradient there is 2 H D.  Holds one sweep of the c columns."""
+    sol = solve_meanfield_bsde(tree, coeffs, directions,
+                               terminal=np.zeros_like(coeffs.xi))
+    return [0.5 * g for g in cost_gradient(tree, coeffs, directions, sol)]
 
 
 def gradient_dual_norm(tree: ScenarioTree, grad: list) -> float:
@@ -237,15 +220,17 @@ def gradient_dual_norm(tree: ScenarioTree, grad: list) -> float:
 
 def directional_derivative(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
                            direction: list) -> float:
-    """Exact derivative of the cost along a control direction via the
-    linearized state (the state map is affine, so this has no truncation)."""
-    column = [v[..., None] for v in direction]
-    return 2.0 * float(reduced_quadratic(tree, coeffs, controls, column)[1][0])
+    """Exact derivative of the cost along a control direction: the exact
+    gradient paired with it (the state map is affine, so no truncation)."""
+    grad = cost_gradient(tree, coeffs, controls)
+    return float(stack_controls(grad) @ stack_controls(direction))
 
 
 def directional_derivative_fd(tree: ScenarioTree, coeffs: CoefficientSet,
-                              controls: list, direction: list,
-                              step: float = 1e-3) -> float:
+                              controls: list, direction: list) -> float:
+    """Central difference with step 1e-3 (exact up to rounding: the cost
+    is quadratic)."""
+    step = 1e-3
     up = [u + step * v for u, v in zip(controls, direction)]
     dn = [u - step * v for u, v in zip(controls, direction)]
     return (evaluate_cost(tree, coeffs, up) - evaluate_cost(tree, coeffs, dn)) / (2 * step)
@@ -291,32 +276,35 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 
 
 # ---------------------------------------------------------------------------
-# dense route: reduced quadratic program from impulse responses
+# dense route: the reduced quadratic program, one Hessian column per impulse
 
 
-def _impulse_quadratic(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
-    """Reduced quadratic in the raw control values (zero base, one unit
-    impulse per column).  More than DENSE_SIZE_CAP unknowns are refused
-    before anything is allocated."""
+def _reduced_hessian(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
+    """H in the raw control values, from unit impulses in column blocks.
+    More than DENSE_SIZE_CAP unknowns are refused before anything is
+    allocated."""
     m = coeffs.m
     dim = control_dimension(tree, m)
     if dim > DENSE_SIZE_CAP:
         raise SizeCapError(
-            f"dense reduced quadratic needs {dim} directions, "
+            f"dense reduced Hessian needs {dim} directions, "
             f"cap is {DENSE_SIZE_CAP}; use the sparse oracle route"
         )
-    impulses, pos = [], 0
-    for k in range(tree.n_steps):
-        cnt = tree.n_nodes(k) * m
-        level = np.zeros((tree.n_nodes(k), m, dim))
-        level.reshape(cnt, dim)[np.arange(cnt), pos + np.arange(cnt)] = 1.0
-        impulses.append(level)
-        pos += cnt
-    return reduced_quadratic(tree, coeffs, zero_controls(tree, m), impulses)
+    hess = np.empty((dim, dim))
+    for block in column_blocks(dim):
+        impulses = np.zeros((dim, block.stop - block.start))
+        impulses[block] = np.eye(block.stop - block.start)
+        hess[:, block] = stack_controls(hessian_product(
+            tree, coeffs, unstack_controls(impulses, tree, m)))
+    hess += hess.T   # symmetric up to rounding; make both triangles agree
+    hess *= 0.5
+    return hess
 
 
 def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
-    hess, lin, _ = _impulse_quadratic(tree, coeffs)
+    hess = _reduced_hessian(tree, coeffs)
+    lin = 0.5 * stack_controls(
+        cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))
     try:
         factor = scipy.linalg.cho_factor(hess)
     except np.linalg.LinAlgError as exc:
@@ -520,6 +508,6 @@ def weighted_hessian_eigenvalues(tree: ScenarioTree,
     which pins the normalization used by the convexity margin.  The Hessian
     is assembled densely, so trees above DENSE_SIZE_CAP control unknowns
     raise SizeCapError."""
-    hess, _, _ = _impulse_quadratic(tree, coeffs)
+    hess = _reduced_hessian(tree, coeffs)
     scale = 1.0 / np.sqrt(control_weights(tree, coeffs.m))
     return np.linalg.eigvalsh(2.0 * hess * scale[:, None] * scale[None, :])

@@ -13,9 +13,9 @@ once :func:`.model.validate_h1_h2` (which ``run_pipeline`` always runs) has
 shown them positive semidefinite (H2), the cost is convex in the control
 and in eta, which enters the control affinely.  The cost on the eta family
 is an exact quadratic; :func:`assemble_outer_quadratic` builds it on demand
-as a check, from d+1 constrained solves fed as the columns of one
-Gram-accumulating sweep (:func:`.oracle.reduced_quadratic`).  The pipeline
-does not run it.
+as a check, from d+1 constrained solves and the cost's Hessian products and
+gradient (:func:`.oracle.hessian_product`, :func:`.oracle.cost_gradient`).
+The pipeline does not run it.
 
 The reported cost re-runs the controlled mean-field BSDE at the final
 control, and the reported stationarity residual re-derives the first-order
@@ -38,8 +38,10 @@ from .multipliers import (ConstrainedSolution, MeanOperators, build_workspace,
                           column_blocks, constrained_solution_at, eta_dimension,
                           probe_operators, solve_constrained_problem,
                           solve_outer_system, split_blocks)
-from .oracle import (OracleSolution, control_error, cost_of_solution,
-                     reduced_quadratic, smp_stationarity_residual, solve_oracle)
+from .oracle import (OracleSolution, control_dimension, control_error,
+                     cost_gradient, cost_of_solution, evaluate_cost,
+                     hessian_product, smp_stationarity_residual, solve_oracle,
+                     stack_controls, unstack_controls)
 from .riccati import RiccatiSolution, solve_riccati
 from .tree import ScenarioTree, build_tree
 
@@ -64,18 +66,27 @@ def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
     An on-demand check of the eta family; :func:`run_pipeline` does not call
     it.  The d unit-eta constrained solves run in column blocks; each block
     writes its control changes u(e_j) - u(0) into one preallocated column
-    stack of directions, so this holds (2**depth, m, d) floats."""
+    stack of directions D, so this holds (2**depth, m, d) floats.  With
+    u(eta) = u(0) + D eta, the hessian is D' H D, taken one block of H D at
+    a time, and the linear term is half of D' times the gradient at u(0)."""
     d = eta_dimension(tree, coeffs)
     base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
     unit = np.eye(d)
-    directions = [np.empty((tree.n_nodes(k), coeffs.m, d))
-                  for k in range(tree.n_steps)]
+    flat = np.empty((control_dimension(tree, coeffs.m), d))
+    directions = unstack_controls(flat, tree, coeffs.m)   # views into flat
     for block in column_blocks(d):
         sol = solve_constrained_problem(tree, coeffs, ric, unit[:, block], ops)
         for level, part, origin in zip(directions, sol.u, base):
             np.subtract(part, origin[..., None], out=level[:, :, block])
         del sol   # free this block's fields before the next block is solved
-    hess, lin, const = reduced_quadratic(tree, coeffs, base, directions)
+    hess = np.empty((d, d))
+    for block in column_blocks(d):
+        hess[:, block] = flat.T @ stack_controls(hessian_product(
+            tree, coeffs, [level[:, :, block] for level in directions]))
+    hess += hess.T   # symmetric up to rounding; make both triangles agree
+    hess *= 0.5
+    lin = 0.5 * (flat.T @ stack_controls(cost_gradient(tree, coeffs, base)))
+    const = evaluate_cost(tree, coeffs, base)
 
     eigs = np.linalg.eigvalsh(hess)
     min_eig = float(eigs[0])

@@ -73,11 +73,10 @@ def _conditioners(sigma, R, eye):
     return H, R @ H
 
 
-def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet,
-                  tol: float = _NEWTON_TOL,
-                  max_iterations: int = _MAX_NEWTON) -> RiccatiSolution:
+def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
     """Run the backward recursion over all levels; raises RiccatiError on a
-    node where the Newton iteration fails to meet the residual tolerance."""
+    node where the Newton iteration fails to meet the residual tolerance
+    _NEWTON_TOL within _MAX_NEWTON iterations."""
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
     basis = _sym_basis(n)
@@ -101,16 +100,16 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet,
         H, G1 = _conditioners(sig, R, eye)
         res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
         res_norm = np.linalg.norm(res, axis=(1, 2))
-        tol_vec = tol * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
+        tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         active = res_norm > tol_vec
 
         iters = 0
         while active.any():
-            if iters >= max_iterations:
+            if iters >= _MAX_NEWTON:
                 j = int(np.argmax(np.where(active, res_norm, -np.inf)))
                 raise RiccatiError(
                     f"Newton failed at level {k}: {int(active.sum())} nodes "
-                    f"above tolerance after {max_iterations} iterations "
+                    f"above tolerance after {_MAX_NEWTON} iterations "
                     f"(worst residual {res_norm[j]:.3e} at node {j})"
                 )
             iters += 1
@@ -150,7 +149,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet,
                 )
             sig, H, G1 = trial, Ht, G1t
             res, res_norm = res_t, rn_t
-            tol_vec = tol * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
+            tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
             active = res_norm > tol_vec
 
         sigma[k], phi[k] = sig, phik

@@ -24,6 +24,15 @@ from ._errors import ConfigurationError
 
 MAX_DEPTH = 24
 DEFAULT_DEPTH = 16
+# Columns solved together in one batched sweep.  Fixed, so results never
+# depend on the machine; every per-column buffer lives for one block only.
+_COLUMN_BLOCK = 16
+
+
+def column_blocks(count: int) -> list:
+    """Slices covering ``count`` columns, _COLUMN_BLOCK at a time."""
+    return [slice(start, min(start + _COLUMN_BLOCK, count))
+            for start in range(0, count, _COLUMN_BLOCK)]
 
 
 def _t(mats: np.ndarray) -> np.ndarray:
@@ -56,8 +65,9 @@ class ScenarioTree:
     """Time grid plus the exact conditional-expectation calculus of the walk."""
 
     def __init__(self, horizon: float, n_steps: int):
-        if not horizon > 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < math.inf:
+            raise ConfigurationError(
+                f"horizon must be positive and finite, got {horizon}")
         if not 1 <= int(n_steps) <= MAX_DEPTH:
             raise ConfigurationError(
                 f"n_steps must be within [1, {MAX_DEPTH}], got {n_steps}"

@@ -9,11 +9,11 @@ to rounding.
 import numpy as np
 import pytest
 
-from mfbslq import (build_tree, evaluate_cost, realize, solve_forward_sde,
-                    solve_meanfield_bsde, solve_riccati)
+from mfbslq import (build_tree, cost_gradient, evaluate_cost, realize,
+                    solve_forward_sde, solve_meanfield_bsde, solve_riccati)
 from mfbslq.multipliers import (column_blocks, eta_dimension, probe_operators,
                                 solve_constrained_problem, solve_decoupled)
-from mfbslq.oracle import reduced_quadratic
+from mfbslq.oracle import stack_controls
 from mfbslq.outer import assemble_outer_quadratic
 from conftest import CORPUS
 
@@ -69,6 +69,20 @@ def test_meanfield_columns_match_single_solves(corpus, name):
 
 
 @pytest.mark.parametrize("name", CORPUS)
+def test_gradient_columns_match_single_gradients(corpus, name):
+    tree, coeffs, _ = _setup(corpus, name)
+    rng = np.random.default_rng(14)
+    controls = [rng.standard_normal((tree.n_nodes(k), coeffs.m, COLUMNS))
+                for k in range(DEPTH)]
+    batched = cost_gradient(tree, coeffs, controls)
+    for j in range(COLUMNS):
+        single = cost_gradient(tree, coeffs, [u[..., j] for u in controls])
+        for b_lv, s_lv in zip(batched, single):
+            assert b_lv.shape == s_lv.shape + (COLUMNS,)
+            _assert_close(b_lv[..., j], s_lv, 1e-12)
+
+
+@pytest.mark.parametrize("name", CORPUS)
 def test_outer_quadratic_matches_per_column_directions(corpus, name):
     tree, coeffs, ric = _setup(corpus, name)
     ops = probe_operators(tree, coeffs, ric)
@@ -79,15 +93,25 @@ def test_outer_quadratic_matches_per_column_directions(corpus, name):
     for j in range(d):
         u = solve_constrained_problem(tree, coeffs, ric, np.eye(d)[j], ops).u
         columns.append([a - b for a, b in zip(u, base)])
-    directions = [np.stack(levels, axis=-1) for levels in zip(*columns)]
-    hess, lin, const = reduced_quadratic(tree, coeffs, base, directions)
+    # reference: one single-column gradient per direction.  The cost is
+    # u' H u + 2 l' u + J(0), so with a zero terminal value the gradient at
+    # a direction is 2 H times it, and the gradient at the base is
+    # 2 (H base + l)
+    flat = np.stack([stack_controls(c) for c in columns], axis=1)
+    zero = np.zeros_like(coeffs.xi)
+    hess = np.empty((d, d))
+    for j, direction in enumerate(columns):
+        state = solve_meanfield_bsde(tree, coeffs, direction, terminal=zero)
+        hess[:, j] = 0.5 * flat.T @ stack_controls(
+            cost_gradient(tree, coeffs, direction, state))
+    lin = 0.5 * flat.T @ stack_controls(cost_gradient(tree, coeffs, base))
+    const = evaluate_cost(tree, coeffs, base)
     scale = max(1.0, float(np.abs(hess).max()))
     assert np.abs(quad.hessian - hess).max() <= 1e-10 * scale
     assert np.abs(quad.linear - lin).max() <= 1e-10 * scale
     assert abs(quad.constant - const) <= 1e-10 * max(1.0, abs(const))
 
-    # the streamed Gram against plain cost evaluations of single controls
-    assert const == pytest.approx(evaluate_cost(tree, coeffs, base), rel=1e-10)
+    # the reference against plain cost evaluations of single controls
     for j in (0, d // 2, d - 1):
         up = evaluate_cost(tree, coeffs, [b + c for b, c in zip(base, columns[j])])
         dn = evaluate_cost(tree, coeffs, [b - c for b, c in zip(base, columns[j])])

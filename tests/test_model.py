@@ -53,6 +53,18 @@ def test_bad_dimensions_rejected():
     doc["delta"] = -0.5
     with pytest.raises(ConfigurationError, match="delta"):
         load_spec(json.dumps(doc))
+    for key in ("n", "m"):   # isinstance(True, int) holds, but a bool is no size
+        doc = _doc()
+        doc[key] = True
+        with pytest.raises(ConfigurationError, match="n and m"):
+            load_spec(json.dumps(doc))
+    for key in ("T", "delta"):   # 1e400 parses to inf
+        for literal in ("1e400", "-1e400", "NaN", '"abc"', "true",
+                        "1" + "0" * 400):
+            doc = _doc()
+            doc[key] = "@"
+            with pytest.raises(ConfigurationError, match=key):
+                load_spec(json.dumps(doc).replace('"@"', literal))
 
 
 def test_unsupported_form_rejected():

@@ -170,9 +170,10 @@ def test_analytic_matches_finite_difference(corpus):
 
 def test_gradient_pairs_with_directions(m1):
     # cost_gradient is the raw Euclidean gradient: its plain dot product with
-    # any direction equals the exact directional derivative, and rescaling by
-    # the level weights turns it into the weighted-space representative whose
-    # weighted norm is gradient_dual_norm
+    # any direction equals the exact directional derivative, here the
+    # unit-step central difference (J(u + v) - J(u - v)) / 2, exact for a
+    # quadratic cost; rescaling by the level weights turns it into the
+    # weighted-space representative whose weighted norm is gradient_dual_norm
     tree, coeffs = _setup(m1, 4)
     rng = np.random.default_rng(19)
     d = control_dimension(tree, coeffs.m)
@@ -182,7 +183,9 @@ def test_gradient_pairs_with_directions(m1):
              for k, g in enumerate(grad)]
     for _ in range(3):
         v = unstack_controls(rng.standard_normal(d), tree, coeffs.m)
-        rhs = directional_derivative(tree, coeffs, u, v)
+        up = evaluate_cost(tree, coeffs, [a + b for a, b in zip(u, v)])
+        dn = evaluate_cost(tree, coeffs, [a - b for a, b in zip(u, v)])
+        rhs = (up - dn) / 2
         plain = sum(float(np.sum(g * vk)) for g, vk in zip(grad, v))
         assert abs(plain - rhs) <= 1e-10 * (1 + abs(rhs))
         assert abs(weighted_inner(tree, riesz, v) - rhs) <= 1e-10 * (1 + abs(rhs))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbslq import RiccatiError, build_tree, realize, solve_riccati
+from mfbslq import RiccatiError, build_tree, realize, riccati, solve_riccati
 from conftest import scalar_spec
 
 
@@ -107,8 +107,9 @@ def test_martingale_consistency(m1_random):
                            atol=1e-12)
 
 
-def test_newton_tolerance_enforced(m1):
+def test_newton_tolerance_enforced(m1, monkeypatch):
     tree = build_tree(1.0, 3)
     coeffs = realize(m1, tree)
+    monkeypatch.setattr(riccati, "_MAX_NEWTON", 0)
     with pytest.raises(RiccatiError):
-        solve_riccati(tree, coeffs, max_iterations=0)
+        solve_riccati(tree, coeffs)

@@ -30,6 +30,9 @@ def test_depth_limits():
         build_tree(1.0, MAX_DEPTH + 1)
     with pytest.raises(ConfigurationError):
         build_tree(-1.0, 4)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build_tree(horizon, 4)
 
 
 def test_walk_values_match_updown_counts():
