@@ -34,4 +34,5 @@ class SizeCapError(MfbslqError):
 
 
 class NumericsError(MfbslqError):
-    """An internal consistency probe (affinity/superposition) failed."""
+    """An internal consistency check failed: a control reconstruction defect,
+    a singular outer system, or a multiplier residual of the final solve."""

@@ -74,6 +74,9 @@ def _run_checks(result, report: dict, max_control_error: float,
     worst = max(cres.values())
     if worst > max_residual:
         failures.append(f"constraint residual {worst:.3e} > {max_residual:.1e}")
+    if report["multiplier_residual"] > max_residual:
+        failures.append(f"multiplier residual {report['multiplier_residual']:.3e} "
+                        f"> {max_residual:.1e}")
     if report["riccati"]["symmetry"] > 1e-10:
         failures.append(f"riccati symmetry defect {report['riccati']['symmetry']:.3e}")
     if report["riccati"]["min_I_plus_SigmaR_sv"] <= 0.0:
@@ -181,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="gate on relative control error (with --check "
                             "--with-oracle)")
     p_run.add_argument("--max-residual", type=float, default=CHECK_RESIDUAL,
-                       help="gate on constraint residual (with --check)")
+                       help="gate on the constraint and multiplier residuals "
+                            "(with --check)")
     p_run.add_argument("--out", default=None, help="output path (default stdout)")
     p_run.set_defaults(fn=_cmd_run)
 

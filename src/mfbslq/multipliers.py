@@ -29,9 +29,8 @@ scheme onto the discrete optimizer and hides genuine time-step error).
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]);
 both are probed with unit impulses, run as the columns of a few batched
-sweeps; the probe is cross-checked by superposition on a dense test
-vector, and the multiplier equation L lam = eta - p_xi - P_eta eta is
-solved by SVD with a certified residual.
+sweeps.  For a given eta the multiplier equation L lam = eta - p_xi -
+P_eta eta is solved by rank-truncated least squares.
 
 The outer optimality conditions couple the two probed maps: at the
 optimum the multipliers must equal the mean-cost gradients minus the
@@ -45,6 +44,10 @@ while the realized means equal eta.  `solve_outer_system` assembles the
 resulting linear system in (eta, lam) from the probes and solves it
 directly; with all barred coefficients zero it yields lam = 0 and the
 plain feedback control identically.
+
+The probes are not trusted on their own: `constrained_solution_at` gates
+the realized means of the final sweep against eta and returns its realized
+couplings, so the caller checks the multiplier condition on that solve.
 
 Vector layout: means and multipliers are stacked [y-block | z-block |
 u-block], each block time-major over levels 0..n_steps-1.
@@ -257,43 +260,30 @@ class MeanOperators:
     q_xi: np.ndarray
     Q_eta: np.ndarray
     M: np.ndarray
-    svd: tuple       # (U, s, Vt) of L
-    rank: int
-    superposition_error: float   # |predicted - direct| on the dense test pair
-
-    def multiplier_rhs(self, eta: np.ndarray) -> np.ndarray:
-        """eta - p_xi - P_eta eta: what L lam must equal (eta may be a column stack)."""
-        return eta - self.p_xi.reshape((-1,) + (1,) * (eta.ndim - 1)) - self.P_eta @ eta
 
     def solve_lambda(self, rhs: np.ndarray) -> np.ndarray:
-        """Rank-truncated least-squares solution of L lam = rhs; ``rhs`` is
-        (d,) or a column stack (d, c)."""
-        u_mat, s, vt = self.svd
-        r = self.rank
-        coef = (u_mat[:, :r].T @ rhs) / s[:r].reshape((r,) + (1,) * (rhs.ndim - 1))
-        return vt[:r].T @ coef
+        """Least-squares solution of L lam = rhs, singular values at or below
+        _RANK_TOL times the largest treated as zero; ``rhs`` is (d,) or a
+        column stack (d, c)."""
+        return np.linalg.lstsq(self.L, rhs, rcond=_RANK_TOL)[0]
 
 
 def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
                     ric: RiccatiSolution) -> MeanOperators:
     """Assemble the affine maps by unit impulses; memoized on the Riccati pair.
 
-    The 2d + 2 probe columns (the base, the d lam impulses, the d eta
-    impulses and a dense superposition test pair) run in column blocks,
-    one batched sweep per block."""
+    The 2d + 1 probe columns (the base, the d lam impulses and the d eta
+    impulses) run in column blocks, one batched sweep per block."""
     key = "mean_operators"
     cached = ric._cache.get(key)
     if cached is not None and cached[0] is coeffs:
         return cached[1]
     d = eta_dimension(tree, coeffs)
-    cols = 2 * d + 2
+    cols = 2 * d + 1
     lam_in = np.zeros((d, cols))
     eta_in = np.zeros((d, cols))
     lam_in[:, 1:d + 1] = np.eye(d)
-    eta_in[:, d + 1:2 * d + 1] = np.eye(d)
-    # superposition cross-check on a dense deterministic pattern
-    lam_t = lam_in[:, -1] = np.cos(np.arange(1, d + 1, dtype=float))
-    eta_t = eta_in[:, -1] = np.sin(np.arange(1, d + 1, dtype=float))
+    eta_in[:, d + 1:] = np.eye(d)
     means = np.empty((d, cols))
     coupling = np.empty((d, cols))
     for block in column_blocks(cols):
@@ -301,27 +291,11 @@ def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
         means[:, block], coupling[:, block] = sol.means, sol.coupling
         del sol   # free this block's fields before the next block is solved
 
-    p_xi, q_xi = means[:, 0], coupling[:, 0]
-    l_mat = means[:, 1:d + 1] - p_xi[:, None]
-    m_mat = coupling[:, 1:d + 1] - q_xi[:, None]
-    p_mat = means[:, d + 1:2 * d + 1] - p_xi[:, None]
-    q_mat = coupling[:, d + 1:2 * d + 1] - q_xi[:, None]
-
-    predicted = np.concatenate([
-        p_xi + p_mat @ eta_t + l_mat @ lam_t,
-        q_xi + q_mat @ eta_t + m_mat @ lam_t,
-    ])
-    got = np.concatenate([means[:, -1], coupling[:, -1]])
-    err = float(np.linalg.norm(got - predicted))
-    if err > 1e-8 * (1.0 + float(np.linalg.norm(got))):
-        raise NumericsError(
-            f"probed mean operators fail superposition: error {err:.3e}"
-        )
-
-    u_mat, s, vt = np.linalg.svd(l_mat)
-    rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 1.0)))
-    ops = MeanOperators(p_xi, p_mat, l_mat, q_xi, q_mat, m_mat, (u_mat, s, vt),
-                        rank, err)
+    base_m, base_c = means[:, :1], coupling[:, :1]
+    ops = MeanOperators(
+        p_xi=means[:, 0], P_eta=means[:, d + 1:] - base_m, L=means[:, 1:d + 1] - base_m,
+        q_xi=coupling[:, 0], Q_eta=coupling[:, d + 1:] - base_c,
+        M=coupling[:, 1:d + 1] - base_c)
     ric._cache[key] = (coeffs, ops)
     return ops
 
@@ -343,36 +317,28 @@ def mean_cost_weights(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
 
 
 def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
-                       ric: RiccatiSolution,
-                       ops: MeanOperators | None = None):
+                       ric: RiccatiSolution):
     """Solve the outer first-order conditions for (eta, lam).
 
     Two blocks of equations: the realized means equal eta (feasibility),
     and the multipliers equal the mean-cost gradient minus the probed
     mean-coupling feedback (stationarity in eta).  Both are affine in
-    (eta, lam), so the pair is a single linear solve.  Returns
-    (eta, lam, residual, singular): `residual` is the worst equation
-    defect of the computed pair, `singular` flags a least-squares
-    fallback on a rank-deficient system.
+    (eta, lam), so the pair is a single linear solve.  An exactly singular
+    system raises NumericsError; the answer itself is certified on the
+    final sweep (see :func:`constrained_solution_at`).
     """
-    if ops is None:
-        ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ric)
     d = eta_dimension(tree, coeffs)
     eye = np.eye(d)
-    weights = mean_cost_weights(tree, coeffs)
     a_sys = np.block([
         [eye - ops.P_eta, -ops.L],
-        [weights - ops.Q_eta, -(eye + ops.M)],
+        [mean_cost_weights(tree, coeffs) - ops.Q_eta, -(eye + ops.M)],
     ])
-    rhs = np.concatenate([ops.p_xi, ops.q_xi])
-    singular = False
     try:
-        sol = np.linalg.solve(a_sys, rhs)
-    except np.linalg.LinAlgError:
-        singular = True
-        sol = np.linalg.lstsq(a_sys, rhs, rcond=None)[0]
-    residual = float(np.abs(a_sys @ sol - rhs).max())
-    return sol[:d], sol[d:], residual, singular
+        sol = np.linalg.solve(a_sys, np.concatenate([ops.p_xi, ops.q_xi]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"outer first-order system is singular ({exc})") from exc
+    return sol[:d], sol[d:]
 
 
 @dataclass
@@ -389,48 +355,43 @@ class ConstrainedSolution:
     lam: np.ndarray
     eta: np.ndarray
     means: np.ndarray
-    lambda_residual: float        # ||L lam - rhs|| of the multiplier solve
+    coupling: np.ndarray              # realized E[A_bar' x], E[C_bar' x], E[B_bar' x]
     constraint_residual: np.ndarray   # realized means - eta, stacked
 
 
 def solve_constrained_problem(tree: ScenarioTree, coeffs: CoefficientSet,
-                              ric: RiccatiSolution, eta_vec: np.ndarray,
-                              ops: MeanOperators | None = None) -> ConstrainedSolution:
+                              ric: RiccatiSolution,
+                              eta_vec: np.ndarray) -> ConstrainedSolution:
     """Pick multipliers hitting the target means, certify, and solve.
     ``eta_vec`` is (d,) or a column stack (d, c) solved in one sweep."""
-    if ops is None:
-        ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ric)
     eta_vec = np.asarray(eta_vec, dtype=float)
-    lam = ops.solve_lambda(ops.multiplier_rhs(eta_vec))
-    return constrained_solution_at(tree, coeffs, ric, lam, eta_vec, ops)
+    p_xi = ops.p_xi.reshape((-1,) + (1,) * (eta_vec.ndim - 1))
+    lam = ops.solve_lambda(eta_vec - p_xi - ops.P_eta @ eta_vec)
+    return constrained_solution_at(tree, coeffs, ric, lam, eta_vec)
 
 
 def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
                             ric: RiccatiSolution, lam_vec: np.ndarray,
-                            eta_vec: np.ndarray,
-                            ops: MeanOperators | None = None) -> ConstrainedSolution:
-    """Solve at an explicitly given multiplier/mean pair and certify that the
-    realized means do hit the targets (the outer system guarantees this up
-    to roundoff; the gate still applies to every column)."""
-    if ops is None:
-        ops = probe_operators(tree, coeffs, ric)
+                            eta_vec: np.ndarray) -> ConstrainedSolution:
+    """Solve at an explicitly given multiplier/mean pair and certify, column
+    by column, that the realized means hit the targets:
+    ||means - eta|| <= _CERT_TOL (1 + ||eta||), else InfeasibleEtaError."""
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
-    rhs = ops.multiplier_rhs(eta_vec)
-    residual = np.linalg.norm(ops.L @ lam_vec - rhs, axis=0)
-    excess = residual - _CERT_TOL * (1.0 + np.linalg.norm(rhs, axis=0))
+    sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
+    defect = sol.means - eta_vec
+    residual = np.linalg.norm(defect, axis=0)
+    excess = residual - _CERT_TOL * (1.0 + np.linalg.norm(eta_vec, axis=0))
     if np.any(excess > 0):
         worst = float(np.ravel(residual)[np.argmax(excess)])
         raise InfeasibleEtaError(
-            f"target means are not attainable: multiplier residual {worst:.3e} "
-            f"(operator rank {ops.rank} of {ops.L.shape[0]})"
+            f"target means are not attainable: realized means miss them by {worst:.3e}"
         )
-    sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
     return ConstrainedSolution(
         u=sol.u, y=sol.y, z=sol.z, x=sol.x, phi=sol.phi, vtheta=sol.vtheta,
-        lam=lam_vec, eta=eta_vec, means=sol.means,
-        lambda_residual=float(residual) if residual.ndim == 0 else residual,
-        constraint_residual=sol.means - eta_vec,
+        lam=lam_vec, eta=eta_vec, means=sol.means, coupling=sol.coupling,
+        constraint_residual=defect,
     )
 
 

@@ -7,6 +7,12 @@ matching condition, a single linear solve over the probed affine maps.
 With all barred coefficients zero the system collapses to zero multipliers
 and the plain feedback control.
 
+Both conditions are certified on the final sweep, whose control is
+returned, not on the probes: its realized means must hit eta, and its
+realized couplings must give lam = W eta - coupling (W the mean-cost
+weights), else NumericsError.  The report's ``multiplier_residual`` is
+max |W eta - coupling - lam|.
+
 Convexity is certified by the standing assumptions: the discrete cost is a
 sum of Gram forms over the weights Q, R, N, their barred means and G, so
 once :func:`.model.validate_h1_h2` (which ``run_pipeline`` always runs) has
@@ -31,13 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import ConvexityError, SpecValidationError
+from ._errors import ConvexityError, NumericsError, SpecValidationError
 from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
-from .multipliers import (ConstrainedSolution, MeanOperators, build_workspace,
+from .multipliers import (_CERT_TOL, ConstrainedSolution, build_workspace,
                           column_blocks, constrained_solution_at, eta_dimension,
-                          probe_operators, solve_constrained_problem,
-                          solve_outer_system, split_blocks)
+                          mean_cost_weights, probe_operators,
+                          solve_constrained_problem, solve_outer_system,
+                          split_blocks)
 from .oracle import (OracleSolution, control_dimension, control_error,
                      cost_gradient, cost_of_solution, evaluate_cost,
                      hessian_product, smp_stationarity_residual, solve_oracle,
@@ -59,8 +66,7 @@ class OuterQuadratic:
 
 
 def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
-                             ric: RiccatiSolution,
-                             ops: MeanOperators) -> OuterQuadratic:
+                             ric: RiccatiSolution) -> OuterQuadratic:
     """Probe the cost as a function of eta and return it in closed form.
 
     An on-demand check of the eta family; :func:`run_pipeline` does not call
@@ -70,12 +76,12 @@ def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
     u(eta) = u(0) + D eta, the hessian is D' H D, taken one block of H D at
     a time, and the linear term is half of D' times the gradient at u(0)."""
     d = eta_dimension(tree, coeffs)
-    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
+    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d)).u
     unit = np.eye(d)
     flat = np.empty((control_dimension(tree, coeffs.m), d))
     directions = unstack_controls(flat, tree, coeffs.m)   # views into flat
     for block in column_blocks(d):
-        sol = solve_constrained_problem(tree, coeffs, ric, unit[:, block], ops)
+        sol = solve_constrained_problem(tree, coeffs, ric, unit[:, block])
         for level, part, origin in zip(directions, sol.u, base):
             np.subtract(part, origin[..., None], out=level[:, :, block])
         del sol   # free this block's fields before the next block is solved
@@ -103,11 +109,7 @@ class PipelineResult:
     tree: ScenarioTree
     coeffs: CoefficientSet
     riccati: RiccatiSolution
-    operators: MeanOperators
-    eta: np.ndarray
-    lam: np.ndarray
-    eta_residual: float
-    eta_singular: bool
+    multiplier_residual: float   # max |W eta - coupling - lam| on the final sweep
     constrained: ConstrainedSolution
     resolved: MeanfieldBsdeSolution
     cost: float
@@ -123,9 +125,6 @@ class PipelineResult:
         steps = implicit_steps(self.tree, self.coeffs)
         return {
             "newton_iterations": self.riccati.newton_iterations,
-            "eta_residual": self.eta_residual,
-            "eta_singular": self.eta_singular,
-            "probe_superposition_error": self.operators.superposition_error,
             "min_I_plus_SR_sv": ws.min_conditioner_sv,
             "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
             "min_I_minus_dt_A_sv": steps.min_step_sv,
@@ -137,8 +136,8 @@ class PipelineResult:
                                self.tree, self.coeffs)
         out = {
             "cost": self.cost,
-            "eta_star": [float(v) for v in self.eta],
-            "lambda_residual": self.constrained.lambda_residual,
+            "eta_star": [float(v) for v in self.constrained.eta],
+            "multiplier_residual": self.multiplier_residual,
             "constraint_residuals": {
                 "y_means": float(np.abs(a).max()),
                 "z_means": float(np.abs(b).max()),
@@ -184,21 +183,26 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         )
     implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
-    ops = staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
-    eta, lam, eta_residual, eta_singular = staged(
-        "solve_outer_system",
-        lambda: solve_outer_system(tree, coeffs, ric, ops))
-    final = staged("final_solve", lambda: constrained_solution_at(
-        tree, coeffs, ric, lam, eta, ops))
+    staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
+    eta, lam = staged("solve_outer_system",
+                      lambda: solve_outer_system(tree, coeffs, ric))
+    final = staged("final_solve",
+                   lambda: constrained_solution_at(tree, coeffs, ric, lam, eta))
+    gap = mean_cost_weights(tree, coeffs) @ eta - final.coupling - lam
+    gap_norm = float(np.linalg.norm(gap))
+    if gap_norm > _CERT_TOL * (1.0 + np.linalg.norm(lam)):
+        raise NumericsError(
+            f"multiplier residual {gap_norm:.3e} of the final solve exceeds "
+            f"{_CERT_TOL:.1e} (1 + |lambda|)")
     resolved = staged("cost", lambda: solve_meanfield_bsde(tree, coeffs, final.u))
     cost = cost_of_solution(tree, coeffs, final.u, resolved)
     stationarity = staged("stationarity", lambda: smp_stationarity_residual(
         tree, coeffs, final.u, resolved))
 
     result = PipelineResult(
-        tree=tree, coeffs=coeffs, riccati=ric, operators=ops,
-        eta=eta, lam=lam, eta_residual=eta_residual, eta_singular=eta_singular,
-        constrained=final, resolved=resolved, cost=cost,
+        tree=tree, coeffs=coeffs, riccati=ric,
+        multiplier_residual=float(np.abs(gap).max()), constrained=final,
+        resolved=resolved, cost=cost,
         stationarity_residual=stationarity, timings=timings,
     )
     if with_oracle:

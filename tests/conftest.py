@@ -8,6 +8,7 @@ tests were written.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -73,6 +74,20 @@ def barred_zero_spec(name: str = "m1"):
     for key in ("Q_bar", "R_bar", "N_bar"):
         raw["cost"][key] = constant(0.0)
     return load_spec(json.dumps(raw))
+
+
+def perturb_probed_coupling(monkeypatch, shift: float) -> None:
+    """Make every lookup of the probed operators return a copy whose
+    coupling block M is off by ``shift`` in every entry."""
+    from mfbslq import multipliers, outer
+    real = multipliers.probe_operators
+
+    def perturbed(*args, **kwargs):
+        ops = real(*args, **kwargs)
+        return dataclasses.replace(ops, M=ops.M + shift)
+
+    monkeypatch.setattr(multipliers, "probe_operators", perturbed)
+    monkeypatch.setattr(outer, "probe_operators", perturbed)
 
 
 @pytest.fixture(scope="session")

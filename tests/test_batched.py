@@ -85,13 +85,12 @@ def test_gradient_columns_match_single_gradients(corpus, name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_outer_quadratic_matches_per_column_directions(corpus, name):
     tree, coeffs, ric = _setup(corpus, name)
-    ops = probe_operators(tree, coeffs, ric)
-    quad = assemble_outer_quadratic(tree, coeffs, ric, ops)
+    quad = assemble_outer_quadratic(tree, coeffs, ric)
     d = eta_dimension(tree, coeffs)
-    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d), ops).u
+    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d)).u
     columns = []
     for j in range(d):
-        u = solve_constrained_problem(tree, coeffs, ric, np.eye(d)[j], ops).u
+        u = solve_constrained_problem(tree, coeffs, ric, np.eye(d)[j]).u
         columns.append([a - b for a, b in zip(u, base)])
     # reference: one single-column gradient per direction.  The cost is
     # u' H u + 2 l' u + J(0), so with a zero terminal value the gradient at

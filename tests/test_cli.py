@@ -7,7 +7,8 @@ import pytest
 
 from mfbslq import NumericsError
 from mfbslq.cli import main
-from conftest import corpus_path, scalar_spec_doc, singular_mean_doc, singular_step_doc
+from conftest import (corpus_path, perturb_probed_coupling, scalar_spec_doc,
+                      singular_mean_doc, singular_step_doc)
 
 S1 = str(corpus_path("s1"))
 M1 = str(corpus_path("m1"))
@@ -35,7 +36,7 @@ def test_run_writes_report(tmp_path):
                  "--check", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert {"cost", "eta_star", "lambda_residual", "constraint_residuals",
+    assert {"cost", "eta_star", "multiplier_residual", "constraint_residuals",
             "stationarity_residual", "riccati", "diagnostics", "timings",
             "oracle"} == set(report)
     assert report["oracle"]["control_error"] <= 0.10
@@ -81,6 +82,27 @@ def test_run_solver_failure_maps_to_two(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_pipeline", boom)
     assert main(["run", "--spec", S1, "--nt", "4"]) == 2
+
+
+def test_run_wrong_probe_maps_to_two(monkeypatch, capsys):
+    perturb_probed_coupling(monkeypatch, 1e-3)
+    assert main(["run", "--spec", M1, "--nt", "4", "--out", "-"]) == 2
+    assert "multiplier residual" in capsys.readouterr().err
+
+
+def test_check_gates_multiplier_residual():
+    from mfbslq.cli import _run_checks
+
+    class NoOracle:
+        oracle = None
+
+    report = {"constraint_residuals": {"y_means": 0.0, "z_means": 0.0,
+                                       "u_means": 0.0},
+              "multiplier_residual": 2e-8, "cost": 1.0,
+              "riccati": {"symmetry": 0.0, "min_I_plus_SigmaR_sv": 1.0}}
+    failures = _run_checks(NoOracle(), report, 0.1, 1e-8)
+    assert len(failures) == 1 and "multiplier residual" in failures[0]
+    assert _run_checks(NoOracle(), report, 0.1, 1e-7) == []
 
 
 def test_run_deterministic_checked_payload(tmp_path):

@@ -23,7 +23,9 @@ import math
 import numpy as np
 import pytest
 
-from mfbslq import InfeasibleEtaError, build_tree, realize, solve_riccati
+from mfbslq import (InfeasibleEtaError, NumericsError, build_tree, realize,
+                    solve_riccati)
+from mfbslq import multipliers
 from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 decoupling_residual, eta_dimension,
                                 mean_cost_weights, pack_blocks,
@@ -138,7 +140,7 @@ def test_probed_operators_reproduce_solves(m1):
         assert np.abs(sol.coupling - want_coupling).max() <= 1e-10
 
 
-def test_probe_cache_reused(m1):
+def test_workspace_cache_reused(m1):
     tree, coeffs, ric = _setup(m1, 3)
     ws1 = build_workspace(tree, coeffs, ric)
     ws2 = build_workspace(tree, coeffs, ric)
@@ -159,9 +161,7 @@ def test_mean_cost_weights_blocks(m1):
 def test_outer_system_solves_first_order_conditions(m1):
     tree, coeffs, ric = _setup(m1, 4)
     ops = probe_operators(tree, coeffs, ric)
-    eta, lam, residual, singular = solve_outer_system(tree, coeffs, ric, ops)
-    assert not singular
-    assert residual <= 1e-9
+    eta, lam = solve_outer_system(tree, coeffs, ric)
 
     weights = mean_cost_weights(tree, coeffs)
     eye = np.eye(eta.size)
@@ -180,8 +180,7 @@ def test_outer_system_solves_first_order_conditions(m1):
 def test_outer_system_collapses_without_coupling():
     spec = barred_zero_spec("m1")
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam, residual, singular = solve_outer_system(tree, coeffs, ric)
-    assert not singular
+    eta, lam = solve_outer_system(tree, coeffs, ric)
     assert np.abs(lam).max() <= 1e-12
     ops = probe_operators(tree, coeffs, ric)
     assert np.allclose(eta, ops.p_xi, atol=1e-12)
@@ -192,14 +191,32 @@ def test_outer_system_collapses_without_coupling():
         assert np.abs(final.u[k] - feedback[k]).max() <= 1e-10
 
 
+def test_singular_outer_system_is_a_numerics_error(m1, monkeypatch):
+    # P_eta = I and L = 0 zero the feasibility block of the outer system
+    tree, coeffs, ric = _setup(m1, 3)
+    ops = probe_operators(tree, coeffs, ric)
+    degenerate = dataclasses.replace(ops, P_eta=np.eye(ops.L.shape[0]),
+                                     L=np.zeros_like(ops.L))
+    monkeypatch.setattr(multipliers, "probe_operators", lambda *args: degenerate)
+    with pytest.raises(NumericsError, match="singular"):
+        solve_outer_system(tree, coeffs, ric)
+
+
 # ---------------------------------------------------------------------------
 # certification
 
 
 def test_constrained_solution_meets_certificate(m1, d2):
-    for spec in (m1, d2):
-        tree, coeffs, ric = _setup(spec, 4)
+    # B = 0 with mean coupling: the multipliers steer only the control
+    # means, so at depth 3 L has rank 3 of 9 and lam comes from the
+    # rank-truncated least-squares path
+    no_control = scalar_spec(B=0.0, A=0.2, A_bar=0.5, B_bar=0.3, C=0.2,
+                             C_bar=0.4, Q=1.0, Q_bar=0.5, R_bar=0.5, N_bar=0.5,
+                             terminal=WALK_TERMINAL)
+    for spec, nt, rank in ((m1, 4, 12), (d2, 4, 20), (no_control, 3, 3)):
+        tree, coeffs, ric = _setup(spec, nt)
         ops = probe_operators(tree, coeffs, ric)
+        assert np.linalg.matrix_rank(ops.L) == rank
         rng = np.random.default_rng(5)
         d = eta_dimension(tree, coeffs)
         eye = np.eye(d)
@@ -208,7 +225,7 @@ def test_constrained_solution_meets_certificate(m1, d2):
             # random multiplier, eta = (I - P_eta)^{-1} (p_xi + L lam)
             lam = rng.standard_normal(d)
             eta = np.linalg.solve(eye - ops.P_eta, ops.p_xi + ops.L @ lam)
-            sol = solve_constrained_problem(tree, coeffs, ric, eta, ops)
+            sol = solve_constrained_problem(tree, coeffs, ric, eta)
             assert np.abs(sol.constraint_residual).max() <= 1e-8
 
 
@@ -219,7 +236,7 @@ def test_inconsistent_multiplier_pair_rejected():
     bad_eta = ops.p_xi + 1.0  # not the means the zero multiplier produces
     with pytest.raises(InfeasibleEtaError):
         constrained_solution_at(tree, coeffs, ric, np.zeros(bad_eta.size),
-                                bad_eta, ops)
+                                bad_eta)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +247,7 @@ def test_decoupling_residual_decays(m1):
     values = []
     for nt in (4, 8):
         tree, coeffs, ric = _setup(m1, nt)
-        eta, lam, _, _ = solve_outer_system(tree, coeffs, ric)
+        eta, lam = solve_outer_system(tree, coeffs, ric)
         sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
         res = decoupling_residual(tree, coeffs, ric, sol)
         assert res["combined"] > 0.0
@@ -242,7 +259,7 @@ def test_decoupling_residual_decays(m1):
 def test_picard_alternation_agrees_on_short_horizon(m1):
     spec = dataclasses.replace(m1, horizon=0.25)
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam, _, _ = solve_outer_system(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ric)
     sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
     report = picard_cross_check(tree, coeffs, ric, sol)
     assert report["converged"]

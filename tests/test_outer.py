@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from mfbslq import build_tree, realize, solve_riccati
-from mfbslq.multipliers import (eta_dimension, probe_operators,
+from mfbslq import NumericsError, build_tree, realize, solve_riccati
+from mfbslq import multipliers
+from mfbslq.multipliers import (column_blocks, eta_dimension,
                                 solve_constrained_problem)
 from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
-from conftest import barred_zero_spec, scalar_spec
+from conftest import barred_zero_spec, perturb_probed_coupling, scalar_spec
 
 
 def _setup(spec, nt):
@@ -29,12 +30,11 @@ def _quad_value(quad, eta):
 
 def test_quadratic_equals_true_cost(m1):
     tree, coeffs, ric = _setup(m1, 4)
-    ops = probe_operators(tree, coeffs, ric)
-    quad = assemble_outer_quadratic(tree, coeffs, ric, ops)
+    quad = assemble_outer_quadratic(tree, coeffs, ric)
     rng = np.random.default_rng(29)
     for _ in range(3):
         eta = rng.standard_normal(eta_dimension(tree, coeffs))
-        sol = solve_constrained_problem(tree, coeffs, ric, eta, ops)
+        sol = solve_constrained_problem(tree, coeffs, ric, eta)
         true_cost = evaluate_cost(tree, coeffs, sol.u)
         assert abs(_quad_value(quad, eta) - true_cost) <= 1e-9 * (1 + abs(true_cost))
 
@@ -42,8 +42,7 @@ def test_quadratic_equals_true_cost(m1):
 def test_quadratic_is_positive_semidefinite(corpus):
     for name, spec in corpus.items():
         tree, coeffs, ric = _setup(spec, 3)
-        ops = probe_operators(tree, coeffs, ric)
-        quad = assemble_outer_quadratic(tree, coeffs, ric, ops)
+        quad = assemble_outer_quadratic(tree, coeffs, ric)
         assert quad.min_eigenvalue >= -1e-9, name
         assert np.allclose(quad.hessian, quad.hessian.T, atol=1e-12)
 
@@ -55,7 +54,7 @@ def test_quadratic_is_positive_semidefinite(corpus):
 def test_pipeline_report_contract(m1):
     res = run_pipeline(m1, 4, with_oracle=True)
     report = res.report()
-    assert set(report) == {"cost", "eta_star", "lambda_residual",
+    assert set(report) == {"cost", "eta_star", "multiplier_residual",
                            "constraint_residuals", "stationarity_residual",
                            "riccati", "diagnostics", "timings", "oracle"}
     assert set(report["constraint_residuals"]) == {"y_means", "z_means",
@@ -64,14 +63,12 @@ def test_pipeline_report_contract(m1):
                                       "min_I_plus_SigmaR_sv"}
     assert set(report["oracle"]) == {"cost", "control_error"}
     diag = report["diagnostics"]
-    assert set(diag) == {"newton_iterations", "eta_residual", "eta_singular",
-                         "probe_superposition_error", "min_I_plus_SR_sv",
+    assert set(diag) == {"newton_iterations", "min_I_plus_SR_sv",
                          "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
                          "min_mean_closing_sv"}
     assert diag["newton_iterations"] == res.riccati.newton_iterations
-    assert diag["eta_residual"] == res.eta_residual
-    assert diag["eta_singular"] is res.eta_singular
-    assert 0.0 <= diag["probe_superposition_error"] <= 1e-8
+    assert report["multiplier_residual"] == res.multiplier_residual
+    assert 0.0 <= res.multiplier_residual <= 1e-12
     for key in ("min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
                 "min_I_minus_dt_A_sv", "min_mean_closing_sv"):
         assert 0.5 < diag[key] < 2.0   # all four are I + O(dt) at nt=4
@@ -123,6 +120,30 @@ def test_pipeline_timings_cover_stages(m1):
                   "stationarity"):
         assert stage in stages and stages[stage] >= 0.0
     assert "outer_quadratic" not in stages
+
+
+def test_pipeline_probes_once(d2, monkeypatch):
+    # the probe's column blocks plus the final solve, and nothing else: a
+    # missed memo would re-run the probe inside the outer solve
+    calls = []
+    real = multipliers.solve_decoupled
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multipliers, "solve_decoupled", counted)
+    res = run_pipeline(d2, 5)
+    d = eta_dimension(res.tree, res.coeffs)
+    assert len(calls) == len(column_blocks(2 * d + 1)) + 1
+
+
+def test_wrong_probe_is_caught_by_multiplier_residual(m1, monkeypatch):
+    # a probed coupling block off by 1e-3 still yields feasible means, so
+    # only the multiplier condition on the final solve can catch it
+    perturb_probed_coupling(monkeypatch, 1e-3)
+    with pytest.raises(NumericsError, match="multiplier residual"):
+        run_pipeline(m1, 4)
 
 
 def test_pipeline_does_not_assemble_outer_quadratic(m1, monkeypatch):
