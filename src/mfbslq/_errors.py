@@ -18,7 +18,7 @@ class StepSizeError(MfbslqError):
 
 
 class RiccatiError(MfbslqError):
-    """Riccati Newton failed to converge, or a decoupling matrix became singular."""
+    """Riccati Newton failed to converge, or its Newton matrix became singular."""
 
 
 class InfeasibleEtaError(MfbslqError):
@@ -35,4 +35,5 @@ class SizeCapError(MfbslqError):
 
 class NumericsError(MfbslqError):
     """An internal consistency check failed: a control reconstruction defect,
-    a singular outer system, or a multiplier residual of the final solve."""
+    a singular or unconverged outer system, a singular KKT tail in the
+    oracle, or a multiplier residual of the final solve."""

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
-from .bsde import (MeanfieldBsdeSolution, checked_inverse, implicit_steps,
+from .bsde import (MeanfieldBsdeSolution, bounded_inverse, implicit_steps,
                    solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
 from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
@@ -396,7 +396,9 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     recovers the controls.  Pivots are checked after scaling y, z, u by
     (dt 2^-k)^(-1/2) and the multipliers by (dt 2^-k)^(1/2), which makes the
     cost blocks O(1) at every depth and leaves the constraint blocks as
-    they are.
+    they are; the check is the bound of :func:`.bsde.bounded_inverse`, as
+    their singular values are not reported.  A singular tail raises
+    NumericsError.
     """
     n, n_steps = coeffs.n, tree.n_steps
     states = 2 * n + coeffs.m
@@ -427,8 +429,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
         sigma = tree.dt * tree.node_probability(k)
         scale = np.concatenate([np.full(states, sigma ** -0.5),
                                 np.full(2 * n, sigma ** 0.5)])
-        inv, _ = checked_inverse(piv * scale[:, None] * scale[None, :],
-                                 "scaled KKT pivot", k)
+        inv = bounded_inverse(piv * scale[:, None] * scale[None, :],
+                              "scaled KKT pivot", k)
         inverses[k] = inv * scale[:, None] * scale[None, :]
         sol = inverses[k] @ rhs
 
@@ -441,7 +443,12 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
-    means = np.linalg.solve(tail, tail_rhs)
+    try:
+        means = np.linalg.solve(tail, tail_rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            f"KKT tail of level means and their multipliers is singular ({exc})"
+        ) from exc
 
     controls, parent = [], None
     for k in range(n_steps):

@@ -3,9 +3,14 @@
 The optimal deterministic mean triple eta is selected by the outer
 first-order conditions (see :func:`.multipliers.solve_outer_system`):
 feasibility of the realized means plus the multiplier/mean-cost-gradient
-matching condition, a single linear solve over the probed affine maps.
-With all barred coefficients zero the system collapses to zero multipliers
-and the plain feedback control.
+matching condition, one linear system in (eta, lam).  Shallow trees solve
+it densely over the probed affine maps, and :func:`run_pipeline` times the
+probe as its own stage; trees of at least
+``multipliers._KRYLOV_MIN_STEPS`` levels solve it matrix-free by GMRES and
+never probe.  The report's ``outer_columns`` counts the decoupled columns
+either route spent and ``outer_relative_residual`` is |A x - b| / |b| of
+the system.  With all barred coefficients zero the system collapses to
+zero multipliers and the plain feedback control.
 
 Both conditions are certified on the final sweep, whose control is
 returned, not on the probes: its realized means must hit eta, and its
@@ -40,11 +45,12 @@ import numpy as np
 from ._errors import ConvexityError, NumericsError, SpecValidationError
 from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
-from .multipliers import (_CERT_TOL, ConstrainedSolution, build_workspace,
-                          column_blocks, constrained_solution_at, eta_dimension,
+from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,
+                          build_workspace, column_blocks,
+                          constrained_solution_at, eta_dimension,
                           mean_cost_weights, probe_operators,
                           solve_constrained_problem, solve_outer_system,
-                          split_blocks)
+                          split_blocks, uses_krylov)
 from .oracle import (OracleSolution, control_dimension, control_error,
                      cost_gradient, cost_of_solution, evaluate_cost,
                      hessian_product, smp_stationarity_residual, solve_oracle,
@@ -110,6 +116,7 @@ class PipelineResult:
     coeffs: CoefficientSet
     riccati: RiccatiSolution
     multiplier_residual: float   # max |W eta - coupling - lam| on the final sweep
+    outer: OuterSolution
     constrained: ConstrainedSolution
     resolved: MeanfieldBsdeSolution
     cost: float
@@ -129,6 +136,8 @@ class PipelineResult:
             "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
             "min_I_minus_dt_A_sv": steps.min_step_sv,
             "min_mean_closing_sv": steps.min_closing_sv,
+            "outer_columns": self.outer.columns,
+            "outer_relative_residual": self.outer.relative_residual,
         }
 
     def report(self) -> dict:
@@ -156,13 +165,17 @@ class PipelineResult:
             out["oracle"] = {
                 "cost": self.oracle.cost,
                 "control_error": self.oracle_control_error,
+                "gradient_norm": self.oracle.gradient_norm,
+                "certified": self.oracle.certified,
+                "method": self.oracle.method,
             }
         return out
 
 
 def run_pipeline(spec: ProblemSpec, n_steps: int,
                  with_oracle: bool = False) -> PipelineResult:
-    """Full solve: realize, validate, Riccati, probe, outer solve, certify.
+    """Full solve: realize, validate, Riccati, outer solve (probing first on
+    shallow trees), certify.
 
     Validation always runs: its H2 checks are the convexity certificate of
     every returned result."""
@@ -183,9 +196,10 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         )
     implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
-    staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
-    eta, lam = staged("solve_outer_system",
-                      lambda: solve_outer_system(tree, coeffs, ric))
+    if not uses_krylov(tree):
+        staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
+    system = staged("solve_outer_system", lambda: solve_outer_system(tree, coeffs, ric))
+    eta, lam = system.eta, system.lam
     final = staged("final_solve",
                    lambda: constrained_solution_at(tree, coeffs, ric, lam, eta))
     gap = mean_cost_weights(tree, coeffs) @ eta - final.coupling - lam
@@ -201,7 +215,8 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
 
     result = PipelineResult(
         tree=tree, coeffs=coeffs, riccati=ric,
-        multiplier_residual=float(np.abs(gap).max()), constrained=final,
+        multiplier_residual=float(np.abs(gap).max()), outer=system,
+        constrained=final,
         resolved=resolved, cost=cost,
         stationarity_residual=stationarity, timings=timings,
     )

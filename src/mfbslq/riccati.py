@@ -21,7 +21,11 @@ directional derivative of S has the compact form
 which is what the Newton matrix is assembled from.  Nodes whose initial
 residual already meets the tolerance are left untouched (so degenerate
 problems reproduce the conditional expectation bit for bit), and the step
-length is halved per node until the residual decreases.
+length is halved per node until the residual decreases.  Every inverse of
+the conditioner I + Sigma R is checked (:func:`.bsde.checked_inverse`): a
+singular one raises StepSizeError naming the level, and the smallest
+singular value on the accepted iterates is the reported
+``min_conditioner_sv``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import RiccatiError
+from .bsde import checked_inverse
 from .model import CoefficientSet
 from .tree import ScenarioTree, _t
 
@@ -68,15 +73,18 @@ def _drift(A, Q, BNB, C, sigma, phi, H, G1):
     )
 
 
-def _conditioners(sigma, R, eye):
-    H = np.linalg.inv(eye[None] + sigma @ R)
-    return H, R @ H
+def _conditioners(sigma, R, eye, level):
+    """H = (I + Sigma R)^{-1}, checked, with G1 = R H and the smallest
+    singular value of I + Sigma R; StepSizeError names the level."""
+    H, min_sv = checked_inverse(eye[None] + sigma @ R, "I + Sigma R", level)
+    return H, R @ H, min_sv
 
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
     """Run the backward recursion over all levels; raises RiccatiError on a
     node where the Newton iteration fails to meet the residual tolerance
-    _NEWTON_TOL within _MAX_NEWTON iterations."""
+    _NEWTON_TOL within _MAX_NEWTON iterations, and StepSizeError where
+    I + Sigma R is singular."""
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
     basis = _sym_basis(n)
@@ -97,7 +105,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         cond = tree.cond_expect(sigma[k + 1])
 
         sig = cond.copy()
-        H, G1 = _conditioners(sig, R, eye)
+        H, G1, cond_sv = _conditioners(sig, R, eye, k)
         res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
         res_norm = np.linalg.norm(res, axis=(1, 2))
         tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
@@ -133,7 +141,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
             pending = active.copy()
             for _ in range(_MAX_BACKTRACK + 1):
                 trial = sig + alpha[:, None, None] * step
-                Ht, G1t = _conditioners(trial, R, eye)
+                Ht, G1t, svt = _conditioners(trial, R, eye, k)
                 res_t = trial - cond + dt * _drift(A, Q, BNB, C, trial, phik, Ht, G1t)
                 rn_t = np.linalg.norm(res_t, axis=(1, 2))
                 improved = rn_t <= (1.0 - 1e-4 * alpha) * res_norm
@@ -147,7 +155,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                     f"Newton line search stalled at level {k}, node {j} "
                     f"(residual {res_norm[j]:.3e})"
                 )
-            sig, H, G1 = trial, Ht, G1t
+            sig, H, G1, cond_sv = trial, Ht, G1t, svt
             res, res_norm = res_t, rn_t
             tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
             active = res_norm > tol_vec
@@ -155,9 +163,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         sigma[k], phi[k] = sig, phik
         worst_iters = max(worst_iters, iters)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(sig)[:, 0].min()))
-        min_sv = min(min_sv, float(
-            np.linalg.svd(eye[None] + sig @ R, compute_uv=False)[:, -1].min()
-        ))
+        min_sv = min(min_sv, cond_sv)
 
     defect = 0.0
     for mats in sigma[:n_steps]:

@@ -50,14 +50,21 @@ def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     ``cols`` is a per-node column stack (nodes, q, c) or one stack (q, c)
     shared by every node.  With q = 1 the product is a broadcast multiply
-    (the same numbers as matmul, without one BLAS call per node); a shared
-    stack is one GEMM over all the nodes' rows.
+    (the same numbers as matmul, without one BLAS call per node), and with
+    one column per node it is q of them; a shared stack is one GEMM over
+    all the nodes' rows.
     """
     if mats.shape[-1] == 1:
         return mats * cols
     if cols.ndim == 2:
         rows = mats.reshape(-1, mats.shape[-1]) @ cols
         return rows.reshape(mats.shape[:-1] + cols.shape[-1:])
+    if cols.shape[-1] == 1:
+        vec = _t(cols)
+        out = mats[..., :1] * vec[..., :1]
+        for j in range(1, mats.shape[-1]):
+            out += mats[..., j:j + 1] * vec[..., j:j + 1]
+        return out
     return mats @ cols
 
 

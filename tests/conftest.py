@@ -50,11 +50,10 @@ def scalar_spec(**kwargs):
 
 
 def singular_step_doc() -> dict:
-    """A 4-level scalar document with A = 1/dt on level 2 (dt = 1/4), so the
-    one-step matrix I - dt A there is exactly zero."""
-    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": 1.0, "g1": 1.0})
-    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 4.0, 0.0]}
-    return doc
+    """The shipped ``specs/singular_step.json``: a 4-level scalar document
+    with A = 1/dt on level 2 (dt = 1/4), so the one-step matrix I - dt A
+    there is exactly zero."""
+    return json.loads(corpus_path("singular_step").read_text())
 
 
 def singular_mean_doc() -> dict:

@@ -40,6 +40,9 @@ def test_run_writes_report(tmp_path):
             "stationarity_residual", "riccati", "diagnostics", "timings",
             "oracle"} == set(report)
     assert report["oracle"]["control_error"] <= 0.10
+    assert {"cost", "control_error", "gradient_norm", "certified",
+            "method"} == set(report["oracle"])
+    assert {"outer_columns", "outer_relative_residual"} <= set(report["diagnostics"])
 
 
 def test_run_zero_terminal(tmp_path):
@@ -88,6 +91,17 @@ def test_run_wrong_probe_maps_to_two(monkeypatch, capsys):
     perturb_probed_coupling(monkeypatch, 1e-3)
     assert main(["run", "--spec", M1, "--nt", "4", "--out", "-"]) == 2
     assert "multiplier residual" in capsys.readouterr().err
+
+
+def test_unconverged_outer_solve_maps_to_two(monkeypatch, capsys):
+    from mfbslq import multipliers
+    real = multipliers._gmres
+    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
+    monkeypatch.setattr(multipliers, "_gmres",
+                        lambda product, rhs, cap: real(product, rhs, 1))
+    assert main(["run", "--spec", M1, "--nt", "4", "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert "GMRES" in err and "after 1 products" in err
 
 
 def test_check_gates_multiplier_residual():
@@ -238,3 +252,6 @@ def test_singular_step_maps_to_two(tmp_path, capsys):
         assert main(["run", "--spec", spec, "--nt", "4"]) == 2
         err = capsys.readouterr().err
         assert "singular" in err and "level 2" in err and matrix in err
+    # the same document ships as a spec file, loaded by name
+    assert main(["run", "--spec", str(corpus_path("singular_step")), "--nt", "4"]) == 2
+    assert "I - dt A" in capsys.readouterr().err

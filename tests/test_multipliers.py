@@ -161,7 +161,7 @@ def test_mean_cost_weights_blocks(m1):
 def test_outer_system_solves_first_order_conditions(m1):
     tree, coeffs, ric = _setup(m1, 4)
     ops = probe_operators(tree, coeffs, ric)
-    eta, lam = solve_outer_system(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
 
     weights = mean_cost_weights(tree, coeffs)
     eye = np.eye(eta.size)
@@ -180,7 +180,7 @@ def test_outer_system_solves_first_order_conditions(m1):
 def test_outer_system_collapses_without_coupling():
     spec = barred_zero_spec("m1")
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam = solve_outer_system(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
     assert np.abs(lam).max() <= 1e-12
     ops = probe_operators(tree, coeffs, ric)
     assert np.allclose(eta, ops.p_xi, atol=1e-12)
@@ -200,6 +200,56 @@ def test_singular_outer_system_is_a_numerics_error(m1, monkeypatch):
     monkeypatch.setattr(multipliers, "probe_operators", lambda *args: degenerate)
     with pytest.raises(NumericsError, match="singular"):
         solve_outer_system(tree, coeffs, ric)
+
+
+def test_krylov_route_matches_probed_solve(corpus, monkeypatch):
+    for name, spec in corpus.items():
+        tree, coeffs, ric = _setup(spec, 5)
+        assert not multipliers.uses_krylov(tree)
+        probed = solve_outer_system(tree, coeffs, ric)
+        monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
+        krylov = solve_outer_system(tree, coeffs, ric)
+        monkeypatch.undo()
+        d = eta_dimension(tree, coeffs)
+        assert probed.columns == 2 * d + 1, name
+        assert 2 <= krylov.columns <= 2 * d + 1, name
+        assert np.abs(krylov.eta - probed.eta).max() <= 1e-10, name
+        assert np.abs(krylov.lam - probed.lam).max() <= 1e-10, name
+        assert krylov.relative_residual <= 1e-11, name
+        assert probed.relative_residual <= 1e-11, name
+
+
+def test_route_follows_tree_depth():
+    # the benchmark's shallow sweep (depth <= 8) probes; depths 13 and 16 run GMRES
+    assert not multipliers.uses_krylov(build_tree(1.0, 8))
+    assert multipliers.uses_krylov(build_tree(1.0, 13))
+    assert multipliers.uses_krylov(build_tree(1.0, 16))
+
+
+def test_krylov_product_cap_is_a_numerics_error(m1, monkeypatch):
+    tree, coeffs, ric = _setup(m1, 4)
+    real = multipliers._gmres
+    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
+    monkeypatch.setattr(multipliers, "_gmres",
+                        lambda product, rhs, cap: real(product, rhs, 1))
+    with pytest.raises(NumericsError, match=r"after 1 products.*tolerance"):
+        solve_outer_system(tree, coeffs, ric)
+
+
+def test_gmres_solves_small_nonsymmetric_systems():
+    rng = np.random.default_rng(3)
+    mat = np.eye(6) + 0.3 * rng.standard_normal((6, 6))
+    rhs = rng.standard_normal(6)
+    sol, products, residual = multipliers._gmres(lambda v: mat @ v, rhs, 12)
+    assert np.abs(sol - np.linalg.solve(mat, rhs)).max() <= 1e-12
+    assert products <= 6 and residual <= 1e-12
+    # a zero right-hand side needs no product
+    sol, products, residual = multipliers._gmres(lambda v: mat @ v, np.zeros(6), 12)
+    assert products == 0 and residual == 0.0 and not sol.any()
+    # a direction the operator annihilates: refused as singular
+    singular = np.diag([0.0, 1.0])
+    with pytest.raises(NumericsError, match="singular"):
+        multipliers._gmres(lambda v: singular @ v, np.array([1.0, 0.0]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +297,7 @@ def test_decoupling_residual_decays(m1):
     values = []
     for nt in (4, 8):
         tree, coeffs, ric = _setup(m1, nt)
-        eta, lam = solve_outer_system(tree, coeffs, ric)
+        eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
         sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
         res = decoupling_residual(tree, coeffs, ric, sol)
         assert res["combined"] > 0.0
@@ -259,7 +309,7 @@ def test_decoupling_residual_decays(m1):
 def test_picard_alternation_agrees_on_short_horizon(m1):
     spec = dataclasses.replace(m1, horizon=0.25)
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam = solve_outer_system(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
     sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
     report = picard_cross_check(tree, coeffs, ric, sol)
     assert report["converged"]

@@ -17,8 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from mfbslq import (SizeCapError, StepSizeError, build_tree, load_spec, realize,
-                    solve_meanfield_bsde)
+from mfbslq import (NumericsError, SizeCapError, StepSizeError, build_tree,
+                    load_spec, oracle, realize, solve_meanfield_bsde)
 from mfbslq.bsde import MeanfieldBsdeSolution
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
                            cost_of_solution, directional_derivative,
@@ -140,6 +140,16 @@ def test_singular_step_raises_typed_errors():
             cost_gradient(tree, coeffs, zero, sol)
         with pytest.raises(StepSizeError, match=step_error):
             evaluate_cost(tree, coeffs, zero)
+
+
+def test_singular_kkt_tail_is_a_numerics_error(monkeypatch):
+    # with the up-front mean-closing check bypassed, A_bar = 1/dt on level 2
+    # reaches the tail solve, whose matrix is then exactly singular
+    tree = build_tree(1.0, 4)
+    coeffs = realize(load_spec(json.dumps(singular_mean_doc())), tree)
+    monkeypatch.setattr(oracle, "implicit_steps", lambda *args: None)
+    with pytest.raises(NumericsError, match="KKT tail .*singular"):
+        solve_oracle(tree, coeffs)
 
 
 # ---------------------------------------------------------------------------

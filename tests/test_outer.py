@@ -61,12 +61,19 @@ def test_pipeline_report_contract(m1):
                                                    "u_means"}
     assert set(report["riccati"]) == {"symmetry", "min_sigma_eig",
                                       "min_I_plus_SigmaR_sv"}
-    assert set(report["oracle"]) == {"cost", "control_error"}
+    assert set(report["oracle"]) == {"cost", "control_error", "gradient_norm",
+                                     "certified", "method"}
+    assert report["oracle"]["certified"] is True
+    assert report["oracle"]["method"] == "sparse"
+    assert report["oracle"]["gradient_norm"] == res.oracle.gradient_norm
     diag = report["diagnostics"]
     assert set(diag) == {"newton_iterations", "min_I_plus_SR_sv",
                          "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
-                         "min_mean_closing_sv"}
+                         "min_mean_closing_sv", "outer_columns",
+                         "outer_relative_residual"}
     assert diag["newton_iterations"] == res.riccati.newton_iterations
+    assert diag["outer_columns"] == 2 * eta_dimension(res.tree, res.coeffs) + 1
+    assert 0.0 <= diag["outer_relative_residual"] <= 1e-12
     assert report["multiplier_residual"] == res.multiplier_residual
     assert 0.0 <= res.multiplier_residual <= 1e-12
     for key in ("min_I_plus_SR_sv", "min_I_plus_dt_SigmaQ_minus_A_sv",
@@ -136,6 +143,33 @@ def test_pipeline_probes_once(d2, monkeypatch):
     res = run_pipeline(d2, 5)
     d = eta_dimension(res.tree, res.coeffs)
     assert len(calls) == len(column_blocks(2 * d + 1)) + 1
+
+
+def test_krylov_pipeline_never_probes(d2, monkeypatch):
+    # GMRES: the base column, one column per product, then the final solve
+    calls = []
+    real = multipliers.solve_decoupled
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the GMRES route must not probe")
+
+    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
+    monkeypatch.setattr(multipliers, "solve_decoupled", counted)
+    monkeypatch.setattr(multipliers, "probe_operators", refuse)
+    monkeypatch.setattr(outer, "probe_operators", refuse)
+    res = run_pipeline(d2, 5)
+    products = res.outer.columns - 1
+    assert 1 <= products <= 2 * eta_dimension(res.tree, res.coeffs)
+    assert len(calls) == products + 2
+    diag = res.report()["diagnostics"]
+    assert diag["outer_columns"] == products + 1
+    assert diag["outer_relative_residual"] <= 1e-11
+    assert "probe_operators" not in res.timings
+    assert res.multiplier_residual <= 1e-12
 
 
 def test_wrong_probe_is_caught_by_multiplier_residual(m1, monkeypatch):

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from mfbslq import RiccatiError, build_tree, realize, riccati, solve_riccati
+from mfbslq import (RiccatiError, StepSizeError, build_tree, realize, riccati,
+                    solve_riccati)
 from conftest import scalar_spec
 
 
@@ -113,3 +114,23 @@ def test_newton_tolerance_enforced(m1, monkeypatch):
     monkeypatch.setattr(riccati, "_MAX_NEWTON", 0)
     with pytest.raises(RiccatiError):
         solve_riccati(tree, coeffs)
+
+
+def test_singular_conditioner_raises_step_size_error():
+    # B = N = 1 and nothing else: sigma_k = (4 - k) dt exactly, so with
+    # R = -2 the conditioner I + Sigma R is exactly zero on level 2
+    tree = build_tree(1.0, 4)
+    coeffs = realize(scalar_spec(R=-2.0), tree)
+    with pytest.raises(StepSizeError, match=r"I \+ Sigma R .*level 2"):
+        solve_riccati(tree, coeffs)
+
+
+def test_conditioner_sv_is_the_checked_value(m1_random):
+    # the reported smallest singular value of I + Sigma R is the one the
+    # Newton step's checked inverse saw on the accepted iterate
+    tree = build_tree(1.0, 5)
+    coeffs = realize(m1_random, tree)
+    ric = solve_riccati(tree, coeffs)
+    exact = min(float(np.linalg.svd(np.eye(1)[None] + s @ r, compute_uv=False).min())
+                for s, r in zip(ric.sigma, coeffs.R))
+    assert ric.min_conditioner_sv == pytest.approx(exact, rel=1e-12)
