@@ -2,12 +2,15 @@
 
 Everything here works level-by-level on flat per-level arrays.  A process
 is represented as a list indexed by level: entry k is an array of shape
-(2**k, dim) (or (2**k, dim, dim) for matrix processes).  Several processes
-driven by the same coefficients can share one sweep: they are stacked on a
-trailing column axis, (2**k, dim, c), and every per-node product becomes a
-batched matrix product over the columns.  Solved from a zero terminal value,
-a stack of controls gives the linear part of the state map; the oracle's
-Hessian products are built on such sweeps.
+(2**k, dim) (or (2**k, dim, dim) for matrix processes), or of leading
+length 1 when it is the same on every node of the level (the tree's
+length-1 convention).  Coefficients stored once per level broadcast against
+full levels, so a sweep's arrays are only as wide as their inputs.  Several
+processes driven by the same coefficients can share one sweep: they are
+stacked on a trailing column axis, (2**k, dim, c), and every per-node
+product becomes a batched matrix product over the columns.  Solved from a
+zero terminal value, a stack of controls gives the linear part of the state
+map; the oracle's Hessian products are built on such sweeps.
 
 Backward equations are solved with an implicit step in the node-local
 drift and an exact conditional expectation down the tree; the mean-field
@@ -76,8 +79,8 @@ def bounded_inverse(mats: np.ndarray, name: str, level: int) -> np.ndarray:
 class ImplicitSteps(NamedTuple):
     """The checked one-step inverses of the backward step, per level."""
 
-    inverses: tuple        # (I - dt A)^{-1}, (2**k, n, n)
-    mean_ops: tuple        # dt (I - dt A)^{-1} A_bar, (2**k, n, n)
+    inverses: tuple        # (I - dt A)^{-1}, (2**k or 1, n, n)
+    mean_ops: tuple        # dt (I - dt A)^{-1} A_bar, (2**k or 1, n, n)
     closings: tuple        # (I - dt E_k[(I - dt A)^{-1} A_bar])^{-1}, (n, n)
     min_step_sv: float     # smallest singular value of I - dt A
     min_closing_sv: float  # smallest singular value of the mean-closing matrix
@@ -99,7 +102,7 @@ def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> ImplicitSteps:
                                            "I - dt A", k)
             mean_op = tree.dt * (inv @ coeffs.A_bar[k])
             closing, closing_sv = checked_inverse(
-                (eye - tree.node_probability(k) * mean_op.sum(axis=0))[None],
+                (eye - tree.expect(mean_op))[None],
                 "mean-closing matrix I - dt E[(I - dt A)^-1 A_bar]", k)
             levels.append((inv, mean_op, closing[0], step_sv, closing_sv))
         inverses, mean_ops, closings, step_svs, closing_svs = zip(*levels)
@@ -113,10 +116,11 @@ def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion)
 
     ``initial`` has shape (dim,) or (dim, c).  ``drift(k, x)`` and
     ``diffusion(k, x)`` receive the level index and the level-k values of
-    shape (2**k, dim) (or (2**k, dim, c)) and must return arrays of the
-    same shape.  Returns the list of levels 0..n_steps.  The sign
-    convention matches the backward-equation family this module solves: to
-    integrate dX = +b ds + s dW, pass callbacks returning -b and -s.
+    shape (2**k, dim) (or (2**k, dim, c)) and return arrays of that shape,
+    or of leading length 1 when the same on every node.  Returns the list
+    of levels 0..n_steps.  The sign convention matches the backward-equation
+    family this module solves: to integrate dX = +b ds + s dW, pass
+    callbacks returning -b and -s.
     """
     levels = [np.atleast_1d(np.asarray(initial, dtype=float))[None]]
     for k in range(tree.n_steps):
@@ -193,7 +197,7 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
         # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
         y[k] = _mm(steps.inverses[k], rhs)
         del rhs
-        y_mean[k] = steps.closings[k] @ (tree.node_probability(k) * y[k].sum(axis=0))
+        y_mean[k] = steps.closings[k] @ tree.expect(y[k])
         y[k] += _mm(steps.mean_ops[k], y_mean[k])
     if single:
         return MeanfieldBsdeSolution(

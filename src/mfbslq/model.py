@@ -22,6 +22,12 @@ silently symmetrized.
 
 G is a deterministic constant matrix: the information set at time 0 is
 trivial on the tree, so a random G has nowhere to live.
+
+Realized coefficients follow the tree's length-1 convention: a
+noise-independent coefficient ("constant", "time_table", or a one-term
+"tanh_poly_W") is stored once per level as a (1, rows, cols) array that
+stands for every node, and only coefficients that depend on the walk carry
+one matrix per node.  The terminal xi always has one vector per leaf.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Every coefficient realized per node on levels 0..n_t-1, plus G and xi."""
+    """Every coefficient on levels 0..n_t-1, realized per node, or once per
+    level when noise-independent (a leading node axis of length 1), plus G
+    and xi."""
 
     n: int
     m: int
@@ -310,9 +318,8 @@ def load_spec_file(path) -> ProblemSpec:
 def _realize_coefficient(desc: Coefficient, tree: ScenarioTree, field: str) -> list:
     levels = []
     for k in range(tree.n_steps):
-        count = tree.n_nodes(k)
         if desc.form == "constant":
-            levels.append(np.tile(desc.payload["value"][None], (count, 1, 1)))
+            levels.append(desc.payload["value"][None].copy())
         elif desc.form == "time_table":
             values = desc.payload["values"]
             if len(values) != tree.n_steps:
@@ -320,14 +327,14 @@ def _realize_coefficient(desc: Coefficient, tree: ScenarioTree, field: str) -> l
                     f"{field}: time_table has {len(values)} entries, tree has "
                     f"{tree.n_steps} steps"
                 )
-            levels.append(np.tile(values[k][None], (count, 1, 1)))
+            levels.append(values[k][None].copy())
         elif desc.form == "affine_tanh_W":
             th = np.tanh(tree.brownian(k))[:, None, None]
             levels.append(desc.payload["m0"][None] + th * desc.payload["m1"][None])
         elif desc.form == "tanh_poly_W":
             th = np.tanh(tree.brownian(k))[:, None, None]
             coeffs = desc.payload["coeffs"]
-            acc = np.tile(coeffs[-1][None], (count, 1, 1))
+            acc = coeffs[-1][None].copy()
             for mat in reversed(coeffs[:-1]):
                 acc = acc * th + mat[None]
             levels.append(acc)
@@ -338,10 +345,10 @@ def _realize_coefficient(desc: Coefficient, tree: ScenarioTree, field: str) -> l
                     f"{field}: node_table has {len(values)} levels, tree has "
                     f"{tree.n_steps} steps"
                 )
-            if len(values[k]) != count:
+            if len(values[k]) != tree.n_nodes(k):
                 raise ConfigurationError(
                     f"{field}: node_table level {k} has {len(values[k])} nodes, "
-                    f"expected {count}"
+                    f"expected {tree.n_nodes(k)}"
                 )
             levels.append(values[k].copy())
     return levels
@@ -360,14 +367,15 @@ def _realize_terminal(desc: Coefficient, tree: ScenarioTree, n: int) -> np.ndarr
     if desc.form == "affine_in_WT":
         return desc.payload["g0"][None, :] + w_T[:, None] * desc.payload["g1"][None, :]
     coeffs = desc.payload["coeffs"]
-    acc = np.tile(coeffs[-1][None, :], (leaves, 1))
+    acc = np.broadcast_to(coeffs[-1], (leaves, n)).copy()
     for vec in reversed(coeffs[:-1]):
         acc = acc * w_T[:, None] + vec[None, :]
     return acc
 
 
 def realize(spec: ProblemSpec, tree: ScenarioTree) -> CoefficientSet:
-    """Evaluate every coefficient at each node (levels 0..n_t-1) and xi at each leaf."""
+    """Evaluate every coefficient on levels 0..n_t-1 (once per level where it
+    is noise-independent, else at each node) and xi at each leaf."""
     fields = {}
     for name in _DYNAMICS_SHAPES:
         fields[name] = _realize_coefficient(spec.dynamics[name], tree, name)

@@ -45,8 +45,8 @@ resulting linear system in (eta, lam), of size 2d with d = n_steps (2n + m),
 by one of two routes chosen from the tree depth.  Below _KRYLOV_MIN_STEPS
 levels it assembles the system from the probes (2d + 1 columns, 16 to a
 sweep) and solves it densely.  From _KRYLOV_MIN_STEPS levels on it runs
-unrestarted GMRES, matrix-free: a product is one single-column sweep minus
-the base sweep, and the system is well conditioned (condition number 2 to
+unrestarted GMRES, matrix-free: a product is one single-column sweep from
+a zero terminal, and the system is well conditioned (condition number 2 to
 3.5 on the shipped specs), so GMRES needs 21 to 32 products at every depth
 while the probe's column count grows with it.  With all barred
 coefficients zero either route yields lam = 0 and the plain feedback
@@ -72,7 +72,7 @@ from ._errors import InfeasibleEtaError, NumericsError
 from .bsde import checked_inverse, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
+from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -150,7 +150,7 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
         ws.sig_c.append(sig_c)
         ws.phi_step.append(phi_step)
         ws.vtheta_coef.append((phi @ R - C) @ H)
-        ws.source.append(np.concatenate([
+        ws.source.append(_concat_nodes([
             -sig, -_t(np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))),
             -(phi + C @ sig_c) @ _t(H),
             coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
@@ -176,17 +176,25 @@ class DecoupledSolution:
 
 
 def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j mats_j' x_j over a level's nodes, one GEMM: (n, k)' x (n, c)."""
+    """sum_j mats_j' x_j over a level's nodes, one GEMM: (n, k)' x (n, c).
+    A length-1 ``mats`` is the same on every node, so it multiplies the node
+    sum of x, taken as one GEMV (a stride-0 broadcast would defeat BLAS)."""
+    if len(mats) == 1:
+        total = np.ones(len(x)) @ x.reshape(len(x), -1)
+        return mats[0].T @ total.reshape(x.shape[1:])
     return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
 def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
-                    lam_vec: np.ndarray, eta_vec: np.ndarray) -> DecoupledSolution:
+                    lam_vec: np.ndarray, eta_vec: np.ndarray,
+                    terminal: np.ndarray | None = None) -> DecoupledSolution:
     """Solve the (lam, eta) optimality system and return fields plus means.
 
     ``lam_vec`` and ``eta_vec`` are (d,) or column stacks (d, c); a stack is
     solved in one sweep and every field and mean keeps the column axis
-    last.  A single pair runs as one column."""
+    last.  A single pair runs as one column.  ``terminal`` replaces xi in
+    phi(T) = -xi for every column; a zero terminal of one node, (1, n), gives
+    the linear part of the map, with phi as narrow as the workspace."""
     ws = build_workspace(tree, coeffs, ric)
     lam_vec = np.asarray(lam_vec, dtype=float)
     single = lam_vec.ndim == 1
@@ -199,7 +207,8 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     # backward sweep for (phi, vtheta)
     phi: list = [None] * (n_steps + 1)
     vtheta: list = [None] * n_steps
-    phi[n_steps] = np.repeat(-coeffs.xi[..., None], lam.shape[1], axis=2)
+    xi = coeffs.xi if terminal is None else np.asarray(terminal, dtype=float)
+    phi[n_steps] = np.repeat(-xi[..., None], lam.shape[1], axis=2)
     for k in range(n_steps - 1, -1, -1):
         vth = tree.z_from_next(phi[k + 1])
         # the six multiplier/target terms of E as one GEMM over ws.source
@@ -385,23 +394,24 @@ def _solve_outer_krylov(tree: ScenarioTree, coeffs: CoefficientSet,
     """The outer system by GMRES, one decoupled column per product.
 
     The base sweep (xi terminal, lam = eta = 0) gives b = (p_xi, q_xi); a
-    product is one single-column sweep at (eta, lam) minus that base, the
-    same differencing the probe uses for its operators.  Only means and
-    couplings are kept, never a sweep's tree fields."""
+    product is one single-column sweep at (eta, lam) from a zero terminal,
+    which is the linear part of the map with no base to subtract.  Its
+    backward (phi, vtheta) half is as narrow as the workspace: one node per
+    level on deterministic coefficients.  Only means and couplings are
+    kept, never a sweep's tree fields."""
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
     zero = np.zeros(d)
     base = solve_decoupled(tree, coeffs, ric, zero, zero)
-    base_means, base_coupling = base.means, base.coupling
+    rhs = np.concatenate([base.means, base.coupling])
     del base
+    zero_terminal = np.zeros((1, coeffs.n))
 
     def product(vec: np.ndarray) -> np.ndarray:
         eta, lam = vec[:d], vec[d:]
-        sol = solve_decoupled(tree, coeffs, ric, lam, eta)
-        return np.concatenate([eta - (sol.means - base_means),
-                               weights @ eta - (sol.coupling - base_coupling) - lam])
+        sol = solve_decoupled(tree, coeffs, ric, lam, eta, terminal=zero_terminal)
+        return np.concatenate([eta - sol.means, weights @ eta - sol.coupling - lam])
 
-    rhs = np.concatenate([base_means, base_coupling])
     sol, products, residual = _gmres(product, rhs, 2 * d)
     return OuterSolution(sol[:d], sol[d:], products + 1, residual)
 

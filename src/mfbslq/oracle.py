@@ -38,7 +38,7 @@ from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, bounded_inverse, implicit_steps,
                    solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
+from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -352,7 +352,7 @@ def _kkt_tail_coupling(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np
     n, m = coeffs.n, coeffs.m
     states = 2 * n + m
     cpl = np.zeros((tree.n_nodes(k), 4 * n + m, 2 * states))
-    cpl[:, states:3 * n + m, :states] = -tree.dt * np.concatenate(
+    cpl[:, states:3 * n + m, :states] = -tree.dt * _concat_nodes(
         [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2)
     cpl[:, :states, states:] = -tree.node_probability(k) * np.eye(states)
     return cpl

@@ -132,6 +132,7 @@ class PipelineResult:
         steps = implicit_steps(self.tree, self.coeffs)
         return {
             "newton_iterations": self.riccati.newton_iterations,
+            "riccati_nodes": self.riccati.newton_nodes,
             "min_I_plus_SR_sv": ws.min_conditioner_sv,
             "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
             "min_I_minus_dt_A_sv": steps.min_step_sv,

@@ -26,6 +26,13 @@ the conditioner I + Sigma R is checked (:func:`.bsde.checked_inverse`): a
 singular one raises StepSizeError naming the level, and the smallest
 singular value on the accepted iterates is the reported
 ``min_conditioner_sv``.
+
+The recursion starts from a terminal Sigma stored as one node (the tree's
+length-1 convention), and each level's Newton arrays take the broadcast
+width of that level's inputs: E_k[Sigma_{k+1}] and the coefficients A, Q,
+C, R, B N^{-1} B'.  With deterministic coefficients Sigma and Phi therefore
+stay at one node per level (Phi = 0), and a level is 2**k nodes wide only
+where one of its inputs varies over the nodes.
 """
 
 from __future__ import annotations
@@ -46,12 +53,13 @@ _MAX_BACKTRACK = 30
 
 @dataclass
 class RiccatiSolution:
-    sigma: list                 # levels 0..n_steps, (2**k, n, n)
-    phi: list                   # levels 0..n_steps - 1, (2**k, n, n)
+    sigma: list                 # levels 0..n_steps, (2**k or 1, n, n)
+    phi: list                   # levels 0..n_steps - 1, (2**k or 1, n, n)
     symmetry_defect: float      # max |Sigma - Sigma'| entry over all nodes
     min_sigma_eig: float        # most negative eigenvalue of any Sigma node
     min_conditioner_sv: float   # min singular value of I + Sigma R over nodes
     newton_iterations: int      # worst per-level Newton iteration count
+    newton_nodes: int           # nodes the Newton iteration ran on, all levels
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -93,18 +101,22 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
 
     sigma: list = [None] * (n_steps + 1)
     phi: list = [None] * n_steps
-    sigma[n_steps] = np.zeros((tree.n_nodes(n_steps), n, n))
+    sigma[n_steps] = np.zeros((1, n, n))
 
     min_eig = np.inf
     min_sv = np.inf
     worst_iters = 0
+    nodes = 0
     for k in range(n_steps - 1, -1, -1):
         A, Q, C, R = coeffs.A[k], coeffs.Q[k], coeffs.C[k], coeffs.R[k]
         BNB = coeffs.B[k] @ np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))
         phik = tree.z_from_next(sigma[k + 1])
         cond = tree.cond_expect(sigma[k + 1])
 
-        sig = cond.copy()
+        width = np.broadcast_shapes(cond.shape, A.shape, Q.shape, C.shape,
+                                    R.shape, BNB.shape)
+        sig = np.broadcast_to(cond, width).copy()
+        nodes += width[0]
         H, G1, cond_sv = _conditioners(sig, R, eye, k)
         res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
         res_norm = np.linalg.norm(res, axis=(1, 2))
@@ -171,5 +183,5 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     return RiccatiSolution(
         sigma=sigma, phi=phi, symmetry_defect=defect,
         min_sigma_eig=min_eig, min_conditioner_sv=min_sv,
-        newton_iterations=worst_iters,
+        newton_iterations=worst_iters, newton_nodes=nodes,
     )

@@ -12,6 +12,13 @@ the node index as the leading axis, so children of node j sit at 2j and
 2j+1 and all level sweeps are plain slicing.  Reductions (``expect``) use
 numpy's fixed pairwise summation order, which is bit-reproducible for a
 given input regardless of threading.
+
+A level whose leading node axis has length 1 holds a value that is the same
+on every node of that level (a noise-independent coefficient, or a process
+driven only by such data).  Every operator here accepts it: its conditional
+expectation is itself, its martingale integrand is zero and its mean is its
+value, and per-node products broadcast it against full levels.  Level 0 has
+one node either way.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ def _t(mats: np.ndarray) -> np.ndarray:
 
 
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix @ vector over the node axis."""
+    """Batched matrix @ vector over the node axis (a length-1 axis broadcasts)."""
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
@@ -52,7 +59,7 @@ def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     shared by every node.  With q = 1 the product is a broadcast multiply
     (the same numbers as matmul, without one BLAS call per node), and with
     one column per node it is q of them; a shared stack is one GEMM over
-    all the nodes' rows.
+    all the nodes' rows.  A length-1 node axis on either side broadcasts.
     """
     if mats.shape[-1] == 1:
         return mats * cols
@@ -66,6 +73,14 @@ def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
             out += mats[..., j:j + 1] * vec[..., j:j + 1]
         return out
     return mats @ cols
+
+
+def _concat_nodes(parts: list, axis: int) -> np.ndarray:
+    """Concatenate per-node stacks along ``axis`` (not 0), broadcasting
+    length-1 node axes to the longest; all length 1 stays length 1."""
+    nodes = max(len(part) for part in parts)
+    return np.concatenate([np.broadcast_to(part, (nodes,) + part.shape[1:])
+                           for part in parts], axis=axis)
 
 
 class ScenarioTree:
@@ -119,11 +134,11 @@ class ScenarioTree:
     # -- operators ---------------------------------------------------------
 
     def cond_expect(self, values: np.ndarray) -> np.ndarray:
-        """One-step conditional expectation: average the two children of each node."""
-        if len(values) < 2 or len(values) % 2:
-            raise ConfigurationError(
-                f"cond_expect needs a full child level, got {len(values)} nodes"
-            )
+        """One-step conditional expectation: average the two children of each
+        node.  A length-1 level is the same on every node: returned as is."""
+        _check_child_level(values, "cond_expect")
+        if len(values) == 1:
+            return values
         return 0.5 * (values[0::2] + values[1::2])
 
     def expect(self, values: np.ndarray) -> np.ndarray:
@@ -133,12 +148,12 @@ class ScenarioTree:
     def z_from_next(self, y_next: np.ndarray) -> np.ndarray:
         """Martingale-representation integrand of a next-level process.
 
-        Z(k, j) = (y(k+1, 2j) - y(k+1, 2j+1)) / (2 sqrt(dt)), exact on the tree.
+        Z(k, j) = (y(k+1, 2j) - y(k+1, 2j+1)) / (2 sqrt(dt)), exact on the
+        tree; zero, of the same shape, for a length-1 (node-constant) level.
         """
-        if len(y_next) < 2 or len(y_next) % 2:
-            raise ConfigurationError(
-                f"z_from_next needs a full child level, got {len(y_next)} nodes"
-            )
+        _check_child_level(y_next, "z_from_next")
+        if len(y_next) == 1:
+            return np.zeros(y_next.shape)
         return (y_next[0::2] - y_next[1::2]) / (2.0 * self.sqrt_dt)
 
     # -- helpers -----------------------------------------------------------
@@ -152,6 +167,14 @@ class ScenarioTree:
             raise ConfigurationError(
                 f"level {level} outside [0, {self.n_steps}]"
             )
+
+
+def _check_child_level(values: np.ndarray, name: str) -> None:
+    """A child level has an even number of nodes, or one node if constant."""
+    if len(values) != 1 and (len(values) < 2 or len(values) % 2):
+        raise ConfigurationError(
+            f"{name} needs a full child level or one node, got {len(values)} nodes"
+        )
 
 
 def build_tree(horizon: float, n_steps: int) -> ScenarioTree:

@@ -96,13 +96,24 @@ def test_coefficient_payload_keys_checked():
 
 
 def test_realize_constant_and_shapes():
-    spec = scalar_spec(A=0.25, B=2.0)
+    # noise-independent coefficients are stored once per level (one node
+    # stands for every node); walk-dependent ones and xi keep 2^k nodes
+    doc = _doc(A=0.25, B=2.0)
+    doc["dynamics"]["C"] = {"form": "time_table", "values": [0.1, 0.2, 0.3]}
+    doc["dynamics"]["C_bar"] = {"form": "affine_tanh_W", "m0": 0.1, "m1": 0.1}
+    doc["cost"]["N"] = {"form": "tanh_poly_W", "coeffs": [1.0, 0.5]}
+    doc["cost"]["N_bar"] = {"form": "tanh_poly_W", "coeffs": [0.5]}
     tree = build_tree(1.0, 3)
-    coeffs = realize(spec, tree)
+    coeffs = realize(load_spec(json.dumps(doc)), tree)
     for k in range(3):
-        assert coeffs.A[k].shape == (tree.n_nodes(k), 1, 1)
+        for name in ("A", "B", "C", "N_bar"):
+            assert getattr(coeffs, name)[k].shape == (1, 1, 1), (name, k)
+        for name in ("C_bar", "N"):
+            assert getattr(coeffs, name)[k].shape == (tree.n_nodes(k), 1, 1)
         assert np.allclose(coeffs.A[k], 0.25)
         assert np.allclose(coeffs.B[k], 2.0)
+        assert np.allclose(coeffs.C[k], 0.1 * (k + 1))
+        assert np.allclose(coeffs.N_bar[k], 0.5)
     assert coeffs.xi.shape == (8, 1)
     assert np.allclose(coeffs.xi, 0.0)
 

@@ -67,11 +67,13 @@ def test_pipeline_report_contract(m1):
     assert report["oracle"]["method"] == "sparse"
     assert report["oracle"]["gradient_norm"] == res.oracle.gradient_norm
     diag = report["diagnostics"]
-    assert set(diag) == {"newton_iterations", "min_I_plus_SR_sv",
+    assert set(diag) == {"newton_iterations", "riccati_nodes",
+                         "min_I_plus_SR_sv",
                          "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
                          "min_mean_closing_sv", "outer_columns",
                          "outer_relative_residual"}
     assert diag["newton_iterations"] == res.riccati.newton_iterations
+    assert diag["riccati_nodes"] == res.riccati.newton_nodes == 4   # one per level
     assert diag["outer_columns"] == 2 * eta_dimension(res.tree, res.coeffs) + 1
     assert 0.0 <= diag["outer_relative_residual"] <= 1e-12
     assert report["multiplier_residual"] == res.multiplier_residual

@@ -68,12 +68,26 @@ def test_cond_expect_inverts_to_children():
 
 def test_operators_reject_odd_levels():
     tree = build_tree(1.0, 3)
-    with pytest.raises(ConfigurationError):
-        tree.cond_expect(np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        tree.z_from_next(np.zeros(1))
+    for op in (tree.cond_expect, tree.z_from_next):
+        for odd in (np.zeros(0), np.zeros(3), np.zeros((5, 2))):
+            with pytest.raises(ConfigurationError):
+                op(odd)
     with pytest.raises(ConfigurationError):
         tree.brownian(9)
+
+
+def test_operators_accept_one_node_levels():
+    # one node stands for a value shared by every node of its level
+    tree = build_tree(1.0, 3)
+    value = np.array([[[1.5, -2.0]]])
+    assert tree.cond_expect(value) is value
+    z = tree.z_from_next(value)
+    assert z.shape == value.shape and not z.any()
+    assert np.array_equal(tree.expect(value), value[0])
+    full = np.repeat(value, 4, axis=0)
+    assert np.array_equal(tree.cond_expect(full)[0], tree.cond_expect(value)[0])
+    assert np.array_equal(tree.z_from_next(full)[0], z[0])
+    assert np.array_equal(tree.expect(full), tree.expect(value))
 
 
 def test_operators_work_on_matrix_valued_processes():
