@@ -28,8 +28,22 @@ scheme onto the discrete optimizer and hides genuine time-step error).
 
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]).
-`probe_operators` assembles both with unit impulses, run as the columns of
-a few batched sweeps; for a given eta the multiplier equation L lam = eta -
+Their constant part comes from one base sweep (xi terminal, lam = eta = 0);
+their linear part, `linear_response`, from sweeps with a zero terminal.
+When every array that part reads has one node per level (noise-independent
+coefficients, the tree's length-1 convention) the level means follow their
+own deterministic recursion, the mean half of the centred/mean split of
+mean-field LQ problems (Yong, SIAM J. Control Optim. 51(4), 2013): phi has
+one node per level, vtheta is zero, the adjoint's mean obeys
+
+    xbar_{k+1} = xbar_k + dt ((A' - Q Sigma)_k xbar_k + Q_k phi_k - lam1_k)
+
+because the +/- sqrt(dt) shock averages out over the two children, and the
+node-constant reconstruction maps take xbar to the means of (y, z, u) and
+to the couplings.  Any number of columns then costs one sweep of one node
+per level.  Otherwise the linear part runs full-width sweeps, 16 columns
+to a sweep.  `probe_operators` assembles both maps from the base sweep and
+2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
 
 The outer optimality conditions couple the two maps: at the optimum the
@@ -42,15 +56,15 @@ feedback,
 
 while the realized means equal eta.  `solve_outer_system` solves the
 resulting linear system in (eta, lam), of size 2d with d = n_steps (2n + m),
-by one of two routes chosen from the tree depth.  Below _KRYLOV_MIN_STEPS
-levels it assembles the system from the probes (2d + 1 columns, 16 to a
-sweep) and solves it densely.  From _KRYLOV_MIN_STEPS levels on it runs
-unrestarted GMRES, matrix-free: a product is one single-column sweep from
-a zero terminal, and the system is well conditioned (condition number 2 to
-3.5 on the shipped specs), so GMRES needs 21 to 32 products at every depth
-while the probe's column count grows with it.  With all barred
-coefficients zero either route yields lam = 0 and the plain feedback
-control.
+by one of two routes (`uses_krylov`).  GMRES runs only when the linear part
+needs full-width sweeps and the tree has at least _KRYLOV_MIN_STEPS levels:
+unrestarted and matrix-free, a product is one single-column zero-terminal
+sweep, and the system is well conditioned (condition number 2 to 3.5 on
+the shipped specs), so GMRES needs 21 to 32 products at every depth while
+the probe's column count grows with it.  Every other input (node-constant
+data at any depth, or a shallow tree) assembles the system from the probes
+(2d + 1 columns) and solves it densely.  With all barred coefficients zero
+either route yields lam = 0 and the plain feedback control.
 
 Neither route is trusted on its own: `constrained_solution_at` gates the
 realized means of the final sweep against eta and returns its realized
@@ -69,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
-from .bsde import checked_inverse, solve_forward_sde
+from .bsde import checked_inverse, implicit_steps, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
 from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
@@ -79,9 +93,10 @@ _CERT_TOL = 1e-8
 _GUARD_TOL = 1e-10
 _PICARD_SWEEPS = 400
 _PICARD_TOL = 1e-12
-# Trees this deep solve the outer system by GMRES: each product is one
-# sequential single-column sweep, while the probe's 2d + 1 columns run 16 to
-# a sweep, so on shallower trees probing plus a dense solve is faster.
+# Trees this deep solve the outer system by GMRES when its products need
+# full-width sweeps: each product is one sequential single-column sweep,
+# while the probe's 2d impulse columns run 16 to a sweep, so on shallower
+# trees probing plus a dense solve is faster.
 _KRYLOV_MIN_STEPS = 13
 _KRYLOV_TOL = 1e-12
 
@@ -119,6 +134,7 @@ class DecoupledWorkspace:
     x_drift: list      # A' - Q Sigma
     x_diff: list       # C' - G1 (Phi + S C')
     zx: list           # H (Phi + S C')
+    x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
 
@@ -126,14 +142,15 @@ class DecoupledWorkspace:
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                     ric: RiccatiSolution) -> DecoupledWorkspace:
     """Assemble (and memoize on the Riccati pair) the per-level matrices.
-    Both inverted matrices are checked; StepSizeError names the level."""
+    Every inverted matrix is checked; StepSizeError names the level."""
     key = "decoupled_workspace"
     cached = ric._cache.get(key)
     if cached is not None and cached[0] is coeffs:
         return cached[1]
     n = coeffs.n
     eye = np.eye(n)
-    ws = DecoupledWorkspace(*([] for _ in range(10)))
+    x0_inv, _ = checked_inverse(eye[None] + coeffs.G @ ric.sigma[0], "I + G Sigma(0)", 0)
+    ws = DecoupledWorkspace(*([] for _ in range(10)), (x0_inv @ coeffs.G)[0])
     for k in range(tree.n_steps):
         sig, phi = ric.sigma[k], ric.phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
@@ -162,6 +179,18 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
     return ws
 
 
+def _one_node_levels(tree: ScenarioTree, coeffs: CoefficientSet,
+                     ric: RiccatiSolution) -> bool:
+    """True when every level of every array the mean recursion reads has
+    one node (the tree's length-1 convention): then the linear part's level
+    means follow their own recursion (:func:`_mean_response`)."""
+    ws = build_workspace(tree, coeffs, ric)
+    arrays = (ric.sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
+              ws.Ninv, ws.x_drift, ws.zx, coeffs.Q, coeffs.B, coeffs.N,
+              coeffs.A_bar, coeffs.B_bar, coeffs.C_bar)
+    return all(len(levels[k]) == 1 for levels in arrays for k in range(tree.n_steps))
+
+
 @dataclass
 class DecoupledSolution:
     phi: list      # levels 0..n_steps
@@ -176,13 +205,83 @@ class DecoupledSolution:
 
 
 def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j mats_j' x_j over a level's nodes, one GEMM: (n, k)' x (n, c).
-    A length-1 ``mats`` is the same on every node, so it multiplies the node
-    sum of x, taken as one GEMV (a stride-0 broadcast would defeat BLAS)."""
+    """E[mats' x] over a level, the node mean of mats_j' x_j: one GEMM,
+    (n, k)' x (n, c).  A length-1 ``mats`` is the same on every node, so it
+    multiplies the node sum of x, taken as one GEMV (a stride-0 broadcast
+    would defeat BLAS).  A one-node x is its own mean."""
     if len(mats) == 1:
         total = np.ones(len(x)) @ x.reshape(len(x), -1)
-        return mats[0].T @ total.reshape(x.shape[1:])
-    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+        return mats[0].T @ total.reshape(x.shape[1:]) / len(x)
+    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1]) / len(x)
+
+
+def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
+                    ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
+                    xi: np.ndarray) -> tuple:
+    """(phi, vtheta) of the auxiliary backward equation for column stacks
+    (d, c) of (lam, eta), from phi(T) = -xi on every column.  Each level is
+    as wide as its inputs: one node on node-constant data and a one-node
+    terminal."""
+    n_steps, dt = tree.n_steps, tree.dt
+    lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
+    alpha, beta, gamma = split_blocks(eta, tree, coeffs)
+    phi: list = [None] * (n_steps + 1)
+    vtheta: list = [None] * n_steps
+    phi[n_steps] = np.repeat(-xi[..., None], lam.shape[1], axis=2)
+    for k in range(n_steps - 1, -1, -1):
+        vth = tree.z_from_next(phi[k + 1])
+        # the six multiplier/target terms of E as one GEMM over ws.source
+        inputs = np.concatenate([lam1[k], lam3[k], lam2[k], alpha[k], gamma[k], beta[k]])
+        rest = _mm(ws.vtheta_coef[k], vth) + _mm(ws.source[k], inputs)
+        phi[k] = _mm(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
+        vtheta[k] = vth
+    return phi, vtheta
+
+
+def _adjoint_drift(coeffs: CoefficientSet, ws: DecoupledWorkspace, phi: list,
+                   lam1: np.ndarray):
+    """The adjoint's drift callback in :func:`.bsde.solve_forward_sde`'s sign
+    convention: x_{k+1} = x_k - dt drift(k, x_k) -/+ sqrt(dt) diffusion."""
+    def drift(k: int, x: np.ndarray) -> np.ndarray:
+        return -(_mm(ws.x_drift[k], x) + _mm(coeffs.Q[k], phi[k]) - lam1[k][None])
+    return drift
+
+
+def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+                 ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
+                 x_levels) -> tuple:
+    """u, y and z on levels 0..n_steps-1 from the adjoint levels that
+    ``x_levels`` yields, with their level means and the mean couplings,
+    each stacked like ``lam``.  Returns (u, y, z, means, coupling, guard).
+    The guard is the worst defect of N u - (B' x - lam3) relative to
+    1 + |B' x| over every value reconstructed; above _GUARD_TOL it raises
+    NumericsError."""
+    _, lam2, lam3 = split_blocks(lam, tree, coeffs)
+    u, y, z = ([None] * tree.n_steps for _ in range(3))
+    means = np.empty(lam.shape)
+    coupling = np.empty(lam.shape)
+    mean_y, mean_z, mean_u = split_blocks(means, tree, coeffs)
+    cpl_y, cpl_z, cpl_u = split_blocks(coupling, tree, coeffs)
+    guard = np.zeros(lam.shape[1])
+    for k, x in enumerate(x_levels):
+        bx = _mm(_t(coeffs.B[k]), x)
+        net = bx - lam3[k][None]
+        u[k] = _mm(ws.Ninv[k], net)
+        y[k] = _mm(ric.sigma[k], x) - phi[k]
+        z[k] = _mm(ws.zx[k], x) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
+        defect = np.abs(_mm(coeffs.N[k], u[k]) - net).max(axis=(0, 1))
+        guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
+        mean_y[k], mean_z[k], mean_u[k] = (tree.expect(y[k]), tree.expect(z[k]),
+                                           tree.expect(u[k]))
+        cpl_y[k] = _level_coupling(coeffs.A_bar[k], x)
+        cpl_z[k] = _level_coupling(coeffs.C_bar[k], x)
+        cpl_u[k] = _level_coupling(coeffs.B_bar[k], x)
+    worst = float(guard.max())
+    if worst > _GUARD_TOL:
+        raise NumericsError(
+            f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
+        )
+    return u, y, z, means, coupling, worst
 
 
 def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
@@ -200,70 +299,78 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     single = lam_vec.ndim == 1
     lam = lam_vec[:, None] if single else lam_vec
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
-    n_steps, dt = tree.n_steps, tree.dt
-    lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
-    alpha, beta, gamma = split_blocks(eta, tree, coeffs)
-
-    # backward sweep for (phi, vtheta)
-    phi: list = [None] * (n_steps + 1)
-    vtheta: list = [None] * n_steps
     xi = coeffs.xi if terminal is None else np.asarray(terminal, dtype=float)
-    phi[n_steps] = np.repeat(-xi[..., None], lam.shape[1], axis=2)
-    for k in range(n_steps - 1, -1, -1):
-        vth = tree.z_from_next(phi[k + 1])
-        # the six multiplier/target terms of E as one GEMM over ws.source
-        inputs = np.concatenate([lam1[k], lam3[k], lam2[k], alpha[k], gamma[k], beta[k]])
-        rest = _mm(ws.vtheta_coef[k], vth) + _mm(ws.source[k], inputs)
-        phi[k] = _mm(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
-        vtheta[k] = vth
-
-    # forward sweep for the adjoint
-    g_mat = coeffs.G
-    x0 = np.linalg.solve(np.eye(coeffs.n) + g_mat @ ric.sigma[0][0], g_mat @ phi[0][0])
-
-    def drift(k: int, x: np.ndarray) -> np.ndarray:
-        return -(_mm(ws.x_drift[k], x) + _mm(coeffs.Q[k], phi[k]) - lam1[k][None])
+    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, xi)
+    lam1, lam2, _ = split_blocks(lam, tree, coeffs)
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
         aff = _mm(ws.G1[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
         return -(_mm(ws.x_diff[k], x) + aff)
 
-    x = solve_forward_sde(tree, x0, drift, diffusion)
-
-    # reconstruction, means, and mean-coupling functionals
-    u: list = [None] * n_steps
-    y: list = [None] * (n_steps + 1)
-    z: list = [None] * n_steps
-    means = np.empty(lam.shape)
-    coupling = np.empty(lam.shape)
-    mean_y, mean_z, mean_u = split_blocks(means, tree, coeffs)
-    cpl_y, cpl_z, cpl_u = split_blocks(coupling, tree, coeffs)
-    guard = np.zeros(lam.shape[1])
-    y[n_steps] = _mm(ric.sigma[n_steps], x[n_steps]) - phi[n_steps]
-    for k in range(n_steps):
-        bx = _mm(_t(coeffs.B[k]), x[k])
-        net = bx - lam3[k][None]
-        u[k] = _mm(ws.Ninv[k], net)
-        y[k] = _mm(ric.sigma[k], x[k]) - phi[k]
-        z[k] = _mm(ws.zx[k], x[k]) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
-        defect = np.abs(_mm(coeffs.N[k], u[k]) - net).max(axis=(0, 1))
-        guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
-        prob = tree.node_probability(k)
-        mean_y[k], mean_z[k], mean_u[k] = (tree.expect(y[k]), tree.expect(z[k]),
-                                           tree.expect(u[k]))
-        cpl_y[k] = prob * _level_coupling(coeffs.A_bar[k], x[k])
-        cpl_z[k] = prob * _level_coupling(coeffs.C_bar[k], x[k])
-        cpl_u[k] = prob * _level_coupling(coeffs.B_bar[k], x[k])
-    worst = float(guard.max())
-    if worst > _GUARD_TOL:
-        raise NumericsError(
-            f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
-        )
+    x = solve_forward_sde(tree, ws.x0_gain @ phi[0][0],
+                          _adjoint_drift(coeffs, ws, phi, lam1), diffusion)
+    u, y, z, means, coupling, worst = _reconstruct(tree, coeffs, ric, ws, lam,
+                                                   phi, vtheta, x[:-1])
+    y.append(_mm(ric.sigma[tree.n_steps], x[-1]) - phi[-1])
     fields = (phi, vtheta, x, u, y, z)
     if single:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
         means, coupling = means[:, 0], coupling[:, 0]
     return DecoupledSolution(*fields, means, coupling, worst)
+
+
+def _mean_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+                   lam: np.ndarray, eta: np.ndarray) -> tuple:
+    """(means, coupling) of the linear part on node-constant data, every
+    level one node.  From a zero terminal phi is one node per level and
+    vtheta is zero, so the adjoint's level mean follows
+        xbar_{k+1} = xbar_k + dt (x_drift_k xbar_k + Q_k phi_k - lam1_k)
+    (the +/- sqrt(dt) shock averages out over the two children), and the
+    reconstruction maps, being node-constant, take means to means."""
+    ws = build_workspace(tree, coeffs, ric)
+    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))
+    drift = _adjoint_drift(coeffs, ws, phi, split_blocks(lam, tree, coeffs)[0])
+
+    def level_means():
+        xbar = (ws.x0_gain @ phi[0][0])[None]
+        for k in range(tree.n_steps):
+            yield xbar
+            xbar = xbar - tree.dt * drift(k, xbar)
+
+    return _reconstruct(tree, coeffs, ric, ws, lam, phi, vtheta, level_means())[3:5]
+
+
+def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+                    lam: np.ndarray, eta: np.ndarray) -> tuple:
+    """Level means and mean couplings of the linear part of the map
+    (lam, eta) -> (means, coupling), solved from a zero terminal, for column
+    stacks ``lam`` and ``eta`` of shape (d, c).  Returns two (d, c) stacks.
+
+    When every array the mean recursion reads has one node per level, all
+    columns run as one batched sweep of one node per level
+    (:func:`_mean_response`).  Otherwise the columns run through
+    :func:`solve_decoupled` in column blocks and only means and couplings
+    are kept."""
+    if _one_node_levels(tree, coeffs, ric):
+        return _mean_response(tree, coeffs, ric, lam, eta)
+    zero_terminal = np.zeros((1, coeffs.n))
+    means = np.empty(lam.shape)
+    coupling = np.empty(lam.shape)
+    for block in column_blocks(lam.shape[1]):
+        sol = solve_decoupled(tree, coeffs, ric, lam[:, block], eta[:, block],
+                              terminal=zero_terminal)
+        means[:, block], coupling[:, block] = sol.means, sol.coupling
+        del sol   # free this block's fields before the next block is solved
+    return means, coupling
+
+
+def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
+                 ric: RiccatiSolution) -> tuple:
+    """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
+    the constant part of the affine map; the sweep's fields are dropped."""
+    zero = np.zeros(eta_dimension(tree, coeffs))
+    base = solve_decoupled(tree, coeffs, ric, zero, zero)
+    return base.means, base.coupling
 
 
 @dataclass
@@ -294,30 +401,22 @@ def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
                     ric: RiccatiSolution) -> MeanOperators:
     """Assemble the affine maps by unit impulses; memoized on the Riccati pair.
 
-    The 2d + 1 probe columns (the base, the d lam impulses and the d eta
-    impulses) run in column blocks, one batched sweep per block."""
+    One base sweep (xi terminal, lam = eta = 0) gives p_xi and q_xi; the d
+    lam impulses and the d eta impulses give the linear part directly, as
+    the columns of :func:`linear_response` (zero terminal, no base to
+    subtract): one sweep of one node per level on node-constant data, else
+    one batched full-width sweep per column block."""
     key = "mean_operators"
     cached = ric._cache.get(key)
     if cached is not None and cached[0] is coeffs:
         return cached[1]
     d = eta_dimension(tree, coeffs)
-    cols = 2 * d + 1
-    lam_in = np.zeros((d, cols))
-    eta_in = np.zeros((d, cols))
-    lam_in[:, 1:d + 1] = np.eye(d)
-    eta_in[:, d + 1:] = np.eye(d)
-    means = np.empty((d, cols))
-    coupling = np.empty((d, cols))
-    for block in column_blocks(cols):
-        sol = solve_decoupled(tree, coeffs, ric, lam_in[:, block], eta_in[:, block])
-        means[:, block], coupling[:, block] = sol.means, sol.coupling
-        del sol   # free this block's fields before the next block is solved
-
-    base_m, base_c = means[:, :1], coupling[:, :1]
-    ops = MeanOperators(
-        p_xi=means[:, 0], P_eta=means[:, d + 1:] - base_m, L=means[:, 1:d + 1] - base_m,
-        q_xi=coupling[:, 0], Q_eta=coupling[:, d + 1:] - base_c,
-        M=coupling[:, 1:d + 1] - base_c)
+    p_xi, q_xi = _xi_response(tree, coeffs, ric)
+    unit, zero = np.eye(d), np.zeros((d, d))
+    means, coupling = linear_response(tree, coeffs, ric, np.hstack([unit, zero]),
+                                      np.hstack([zero, unit]))
+    ops = MeanOperators(p_xi=p_xi, P_eta=means[:, d:], L=means[:, :d],
+                        q_xi=q_xi, Q_eta=coupling[:, d:], M=coupling[:, :d])
     ric._cache[key] = (coeffs, ops)
     return ops
 
@@ -347,9 +446,13 @@ class OuterSolution(NamedTuple):
     relative_residual: float    # |A (eta, lam) - b| / |b| of the outer system
 
 
-def uses_krylov(tree: ScenarioTree) -> bool:
-    """True when :func:`solve_outer_system` takes the GMRES route."""
-    return tree.n_steps >= _KRYLOV_MIN_STEPS
+def uses_krylov(tree: ScenarioTree, coeffs: CoefficientSet,
+                ric: RiccatiSolution) -> bool:
+    """True when :func:`solve_outer_system` takes the GMRES route: the linear
+    part needs full-width sweeps (some array the mean recursion reads varies
+    over the nodes of a level) and the tree has at least _KRYLOV_MIN_STEPS
+    levels."""
+    return tree.n_steps >= _KRYLOV_MIN_STEPS and not _one_node_levels(tree, coeffs, ric)
 
 
 def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -359,13 +462,13 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     Two blocks of equations: the realized means equal eta (feasibility),
     and the multipliers equal the mean-cost gradient minus the mean-coupling
     feedback (stationarity in eta).  Both are affine in (eta, lam), so the
-    pair is one linear system A (eta, lam) = b of size 2d.  Trees of at least
-    _KRYLOV_MIN_STEPS levels solve it matrix-free by GMRES; smaller ones
-    assemble A from the probed operators and solve it densely.  A singular
+    pair is one linear system A (eta, lam) = b of size 2d.  When
+    :func:`uses_krylov` says so it is solved matrix-free by GMRES; otherwise
+    A is assembled from the probed operators and solved densely.  A singular
     system raises NumericsError; the answer itself is certified on the final
     sweep (see :func:`constrained_solution_at`).
     """
-    if uses_krylov(tree):
+    if uses_krylov(tree, coeffs, ric):
         return _solve_outer_krylov(tree, coeffs, ric)
     ops = probe_operators(tree, coeffs, ric)
     d = eta_dimension(tree, coeffs)
@@ -394,23 +497,17 @@ def _solve_outer_krylov(tree: ScenarioTree, coeffs: CoefficientSet,
     """The outer system by GMRES, one decoupled column per product.
 
     The base sweep (xi terminal, lam = eta = 0) gives b = (p_xi, q_xi); a
-    product is one single-column sweep at (eta, lam) from a zero terminal,
-    which is the linear part of the map with no base to subtract.  Its
-    backward (phi, vtheta) half is as narrow as the workspace: one node per
-    level on deterministic coefficients.  Only means and couplings are
-    kept, never a sweep's tree fields."""
+    product is one column of :func:`linear_response` at (eta, lam), the
+    linear part of the map with no base to subtract.  Only means and
+    couplings are kept, never a sweep's tree fields."""
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
-    zero = np.zeros(d)
-    base = solve_decoupled(tree, coeffs, ric, zero, zero)
-    rhs = np.concatenate([base.means, base.coupling])
-    del base
-    zero_terminal = np.zeros((1, coeffs.n))
+    rhs = np.concatenate(_xi_response(tree, coeffs, ric))
 
     def product(vec: np.ndarray) -> np.ndarray:
-        eta, lam = vec[:d], vec[d:]
-        sol = solve_decoupled(tree, coeffs, ric, lam, eta, terminal=zero_terminal)
-        return np.concatenate([eta - sol.means, weights @ eta - sol.coupling - lam])
+        eta, lam = vec[:d, None], vec[d:, None]
+        means, coupling = linear_response(tree, coeffs, ric, lam, eta)
+        return np.concatenate([eta - means, weights @ eta - coupling - lam])[:, 0]
 
     sol, products, residual = _gmres(product, rhs, 2 * d)
     return OuterSolution(sol[:d], sol[d:], products + 1, residual)
@@ -570,8 +667,8 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
     lam1, lam2, lam3 = split_blocks(sol.lam, tree, coeffs)
     alpha, beta, gamma = split_blocks(sol.eta, tree, coeffs)
     ws = build_workspace(tree, coeffs, ric)
+    steps = implicit_steps(tree, coeffs)
     n_steps, dt = tree.n_steps, tree.dt
-    eye = np.eye(coeffs.n)
     u = [_mv(ws.Ninv[k], np.tile(-lam3[k][None], (tree.n_nodes(k), 1)))
          for k in range(n_steps)]
 
@@ -590,8 +687,7 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
                 + coeffs.A_bar[k] @ alpha[k] + coeffs.B_bar[k] @ gamma[k]
                 + coeffs.C_bar[k] @ beta[k]
             )
-            y[k] = np.linalg.solve(eye[None] - dt * coeffs.A[k],
-                                   rhs[:, :, None])[:, :, 0]
+            y[k] = _mv(steps.inverses[k], rhs)
 
         def drift(k: int, xk: np.ndarray) -> np.ndarray:
             return -(_mv(_t(coeffs.A[k]), xk) - _mv(coeffs.Q[k], y[k])

@@ -3,13 +3,16 @@
 The optimal deterministic mean triple eta is selected by the outer
 first-order conditions (see :func:`.multipliers.solve_outer_system`):
 feasibility of the realized means plus the multiplier/mean-cost-gradient
-matching condition, one linear system in (eta, lam).  Shallow trees solve
-it densely over the probed affine maps, and :func:`run_pipeline` times the
-probe as its own stage; trees of at least
-``multipliers._KRYLOV_MIN_STEPS`` levels solve it matrix-free by GMRES and
-never probe.  The report's ``outer_columns`` counts the decoupled columns
-either route spent and ``outer_relative_residual`` is |A x - b| / |b| of
-the system.  With all barred coefficients zero the system collapses to
+matching condition, one linear system in (eta, lam).
+:func:`.multipliers.uses_krylov` picks the route.  Node-varying data on
+trees of at least ``multipliers._KRYLOV_MIN_STEPS`` levels solve it
+matrix-free by GMRES and never probe.  Every other input solves it densely
+over the probed affine maps, and :func:`run_pipeline` times the probe as
+its own stage; on node-constant data the probe's impulse columns follow
+the level-mean recursion, so only its base sweep is full width, at every
+depth.  The report's ``outer_columns`` counts the decoupled columns either
+route spent and ``outer_relative_residual`` is |A x - b| / |b| of the
+system.  With all barred coefficients zero the system collapses to
 zero multipliers and the plain feedback control.
 
 Both conditions are certified on the final sweep, whose control is
@@ -175,8 +178,8 @@ class PipelineResult:
 
 def run_pipeline(spec: ProblemSpec, n_steps: int,
                  with_oracle: bool = False) -> PipelineResult:
-    """Full solve: realize, validate, Riccati, outer solve (probing first on
-    shallow trees), certify.
+    """Full solve: realize, validate, Riccati, outer solve (probing first
+    unless :func:`.multipliers.uses_krylov`), certify.
 
     Validation always runs: its H2 checks are the convexity certificate of
     every returned result."""
@@ -197,7 +200,7 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         )
     implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
-    if not uses_krylov(tree):
+    if not uses_krylov(tree, coeffs, ric):
         staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
     system = staged("solve_outer_system", lambda: solve_outer_system(tree, coeffs, ric))
     eta, lam = system.eta, system.lam

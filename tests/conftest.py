@@ -12,16 +12,48 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfbslq import load_spec, load_spec_file
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 CORPUS = ("s1", "m1", "m1_random", "d2")
+FIELDS = ("A", "A_bar", "B", "B_bar", "C", "C_bar",
+          "Q", "Q_bar", "R", "R_bar", "N", "N_bar")
 
 
 def corpus_path(name: str) -> Path:
     return SPEC_DIR / f"{name}.json"
+
+
+def materialised(tree, coeffs):
+    """A copy of ``coeffs`` with every level stored at all 2^k nodes, so
+    nothing is node-constant by storage."""
+    return dataclasses.replace(coeffs, **{
+        name: [np.broadcast_to(level, (tree.n_nodes(k),) + level.shape[1:]).copy()
+               for k, level in enumerate(getattr(coeffs, name))]
+        for name in FIELDS})
+
+
+def tile_realize(monkeypatch) -> None:
+    """Make :func:`.outer.run_pipeline` solve from materialised coefficients."""
+    from mfbslq import outer, realize
+    monkeypatch.setattr(outer, "realize",
+                        lambda spec, tree: materialised(tree, realize(spec, tree)))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that every call appends to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def constant(value) -> dict:

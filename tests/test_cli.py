@@ -12,6 +12,7 @@ from conftest import (corpus_path, perturb_probed_coupling, scalar_spec_doc,
 
 S1 = str(corpus_path("s1"))
 M1 = str(corpus_path("m1"))
+M1_RANDOM = str(corpus_path("m1_random"))
 
 
 def _write_spec(tmp_path, doc, name="prob.json"):
@@ -99,7 +100,7 @@ def test_unconverged_outer_solve_maps_to_two(monkeypatch, capsys):
     monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
     monkeypatch.setattr(multipliers, "_gmres",
                         lambda product, rhs, cap: real(product, rhs, 1))
-    assert main(["run", "--spec", M1, "--nt", "4", "--out", "-"]) == 2
+    assert main(["run", "--spec", M1_RANDOM, "--nt", "4", "--out", "-"]) == 2
     err = capsys.readouterr().err
     assert "GMRES" in err and "after 1 products" in err
 

@@ -33,7 +33,7 @@ from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 riccati_control, solve_constrained_problem,
                                 solve_decoupled, solve_outer_system,
                                 split_blocks)
-from conftest import barred_zero_spec, scalar_spec
+from conftest import barred_zero_spec, materialised, scalar_spec
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -203,11 +203,15 @@ def test_singular_outer_system_is_a_numerics_error(m1, monkeypatch):
 
 
 def test_krylov_route_matches_probed_solve(corpus, monkeypatch):
+    # tiled coefficients: node-varying storage, so GMRES is not bypassed
     for name, spec in corpus.items():
-        tree, coeffs, ric = _setup(spec, 5)
-        assert not multipliers.uses_krylov(tree)
+        tree = build_tree(spec.horizon, 5)
+        coeffs = materialised(tree, realize(spec, tree))
+        ric = solve_riccati(tree, coeffs)
+        assert not multipliers.uses_krylov(tree, coeffs, ric)
         probed = solve_outer_system(tree, coeffs, ric)
         monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
+        assert multipliers.uses_krylov(tree, coeffs, ric)
         krylov = solve_outer_system(tree, coeffs, ric)
         monkeypatch.undo()
         d = eta_dimension(tree, coeffs)
@@ -219,15 +223,46 @@ def test_krylov_route_matches_probed_solve(corpus, monkeypatch):
         assert probed.relative_residual <= 1e-11, name
 
 
-def test_route_follows_tree_depth():
-    # the benchmark's shallow sweep (depth <= 8) probes; depths 13 and 16 run GMRES
-    assert not multipliers.uses_krylov(build_tree(1.0, 8))
-    assert multipliers.uses_krylov(build_tree(1.0, 13))
-    assert multipliers.uses_krylov(build_tree(1.0, 16))
+def test_route_rule(d2, m1_random):
+    # GMRES needs both a tree of _KRYLOV_MIN_STEPS levels and data that
+    # varies over the nodes of a level: node-constant d2 probes at every
+    # depth, its tiled copy and m1_random switch to GMRES at depth 13
+    for nt in (8, 13):
+        deep = nt >= multipliers._KRYLOV_MIN_STEPS
+        tree = build_tree(d2.horizon, nt)
+        compact = realize(d2, tree)
+        tiled = materialised(tree, compact)
+        for coeffs, varying in ((compact, False), (tiled, True),
+                                (realize(m1_random, tree), True)):
+            ric = solve_riccati(tree, coeffs)
+            assert multipliers._one_node_levels(tree, coeffs, ric) == (not varying)
+            assert multipliers.uses_krylov(tree, coeffs, ric) == (deep and varying)
 
 
-def test_krylov_product_cap_is_a_numerics_error(m1, monkeypatch):
-    tree, coeffs, ric = _setup(m1, 4)
+@pytest.mark.parametrize("name", ["s1", "m1", "d2"])
+@pytest.mark.parametrize("nt", [5, 13])
+def test_mean_path_matches_full_sweeps(corpus, monkeypatch, name, nt):
+    # node-constant data: the level-mean recursion gives the means and
+    # couplings of full zero-terminal sweeps, without running one
+    tree, coeffs, ric = _setup(corpus[name], nt)
+    d = eta_dimension(tree, coeffs)
+    rng = np.random.default_rng(nt)
+    lam, eta = rng.standard_normal((2, d, 3))
+    full = solve_decoupled(tree, coeffs, ric, lam, eta,
+                           terminal=np.zeros((1, coeffs.n)))
+    assert len(full.x[-1]) == tree.n_nodes(nt)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mean path must not sweep the tree")
+
+    monkeypatch.setattr(multipliers, "solve_decoupled", refuse)
+    means, coupling = multipliers.linear_response(tree, coeffs, ric, lam, eta)
+    for got, want in ((means, full.means), (coupling, full.coupling)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_krylov_product_cap_is_a_numerics_error(m1_random, monkeypatch):
+    tree, coeffs, ric = _setup(m1_random, 4)
     real = multipliers._gmres
     monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
     monkeypatch.setattr(multipliers, "_gmres",

@@ -7,31 +7,22 @@ problem from its realized coefficients and from a copy with every field
 materialised to 2^k nodes per level, and require the same answers.
 """
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from mfbslq import build_tree, load_spec, realize, solve_meanfield_bsde, solve_oracle
-from mfbslq import multipliers, outer
+from mfbslq import multipliers
 from mfbslq.bsde import implicit_steps
+from mfbslq.multipliers import eta_dimension
 from mfbslq.outer import run_pipeline
-from conftest import CORPUS, corpus_path
+from conftest import (CORPUS, FIELDS, corpus_path, count_calls, materialised,
+                      tile_realize)
 
 DEPTH = 6
-FIELDS = ("A", "A_bar", "B", "B_bar", "C", "C_bar",
-          "Q", "Q_bar", "R", "R_bar", "N", "N_bar")
 # specs whose twelve coefficients are all noise-independent
 DETERMINISTIC = ("s1", "m1", "d2")
-
-
-def materialised(tree, coeffs):
-    """A copy of ``coeffs`` with every level stored at all 2^k nodes."""
-    return dataclasses.replace(coeffs, **{
-        name: [np.broadcast_to(level, (tree.n_nodes(k),) + level.shape[1:]).copy()
-               for k, level in enumerate(getattr(coeffs, name))]
-        for name in FIELDS})
 
 
 def mixed_bars_spec():
@@ -54,20 +45,32 @@ def test_materialised_coefficients_give_the_same_solution(corpus, monkeypatch,
                                                           name, krylov_min_steps):
     spec = corpus[name] if name in corpus else mixed_bars_spec()
     monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", krylov_min_steps)
+    sweeps = count_calls(monkeypatch, multipliers, "solve_decoupled")
+    gmres = count_calls(monkeypatch, multipliers, "_gmres")
     compact = run_pipeline(spec, DEPTH)
+    compact_runs = len(sweeps), len(gmres)
     tree = compact.tree
     widths = {len(level) for f in FIELDS for level in getattr(compact.coeffs, f)[1:]}
     assert 1 in widths
     assert (len(widths) > 1) == (name not in DETERMINISTIC)
 
-    monkeypatch.setattr(outer, "realize",
-                        lambda spec, tree: materialised(tree, realize(spec, tree)))
+    tile_realize(monkeypatch)
+    sweeps.clear()
+    gmres.clear()
     full = run_pipeline(spec, DEPTH)
     for f in FIELDS:
         assert [len(v) for v in getattr(full.coeffs, f)] == [
             tree.n_nodes(k) for k in range(DEPTH)]
 
-    assert full.outer.columns == compact.outer.columns
+    # GMRES runs on node-varying data from _KRYLOV_MIN_STEPS levels on; a
+    # GMRES solve spends the base column and one per product (every sweep
+    # but the final one), a probed solve 2d + 1 columns
+    deep = krylov_min_steps <= DEPTH
+    d = eta_dimension(tree, compact.coeffs)
+    for res, (calls, krylov), varying in ((compact, compact_runs, name not in DETERMINISTIC),
+                                          (full, (len(sweeps), len(gmres)), True)):
+        assert krylov == (deep and varying)
+        assert res.outer.columns == (calls - 1 if krylov else 2 * d + 1)
     _assert_close(compact.constrained.eta, full.constrained.eta, 1e-12)
     _assert_close(compact.cost, full.cost, 1e-12)
     for a, b in zip(compact.constrained.u, full.constrained.u):

@@ -10,7 +10,8 @@ from mfbslq.multipliers import (column_blocks, eta_dimension,
 from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
-from conftest import barred_zero_spec, perturb_probed_coupling, scalar_spec
+from conftest import (barred_zero_spec, count_calls, perturb_probed_coupling,
+                      scalar_spec, tile_realize)
 
 
 def _setup(spec, nt):
@@ -131,36 +132,47 @@ def test_pipeline_timings_cover_stages(m1):
     assert "outer_quadratic" not in stages
 
 
-def test_pipeline_probes_once(d2, monkeypatch):
-    # the probe's column blocks plus the final solve, and nothing else: a
-    # missed memo would re-run the probe inside the outer solve
-    calls = []
-    real = multipliers.solve_decoupled
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(multipliers, "solve_decoupled", counted)
-    res = run_pipeline(d2, 5)
-    d = eta_dimension(res.tree, res.coeffs)
-    assert len(calls) == len(column_blocks(2 * d + 1)) + 1
+def test_pipeline_probes_once(corpus, monkeypatch):
+    # the base sweep, the impulse columns and the final solve, and nothing
+    # else: a missed memo would re-run the probe inside the outer solve.
+    # Node-constant d2 takes its impulses from the level-mean recursion, at
+    # every depth, so only the base and the final solve sweep the tree
+    calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
+    monkeypatch.setattr(multipliers, "_gmres", _refuse("the probe route must not run GMRES"))
+    for name, nt in (("d2", 5), ("d2", 13), ("m1_random", 5)):
+        calls.clear()
+        res = run_pipeline(corpus[name], nt)
+        d = eta_dimension(res.tree, res.coeffs)
+        impulse_sweeps = 0 if name == "d2" else len(column_blocks(2 * d))
+        assert len(calls) == 1 + impulse_sweeps + 1, (name, nt)
+        assert res.outer.columns == 2 * d + 1
+        assert res.multiplier_residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
+def test_deep_node_varying_trees_run_gmres(corpus, monkeypatch, name):
+    if name == "tiled_d2":
+        tile_realize(monkeypatch)
+    gmres = count_calls(monkeypatch, multipliers, "_gmres")
+    res = run_pipeline(corpus[name.removeprefix("tiled_")], 13)
+    assert len(gmres) == 1
+    assert "probe_operators" not in res.timings
+    assert res.outer.columns < 2 * eta_dimension(res.tree, res.coeffs) + 1
+    assert res.multiplier_residual <= 1e-12
 
 
 def test_krylov_pipeline_never_probes(d2, monkeypatch):
     # GMRES: the base column, one column per product, then the final solve
-    calls = []
-    real = multipliers.solve_decoupled
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the GMRES route must not probe")
-
+    tile_realize(monkeypatch)
     monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
-    monkeypatch.setattr(multipliers, "solve_decoupled", counted)
+    calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
+    refuse = _refuse("the GMRES route must not probe")
     monkeypatch.setattr(multipliers, "probe_operators", refuse)
     monkeypatch.setattr(outer, "probe_operators", refuse)
     res = run_pipeline(d2, 5)
