@@ -111,27 +111,33 @@ def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> ImplicitSteps:
     return cached
 
 
-def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
-    """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree.
+def forward_levels(tree: ScenarioTree, initial: np.ndarray, drift, diffusion):
+    """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree,
+    yielding levels 0..n_steps one at a time; a level is computed only when
+    the next one is asked for.
 
     ``initial`` has shape (dim,) or (dim, c).  ``drift(k, x)`` and
     ``diffusion(k, x)`` receive the level index and the level-k values of
     shape (2**k, dim) (or (2**k, dim, c)) and return arrays of that shape,
-    or of leading length 1 when the same on every node.  Returns the list
-    of levels 0..n_steps.  The sign convention matches the backward-equation
-    family this module solves: to integrate dX = +b ds + s dW, pass
-    callbacks returning -b and -s.
+    or of leading length 1 when the same on every node.  The sign
+    convention matches the backward-equation family this module solves: to
+    integrate dX = +b ds + s dW, pass callbacks returning -b and -s.
     """
-    levels = [np.atleast_1d(np.asarray(initial, dtype=float))[None]]
+    x = np.atleast_1d(np.asarray(initial, dtype=float))[None]
     for k in range(tree.n_steps):
-        x = levels[k]
+        yield x
         step = x - tree.dt * drift(k, x)
         shock = tree.sqrt_dt * diffusion(k, x)
         nxt = np.empty((2 * len(x),) + x.shape[1:])
         np.subtract(step, shock, out=nxt[0::2])   # up child, dW = +sqrt(dt)
         np.add(step, shock, out=nxt[1::2])        # down child, dW = -sqrt(dt)
-        levels.append(nxt)
-    return levels
+        x = nxt
+    yield x
+
+
+def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
+    """The list of levels 0..n_steps of :func:`forward_levels`."""
+    return list(forward_levels(tree, initial, drift, diffusion))
 
 
 @dataclass

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,6 +109,15 @@ class CoefficientSet:
         """Level-k weights of the mean cost terms: E[Q_bar], E[R_bar], E[N_bar]."""
         return (self.Q_bar[k].mean(axis=0), self.R_bar[k].mean(axis=0),
                 self.N_bar[k].mean(axis=0))
+
+    def node_means(self) -> CoefficientSet:
+        """The coefficients with every level replaced by its node mean, kept
+        as one node; ``self`` when every level already has one node."""
+        names = (*_DYNAMICS_SHAPES, *_COST_SHAPES)
+        if all(len(level) == 1 for name in names for level in getattr(self, name)):
+            return self
+        return replace(self, **{name: [level.mean(axis=0, keepdims=True)
+                                       for level in getattr(self, name)] for name in names})
 
 
 @dataclass(frozen=True)

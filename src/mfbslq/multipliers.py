@@ -42,7 +42,9 @@ because the +/- sqrt(dt) shock averages out over the two children, and the
 node-constant reconstruction maps take xbar to the means of (y, z, u) and
 to the couplings.  Any number of columns then costs one sweep of one node
 per level.  Otherwise the linear part runs full-width sweeps, 16 columns
-to a sweep.  `probe_operators` assembles both maps from the base sweep and
+to a sweep.  Both parts reduce each adjoint level to its means and
+couplings as it is formed and keep no field of the tree (`_response`).
+`probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
 
@@ -55,18 +57,20 @@ feedback,
     lam3_k = E[N_bar_k] gamma_k - E[B_bar_k' x_k],
 
 while the realized means equal eta.  `solve_outer_system` solves the
-resulting linear system in (eta, lam), of size 2d with d = n_steps (2n + m),
-by one of two routes (`uses_krylov`).  GMRES runs only when the linear part
-needs full-width sweeps and the tree has at least _KRYLOV_MIN_STEPS levels:
-unrestarted and matrix-free, a product is one single-column zero-terminal
-sweep, and the system is well conditioned (condition number 2 to 3.5 on
-the shipped specs), so GMRES needs 21 to 32 products at every depth while
-the probe's column count grows with it.  Every other input (node-constant
-data at any depth, or a shallow tree) assembles the system from the probes
-(2d + 1 columns) and solves it densely.  With all barred coefficients zero
-either route yields lam = 0 and the plain feedback control.
+resulting linear system A (eta, lam) = b, of size 2d with d = n_steps
+(2n + m), the same way for every input: unrestarted matrix-free GMRES, a
+product being one single-column zero-terminal sweep, right-preconditioned
+by the outer system M of the node-mean problem.  That problem replaces
+every coefficient level and every Sigma level by its node mean, kept as one
+node, with Phi = 0; it is node-constant, so its dense 2d x 2d system costs
+one sweep of one node per level.  GMRES solves A M^{-1} w = b and returns
+x = M^{-1} w, so its stopping test is on the true residual |A x - b|
+(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 9).
+On node-constant data M is A and one product suffices; on the shipped
+random-coefficient spec about five do, at every depth.  With all barred
+coefficients zero the solve yields lam = 0 and the plain feedback control.
 
-Neither route is trusted on its own: `constrained_solution_at` gates the
+The solve is not trusted on its own: `constrained_solution_at` gates the
 realized means of the final sweep against eta and returns its realized
 couplings, so the caller checks the multiplier condition on that solve.
 
@@ -77,13 +81,14 @@ u-block], each block time-major over levels 0..n_steps-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
-from .bsde import checked_inverse, implicit_steps, solve_forward_sde
+from .bsde import checked_inverse, forward_levels, implicit_steps, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
 from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
@@ -93,11 +98,6 @@ _CERT_TOL = 1e-8
 _GUARD_TOL = 1e-10
 _PICARD_SWEEPS = 400
 _PICARD_TOL = 1e-12
-# Trees this deep solve the outer system by GMRES when its products need
-# full-width sweeps: each product is one sequential single-column sweep,
-# while the probe's 2d impulse columns run 16 to a sweep, so on shallower
-# trees probing plus a dense solve is faster.
-_KRYLOV_MIN_STEPS = 13
 _KRYLOV_TOL = 1e-12
 
 
@@ -134,9 +134,13 @@ class DecoupledWorkspace:
     x_drift: list      # A' - Q Sigma
     x_diff: list       # C' - G1 (Phi + S C')
     zx: list           # H (Phi + S C')
+    bars: list         # [A_bar | C_bar | B_bar], the coupling maps
     x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
+    # every level of every array the mean recursion reads has one node: the
+    # linear part's level means follow their own recursion (_level_means)
+    one_node: bool = False
 
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -150,7 +154,7 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
     n = coeffs.n
     eye = np.eye(n)
     x0_inv, _ = checked_inverse(eye[None] + coeffs.G @ ric.sigma[0], "I + G Sigma(0)", 0)
-    ws = DecoupledWorkspace(*([] for _ in range(10)), (x0_inv @ coeffs.G)[0])
+    ws = DecoupledWorkspace(*([] for _ in range(11)), (x0_inv @ coeffs.G)[0])
     for k in range(tree.n_steps):
         sig, phi = ric.sigma[k], ric.phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
@@ -175,20 +179,13 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
         ws.x_drift.append(_t(A) - Q @ sig)
         ws.x_diff.append(_t(C) - G1 @ mart)
         ws.zx.append(H @ mart)
+        ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
+                                      coeffs.B_bar[k]], axis=2))
+    arrays = (ric.sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
+              ws.Ninv, ws.x_drift, ws.zx, ws.bars, coeffs.Q, coeffs.B, coeffs.N)
+    ws.one_node = all(len(level) == 1 for levels in arrays for level in levels)
     ric._cache[key] = (coeffs, ws)
     return ws
-
-
-def _one_node_levels(tree: ScenarioTree, coeffs: CoefficientSet,
-                     ric: RiccatiSolution) -> bool:
-    """True when every level of every array the mean recursion reads has
-    one node (the tree's length-1 convention): then the linear part's level
-    means follow their own recursion (:func:`_mean_response`)."""
-    ws = build_workspace(tree, coeffs, ric)
-    arrays = (ric.sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
-              ws.Ninv, ws.x_drift, ws.zx, coeffs.Q, coeffs.B, coeffs.N,
-              coeffs.A_bar, coeffs.B_bar, coeffs.C_bar)
-    return all(len(levels[k]) == 1 for levels in arrays for k in range(tree.n_steps))
 
 
 @dataclass
@@ -201,7 +198,6 @@ class DecoupledSolution:
     z: list        # levels 0..n_steps - 1
     means: np.ndarray
     coupling: np.ndarray   # stacked E[A_bar' x], E[C_bar' x], E[B_bar' x]
-    guard: float   # worst pointwise defect of N u - B' x + lam3
 
 
 def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -238,24 +234,34 @@ def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
     return phi, vtheta
 
 
-def _adjoint_drift(coeffs: CoefficientSet, ws: DecoupledWorkspace, phi: list,
-                   lam1: np.ndarray):
-    """The adjoint's drift callback in :func:`.bsde.solve_forward_sde`'s sign
-    convention: x_{k+1} = x_k - dt drift(k, x_k) -/+ sqrt(dt) diffusion."""
+def _adjoint(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
+             lam: np.ndarray, phi: list, vtheta: list) -> tuple:
+    """The adjoint's (drift, diffusion) callbacks in
+    :func:`.bsde.forward_levels`' sign convention:
+    x_{k+1} = x_k - dt drift(k, x_k) -/+ sqrt(dt) diffusion(k, x_k)."""
+    lam1, lam2, _ = split_blocks(lam, tree, coeffs)
+
     def drift(k: int, x: np.ndarray) -> np.ndarray:
         return -(_mm(ws.x_drift[k], x) + _mm(coeffs.Q[k], phi[k]) - lam1[k][None])
-    return drift
+
+    def diffusion(k: int, x: np.ndarray) -> np.ndarray:
+        aff = _mm(ws.G1[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
+        return -(_mm(ws.x_diff[k], x) + aff)
+
+    return drift, diffusion
 
 
 def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
                  ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
-                 x_levels) -> tuple:
+                 x_levels, keep: bool = True) -> tuple:
     """u, y and z on levels 0..n_steps-1 from the adjoint levels that
     ``x_levels`` yields, with their level means and the mean couplings,
-    each stacked like ``lam``.  Returns (u, y, z, means, coupling, guard).
-    The guard is the worst defect of N u - (B' x - lam3) relative to
-    1 + |B' x| over every value reconstructed; above _GUARD_TOL it raises
-    NumericsError."""
+    each stacked like ``lam``.  Returns (u, y, z, means, coupling); without
+    ``keep`` each level's fields are dropped once reduced, and u, y and z
+    come back as lists of None.  The guard is the worst defect of
+    N u - (B' x - lam3) relative to 1 + |B' x| over every value
+    reconstructed; above _GUARD_TOL it raises NumericsError."""
+    n = coeffs.n
     _, lam2, lam3 = split_blocks(lam, tree, coeffs)
     u, y, z = ([None] * tree.n_steps for _ in range(3))
     means = np.empty(lam.shape)
@@ -266,111 +272,99 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
     for k, x in enumerate(x_levels):
         bx = _mm(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
-        u[k] = _mm(ws.Ninv[k], net)
-        y[k] = _mm(ric.sigma[k], x) - phi[k]
-        z[k] = _mm(ws.zx[k], x) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
-        defect = np.abs(_mm(coeffs.N[k], u[k]) - net).max(axis=(0, 1))
+        uk = _mm(ws.Ninv[k], net)
+        yk = _mm(ric.sigma[k], x) - phi[k]
+        zk = _mm(ws.zx[k], x) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
+        defect = np.abs(_mm(coeffs.N[k], uk) - net).max(axis=(0, 1))
         guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
-        mean_y[k], mean_z[k], mean_u[k] = (tree.expect(y[k]), tree.expect(z[k]),
-                                           tree.expect(u[k]))
-        cpl_y[k] = _level_coupling(coeffs.A_bar[k], x)
-        cpl_z[k] = _level_coupling(coeffs.C_bar[k], x)
-        cpl_u[k] = _level_coupling(coeffs.B_bar[k], x)
+        mean_y[k], mean_z[k], mean_u[k] = tree.expect(yk), tree.expect(zk), tree.expect(uk)
+        bars = _level_coupling(ws.bars[k], x)
+        cpl_y[k], cpl_z[k], cpl_u[k] = bars[:n], bars[n:2 * n], bars[2 * n:]
+        if keep:
+            u[k], y[k], z[k] = uk, yk, zk
     worst = float(guard.max())
     if worst > _GUARD_TOL:
         raise NumericsError(
             f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
         )
-    return u, y, z, means, coupling, worst
+    return u, y, z, means, coupling
 
 
 def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
-                    lam_vec: np.ndarray, eta_vec: np.ndarray,
-                    terminal: np.ndarray | None = None) -> DecoupledSolution:
+                    lam_vec: np.ndarray, eta_vec: np.ndarray) -> DecoupledSolution:
     """Solve the (lam, eta) optimality system and return fields plus means.
 
     ``lam_vec`` and ``eta_vec`` are (d,) or column stacks (d, c); a stack is
     solved in one sweep and every field and mean keeps the column axis
-    last.  A single pair runs as one column.  ``terminal`` replaces xi in
-    phi(T) = -xi for every column; a zero terminal of one node, (1, n), gives
-    the linear part of the map, with phi as narrow as the workspace."""
+    last.  A single pair runs as one column."""
     ws = build_workspace(tree, coeffs, ric)
     lam_vec = np.asarray(lam_vec, dtype=float)
     single = lam_vec.ndim == 1
     lam = lam_vec[:, None] if single else lam_vec
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
-    xi = coeffs.xi if terminal is None else np.asarray(terminal, dtype=float)
-    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, xi)
-    lam1, lam2, _ = split_blocks(lam, tree, coeffs)
-
-    def diffusion(k: int, x: np.ndarray) -> np.ndarray:
-        aff = _mm(ws.G1[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
-        return -(_mm(ws.x_diff[k], x) + aff)
-
+    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
     x = solve_forward_sde(tree, ws.x0_gain @ phi[0][0],
-                          _adjoint_drift(coeffs, ws, phi, lam1), diffusion)
-    u, y, z, means, coupling, worst = _reconstruct(tree, coeffs, ric, ws, lam,
-                                                   phi, vtheta, x[:-1])
+                          *_adjoint(tree, coeffs, ws, lam, phi, vtheta))
+    u, y, z, means, coupling = _reconstruct(tree, coeffs, ric, ws, lam, phi,
+                                            vtheta, x[:-1])
     y.append(_mm(ric.sigma[tree.n_steps], x[-1]) - phi[-1])
     fields = (phi, vtheta, x, u, y, z)
     if single:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
         means, coupling = means[:, 0], coupling[:, 0]
-    return DecoupledSolution(*fields, means, coupling, worst)
+    return DecoupledSolution(*fields, means, coupling)
 
 
-def _mean_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
-                   lam: np.ndarray, eta: np.ndarray) -> tuple:
-    """(means, coupling) of the linear part on node-constant data, every
-    level one node.  From a zero terminal phi is one node per level and
-    vtheta is zero, so the adjoint's level mean follows
-        xbar_{k+1} = xbar_k + dt (x_drift_k xbar_k + Q_k phi_k - lam1_k)
-    (the +/- sqrt(dt) shock averages out over the two children), and the
-    reconstruction maps, being node-constant, take means to means."""
+def _level_means(tree: ScenarioTree, x0: np.ndarray, drift):
+    """Levels 0..n_steps-1 of the adjoint's level mean, one node each:
+    xbar_{k+1} = xbar_k - dt drift(k, xbar_k), the +/- sqrt(dt) shock
+    averaging out over the two children."""
+    xbar = x0[None]
+    for k in range(tree.n_steps):
+        yield xbar
+        xbar = xbar - tree.dt * drift(k, xbar)
+
+
+def _response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+              lam: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> tuple:
+    """(means, coupling) of :func:`solve_decoupled` for column stacks (d, c)
+    from phi(T) = -xi, each adjoint level reduced as it is formed; the
+    leaves are never formed.  When xi and every array the mean recursion
+    reads have one node per level, all columns run as one block on the
+    adjoint's level mean (:func:`_level_means`); otherwise they run full
+    width, 16 to a block."""
     ws = build_workspace(tree, coeffs, ric)
-    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))
-    drift = _adjoint_drift(coeffs, ws, phi, split_blocks(lam, tree, coeffs)[0])
-
-    def level_means():
-        xbar = (ws.x0_gain @ phi[0][0])[None]
-        for k in range(tree.n_steps):
-            yield xbar
-            xbar = xbar - tree.dt * drift(k, xbar)
-
-    return _reconstruct(tree, coeffs, ric, ws, lam, phi, vtheta, level_means())[3:5]
+    mean_path = ws.one_node and len(xi) == 1
+    means = np.empty(lam.shape)
+    coupling = np.empty(lam.shape)
+    for block in [slice(None)] if mean_path else column_blocks(lam.shape[1]):
+        lam_b = lam[:, block]
+        phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
+        drift, diffusion = _adjoint(tree, coeffs, ws, lam_b, phi, vtheta)
+        x0 = ws.x0_gain @ phi[0][0]
+        levels = (_level_means(tree, x0, drift) if mean_path else
+                  islice(forward_levels(tree, x0, drift, diffusion), tree.n_steps))
+        means[:, block], coupling[:, block] = _reconstruct(
+            tree, coeffs, ric, ws, lam_b, phi, vtheta, levels, keep=False)[3:]
+    return means, coupling
 
 
 def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
                     lam: np.ndarray, eta: np.ndarray) -> tuple:
     """Level means and mean couplings of the linear part of the map
     (lam, eta) -> (means, coupling), solved from a zero terminal, for column
-    stacks ``lam`` and ``eta`` of shape (d, c).  Returns two (d, c) stacks.
-
-    When every array the mean recursion reads has one node per level, all
-    columns run as one batched sweep of one node per level
-    (:func:`_mean_response`).  Otherwise the columns run through
-    :func:`solve_decoupled` in column blocks and only means and couplings
-    are kept."""
-    if _one_node_levels(tree, coeffs, ric):
-        return _mean_response(tree, coeffs, ric, lam, eta)
-    zero_terminal = np.zeros((1, coeffs.n))
-    means = np.empty(lam.shape)
-    coupling = np.empty(lam.shape)
-    for block in column_blocks(lam.shape[1]):
-        sol = solve_decoupled(tree, coeffs, ric, lam[:, block], eta[:, block],
-                              terminal=zero_terminal)
-        means[:, block], coupling[:, block] = sol.means, sol.coupling
-        del sol   # free this block's fields before the next block is solved
-    return means, coupling
+    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`).  Returns
+    two (d, c) stacks."""
+    return _response(tree, coeffs, ric, lam, eta, np.zeros((1, coeffs.n)))
 
 
 def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
                  ric: RiccatiSolution) -> tuple:
     """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
-    the constant part of the affine map; the sweep's fields are dropped."""
-    zero = np.zeros(eta_dimension(tree, coeffs))
-    base = solve_decoupled(tree, coeffs, ric, zero, zero)
-    return base.means, base.coupling
+    the constant part of the affine map, each (d,)."""
+    zero = np.zeros((eta_dimension(tree, coeffs), 1))
+    means, coupling = _response(tree, coeffs, ric, zero, zero, coeffs.xi)
+    return means[:, 0], coupling[:, 0]
 
 
 @dataclass
@@ -442,17 +436,36 @@ class OuterSolution(NamedTuple):
 
     eta: np.ndarray
     lam: np.ndarray
-    columns: int                # decoupled sweep columns spent on the solve
+    columns: int                # the base column plus one per GMRES product
     relative_residual: float    # |A (eta, lam) - b| / |b| of the outer system
 
 
-def uses_krylov(tree: ScenarioTree, coeffs: CoefficientSet,
-                ric: RiccatiSolution) -> bool:
-    """True when :func:`solve_outer_system` takes the GMRES route: the linear
-    part needs full-width sweeps (some array the mean recursion reads varies
-    over the nodes of a level) and the tree has at least _KRYLOV_MIN_STEPS
-    levels."""
-    return tree.n_steps >= _KRYLOV_MIN_STEPS and not _one_node_levels(tree, coeffs, ric)
+def _node_mean_problem(tree: ScenarioTree, coeffs: CoefficientSet,
+                       ric: RiccatiSolution) -> tuple:
+    """(coefficients, Riccati pair) of the node-mean problem: every level of
+    the coefficients and of Sigma replaced by its node mean, kept as one
+    node, and Phi = 0, the martingale integrand of a one-node Sigma.  Node
+    means of PSD weights are PSD and keep N >= delta I, so its workspace
+    passes the same checked inverses.  A problem that is its own node mean
+    (one node everywhere) is returned as is, with its memoized workspace."""
+    mean_coeffs = coeffs.node_means()
+    if mean_coeffs is coeffs and all(len(level) == 1 for level in ric.sigma):
+        return coeffs, ric
+    sigma = [level.mean(axis=0, keepdims=True) for level in ric.sigma]
+    return mean_coeffs, replace(
+        ric, sigma=sigma, phi=[np.zeros((1, coeffs.n, coeffs.n))] * tree.n_steps, _cache={})
+
+
+def _outer_map(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+               weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The outer system's matrix applied to a column stack (2d, c) of
+    (eta, lam): feasibility rows eta - means and stationarity rows
+    W eta - coupling - lam, with the linear part from
+    :func:`linear_response`."""
+    d = len(weights)
+    eta, lam = cols[:d], cols[d:]
+    means, coupling = linear_response(tree, coeffs, ric, lam, eta)
+    return np.concatenate([eta - means, weights @ eta - coupling - lam])
 
 
 def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -462,54 +475,29 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     Two blocks of equations: the realized means equal eta (feasibility),
     and the multipliers equal the mean-cost gradient minus the mean-coupling
     feedback (stationarity in eta).  Both are affine in (eta, lam), so the
-    pair is one linear system A (eta, lam) = b of size 2d.  When
-    :func:`uses_krylov` says so it is solved matrix-free by GMRES; otherwise
-    A is assembled from the probed operators and solved densely.  A singular
-    system raises NumericsError; the answer itself is certified on the final
-    sweep (see :func:`constrained_solution_at`).
+    pair is one linear system A (eta, lam) = b of size 2d, b from the base
+    sweep.  GMRES solves A M^{-1} w = b and x = M^{-1} w, M the same system
+    of :func:`_node_mean_problem`, assembled densely.  A singular M raises
+    NumericsError; the answer itself is certified on the final sweep (see
+    :func:`constrained_solution_at`).
     """
-    if uses_krylov(tree, coeffs, ric):
-        return _solve_outer_krylov(tree, coeffs, ric)
-    ops = probe_operators(tree, coeffs, ric)
-    d = eta_dimension(tree, coeffs)
-    eye = np.eye(d)
-    a_sys = np.block([
-        [eye - ops.P_eta, -ops.L],
-        [mean_cost_weights(tree, coeffs) - ops.Q_eta, -(eye + ops.M)],
-    ])
-    rhs = np.concatenate([ops.p_xi, ops.q_xi])
-    try:
-        sol = np.linalg.solve(a_sys, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"outer first-order system is singular ({exc})") from exc
-    residual = _relative(a_sys @ sol - rhs, rhs)
-    return OuterSolution(sol[:d], sol[d:], 2 * d + 1, residual)
-
-
-def _relative(defect: np.ndarray, rhs: np.ndarray) -> float:
-    scale = float(np.linalg.norm(rhs))
-    norm = float(np.linalg.norm(defect))
-    return norm / scale if scale > 0.0 else norm
-
-
-def _solve_outer_krylov(tree: ScenarioTree, coeffs: CoefficientSet,
-                        ric: RiccatiSolution) -> OuterSolution:
-    """The outer system by GMRES, one decoupled column per product.
-
-    The base sweep (xi terminal, lam = eta = 0) gives b = (p_xi, q_xi); a
-    product is one column of :func:`linear_response` at (eta, lam), the
-    linear part of the map with no base to subtract.  Only means and
-    couplings are kept, never a sweep's tree fields."""
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
+    mean_coeffs, mean_ric = _node_mean_problem(tree, coeffs, ric)
+    try:
+        precond = np.linalg.inv(_outer_map(tree, mean_coeffs, mean_ric, weights,
+                                           np.eye(2 * d)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            f"outer first-order system of the node-mean problem is singular ({exc})"
+        ) from exc
     rhs = np.concatenate(_xi_response(tree, coeffs, ric))
 
     def product(vec: np.ndarray) -> np.ndarray:
-        eta, lam = vec[:d, None], vec[d:, None]
-        means, coupling = linear_response(tree, coeffs, ric, lam, eta)
-        return np.concatenate([eta - means, weights @ eta - coupling - lam])[:, 0]
+        return _outer_map(tree, coeffs, ric, weights, (precond @ vec)[:, None])[:, 0]
 
     sol, products, residual = _gmres(product, rhs, 2 * d)
+    sol = precond @ sol
     return OuterSolution(sol[:d], sol[d:], products + 1, residual)
 
 
@@ -553,7 +541,7 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
         gvec[j] *= cos[j]
         j += 1
     coef = np.linalg.solve(hess[:j, :j], gvec[:j])   # upper triangular
-    residual = _relative(coef @ images[:j] - rhs, rhs)
+    residual = float(np.linalg.norm(coef @ images[:j] - rhs)) / beta
     if abs(gvec[j]) > _KRYLOV_TOL * beta:
         raise NumericsError(
             f"GMRES on the outer first-order system did not converge: relative "

@@ -3,20 +3,16 @@
 The optimal deterministic mean triple eta is selected by the outer
 first-order conditions (see :func:`.multipliers.solve_outer_system`):
 feasibility of the realized means plus the multiplier/mean-cost-gradient
-matching condition, one linear system in (eta, lam).
-:func:`.multipliers.uses_krylov` picks the route.  Node-varying data on
-trees of at least ``multipliers._KRYLOV_MIN_STEPS`` levels solve it
-matrix-free by GMRES and never probe.  Every other input solves it densely
-over the probed affine maps, and :func:`run_pipeline` times the probe as
-its own stage; on node-constant data the probe's impulse columns follow
-the level-mean recursion, so only its base sweep is full width, at every
-depth.  The report's ``outer_columns`` counts the decoupled columns either
-route spent and ``outer_relative_residual`` is |A x - b| / |b| of the
-system.  With all barred coefficients zero the system collapses to
-zero multipliers and the plain feedback control.
+matching condition, one linear system in (eta, lam).  Every input solves
+it by matrix-free GMRES, right-preconditioned by the system of the
+node-mean problem; the pipeline never probes.  The report's
+``outer_columns`` counts the base column and one per GMRES product, and
+``outer_relative_residual`` is |A x - b| / |b| of the system.  With all
+barred coefficients zero the system collapses to zero multipliers and the
+plain feedback control.
 
 Both conditions are certified on the final sweep, whose control is
-returned, not on the probes: its realized means must hit eta, and its
+returned, not on the outer solve: its realized means must hit eta, and its
 realized couplings must give lam = W eta - coupling (W the mean-cost
 weights), else NumericsError.  The report's ``multiplier_residual`` is
 max |W eta - coupling - lam|.
@@ -48,12 +44,13 @@ import numpy as np
 from ._errors import ConvexityError, NumericsError, SpecValidationError
 from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
-from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,
+# probe_operators is not called here; perfbench/spans.py wraps it by name
+from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,  # noqa: F401
                           build_workspace, column_blocks,
                           constrained_solution_at, eta_dimension,
                           mean_cost_weights, probe_operators,
                           solve_constrained_problem, solve_outer_system,
-                          split_blocks, uses_krylov)
+                          split_blocks)
 from .oracle import (OracleSolution, control_dimension, control_error,
                      cost_gradient, cost_of_solution, evaluate_cost,
                      hessian_product, smp_stationarity_residual, solve_oracle,
@@ -178,8 +175,7 @@ class PipelineResult:
 
 def run_pipeline(spec: ProblemSpec, n_steps: int,
                  with_oracle: bool = False) -> PipelineResult:
-    """Full solve: realize, validate, Riccati, outer solve (probing first
-    unless :func:`.multipliers.uses_krylov`), certify.
+    """Full solve: realize, validate, Riccati, outer solve, certify.
 
     Validation always runs: its H2 checks are the convexity certificate of
     every returned result."""
@@ -200,8 +196,6 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         )
     implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
-    if not uses_krylov(tree, coeffs, ric):
-        staged("probe_operators", lambda: probe_operators(tree, coeffs, ric))
     system = staged("solve_outer_system", lambda: solve_outer_system(tree, coeffs, ric))
     eta, lam = system.eta, system.lam
     final = staged("final_solve",

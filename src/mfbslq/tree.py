@@ -44,7 +44,7 @@ def column_blocks(count: int) -> list:
 
 def _t(mats: np.ndarray) -> np.ndarray:
     """Transpose the last two axes of a stack of matrices."""
-    return np.swapaxes(mats, -1, -2)
+    return mats.swapaxes(-1, -2)
 
 
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -79,7 +79,8 @@ def _concat_nodes(parts: list, axis: int) -> np.ndarray:
     """Concatenate per-node stacks along ``axis`` (not 0), broadcasting
     length-1 node axes to the longest; all length 1 stays length 1."""
     nodes = max(len(part) for part in parts)
-    return np.concatenate([np.broadcast_to(part, (nodes,) + part.shape[1:])
+    return np.concatenate([part if len(part) == nodes
+                           else np.broadcast_to(part, (nodes,) + part.shape[1:])
                            for part in parts], axis=axis)
 
 
@@ -90,12 +91,12 @@ class ScenarioTree:
         if not 0 < horizon < math.inf:
             raise ConfigurationError(
                 f"horizon must be positive and finite, got {horizon}")
-        if not 1 <= int(n_steps) <= MAX_DEPTH:
+        if type(n_steps) is not int or not 1 <= n_steps <= MAX_DEPTH:   # bool is not a depth
             raise ConfigurationError(
-                f"n_steps must be within [1, {MAX_DEPTH}], got {n_steps}"
+                f"n_steps must be an integer within [1, {MAX_DEPTH}], got {n_steps!r}"
             )
         self.horizon = float(horizon)
-        self.n_steps = int(n_steps)
+        self.n_steps = n_steps
         self.dt = self.horizon / self.n_steps
         self.sqrt_dt = math.sqrt(self.dt)
         self.times = np.arange(self.n_steps + 1) * self.dt
@@ -142,8 +143,9 @@ class ScenarioTree:
         return 0.5 * (values[0::2] + values[1::2])
 
     def expect(self, values: np.ndarray) -> np.ndarray:
-        """Unconditional mean over a level (uniform node probability 2^-k)."""
-        return values.mean(axis=0)
+        """Unconditional mean over a level (uniform node probability 2^-k);
+        ``values.mean(axis=0)`` without its per-call overhead."""
+        return np.add.reduce(values, axis=0) / len(values)
 
     def z_from_next(self, y_next: np.ndarray) -> np.ndarray:
         """Martingale-representation integrand of a next-level process.

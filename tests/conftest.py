@@ -107,18 +107,19 @@ def barred_zero_spec(name: str = "m1"):
     return load_spec(json.dumps(raw))
 
 
-def perturb_probed_coupling(monkeypatch, shift: float) -> None:
-    """Make every lookup of the probed operators return a copy whose
-    coupling block M is off by ``shift`` in every entry."""
-    from mfbslq import multipliers, outer
-    real = multipliers.probe_operators
+def perturb_coupling_response(monkeypatch, shift: float) -> None:
+    """Make every call of :func:`.multipliers.linear_response`, which builds
+    the outer solve's preconditioner and runs each GMRES product, return
+    couplings whose multiplier block M is off by ``shift`` in every entry:
+    shift times the sum of each lam column is added to every coupling."""
+    from mfbslq import multipliers
+    real = multipliers.linear_response
 
-    def perturbed(*args, **kwargs):
-        ops = real(*args, **kwargs)
-        return dataclasses.replace(ops, M=ops.M + shift)
+    def perturbed(tree, coeffs, ric, lam, eta):
+        means, coupling = real(tree, coeffs, ric, lam, eta)
+        return means, coupling + shift * lam.sum(axis=0)
 
-    monkeypatch.setattr(multipliers, "probe_operators", perturbed)
-    monkeypatch.setattr(outer, "probe_operators", perturbed)
+    monkeypatch.setattr(multipliers, "linear_response", perturbed)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import pytest
 
 from mfbslq import NumericsError
 from mfbslq.cli import main
-from conftest import (corpus_path, perturb_probed_coupling, scalar_spec_doc,
+from conftest import (corpus_path, perturb_coupling_response, scalar_spec_doc,
                       singular_mean_doc, singular_step_doc)
 
 S1 = str(corpus_path("s1"))
@@ -89,7 +89,7 @@ def test_run_solver_failure_maps_to_two(tmp_path, monkeypatch):
 
 
 def test_run_wrong_probe_maps_to_two(monkeypatch, capsys):
-    perturb_probed_coupling(monkeypatch, 1e-3)
+    perturb_coupling_response(monkeypatch, 1e-3)
     assert main(["run", "--spec", M1, "--nt", "4", "--out", "-"]) == 2
     assert "multiplier residual" in capsys.readouterr().err
 
@@ -97,7 +97,6 @@ def test_run_wrong_probe_maps_to_two(monkeypatch, capsys):
 def test_unconverged_outer_solve_maps_to_two(monkeypatch, capsys):
     from mfbslq import multipliers
     real = multipliers._gmres
-    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
     monkeypatch.setattr(multipliers, "_gmres",
                         lambda product, rhs, cap: real(product, rhs, 1))
     assert main(["run", "--spec", M1_RANDOM, "--nt", "4", "--out", "-"]) == 2

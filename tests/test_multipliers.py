@@ -18,13 +18,14 @@ state multiplier q gives x_k = -q t_k.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mfbslq import (InfeasibleEtaError, NumericsError, build_tree, realize,
-                    solve_riccati)
+from mfbslq import (InfeasibleEtaError, NumericsError, build_tree, load_spec,
+                    realize, solve_riccati)
 from mfbslq import multipliers
 from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 decoupling_residual, eta_dimension,
@@ -33,7 +34,8 @@ from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 riccati_control, solve_constrained_problem,
                                 solve_decoupled, solve_outer_system,
                                 split_blocks)
-from conftest import barred_zero_spec, materialised, scalar_spec
+from mfbslq.outer import run_pipeline
+from conftest import barred_zero_spec, corpus_path, materialised, scalar_spec
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -191,52 +193,66 @@ def test_outer_system_collapses_without_coupling():
         assert np.abs(final.u[k] - feedback[k]).max() <= 1e-10
 
 
-def test_singular_outer_system_is_a_numerics_error(m1, monkeypatch):
-    # P_eta = I and L = 0 zero the feasibility block of the outer system
-    tree, coeffs, ric = _setup(m1, 3)
-    ops = probe_operators(tree, coeffs, ric)
-    degenerate = dataclasses.replace(ops, P_eta=np.eye(ops.L.shape[0]),
-                                     L=np.zeros_like(ops.L))
-    monkeypatch.setattr(multipliers, "probe_operators", lambda *args: degenerate)
-    with pytest.raises(NumericsError, match="singular"):
+def test_singular_outer_system_is_a_numerics_error(m1_random, monkeypatch):
+    # every linear response reads means = eta and couplings = 0 (P_eta = I,
+    # L = 0): the feasibility rows of the node-mean system, the
+    # preconditioner, are zero, and its build refuses it
+    tree, coeffs, ric = _setup(m1_random, 3)
+    monkeypatch.setattr(multipliers, "linear_response",
+                        lambda tree, coeffs, ric, lam, eta: (eta, 0.0 * eta))
+    monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
+    with pytest.raises(NumericsError, match="node-mean problem is singular"):
         solve_outer_system(tree, coeffs, ric)
 
 
-def test_krylov_route_matches_probed_solve(corpus, monkeypatch):
-    # tiled coefficients: node-varying storage, so GMRES is not bypassed
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
+def _probed_solve(tree, coeffs, ric):
+    """(eta, lam) from a dense solve of the outer system assembled from
+    :func:`probe_operators`, the referee of the GMRES solve."""
+    ops = probe_operators(tree, coeffs, ric)
+    d = eta_dimension(tree, coeffs)
+    eye = np.eye(d)
+    a_sys = np.block([
+        [eye - ops.P_eta, -ops.L],
+        [mean_cost_weights(tree, coeffs) - ops.Q_eta, -(eye + ops.M)],
+    ])
+    sol = np.linalg.solve(a_sys, np.concatenate([ops.p_xi, ops.q_xi]))
+    return sol[:d], sol[d:]
+
+
+def test_krylov_route_matches_probed_solve(corpus):
+    # compact and materialised coefficients: the preconditioned GMRES solve
+    # agrees with the dense solve of the probed system on every spec
     for name, spec in corpus.items():
         tree = build_tree(spec.horizon, 5)
-        coeffs = materialised(tree, realize(spec, tree))
-        ric = solve_riccati(tree, coeffs)
-        assert not multipliers.uses_krylov(tree, coeffs, ric)
-        probed = solve_outer_system(tree, coeffs, ric)
-        monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
-        assert multipliers.uses_krylov(tree, coeffs, ric)
-        krylov = solve_outer_system(tree, coeffs, ric)
-        monkeypatch.undo()
-        d = eta_dimension(tree, coeffs)
-        assert probed.columns == 2 * d + 1, name
-        assert 2 <= krylov.columns <= 2 * d + 1, name
-        assert np.abs(krylov.eta - probed.eta).max() <= 1e-10, name
-        assert np.abs(krylov.lam - probed.lam).max() <= 1e-10, name
-        assert krylov.relative_residual <= 1e-11, name
-        assert probed.relative_residual <= 1e-11, name
+        compact = realize(spec, tree)
+        for coeffs in (compact, materialised(tree, compact)):
+            ric = solve_riccati(tree, coeffs)
+            got = solve_outer_system(tree, coeffs, ric)
+            eta, lam = _probed_solve(tree, coeffs, ric)
+            assert 2 <= got.columns <= 9, name
+            assert np.abs(got.eta - eta).max() <= 1e-10, name
+            assert np.abs(got.lam - lam).max() <= 1e-10, name
+            assert got.relative_residual <= 1e-12, name
 
 
 def test_route_rule(d2, m1_random):
-    # GMRES needs both a tree of _KRYLOV_MIN_STEPS levels and data that
-    # varies over the nodes of a level: node-constant d2 probes at every
-    # depth, its tiled copy and m1_random switch to GMRES at depth 13
+    # the linear part follows the level-mean recursion exactly when every
+    # array it reads has one node per level: node-constant d2 does at every
+    # depth, its tiled copy and m1_random do not
     for nt in (8, 13):
-        deep = nt >= multipliers._KRYLOV_MIN_STEPS
         tree = build_tree(d2.horizon, nt)
         compact = realize(d2, tree)
         tiled = materialised(tree, compact)
         for coeffs, varying in ((compact, False), (tiled, True),
                                 (realize(m1_random, tree), True)):
             ric = solve_riccati(tree, coeffs)
-            assert multipliers._one_node_levels(tree, coeffs, ric) == (not varying)
-            assert multipliers.uses_krylov(tree, coeffs, ric) == (deep and varying)
+            assert build_workspace(tree, coeffs, ric).one_node == (not varying)
 
 
 @pytest.mark.parametrize("name", ["s1", "m1", "d2"])
@@ -248,23 +264,61 @@ def test_mean_path_matches_full_sweeps(corpus, monkeypatch, name, nt):
     d = eta_dimension(tree, coeffs)
     rng = np.random.default_rng(nt)
     lam, eta = rng.standard_normal((2, d, 3))
-    full = solve_decoupled(tree, coeffs, ric, lam, eta,
-                           terminal=np.zeros((1, coeffs.n)))
+    zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
+    full = solve_decoupled(tree, zero, ric, lam, eta)
     assert len(full.x[-1]) == tree.n_nodes(nt)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the mean path must not sweep the tree")
-
-    monkeypatch.setattr(multipliers, "solve_decoupled", refuse)
+    monkeypatch.setattr(multipliers, "forward_levels",
+                        _refuse("the mean path must not sweep the tree"))
     means, coupling = multipliers.linear_response(tree, coeffs, ric, lam, eta)
     for got, want in ((means, full.means), (coupling, full.coupling)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_full_width_response_matches_full_sweeps(m1_random):
+    # node-varying data: the linear part, reduced level by level, gives the
+    # means and couplings of full zero-terminal sweeps, in column blocks
+    tree, coeffs, ric = _setup(m1_random, 5)
+    d = eta_dimension(tree, coeffs)
+    lam, eta = np.random.default_rng(4).standard_normal((2, d, 20))
+    zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
+    full = solve_decoupled(tree, zero, ric, lam, eta)
+    means, coupling = multipliers.linear_response(tree, coeffs, ric, lam, eta)
+    for got, want in ((means, full.means), (coupling, full.coupling)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def harsh_random_spec():
+    """m1_random with strongly walk-dependent A, C and N."""
+    doc = json.loads(corpus_path("m1_random").read_text())
+    doc["dynamics"]["A"] = {"form": "affine_tanh_W", "m0": 0.1, "m1": 1.0}
+    doc["dynamics"]["C"] = {"form": "affine_tanh_W", "m0": 0.2, "m1": 0.5}
+    doc["cost"]["N"] = {"form": "tanh_poly_W", "coeffs": [1.0, 0.5, 1.0]}
+    return load_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("nt", [4, 8, 12, 16])
+def test_preconditioned_gmres_products_do_not_grow_with_depth(m1_random, nt):
+    # the node-mean preconditioner leaves a few products at every depth on
+    # node-varying data (the unpreconditioned solve took 31 to 33)
+    for name, spec in (("m1_random", m1_random), ("harsh", harsh_random_spec())):
+        tree, coeffs, ric = _setup(spec, nt)
+        sol = solve_outer_system(tree, coeffs, ric)
+        assert sol.columns - 1 <= 8, name
+        assert sol.relative_residual <= 1e-12, name
+
+
+def test_deep_random_residuals_meet_the_krylov_tolerance(m1_random):
+    # the preconditioned solve overshoots its 1e-12 relative stopping test,
+    # so the absolute residuals of the returned answer stay below 1e-12
+    report = run_pipeline(m1_random, 16).report()
+    assert max(report["constraint_residuals"].values()) <= 1e-12
+    assert report["multiplier_residual"] <= 1e-12
+
+
 def test_krylov_product_cap_is_a_numerics_error(m1_random, monkeypatch):
     tree, coeffs, ric = _setup(m1_random, 4)
     real = multipliers._gmres
-    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
     monkeypatch.setattr(multipliers, "_gmres",
                         lambda product, rhs, cap: real(product, rhs, 1))
     with pytest.raises(NumericsError, match=r"after 1 products.*tolerance"):

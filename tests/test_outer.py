@@ -10,7 +10,7 @@ from mfbslq.multipliers import (column_blocks, eta_dimension,
 from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
-from conftest import (barred_zero_spec, count_calls, perturb_probed_coupling,
+from conftest import (barred_zero_spec, count_calls, perturb_coupling_response,
                       scalar_spec, tile_realize)
 
 
@@ -75,7 +75,7 @@ def test_pipeline_report_contract(m1):
                          "outer_relative_residual"}
     assert diag["newton_iterations"] == res.riccati.newton_iterations
     assert diag["riccati_nodes"] == res.riccati.newton_nodes == 4   # one per level
-    assert diag["outer_columns"] == 2 * eta_dimension(res.tree, res.coeffs) + 1
+    assert diag["outer_columns"] == 2   # node-constant: the base and one product
     assert 0.0 <= diag["outer_relative_residual"] <= 1e-12
     assert report["multiplier_residual"] == res.multiplier_residual
     assert 0.0 <= res.multiplier_residual <= 1e-12
@@ -125,34 +125,16 @@ def test_pipeline_validates_assumptions():
 def test_pipeline_timings_cover_stages(m1):
     res = run_pipeline(m1, 3)
     stages = dict(res.timings)
-    for stage in ("realize", "validate", "riccati", "probe_operators",
-                  "solve_outer_system", "final_solve", "cost",
-                  "stationarity"):
+    for stage in ("realize", "validate", "riccati", "solve_outer_system",
+                  "final_solve", "cost", "stationarity"):
         assert stage in stages and stages[stage] >= 0.0
-    assert "outer_quadratic" not in stages
+    assert "outer_quadratic" not in stages and "probe_operators" not in stages
 
 
 def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(what)
     return refuse
-
-
-def test_pipeline_probes_once(corpus, monkeypatch):
-    # the base sweep, the impulse columns and the final solve, and nothing
-    # else: a missed memo would re-run the probe inside the outer solve.
-    # Node-constant d2 takes its impulses from the level-mean recursion, at
-    # every depth, so only the base and the final solve sweep the tree
-    calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
-    monkeypatch.setattr(multipliers, "_gmres", _refuse("the probe route must not run GMRES"))
-    for name, nt in (("d2", 5), ("d2", 13), ("m1_random", 5)):
-        calls.clear()
-        res = run_pipeline(corpus[name], nt)
-        d = eta_dimension(res.tree, res.coeffs)
-        impulse_sweeps = 0 if name == "d2" else len(column_blocks(2 * d))
-        assert len(calls) == 1 + impulse_sweeps + 1, (name, nt)
-        assert res.outer.columns == 2 * d + 1
-        assert res.multiplier_residual <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
@@ -167,29 +149,39 @@ def test_deep_node_varying_trees_run_gmres(corpus, monkeypatch, name):
     assert res.multiplier_residual <= 1e-12
 
 
-def test_krylov_pipeline_never_probes(d2, monkeypatch):
-    # GMRES: the base column, one column per product, then the final solve
-    tile_realize(monkeypatch)
-    monkeypatch.setattr(multipliers, "_KRYLOV_MIN_STEPS", 0)
-    calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
-    refuse = _refuse("the GMRES route must not probe")
-    monkeypatch.setattr(multipliers, "probe_operators", refuse)
-    monkeypatch.setattr(outer, "probe_operators", refuse)
-    res = run_pipeline(d2, 5)
-    products = res.outer.columns - 1
-    assert 1 <= products <= 2 * eta_dimension(res.tree, res.coeffs)
-    assert len(calls) == products + 2
-    diag = res.report()["diagnostics"]
-    assert diag["outer_columns"] == products + 1
-    assert diag["outer_relative_residual"] <= 1e-11
-    assert "probe_operators" not in res.timings
-    assert res.multiplier_residual <= 1e-12
+def test_krylov_pipeline_never_probes(corpus):
+    # the base sweep, then the preconditioner's columns on one node per
+    # level and one column per GMRES product, then the final solve.  Only
+    # the final solve keeps the tree's fields; a product sweeps the tree
+    # only on node-varying data, and a missed memo would re-run the base
+    # sweep inside the outer solve
+    for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
+                            ("m1_random", 5, False), ("d2", 5, True)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if tiled:
+                tile_realize(monkeypatch)
+            calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
+            sweeps = count_calls(monkeypatch, multipliers, "forward_levels")
+            refuse = _refuse("the pipeline must not probe")
+            monkeypatch.setattr(multipliers, "probe_operators", refuse)
+            monkeypatch.setattr(outer, "probe_operators", refuse)
+            res = run_pipeline(corpus[name], nt)
+        case = (name, nt, tiled)
+        products = res.outer.columns - 1
+        assert 1 <= products <= 8, case
+        assert len(calls) == 1, case
+        assert len(sweeps) == 1 + (products if name == "m1_random" or tiled else 0), case
+        diag = res.report()["diagnostics"]
+        assert diag["outer_columns"] == products + 1, case
+        assert diag["outer_relative_residual"] <= 1e-12, case
+        assert "probe_operators" not in res.timings, case
+        assert res.multiplier_residual <= 1e-12, case
 
 
 def test_wrong_probe_is_caught_by_multiplier_residual(m1, monkeypatch):
     # a probed coupling block off by 1e-3 still yields feasible means, so
     # only the multiplier condition on the final solve can catch it
-    perturb_probed_coupling(monkeypatch, 1e-3)
+    perturb_coupling_response(monkeypatch, 1e-3)
     with pytest.raises(NumericsError, match="multiplier residual"):
         run_pipeline(m1, 4)
 

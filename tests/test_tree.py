@@ -28,6 +28,11 @@ def test_depth_limits():
         build_tree(1.0, 0)
     with pytest.raises(ConfigurationError):
         build_tree(1.0, MAX_DEPTH + 1)
+    # a depth is an int, as the spec parser requires of n and m: no
+    # truncated float or string, and no bool
+    for depth in (3.7, True, "5"):
+        with pytest.raises(ConfigurationError, match="integer"):
+            build_tree(1.0, depth)
     with pytest.raises(ConfigurationError):
         build_tree(-1.0, 4)
     for horizon in (math.inf, math.nan):
