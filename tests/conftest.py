@@ -122,6 +122,44 @@ def perturb_coupling_response(monkeypatch, shift: float) -> None:
     monkeypatch.setattr(multipliers, "linear_response", perturbed)
 
 
+def _probed_system(tree, coeffs, ric):
+    """(A, b) of the outer system assembled densely from
+    :func:`.multipliers.probe_operators`."""
+    from mfbslq.multipliers import eta_dimension, mean_cost_weights, probe_operators
+    ops = probe_operators(tree, coeffs, ric)
+    eye = np.eye(eta_dimension(tree, coeffs))
+    a_sys = np.block([
+        [eye - ops.P_eta, -ops.L],
+        [mean_cost_weights(tree, coeffs) - ops.Q_eta, -(eye + ops.M)],
+    ])
+    return a_sys, np.concatenate([ops.p_xi, ops.q_xi])
+
+
+def probed_solve(tree, coeffs, ric):
+    """(eta, lam) from a dense solve of the probed outer system, the referee
+    of the GMRES solve."""
+    a_sys, rhs = _probed_system(tree, coeffs, ric)
+    sol = np.linalg.solve(a_sys, rhs)
+    d = len(sol) // 2
+    return sol[:d], sol[d:]
+
+
+def probe_route(monkeypatch) -> None:
+    """Make :func:`.outer.run_pipeline` take (eta, lam) from
+    :func:`probed_solve`: the base column and 2d impulse columns."""
+    from mfbslq import outer
+    from mfbslq.multipliers import OuterSolution
+
+    def solve(tree, coeffs, ric):
+        a_sys, rhs = _probed_system(tree, coeffs, ric)
+        sol = np.linalg.solve(a_sys, rhs)
+        d = len(sol) // 2
+        residual = np.linalg.norm(a_sys @ sol - rhs) / np.linalg.norm(rhs)
+        return OuterSolution(sol[:d], sol[d:], 2 * d + 1, float(residual))
+
+    monkeypatch.setattr(outer, "solve_outer_system", solve)
+
+
 @pytest.fixture(scope="session")
 def s1():
     return load_spec_file(corpus_path("s1"))

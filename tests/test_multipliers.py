@@ -35,7 +35,8 @@ from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 solve_decoupled, solve_outer_system,
                                 split_blocks)
 from mfbslq.outer import run_pipeline
-from conftest import barred_zero_spec, corpus_path, materialised, scalar_spec
+from conftest import (barred_zero_spec, corpus_path, materialised, probed_solve,
+                      scalar_spec)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -211,20 +212,6 @@ def _refuse(what):
     return refuse
 
 
-def _probed_solve(tree, coeffs, ric):
-    """(eta, lam) from a dense solve of the outer system assembled from
-    :func:`probe_operators`, the referee of the GMRES solve."""
-    ops = probe_operators(tree, coeffs, ric)
-    d = eta_dimension(tree, coeffs)
-    eye = np.eye(d)
-    a_sys = np.block([
-        [eye - ops.P_eta, -ops.L],
-        [mean_cost_weights(tree, coeffs) - ops.Q_eta, -(eye + ops.M)],
-    ])
-    sol = np.linalg.solve(a_sys, np.concatenate([ops.p_xi, ops.q_xi]))
-    return sol[:d], sol[d:]
-
-
 def test_krylov_route_matches_probed_solve(corpus):
     # compact and materialised coefficients: the preconditioned GMRES solve
     # agrees with the dense solve of the probed system on every spec
@@ -234,7 +221,7 @@ def test_krylov_route_matches_probed_solve(corpus):
         for coeffs in (compact, materialised(tree, compact)):
             ric = solve_riccati(tree, coeffs)
             got = solve_outer_system(tree, coeffs, ric)
-            eta, lam = _probed_solve(tree, coeffs, ric)
+            eta, lam = probed_solve(tree, coeffs, ric)
             assert 2 <= got.columns <= 9, name
             assert np.abs(got.eta - eta).max() <= 1e-10, name
             assert np.abs(got.lam - lam).max() <= 1e-10, name

@@ -14,8 +14,10 @@ import pytest
 
 from mfbslq import build_tree, load_spec, realize, solve_meanfield_bsde, solve_oracle
 from mfbslq.bsde import implicit_steps
+from mfbslq.multipliers import eta_dimension
 from mfbslq.outer import run_pipeline
-from conftest import CORPUS, FIELDS, corpus_path, materialised, tile_realize
+from conftest import (CORPUS, FIELDS, corpus_path, materialised, probe_route,
+                      tile_realize)
 
 DEPTH = 6
 # specs whose twelve coefficients are all noise-independent
@@ -35,9 +37,16 @@ def _assert_close(got, want, tol):
     assert np.abs(got - want).max() <= tol * max(1.0, float(np.abs(want).max()))
 
 
+@pytest.mark.parametrize("route", ["probe", "gmres"])
 @pytest.mark.parametrize("name", CORPUS + ("mixed_bars",))
-def test_materialised_coefficients_give_the_same_solution(corpus, monkeypatch, name):
+def test_materialised_coefficients_give_the_same_solution(corpus, monkeypatch,
+                                                          name, route):
+    # "gmres" is the pipeline's outer solve; "probe" swaps in the dense
+    # solve of the probed system, the referee, so probe_operators is held
+    # to the same answers on compact and materialised coefficients
     spec = corpus[name] if name in corpus else mixed_bars_spec()
+    if route == "probe":
+        probe_route(monkeypatch)
     compact = run_pipeline(spec, DEPTH)
     tree = compact.tree
     widths = {len(level) for f in FIELDS for level in getattr(compact.coeffs, f)[1:]}
@@ -52,10 +61,16 @@ def test_materialised_coefficients_give_the_same_solution(corpus, monkeypatch, n
 
     # the outer solve spends the base column and one per GMRES product: on
     # node-constant data, stored compact or materialised, the node-mean
-    # preconditioner is the system itself and one product suffices
+    # preconditioner is the system itself and one product suffices.  The
+    # probed solve spends the base column and 2d impulse columns
+    d = eta_dimension(tree, compact.coeffs)
     for res in (compact, full):
         products = res.outer.columns - 1
-        assert products == 1 if name in DETERMINISTIC else 2 <= products <= 8
+        if route == "probe":
+            assert products == 2 * d
+        else:
+            assert products == 1 if name in DETERMINISTIC else 2 <= products <= 8
+        assert res.outer.relative_residual <= 1e-12
     _assert_close(compact.constrained.eta, full.constrained.eta, 1e-12)
     _assert_close(compact.cost, full.cost, 1e-12)
     for a, b in zip(compact.constrained.u, full.constrained.u):

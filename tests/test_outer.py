@@ -5,7 +5,7 @@ import pytest
 
 from mfbslq import NumericsError, build_tree, realize, solve_riccati
 from mfbslq import multipliers
-from mfbslq.multipliers import (column_blocks, eta_dimension,
+from mfbslq.multipliers import (eta_dimension,
                                 solve_constrained_problem)
 from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
@@ -135,6 +135,31 @@ def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(what)
     return refuse
+
+
+def test_pipeline_probes_once(corpus, monkeypatch):
+    # the node-mean system is probed once, by 2d columns in one call, and
+    # the base sweep runs once: then one single-column call per GMRES
+    # product, and nothing else.  A missed memo or a preconditioner rebuilt
+    # per product would add calls
+    widths = []
+    real = multipliers.linear_response
+
+    def counted(tree, coeffs, ric, lam, eta):
+        widths.append(lam.shape[1])
+        return real(tree, coeffs, ric, lam, eta)
+
+    monkeypatch.setattr(multipliers, "linear_response", counted)
+    base = count_calls(monkeypatch, multipliers, "_xi_response")
+    for name, nt in (("d2", 5), ("d2", 13), ("m1_random", 5)):
+        widths.clear()
+        base.clear()
+        res = run_pipeline(corpus[name], nt)
+        d = eta_dimension(res.tree, res.coeffs)
+        products = res.outer.columns - 1
+        assert len(base) == 1, (name, nt)
+        assert widths == [2 * d] + [1] * products, (name, nt)
+        assert res.multiplier_residual <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
