@@ -15,9 +15,10 @@ map; the oracle's Hessian products are built on such sweeps.
 Backward equations are solved with an implicit step in the node-local
 drift and an exact conditional expectation down the tree; the mean-field
 coupling through E[Y_k] is resolved by one checked dim-sized inverse per
-level (the per-node solves are batched).  The martingale term is recovered
-from the next level by the two-point difference quotient, which is exact
-on a binary tree.
+level (the per-node solves are batched; a scalar state's 1 x 1 matrices are
+inverted by division, with the exact singular value |x|).  The martingale
+term is recovered from the next level by the two-point difference quotient,
+which is exact on a binary tree.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._errors import StepSizeError
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mm, _t
+from .tree import ScenarioTree, _inv, _mm, _mul, _t
 
 # An inverted one-step matrix whose smallest singular value falls below this
 # amplifies rounding errors by more than 1e6: the step is refused.
@@ -49,11 +50,15 @@ def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
 
     Returns (inverses, smallest singular value over the level's nodes).
     Raises StepSizeError naming the matrix, the level and the value when
-    that singular value is below _MIN_STEP_SV or not finite."""
-    min_sv = float(np.sqrt(max(
-        float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
+    that singular value is below _MIN_STEP_SV or not finite.  A 1 x 1 stack
+    is inverted by division, and its singular value |x| is exact."""
+    if mats.shape[-1] == 1:
+        min_sv = float(np.abs(mats).min())
+    else:
+        min_sv = float(np.sqrt(max(
+            float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
     _refuse_unless_regular(min_sv, "smallest singular value", name, level)
-    return np.linalg.inv(mats), min_sv
+    return _inv(mats), min_sv
 
 
 def bounded_inverse(mats: np.ndarray, name: str, level: int) -> np.ndarray:
@@ -100,7 +105,7 @@ def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> ImplicitSteps:
         for k in range(tree.n_steps):
             inv, step_sv = checked_inverse(eye[None] - tree.dt * coeffs.A[k],
                                            "I - dt A", k)
-            mean_op = tree.dt * (inv @ coeffs.A_bar[k])
+            mean_op = tree.dt * _mul(inv, coeffs.A_bar[k])
             closing, closing_sv = checked_inverse(
                 (eye - tree.expect(mean_op))[None],
                 "mean-closing matrix I - dt E[(I - dt A)^-1 A_bar]", k)

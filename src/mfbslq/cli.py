@@ -182,7 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-control-error", type=float,
                        default=CHECK_CONTROL_ERROR,
                        help="gate on relative control error (with --check "
-                            "--with-oracle)")
+                            "--with-oracle); the default 0.10 is criterion "
+                            "02's bound at depth 16, and the error is first "
+                            "order in dt, so shallower runs need an explicit "
+                            "gate")
     p_run.add_argument("--max-residual", type=float, default=CHECK_RESIDUAL,
                        help="gate on the constraint and multiplier residuals "
                             "(with --check)")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._errors import ConfigurationError
-from .tree import ScenarioTree
+from .tree import ScenarioTree, _lowest_eig
 
 _COEFF_FORMS = ("constant", "time_table", "affine_tanh_W", "tanh_poly_W", "node_table")
 _TERMINAL_FORMS = ("leaf_table", "affine_in_WT", "poly_in_WT")
@@ -414,8 +414,7 @@ def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
         j = int(np.argmax(defect))
         if defect[j] > sym_defect:
             sym_defect, sym_worst = float(defect[j]), (k, j)
-        eigs = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        lows = eigs[:, 0]
+        lows = _lowest_eig(0.5 * (mats + np.swapaxes(mats, -1, -2)))
         j = int(np.argmin(lows))
         if lows[j] < min_eig:
             min_eig, eig_worst = float(lows[j]), (k, j)

@@ -91,7 +91,8 @@ from ._errors import InfeasibleEtaError, NumericsError
 from .bsde import checked_inverse, forward_levels, implicit_steps, solve_forward_sde
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
+from .tree import (ScenarioTree, _concat_nodes, _inv, _mm, _mul, _mv, _solve, _t,
+                   column_blocks)
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -153,32 +154,33 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
         return cached[1]
     n = coeffs.n
     eye = np.eye(n)
-    x0_inv, _ = checked_inverse(eye[None] + coeffs.G @ ric.sigma[0], "I + G Sigma(0)", 0)
-    ws = DecoupledWorkspace(*([] for _ in range(11)), (x0_inv @ coeffs.G)[0])
+    x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, ric.sigma[0]),
+                                "I + G Sigma(0)", 0)
+    ws = DecoupledWorkspace(*([] for _ in range(11)), _mul(x0_inv, coeffs.G)[0])
     for k in range(tree.n_steps):
         sig, phi = ric.sigma[k], ric.phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
         sig_c = 0.5 * (sig + tree.cond_expect(ric.sigma[k + 1]))
-        H, cond_sv = checked_inverse(eye[None] + sig_c @ R, "I + S R", k)
-        phi_step, step_sv = checked_inverse(eye[None] + tree.dt * (sig @ Q - A),
+        H, cond_sv = checked_inverse(eye[None] + _mul(sig_c, R), "I + S R", k)
+        phi_step, step_sv = checked_inverse(eye[None] + tree.dt * (_mul(sig, Q) - A),
                                             "I + dt (Sigma Q - A)", k)
         ws.min_conditioner_sv = min(ws.min_conditioner_sv, cond_sv)
         ws.min_phi_step_sv = min(ws.min_phi_step_sv, step_sv)
-        G1 = R @ H
-        mart = phi + sig_c @ _t(C)
+        G1 = _mul(R, H)
+        mart = phi + _mul(sig_c, _t(C))
         ws.H.append(H)
         ws.G1.append(G1)
         ws.sig_c.append(sig_c)
         ws.phi_step.append(phi_step)
-        ws.vtheta_coef.append((phi @ R - C) @ H)
+        ws.vtheta_coef.append(_mul(_mul(phi, R) - C, H))
         ws.source.append(_concat_nodes([
-            -sig, -_t(np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))),
-            -(phi + C @ sig_c) @ _t(H),
+            -sig, -_t(_solve(coeffs.N[k], _t(coeffs.B[k]))),
+            -_mul(phi + _mul(C, sig_c), _t(H)),
             coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
-        ws.Ninv.append(np.linalg.inv(coeffs.N[k]))
-        ws.x_drift.append(_t(A) - Q @ sig)
-        ws.x_diff.append(_t(C) - G1 @ mart)
-        ws.zx.append(H @ mart)
+        ws.Ninv.append(_inv(coeffs.N[k]))
+        ws.x_drift.append(_t(A) - _mul(Q, sig))
+        ws.x_diff.append(_t(C) - _mul(G1, mart))
+        ws.zx.append(_mul(H, mart))
         ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
                                       coeffs.B_bar[k]], axis=2))
     arrays = (ric.sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,

@@ -27,6 +27,13 @@ singular one raises StepSizeError naming the level, and the smallest
 singular value on the accepted iterates is the reported
 ``min_conditioner_sv``.
 
+For a scalar state (n = 1, so one Newton coordinate) and a scalar control
+the per-node algebra is broadcast arithmetic: I + Sigma R is inverted by
+division, with the exact singular value |x|, B N^{-1} B' and the Newton
+step are divisions, and a zero or non-finite Newton matrix raises the same
+RiccatiError as a singular LAPACK solve.  Wider stacks run LAPACK and
+matmul.
+
 The recursion starts from a terminal Sigma stored as one node (the tree's
 length-1 convention), and each level's Newton arrays take the broadcast
 width of that level's inputs: E_k[Sigma_{k+1}] and the coefficients A, Q,
@@ -44,7 +51,7 @@ import numpy as np
 from ._errors import RiccatiError
 from .bsde import checked_inverse
 from .model import CoefficientSet
-from .tree import ScenarioTree, _t
+from .tree import ScenarioTree, _lowest_eig, _mul, _solve, _t
 
 _NEWTON_TOL = 1e-12
 _MAX_NEWTON = 50
@@ -76,16 +83,17 @@ def _sym_basis(n: int) -> list:
 
 def _drift(A, Q, BNB, C, sigma, phi, H, G1):
     return (
-        -(A @ sigma + sigma @ _t(A)) + sigma @ Q @ sigma - BNB
-        + phi @ G1 @ phi - phi @ _t(H) @ _t(C) - C @ H @ (phi + sigma @ _t(C))
+        -(_mul(A, sigma) + _mul(sigma, _t(A))) + _mul(_mul(sigma, Q), sigma) - BNB
+        + _mul(_mul(phi, G1), phi) - _mul(_mul(phi, _t(H)), _t(C))
+        - _mul(_mul(C, H), phi + _mul(sigma, _t(C)))
     )
 
 
 def _conditioners(sigma, R, eye, level):
     """H = (I + Sigma R)^{-1}, checked, with G1 = R H and the smallest
     singular value of I + Sigma R; StepSizeError names the level."""
-    H, min_sv = checked_inverse(eye[None] + sigma @ R, "I + Sigma R", level)
-    return H, R @ H, min_sv
+    H, min_sv = checked_inverse(eye[None] + _mul(sigma, R), "I + Sigma R", level)
+    return H, _mul(R, H), min_sv
 
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
@@ -109,7 +117,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     nodes = 0
     for k in range(n_steps - 1, -1, -1):
         A, Q, C, R = coeffs.A[k], coeffs.Q[k], coeffs.C[k], coeffs.R[k]
-        BNB = coeffs.B[k] @ np.linalg.solve(coeffs.N[k], _t(coeffs.B[k]))
+        BNB = _mul(coeffs.B[k], _solve(coeffs.N[k], _t(coeffs.B[k])))
         phik = tree.z_from_next(sigma[k + 1])
         cond = tree.cond_expect(sigma[k + 1])
 
@@ -133,14 +141,15 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                     f"(worst residual {res_norm[j]:.3e} at node {j})"
                 )
             iters += 1
-            V = phik @ G1 - C @ H
+            V = _mul(phik, G1) - _mul(C, H)
+            QS = _mul(Q, sig)
             jac = np.empty((sig.shape[0], d, d))
             for b, eb in enumerate(basis):
-                ds = (-(A @ eb + eb @ _t(A)) + eb @ (Q @ sig) + sig @ (Q @ eb)
-                      - V @ eb @ _t(V))
+                ds = (-(_mul(A, eb) + _mul(eb, _t(A))) + _mul(eb, QS)
+                      + _mul(sig, _mul(Q, eb)) - _mul(_mul(V, eb), _t(V)))
                 jac[:, :, b] = (eb[None] + dt * ds)[:, iu[0], iu[1]]
             try:
-                step_vec = np.linalg.solve(jac, -res[:, iu[0], iu[1], None])[:, :, 0]
+                step_vec = _solve(jac, -res[:, iu[0], iu[1], None])[:, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise RiccatiError(
                     f"singular Newton matrix at level {k}: {exc}"
@@ -174,7 +183,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
 
         sigma[k], phi[k] = sig, phik
         worst_iters = max(worst_iters, iters)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sig)[:, 0].min()))
+        min_eig = min(min_eig, float(_lowest_eig(sig).min()))
         min_sv = min(min_sv, cond_sv)
 
     defect = 0.0

@@ -52,6 +52,42 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
+# Per-node kernels.  A stack of per-node matrices whose multiplied (or
+# inverted) dimension is 1 is handled by broadcast arithmetic, without one
+# library call per node: the same numbers as matmul, LAPACK's inverse and
+# its one-column solve.  (A solve of several columns, which LAPACK runs as
+# a multiply by the reciprocal, can differ from the division in the last
+# bit.)  Every wider stack runs the numpy.linalg or matmul call itself.
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for per-node matrix stacks (a length-1 node axis or a 2-D
+    matrix broadcasts); with inner dimension 1 a broadcast multiply."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
+def _inv(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a per-node stack; 1 x 1 matrices divide."""
+    return 1.0 / mats if mats.shape[-1] == 1 else np.linalg.inv(mats)
+
+
+def _solve(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(mats, rhs)`` for per-node square matrices and
+    per-node right-hand sides (nodes, p, c); 1 x 1 matrices divide.  A 1 x 1
+    matrix that is zero or not finite raises LinAlgError, as LAPACK does on
+    an exact zero pivot (a NaN or infinite one it would pass through)."""
+    if mats.shape[-1] != 1:
+        return np.linalg.solve(mats, rhs)
+    if not (np.isfinite(mats).all() and mats.all()):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return rhs / mats
+
+
+def _lowest_eig(sym: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every matrix of a symmetric per-node stack;
+    a 1 x 1 matrix is its own eigenvalue."""
+    return sym[:, 0, 0] if sym.shape[-1] == 1 else np.linalg.eigvalsh(sym)[:, 0]
+
+
 def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``mats @ cols`` for a level's per-node matrices (nodes, r, q).
 
@@ -118,11 +154,9 @@ class ScenarioTree:
     def brownian(self, level: int) -> np.ndarray:
         """Walk values W(level, j) for every node of a level, shape (2^level,)."""
         self._check_level(level)
-        j = np.arange(1 << level, dtype=np.int64)
-        downs = np.zeros(1 << level, dtype=np.int64)
-        for bit in range(level):
-            downs += (j >> bit) & 1
-        return self.sqrt_dt * (level - 2 * downs).astype(np.float64)
+        # the set bits of j are the path's down moves
+        downs = np.bitwise_count(np.arange(1 << level, dtype=np.int64))
+        return self.sqrt_dt * (level - 2.0 * downs)
 
     def child_signs(self, level: int) -> np.ndarray:
         """Sign of the increment for each child node at ``level + 1``.

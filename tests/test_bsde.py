@@ -180,10 +180,29 @@ def test_singular_implicit_step_raises_step_size_error():
 
 
 @pytest.mark.parametrize("mats", [np.zeros((2, 1, 1)), np.full((3, 2, 2), np.nan),
-                                  np.full((1, 1, 1), np.inf)])
+                                  np.full((1, 1, 1), np.inf),
+                                  # 1 x 1 stacks, inverted by division
+                                  np.array([[[2.0]], [[0.0]], [[-3.0]]]),
+                                  np.array([[[1.0]], [[-1e-7]]]),
+                                  np.full((1, 1, 1), 1e-7),
+                                  np.array([[[np.nan]], [[1.0]]]),
+                                  np.full((4, 1, 1), -np.inf)])
 def test_checked_inverse_refuses_singular_or_non_finite(mats):
     with pytest.raises(StepSizeError, match="I \\+ S R .*level 3"):
         checked_inverse(mats, "I + S R", 3)
+
+
+def test_scalar_checked_inverse_matches_the_eigenvalue_route():
+    # 1 x 1 stacks: 1/x and |x| are the LAPACK inverse and the singular
+    # value sqrt(min eig(M'M)) of the general route
+    rng = np.random.default_rng(3)
+    for nodes in (1, 2, 1024):
+        mats = rng.standard_normal((nodes, 1, 1)) * rng.uniform(1e-3, 1e3, (nodes, 1, 1))
+        inv, min_sv = checked_inverse(mats, "M", 0)
+        route = float(np.sqrt(max(float(np.linalg.eigvalsh(
+            np.swapaxes(mats, 1, 2) @ mats)[:, 0].min()), 0.0)))
+        assert np.array_equal(inv, np.linalg.inv(mats))
+        assert abs(min_sv - route) <= 1e-15 * route
 
 
 def test_checked_inverse_reports_smallest_singular_value():

@@ -5,14 +5,16 @@ flow (Riccati ODE with constant coefficients, solved by the tanh formula),
 an inline Runge-Kutta integrator for the matrix-valued deterministic flow.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mfbslq import (RiccatiError, StepSizeError, build_tree, realize, riccati,
-                    solve_riccati)
-from conftest import scalar_spec
+from mfbslq import (RiccatiError, StepSizeError, build_tree, load_spec, realize,
+                    riccati, solve_riccati)
+from conftest import scalar_spec, scalar_spec_doc
 
 
 def test_linear_growth_exact():
@@ -139,3 +141,22 @@ def test_conditioner_sv_is_the_checked_value(m1_random):
     exact = min(float(np.linalg.svd(np.eye(1)[None] + s @ r, compute_uv=False).min())
                 for s, r in zip(ric.sigma, coeffs.R))
     assert ric.min_conditioner_sv == pytest.approx(exact, rel=1e-12)
+
+
+def test_singular_newton_matrix_raises_riccati_error():
+    # n = 1, so the Newton step is one division per node.  With Q = C = 0 and
+    # deterministic data the Newton matrix is 1 - 2 dt A: A = 2 on level 2
+    # (dt = 1/4) makes it exactly zero there, while the residual is not
+    tree = build_tree(1.0, 4)
+    doc = scalar_spec_doc()
+    doc["dynamics"]["A"] = {"form": "time_table", "values": [0.0, 0.0, 2.0, 0.0]}
+    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    with pytest.raises(RiccatiError,
+                       match=r"^singular Newton matrix at level 2: Singular matrix$"):
+        solve_riccati(tree, coeffs)
+    # a non-finite Newton matrix is refused the same way, not stepped through
+    A = [level.copy() for level in coeffs.A]
+    A[2][...] = np.inf
+    with pytest.raises(RiccatiError,
+                       match=r"^singular Newton matrix at level 2: Singular matrix$"):
+        solve_riccati(tree, dataclasses.replace(coeffs, A=A))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfbslq import ConfigurationError, build_tree
-from mfbslq.tree import DEFAULT_DEPTH, MAX_DEPTH
+from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _lowest_eig, _mm, _mul,
+                         _solve)
 
 
 def test_grid_basics():
@@ -47,6 +48,20 @@ def test_walk_values_match_updown_counts():
     assert np.allclose(tree.brownian(1), [h, -h])
     # node index bit b = 1 means the step from level b to b+1 went down
     assert np.allclose(tree.brownian(2), [2 * h, 0.0, 0.0, -2 * h])
+
+
+def test_walk_values_match_the_bit_loop():
+    # the number of down moves to node j is the number of set bits of j
+    tree = build_tree(1.0, 12)
+    for level in range(13):
+        j = np.arange(1 << level, dtype=np.int64)
+        downs = np.zeros(1 << level, dtype=np.int64)
+        for bit in range(level):
+            downs += (j >> bit) & 1
+        expected = tree.sqrt_dt * (level - 2 * downs).astype(np.float64)
+        got = tree.brownian(level)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
 
 
 def test_child_signs_alternate():
@@ -139,3 +154,50 @@ def test_increment_reconstruction_identity():
     dw = tree.sqrt_dt * tree.child_signs(2)
     rebuilt = tree.to_children(cond) + tree.to_children(z) * dw
     assert np.allclose(rebuilt, y_next)
+
+
+# ---------------------------------------------------------------------------
+# per-node kernels: 1 x 1 stacks by broadcast arithmetic, the same numbers
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 12])
+def test_scalar_kernels_match_numpy_exactly(level):
+    rng = np.random.default_rng(level)
+    nodes = 1 << level
+    a = rng.standard_normal((nodes, 1, 1)) * rng.uniform(0.1, 10.0, (nodes, 1, 1))
+    b = rng.standard_normal((nodes, 1, 1))
+    row = rng.standard_normal((nodes, 1, 3))
+    col = rng.standard_normal((nodes, 3, 1))
+    assert np.array_equal(_inv(a), np.linalg.inv(a))
+    assert np.array_equal(_solve(a, b), np.linalg.solve(a, b))
+    assert np.array_equal(_mul(a, b), a @ b)
+    assert np.array_equal(_mul(col, row), col @ row)
+    assert np.array_equal(_mul(a, row), a @ row)
+    assert np.array_equal(_mul(a, np.eye(1)), a @ np.eye(1))
+    sym = a * a
+    assert np.array_equal(_lowest_eig(sym), np.linalg.eigvalsh(sym)[:, 0])
+    # a length-1 node axis stands for every node of the level
+    one = a[:1]
+    assert np.array_equal(_inv(one), np.linalg.inv(one))
+    assert np.array_equal(_mul(one, b), one @ b)
+    assert np.array_equal(_mul(b, one), b @ one)
+    assert np.array_equal(_solve(one, b), np.linalg.solve(one, b))
+    assert np.array_equal(_mm(one, b), one @ b)
+
+
+def test_wider_kernels_are_the_numpy_calls():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((8, 2, 2)) + 3.0 * np.eye(2)
+    b = rng.standard_normal((8, 2, 3))
+    assert np.array_equal(_inv(a), np.linalg.inv(a))
+    assert np.array_equal(_solve(a, b), np.linalg.solve(a, b))
+    assert np.array_equal(_mul(a, b), a @ b)
+    sym = a @ np.swapaxes(a, 1, 2)
+    assert np.array_equal(_lowest_eig(sym), np.linalg.eigvalsh(sym)[:, 0])
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+def test_scalar_solve_refuses_singular_or_non_finite(bad):
+    mats = np.array([[[2.0]], [[bad]], [[1.0]]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _solve(mats, np.ones((3, 1, 1)))
