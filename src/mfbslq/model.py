@@ -155,6 +155,25 @@ class ValidationReport:
 # parsing
 
 
+def _as_array(value, field: str) -> np.ndarray:
+    """Nested lists of numbers as a float array; anything else (a string,
+    even a numeric one, a boolean, a ragged nesting) is a
+    ConfigurationError naming the field."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float)
+    except ValueError:   # a ragged nesting
+        pass
+    raise ConfigurationError(f"{field}: expected nested lists of numbers, got {value!r}")
+
+
+def _as_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{field}: expected a list, got {value!r}")
+    return value
+
+
 def _as_matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if (rows, cols) != (1, 1):
@@ -162,7 +181,7 @@ def _as_matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
                 f"{field}: scalar given where a {rows}x{cols} matrix is required"
             )
         return np.array([[float(value)]])
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, field)
     if arr.shape != (rows, cols):
         raise ConfigurationError(
             f"{field}: expected shape ({rows}, {cols}), got {arr.shape}"
@@ -177,7 +196,7 @@ def _as_vector(value, n: int, field: str) -> np.ndarray:
                 f"{field}: scalar given where a length-{n} vector is required"
             )
         return np.array([float(value)])
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, field)
     if arr.shape != (n,):
         raise ConfigurationError(f"{field}: expected shape ({n},), got {arr.shape}")
     return arr
@@ -206,7 +225,7 @@ def _parse_coefficient(entry, rows: int, cols: int, field: str) -> Coefficient:
     if form == "time_table":
         _require_keys(entry, ("values",), field)
         mats = [_as_matrix(v, rows, cols, f"{field}[{i}]")
-                for i, v in enumerate(entry["values"])]
+                for i, v in enumerate(_as_list(entry["values"], field))]
         return Coefficient(form, {"values": mats})
     if form == "affine_tanh_W":
         _require_keys(entry, ("m0", "m1"), field)
@@ -217,14 +236,16 @@ def _parse_coefficient(entry, rows: int, cols: int, field: str) -> Coefficient:
     if form == "tanh_poly_W":
         _require_keys(entry, ("coeffs",), field)
         mats = [_as_matrix(v, rows, cols, f"{field}.coeffs[{i}]")
-                for i, v in enumerate(entry["coeffs"])]
+                for i, v in enumerate(_as_list(entry["coeffs"], f"{field}.coeffs"))]
         if not mats:
             raise ConfigurationError(f"{field}: tanh_poly_W needs at least one coefficient")
         return Coefficient(form, {"coeffs": mats})
     # node_table: per-level lists; node counts are checked at realize time
     _require_keys(entry, ("values",), field)
     levels = []
-    for k, level in enumerate(entry["values"]):
+    for k, level in enumerate(_as_list(entry["values"], field)):
+        if not _as_list(level, f"{field}[level {k}]"):
+            raise ConfigurationError(f"{field}[level {k}]: no nodes given")
         levels.append(np.stack([
             _as_matrix(v, rows, cols, f"{field}[level {k}][{i}]")
             for i, v in enumerate(level)
@@ -243,8 +264,11 @@ def _parse_terminal(entry, n: int) -> Coefficient:
         )
     if form == "leaf_table":
         _require_keys(entry, ("values",), field)
+        values = _as_list(entry["values"], field)
+        if not values:
+            raise ConfigurationError(f"{field}: leaf_table has no entries")
         vecs = np.stack([_as_vector(v, n, f"{field}[{i}]")
-                         for i, v in enumerate(entry["values"])])
+                         for i, v in enumerate(values)])
         return Coefficient(form, {"values": vecs})
     if form == "affine_in_WT":
         _require_keys(entry, ("g0", "g1"), field)
@@ -253,7 +277,8 @@ def _parse_terminal(entry, n: int) -> Coefficient:
             "g1": _as_vector(entry["g1"], n, f"{field}.g1"),
         })
     _require_keys(entry, ("coeffs",), field)
-    vecs = [_as_vector(v, n, f"{field}.coeffs[{i}]") for i, v in enumerate(entry["coeffs"])]
+    vecs = [_as_vector(v, n, f"{field}.coeffs[{i}]")
+            for i, v in enumerate(_as_list(entry["coeffs"], f"{field}.coeffs"))]
     if not vecs:
         raise ConfigurationError(f"{field}: poly_in_WT needs at least one coefficient")
     return Coefficient(form, {"coeffs": vecs})
@@ -292,6 +317,9 @@ def load_spec(text: str) -> ProblemSpec:
 
     dims = {"n": n, "m": m}
     dyn_doc, cost_doc = doc["dynamics"], doc["cost"]
+    for key, section in (("dynamics", dyn_doc), ("cost", cost_doc)):
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"{key} must be an object, got {section!r}")
     if set(dyn_doc) != set(_DYNAMICS_SHAPES):
         raise ConfigurationError(
             f"dynamics must have exactly the fields {sorted(_DYNAMICS_SHAPES)}, "

@@ -38,7 +38,7 @@ from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, bounded_inverse, implicit_steps,
                    solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _concat_nodes, _mm, _mv, _t, column_blocks
+from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -326,12 +326,17 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 # of 2(2n + m) columns, ordered [y_mean, z_mean, u_mean, nu1, nu2, nu3].
 
 
-def _kkt_pivots(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    """Level k's local KKT blocks (2**k, 4n + m, 4n + m), before elimination."""
+def _kkt_level(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
+               passed: np.ndarray) -> tuple:
+    """Level k's local KKT blocks (2**k, 4n + m, 4n + m), with the Schur fill
+    its eliminated children pass to the (mu1, mu2) rows, and its right-hand
+    side, columns [E' (2n) | r | tail of levels >= k]."""
     n, m, dt = coeffs.n, coeffs.m, tree.dt
-    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
-    mu1, mu2 = slice(2 * n + m, 3 * n + m), slice(3 * n + m, 4 * n + m)
-    weight = 2.0 * dt * tree.node_probability(k)
+    states = 2 * n + m
+    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
+    mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    prob = tree.node_probability(k)
+    weight = 2.0 * dt * prob
     piv = np.zeros((tree.n_nodes(k), 4 * n + m, 4 * n + m))
     piv[:, y, y] = weight * coeffs.Q[k] + (2.0 * coeffs.G if k == 0 else 0.0)
     piv[:, z, z] = weight * coeffs.R[k]
@@ -342,20 +347,26 @@ def _kkt_pivots(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarra
     piv[:, mu1, u] = -dt * coeffs.B[k]
     # e2: z - (y_up - y_down) / (2 sqrt(dt)) = 0
     piv[:, mu2, z] = np.eye(n)
-    cons = slice(2 * n + m, None)
-    piv[:, :2 * n + m, cons] = _t(piv[:, cons, :2 * n + m])
-    return piv
+    piv[:, :states, states:] = _t(piv[:, states:, :states])
+    piv[:, states:, states:] += passed[..., :2 * n]
 
-
-def _kkt_tail_coupling(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
-    """Level k's coupling to its own tail columns (2**k, 4n + m, 2(2n + m))."""
-    n, m = coeffs.n, coeffs.m
-    states = 2 * n + m
-    cpl = np.zeros((tree.n_nodes(k), 4 * n + m, 2 * states))
-    cpl[:, states:3 * n + m, :states] = -tree.dt * _concat_nodes(
-        [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2)
-    cpl[:, :states, states:] = -tree.node_probability(k) * np.eye(states)
-    return cpl
+    # the children pass [fill | r | tail of levels > k]; level k's own tail
+    # columns follow them
+    own = passed.shape[2]
+    rhs = np.zeros(piv.shape[:2] + (own + 2 * states,))
+    if k > 0:
+        # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
+        # -(+/-1) / (2 sqrt(dt))
+        sign = tree.child_signs(k - 1)[:, None, None]
+        rhs[:, y, :n] = -0.5 * np.eye(n)
+        rhs[:, y, n:2 * n] = -sign / (2.0 * tree.sqrt_dt) * np.eye(n)
+    rhs[:, states:, 2 * n:own] = passed[..., 2 * n:]
+    # coupling to the level's own tail columns [y_mean, z_mean, u_mean, nu]
+    rhs[:, mu1, own:own + n] = -dt * coeffs.A_bar[k]
+    rhs[:, mu1, own + n:own + 2 * n] = -dt * coeffs.C_bar[k]
+    rhs[:, mu1, own + 2 * n:own + states] = -dt * coeffs.B_bar[k]
+    rhs[:, :states, own + states:] = -prob * np.eye(states)
+    return piv, rhs
 
 
 def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
@@ -367,14 +378,6 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
         *coeffs.mean_weights(k))
     blk[:states, states:] = blk[states:, :states] = np.eye(states)
     return blk
-
-
-def _parent_coupling(tree: ScenarioTree, n: int, k: int) -> np.ndarray:
-    """E': how the y of each level-k node (k >= 1) enters its parent's
-    (mu1, mu2) rows, (2**k, n, 2n): -1/2 and -(+/-1) / (2 sqrt(dt))."""
-    sign = tree.child_signs(k - 1)[:, None, None]
-    half = np.broadcast_to(-0.5 * np.eye(n), sign.shape[:1] + (n, n))
-    return np.concatenate([half, -sign / (2.0 * tree.sqrt_dt) * np.eye(n)], axis=2)
 
 
 def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
@@ -392,18 +395,18 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     one batch, and the eliminated nodes pass a Schur update to their
     parents' (mu1, mu2) rows and one GEMM into the dense tail.  A node at
     level k couples only to tail columns of levels >= k, so no node holds a
-    full-width block.  After one tail solve, a root-first back-substitution
-    recovers the controls.  Pivots are checked after scaling y, z, u by
-    (dt 2^-k)^(-1/2) and the multipliers by (dt 2^-k)^(1/2), which makes the
-    cost blocks O(1) at every depth and leaves the constraint blocks as
-    they are; the check is the bound of :func:`.bsde.bounded_inverse`, as
-    their singular values are not reported.  A singular tail raises
-    NumericsError.
+    full-width block.  Each level keeps the (u, mu1, mu2) rows of its solved
+    columns; after one tail solve, a root-first back-substitution combines
+    them with the tail solution and the parents' multipliers.  Pivots are
+    checked after scaling y, z, u by (dt 2^-k)^(-1/2) and the multipliers by
+    (dt 2^-k)^(1/2), which makes the cost blocks O(1) at every depth and
+    leaves the constraint blocks as they are; the check is the bound of
+    :func:`.bsde.bounded_inverse`, as their singular values are not
+    reported.  A singular tail raises NumericsError.
     """
-    n, n_steps = coeffs.n, tree.n_steps
-    states = 2 * n + coeffs.m
+    n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
+    states = 2 * n + m
     width = 2 * states                      # tail columns per level
-    mu = slice(states, states + 2 * n)
     # The tail runs from the deepest level to the root, so the columns of
     # levels >= k are the first (n_steps - k) * width.  Level k's right-hand
     # side columns are [E' (2n) | r | tail of levels >= k]; what its
@@ -414,25 +417,16 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     leaves = coeffs.xi[..., None]
     passed = np.concatenate([np.zeros((len(leaves) // 2, 2 * n, 2 * n)),
                              _lift(tree, leaves)], axis=2)
-    inverses, carried = [None] * n_steps, [None] * n_steps
+    solved = [None] * n_steps               # (u, mu1, mu2) rows of each level
     for k in range(n_steps - 1, -1, -1):
         hi = (n_steps - k) * width
-        piv = _kkt_pivots(tree, coeffs, k)
-        piv[:, mu, mu] += passed[..., :2 * n]
-        rhs = np.zeros(piv.shape[:2] + (2 * n + 1 + hi,))
-        if k > 0:
-            rhs[:, :n, :2 * n] = _parent_coupling(tree, n, k)
-        carried[k] = passed[..., 2 * n:]
-        rhs[:, mu, 2 * n:passed.shape[2]] = carried[k]
-        rhs[:, :, -width:] = _kkt_tail_coupling(tree, coeffs, k)
-
+        piv, rhs = _kkt_level(tree, coeffs, k, passed)
         sigma = tree.dt * tree.node_probability(k)
         scale = np.concatenate([np.full(states, sigma ** -0.5),
                                 np.full(2 * n, sigma ** 0.5)])
         inv = bounded_inverse(piv * scale[:, None] * scale[None, :],
                               "scaled KKT pivot", k)
-        inverses[k] = inv * scale[:, None] * scale[None, :]
-        sol = inverses[k] @ rhs
+        sol = (inv * scale[:, None] * scale[None, :]) @ rhs
 
         tail[hi - width:hi, hi - width:hi] += _kkt_tail_block(tree, coeffs, k)
         update = _flat(rhs[..., 2 * n + 1:]).T @ _flat(sol[..., 2 * n:])
@@ -440,6 +434,10 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
         tail[:hi, :hi] -= update[:, 1:]
         if k > 0:
             passed = _lift(tree, sol[:, :n])
+        # keep a copy of the rows the back-substitution reads, and free this
+        # level's blocks before the next level is assembled
+        solved[k] = sol[:, 2 * n:].copy()
+        del rhs, sol
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
@@ -452,14 +450,12 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 
     controls, parent = [], None
     for k in range(n_steps):
-        hi = (n_steps - k) * width
-        vec = -(_kkt_tail_coupling(tree, coeffs, k) @ means[hi - width:hi])
-        vec[:, mu] += carried[k][..., 0] - carried[k][..., 1:] @ means[:hi - width]
+        rows = solved[k]
+        node = rows[..., 2 * n] - rows[..., 2 * n + 1:] @ means[:(n_steps - k) * width]
         if k > 0:
-            vec[:, :n] -= _mv(_parent_coupling(tree, n, k), tree.to_children(parent))
-        node = _mv(inverses[k], vec)
-        controls.append(node[:, 2 * n:states])
-        parent = node[:, mu]
+            node -= _mv(rows[..., :2 * n], tree.to_children(parent))
+        controls.append(node[:, :m])
+        parent = node[:, m:]
     return controls
 
 
@@ -491,8 +487,9 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
-    cost = evaluate_cost(tree, coeffs, u)
-    grad_norm = gradient_dual_norm(tree, cost_gradient(tree, coeffs, u))
+    sol = solve_meanfield_bsde(tree, coeffs, u)
+    cost = cost_of_solution(tree, coeffs, u, sol)
+    grad_norm = gradient_dual_norm(tree, cost_gradient(tree, coeffs, u, sol))
     grad0 = gradient_dual_norm(
         tree, cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))
     certified = grad_norm <= CERTIFICATE_TOL * (1.0 + grad0)

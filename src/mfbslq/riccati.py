@@ -98,9 +98,9 @@ def _conditioners(sigma, R, eye, level):
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
     """Run the backward recursion over all levels; raises RiccatiError on a
-    node where the Newton iteration fails to meet the residual tolerance
-    _NEWTON_TOL within _MAX_NEWTON iterations, and StepSizeError where
-    I + Sigma R is singular."""
+    node whose starting residual is NaN or where the Newton iteration
+    fails to meet the residual tolerance _NEWTON_TOL within _MAX_NEWTON
+    iterations, and StepSizeError where I + Sigma R is singular."""
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
     basis = _sym_basis(n)
@@ -128,6 +128,11 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         H, G1, cond_sv = _conditioners(sig, R, eye, k)
         res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
         res_norm = np.linalg.norm(res, axis=(1, 2))
+        if np.isnan(res_norm).any():
+            # NaN fails the test below and would pass as converged; an
+            # infinite residual is active and is refused by the Newton step
+            j = int(np.argmax(np.isnan(res_norm)))
+            raise RiccatiError(f"Riccati residual is NaN at level {k}, node {j}")
         tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         active = res_norm > tol_vec
 

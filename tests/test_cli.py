@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,21 @@ def test_validate_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert main(["validate", "--spec", str(path)]) == 1
+
+
+def test_validate_malformed_structure_is_an_error_line(tmp_path):
+    # run as a process, so an escaping exception would show as a traceback
+    doc = scalar_spec_doc()
+    doc["dynamics"] = 5
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfbslq.cli", "validate", "--spec",
+         _write_spec(tmp_path, doc)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: dynamics must be an object")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

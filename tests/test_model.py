@@ -91,6 +91,53 @@ def test_coefficient_payload_keys_checked():
         load_spec(json.dumps(doc))
 
 
+def _d2_doc():
+    return json.loads(corpus_path("d2").read_text())
+
+
+def _set(section, key, value):
+    def edit(doc):
+        (doc[section] if section else doc)[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("make_doc, edit, message", [
+    pytest.param(_doc, _set(None, "dynamics", 5), r"^dynamics must be an object",
+                 id="dynamics-number"),
+    pytest.param(_doc, lambda doc: doc.update(dynamics=list(doc["dynamics"])),
+                 r"^dynamics must be an object", id="dynamics-list-of-names"),
+    pytest.param(_doc, _set("dynamics", "A", {"form": "time_table", "values": 3}),
+                 r"^A: expected a list", id="time_table-values-number"),
+    pytest.param(_doc, _set("cost", "Q", {"form": "tanh_poly_W", "coeffs": 3}),
+                 r"^Q\.coeffs: expected a list", id="tanh_poly_W-coeffs-number"),
+    pytest.param(_doc, _set("dynamics", "B", constant("x")),
+                 r"^B: expected nested lists", id="value-string"),
+    pytest.param(_doc, _set("dynamics", "C", constant([[1, [2]]])),
+                 r"^C: expected nested lists", id="value-ragged"),
+    pytest.param(_doc, _set("dynamics", "C", constant([["0.5"]])),
+                 r"^C: expected nested lists", id="value-numeric-string"),
+    pytest.param(_doc, _set("dynamics", "C", constant([[True]])),
+                 r"^C: expected nested lists", id="value-boolean"),
+    pytest.param(_doc, _set("cost", "G", "x"), r"^G: expected nested lists",
+                 id="G-string"),
+    pytest.param(_doc, _set(None, "terminal", {"form": "poly_in_WT", "coeffs": "ab"}),
+                 r"^terminal\.coeffs: expected a list", id="poly_in_WT-coeffs-string"),
+    pytest.param(_doc, _set("dynamics", "A", {"form": "node_table", "values": [[]]}),
+                 r"^A\[level 0\]: no nodes given", id="node_table-empty-level"),
+    pytest.param(_doc, _set(None, "terminal", {"form": "leaf_table", "values": []}),
+                 r"^terminal: leaf_table has no entries", id="leaf_table-empty"),
+    # a bare number stands only for a 1x1 matrix or a length-1 vector
+    pytest.param(_d2_doc, _set("dynamics", "A", constant(0.5)),
+                 r"^A: scalar given where a 2x2 matrix is required",
+                 id="scalar-for-2x2"),
+])
+def test_malformed_structure_names_the_field(make_doc, edit, message):
+    doc = make_doc()
+    edit(doc)
+    with pytest.raises(ConfigurationError, match=message):
+        load_spec(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # realization of each coefficient form
 

@@ -26,7 +26,7 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
-from conftest import scalar_spec, singular_mean_doc, singular_step_doc
+from conftest import count_calls, scalar_spec, singular_mean_doc, singular_step_doc
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -118,6 +118,16 @@ def test_sparse_default_and_dense_size_cap(s1):
         solve_oracle(deep, deep_coeffs, method="dense")
     with pytest.raises(SizeCapError):
         weighted_hessian_eigenvalues(deep, deep_coeffs)
+
+
+def test_sparse_oracle_solves_the_state_twice(m1_random, monkeypatch):
+    # one sweep at the returned control serves both the cost and the
+    # certificate's gradient; the other sets the scale, at the zero control
+    tree, coeffs = _setup(m1_random, 5)
+    calls = count_calls(monkeypatch, oracle, "solve_meanfield_bsde")
+    sol = solve_oracle(tree, coeffs)
+    assert len(calls) == 2
+    assert sol.cost == evaluate_cost(tree, coeffs, sol.u)
 
 
 def test_singular_step_raises_typed_errors():

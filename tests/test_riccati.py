@@ -160,3 +160,15 @@ def test_singular_newton_matrix_raises_riccati_error():
     with pytest.raises(RiccatiError,
                        match=r"^singular Newton matrix at level 2: Singular matrix$"):
         solve_riccati(tree, dataclasses.replace(coeffs, A=A))
+
+
+def test_nan_residual_raises_riccati_error(m1):
+    # Sigma_4 = 0, so A = +inf on level 3 makes A Sigma = inf * 0 = NaN in the
+    # starting residual there; it must not pass as converged (Sigma_3 = 0)
+    tree = build_tree(1.0, 4)
+    coeffs = realize(m1, tree)
+    A = [level.copy() for level in coeffs.A]
+    A[3][...] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RiccatiError, match=r"NaN at level 3, node 0"):
+        solve_riccati(tree, dataclasses.replace(coeffs, A=A))
