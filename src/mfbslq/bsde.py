@@ -37,14 +37,6 @@ from .tree import ScenarioTree, _inv, _mm, _mul, _t
 _MIN_STEP_SV = 1e-6
 
 
-def _refuse_unless_regular(bound: float, what: str, name: str, level: int) -> None:
-    if not _MIN_STEP_SV < bound < np.inf:
-        raise StepSizeError(
-            f"{name} is singular or not finite at level {level}: {what} "
-            f"{bound:.3e} (needs > {_MIN_STEP_SV:.0e}); refine the time grid"
-        )
-
-
 def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
     """Invert one level's stack of per-node matrices after checking them.
 
@@ -57,28 +49,13 @@ def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
     else:
         min_sv = float(np.sqrt(max(
             float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
-    _refuse_unless_regular(min_sv, "smallest singular value", name, level)
+    if not _MIN_STEP_SV < min_sv < np.inf:
+        raise StepSizeError(
+            f"{name} is singular or not finite at level {level}: smallest "
+            f"singular value {min_sv:.3e} (needs > {_MIN_STEP_SV:.0e}); "
+            "refine the time grid"
+        )
     return _inv(mats), min_sv
-
-
-def bounded_inverse(mats: np.ndarray, name: str, level: int) -> np.ndarray:
-    """Invert a stack like :func:`checked_inverse`, for matrices whose
-    smallest singular value is not reported.
-
-    The check uses 1 / |M^-1|_F, a lower bound on the smallest singular
-    value (within a factor sqrt(p) of it for p x p matrices) that costs
-    nothing once the inverse exists, so it refuses everything the exact
-    check refuses.  An inverse that fails or is not finite is refused too."""
-    try:
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        bound = 0.0
-    else:
-        # a zero or NaN norm only comes from non-finite entries: bound = inf
-        norm = float(np.sqrt(np.max(np.sum(inv * inv, axis=(-2, -1)))))
-        bound = 1.0 / norm if norm > 0.0 else np.inf
-    _refuse_unless_regular(bound, "singular-value bound 1/|M^-1|_F", name, level)
-    return inv
 
 
 class ImplicitSteps(NamedTuple):

@@ -155,13 +155,20 @@ class ValidationReport:
 # parsing
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _as_array(value, field: str) -> np.ndarray:
     """Nested lists of numbers as a float array; anything else (a string,
-    even a numeric one, a boolean, a ragged nesting) is a
-    ConfigurationError naming the field."""
+    even a numeric one, a boolean anywhere in the nesting, a ragged nesting)
+    is a ConfigurationError naming the field."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iuf":
+        # numpy reads a boolean among numbers as 0 or 1
+        if arr.dtype.kind in "iuf" and not _has_bool(value):
             return arr.astype(float)
     except ValueError:   # a ragged nesting
         pass

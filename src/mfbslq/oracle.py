@@ -7,10 +7,13 @@ optimizer is found from the KKT system of the full discretization, and
 optimality is certified with an exact discrete adjoint gradient that is
 computed independently of the solve.  The KKT system is a tree of small
 per-node blocks plus a dense tail of level means; the default ("sparse")
-route eliminates the node blocks leaves first, one checked batch of pivots
-per level, and closes the tail with one Schur-complement solve.  A dense
-route, which assembles the reduced Hessian column by column, runs only when
-asked for and serves as a cross-check of the sparse one on small trees.
+route eliminates the node blocks leaves first, one batch per level, each
+block through its own n x n and m x m pivots (the control weight N, the
+one-step matrix I - dt A, and two multiplier blocks that are of order one
+at every depth), every one checked, and closes the tail with one
+Schur-complement solve.  A dense route, which assembles the reduced Hessian
+column by column, runs only when asked for and serves as a cross-check of
+the sparse one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
@@ -35,10 +38,10 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
-from .bsde import (MeanfieldBsdeSolution, bounded_inverse, implicit_steps,
+from .bsde import (MeanfieldBsdeSolution, checked_inverse, implicit_steps,
                    solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mm, _mv, _t, column_blocks
+from .tree import ScenarioTree, _mm, _mul, _mv, _t, column_blocks
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -327,33 +330,17 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 
 
 def _kkt_level(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
-               passed: np.ndarray) -> tuple:
-    """Level k's local KKT blocks (2**k, 4n + m, 4n + m), with the Schur fill
-    its eliminated children pass to the (mu1, mu2) rows, and its right-hand
-    side, columns [E' (2n) | r | tail of levels >= k]."""
+               passed: np.ndarray) -> np.ndarray:
+    """Level k's KKT right-hand side (2**k, 4n + m, c), columns [E' (2n) | r |
+    tail of levels >= k], from what its eliminated children pass up."""
     n, m, dt = coeffs.n, coeffs.m, tree.dt
     states = 2 * n + m
-    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
-    mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    y, mu1 = slice(0, n), slice(states, 3 * n + m)
     prob = tree.node_probability(k)
-    weight = 2.0 * dt * prob
-    piv = np.zeros((tree.n_nodes(k), 4 * n + m, 4 * n + m))
-    piv[:, y, y] = weight * coeffs.Q[k] + (2.0 * coeffs.G if k == 0 else 0.0)
-    piv[:, z, z] = weight * coeffs.R[k]
-    piv[:, u, u] = weight * coeffs.N[k]
-    # e1: (I - dt A) y - dt C z - dt B u - E_k[y_next] - dt (mean terms) = 0
-    piv[:, mu1, y] = np.eye(n) - dt * coeffs.A[k]
-    piv[:, mu1, z] = -dt * coeffs.C[k]
-    piv[:, mu1, u] = -dt * coeffs.B[k]
-    # e2: z - (y_up - y_down) / (2 sqrt(dt)) = 0
-    piv[:, mu2, z] = np.eye(n)
-    piv[:, :states, states:] = _t(piv[:, states:, :states])
-    piv[:, states:, states:] += passed[..., :2 * n]
-
     # the children pass [fill | r | tail of levels > k]; level k's own tail
     # columns follow them
     own = passed.shape[2]
-    rhs = np.zeros(piv.shape[:2] + (own + 2 * states,))
+    rhs = np.zeros((tree.n_nodes(k), 4 * n + m, own + 2 * states))
     if k > 0:
         # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
         # -(+/-1) / (2 sqrt(dt))
@@ -366,7 +353,95 @@ def _kkt_level(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     rhs[:, mu1, own + n:own + 2 * n] = -dt * coeffs.C_bar[k]
     rhs[:, mu1, own + 2 * n:own + states] = -dt * coeffs.B_bar[k]
     rhs[:, :states, own + states:] = -prob * np.eye(states)
-    return piv, rhs
+    return rhs
+
+
+def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
+                       fill: np.ndarray) -> np.ndarray:
+    """Inverses of level k's KKT pivots (2**k, 4n + m, 4n + m), by block
+    elimination through four checked n x n or m x m pivots.
+
+    With w = 2 dt 2^-k, Hy = w Q (+ 2G at the root), Hz = w R, Hu = w N,
+    Ay = I - dt A and the children's fill F = [[F11, F12], [F21, F22]] on
+    the (mu1, mu2) rows, a node's pivot is
+
+                y       z       u      mu1     mu2
+        y   [   Hy                      Ay'          ]
+        z   [           Hz             -dt C'    I   ]
+        u   [                   Hu     -dt B'        ]
+        mu1 [   Ay    -dt C   -dt B     F11     F12  ]
+        mu2 [            I              F21     F22  ]
+
+    and a right-hand side b is solved by
+      u = Hu^-1 (b_u + dt B' mu1)                        pivot N,
+      z = b_mu2 - F21 mu1 - F22 mu2                      pivot I,
+      y = Ay^-1 (g1 - K1 mu1 - K2 mu2)                   pivot I - dt A,
+    with g1 = b_mu1 + dt C b_mu2 + dt B Hu^-1 b_u, K1 = F11 + dt C F21 -
+    dt^2 B Hu^-1 B' and K2 = F12 + dt C F22; the y and z rows then leave
+    [[S11, S12], [S21, D]] (mu1, mu2) = (b_y - Hy Ay^-1 g1, b_z - Hz b_mu2)
+    with S11 = Ay' - Hy Ay^-1 K1, S12 = -Hy Ay^-1 K2, S21 = -Hz F21 - dt C'
+    and D = I - Hz F22, solved through D and its Schur complement
+    S = S11 - S12 D^-1 S21.  A convex subtree's fill is negative
+    semidefinite, so D's eigenvalues are at least 1, and with the other
+    three pivots regular S is regular exactly when the block is.  All four
+    are of order one at every depth, and each is checked by
+    :func:`.bsde.checked_inverse` under the name "KKT pivot ...".  The
+    inverse is these steps applied to the identity; a per-node stack whose
+    inner dimension is 1 runs as broadcast arithmetic."""
+    n, m, dt = coeffs.n, coeffs.m, tree.dt
+    states = 2 * n + m
+    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
+    mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    weight = 2.0 * dt * tree.node_probability(k)
+    eye = np.eye(n)
+    hy = weight * coeffs.Q[k] + (2.0 * coeffs.G if k == 0 else 0.0)
+    hz = weight * coeffs.R[k]
+    ay = eye - dt * coeffs.A[k]
+    cdt, bdt = dt * coeffs.C[k], dt * coeffs.B[k]
+    f11, f12, f21, f22 = (fill[:, y, y], fill[:, y, z], fill[:, z, y],
+                          fill[:, z, z])
+
+    hu_inv = checked_inverse(coeffs.N[k], "KKT pivot N", k)[0] / weight
+    ay_inv = checked_inverse(ay, "KKT pivot I - dt A", k)[0]
+    bh = _mul(bdt, hu_inv)                          # dt B Hu^-1
+    k1 = f11 + _mul(cdt, f21) - _mul(bh, _t(bdt))
+    k2 = f12 + _mul(cdt, f22)
+    lay = _mul(hy, ay_inv)                          # Hy Ay^-1
+    d_inv = checked_inverse(eye - _mul(hz, f22), "KKT pivot D = I - w R F22",
+                            k)[0]
+    x = _mul(_mul(lay, k2), d_inv)                  # -S12 D^-1
+    s21 = -_mul(hz, f21) - _t(cdt)
+    s_inv = checked_inverse(_t(ay) - _mul(lay, k1) + _mul(x, s21),
+                            "KKT pivot S (Schur complement of D)", k)[0]
+
+    inv = np.empty((len(fill), 4 * n + m, 4 * n + m))
+    # mu1 = S^-1 (b_y - Hy Ay^-1 g1 + x (b_z - Hz b_mu2))
+    r1 = inv[:, mu1]
+    sl = _mul(s_inv, lay)
+    r1[:, :, y] = s_inv
+    r1[:, :, z] = _mul(s_inv, x)
+    r1[:, :, u] = -_mul(sl, bh)
+    r1[:, :, mu1] = -sl
+    r1[:, :, mu2] = -_mul(sl, cdt) - _mul(r1[:, :, z], hz)
+    # mu2 = D^-1 (b_z - Hz b_mu2 - S21 mu1)
+    r2 = inv[:, mu2]
+    r2[...] = -_mul(_mul(d_inv, s21), r1)
+    r2[:, :, z] += d_inv
+    r2[:, :, mu2] -= _mul(d_inv, hz)
+    # u, z and y from the multipliers, by the first three steps
+    ru = inv[:, u]
+    ru[...] = _mul(_mul(hu_inv, _t(bdt)), r1)
+    ru[:, :, u] += hu_inv
+    rz = inv[:, z]
+    rz[...] = -_mul(f21, r1)
+    rz -= _mul(f22, r2)
+    rz[:, :, mu2] += eye
+    ry = inv[:, y]
+    ry[...] = -_mul(ay_inv, _mul(k1, r1) + _mul(k2, r2))
+    ry[:, :, u] += _mul(ay_inv, bh)
+    ry[:, :, mu1] += ay_inv
+    ry[:, :, mu2] += _mul(ay_inv, cdt)
+    return inv
 
 
 def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
@@ -374,8 +449,9 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
     n, m = coeffs.n, coeffs.m
     states = 2 * n + m
     blk = np.zeros((2 * states, 2 * states))
-    blk[:states, :states] = 2.0 * tree.dt * scipy.linalg.block_diag(
-        *coeffs.mean_weights(k))
+    for block, weight in zip((slice(0, n), slice(n, 2 * n), slice(2 * n, states)),
+                             coeffs.mean_weights(k)):
+        blk[block, block] = 2.0 * tree.dt * weight
     blk[:states, states:] = blk[states:, :states] = np.eye(states)
     return blk
 
@@ -391,18 +467,17 @@ def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
 def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     """Optimal controls from the KKT system, by block elimination on the tree.
 
-    Forward, leaves first: each level's pivots are checked and inverted in
-    one batch, and the eliminated nodes pass a Schur update to their
-    parents' (mu1, mu2) rows and one GEMM into the dense tail.  A node at
-    level k couples only to tail columns of levels >= k, so no node holds a
-    full-width block.  Each level keeps the (u, mu1, mu2) rows of its solved
-    columns; after one tail solve, a root-first back-substitution combines
-    them with the tail solution and the parents' multipliers.  Pivots are
-    checked after scaling y, z, u by (dt 2^-k)^(-1/2) and the multipliers by
-    (dt 2^-k)^(1/2), which makes the cost blocks O(1) at every depth and
-    leaves the constraint blocks as they are; the check is the bound of
-    :func:`.bsde.bounded_inverse`, as their singular values are not
-    reported.  A singular tail raises NumericsError.
+    Forward, leaves first: each level's pivots are inverted in one batch by
+    elimination through their own n x n and m x m blocks
+    (:func:`_kkt_pivot_inverse`: N, I - dt A, D = I - w R F22 and the Schur
+    complement S, each checked by its smallest singular value and refused
+    as "KKT pivot ..." with its level), and the eliminated nodes pass a
+    Schur update to their parents' (mu1, mu2) rows and one GEMM into the
+    dense tail.  A node at level k couples only to tail columns of levels
+    >= k, so no node holds a full-width block.  Each level keeps the
+    (u, mu1, mu2) rows of its solved columns; after one tail solve, a
+    root-first back-substitution combines them with the tail solution and
+    the parents' multipliers.  A singular tail raises NumericsError.
     """
     n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
     states = 2 * n + m
@@ -420,13 +495,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     solved = [None] * n_steps               # (u, mu1, mu2) rows of each level
     for k in range(n_steps - 1, -1, -1):
         hi = (n_steps - k) * width
-        piv, rhs = _kkt_level(tree, coeffs, k, passed)
-        sigma = tree.dt * tree.node_probability(k)
-        scale = np.concatenate([np.full(states, sigma ** -0.5),
-                                np.full(2 * n, sigma ** 0.5)])
-        inv = bounded_inverse(piv * scale[:, None] * scale[None, :],
-                              "scaled KKT pivot", k)
-        sol = (inv * scale[:, None] * scale[None, :]) @ rhs
+        rhs = _kkt_level(tree, coeffs, k, passed)
+        sol = _kkt_pivot_inverse(tree, coeffs, k, passed[..., :2 * n]) @ rhs
 
         tail[hi - width:hi, hi - width:hi] += _kkt_tail_block(tree, coeffs, k)
         update = _flat(rhs[..., 2 * n + 1:]).T @ _flat(sol[..., 2 * n:])

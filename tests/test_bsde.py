@@ -7,7 +7,7 @@ import pytest
 
 from mfbslq import (StepSizeError, build_tree, load_spec, realize, solve_forward_sde,
                    solve_meanfield_bsde, solve_riccati)
-from mfbslq.bsde import bounded_inverse, checked_inverse
+from mfbslq.bsde import checked_inverse
 from mfbslq.multipliers import build_workspace
 from conftest import scalar_spec, singular_mean_doc, singular_step_doc
 
@@ -186,7 +186,11 @@ def test_singular_implicit_step_raises_step_size_error():
                                   np.array([[[1.0]], [[-1e-7]]]),
                                   np.full((1, 1, 1), 1e-7),
                                   np.array([[[np.nan]], [[1.0]]]),
-                                  np.full((4, 1, 1), -np.inf)])
+                                  np.full((4, 1, 1), -np.inf),
+                                  # singular 2 x 2 stacks, as the KKT pivots of
+                                  # a vector state can be
+                                  np.array([[[1.0, 0.0], [0.0, 0.0]]]),
+                                  np.array([[[1.0, 1.0], [1.0, 1.0]]])])
 def test_checked_inverse_refuses_singular_or_non_finite(mats):
     with pytest.raises(StepSizeError, match="I \\+ S R .*level 3"):
         checked_inverse(mats, "I + S R", 3)
@@ -210,26 +214,3 @@ def test_checked_inverse_reports_smallest_singular_value():
     inv, min_sv = checked_inverse(mats, "M", 0)
     assert np.allclose(inv @ mats, np.eye(2))
     assert min_sv == pytest.approx(0.5, rel=1e-12)
-
-
-@pytest.mark.parametrize("mats", [np.zeros((2, 1, 1)), np.full((3, 2, 2), np.nan),
-                                  np.full((1, 1, 1), np.inf),
-                                  np.array([[[1.0, 0.0], [0.0, 0.0]]]),
-                                  np.array([[[1.0, 1.0], [1.0, 1.0]]])])
-def test_bounded_inverse_refuses_singular_or_non_finite(mats):
-    with pytest.raises(StepSizeError, match="scaled KKT pivot .*level 4"):
-        bounded_inverse(mats, "scaled KKT pivot", 4)
-
-
-def test_bounded_inverse_refuses_what_the_exact_check_refuses():
-    # sigma_min = 1e-6 exactly: refused by both; the bound 1/|M^-1|_F sits
-    # below sigma_min, so a matrix refused by checked_inverse is never
-    # accepted by bounded_inverse
-    for small in (1e-6, 5e-7, 1e-9):
-        mats = np.array([[[1.0, 0.0], [0.0, small]], [[2.0, 0.0], [0.0, 3.0]]])
-        with pytest.raises(StepSizeError):
-            checked_inverse(mats, "M", 0)
-        with pytest.raises(StepSizeError, match="M .*level 0"):
-            bounded_inverse(mats, "M", 0)
-    mats = np.array([[[2.0, 1.0], [0.0, 0.5]], [[3.0, 0.0], [1.0, 4.0]]])
-    assert np.allclose(bounded_inverse(mats, "M", 0) @ mats, np.eye(2))

@@ -118,6 +118,13 @@ def _set(section, key, value):
                  r"^C: expected nested lists", id="value-numeric-string"),
     pytest.param(_doc, _set("dynamics", "C", constant([[True]])),
                  r"^C: expected nested lists", id="value-boolean"),
+    # numpy would read a boolean among numbers as 1.0 or 0.0
+    pytest.param(_d2_doc, _set("dynamics", "A", constant([[0.1, True], [0.0, 0.15]])),
+                 r"^A: expected nested lists", id="matrix-boolean-among-numbers"),
+    pytest.param(_d2_doc, _set(None, "terminal",
+                               {"form": "poly_in_WT", "coeffs": [[1.5, 0.5], [False, 0.25]]}),
+                 r"^terminal\.coeffs\[1\]: expected nested lists",
+                 id="poly_in_WT-boolean-among-numbers"),
     pytest.param(_doc, _set("cost", "G", "x"), r"^G: expected nested lists",
                  id="G-string"),
     pytest.param(_doc, _set(None, "terminal", {"form": "poly_in_WT", "coeffs": "ab"}),

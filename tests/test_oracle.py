@@ -11,6 +11,7 @@ Frozen reference values (hand-derived before the tests were written):
   the optimum is u = -g c / (1 + g) with cost g c^2 / (1 + g).
 """
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from mfbslq import (NumericsError, SizeCapError, StepSizeError, build_tree,
-                    load_spec, oracle, realize, solve_meanfield_bsde)
+                    load_spec, oracle, realize, solve_meanfield_bsde, validate_h1_h2)
 from mfbslq.bsde import MeanfieldBsdeSolution
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
                            cost_of_solution, directional_derivative,
@@ -26,7 +27,8 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
-from conftest import count_calls, scalar_spec, singular_mean_doc, singular_step_doc
+from conftest import (corpus_path, count_calls, scalar_spec, singular_mean_doc,
+                      singular_step_doc)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -105,6 +107,43 @@ def test_dense_and_sparse_routes_agree(corpus):
         assert control_error(tree, sparse.u, dense.u) <= 1e-8
         assert abs(dense.cost - sparse.cost) <= 1e-9 * (1 + abs(dense.cost))
         assert dense.certified and sparse.certified
+
+
+def _vector_control_doc():
+    """d2 with a two-dimensional control and node-varying A and N, so every
+    KKT pivot block of the sparse route is 2 x 2 and differs per node."""
+    doc = json.loads(corpus_path("d2").read_text())
+    doc["m"] = 2
+    doc["dynamics"]["A"] = {"form": "affine_tanh_W", "m0": [[0.1, 0.05], [0.0, 0.15]],
+                            "m1": [[0.1, 0.0], [0.05, -0.1]]}
+    doc["dynamics"]["B"] = {"form": "constant", "value": [[1.0, 0.2], [0.5, -0.3]]}
+    doc["dynamics"]["B_bar"] = {"form": "constant", "value": [[0.2, 0.0], [0.0, 0.1]]}
+    doc["cost"]["N"] = {"form": "tanh_poly_W", "coeffs": [
+        [[1.0, 0.1], [0.1, 0.8]], [[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.0], [0.0, 0.25]]]}
+    doc["cost"]["N_bar"] = {"form": "constant", "value": [[0.5, 0.0], [0.0, 0.5]]}
+    return doc
+
+
+def test_vector_state_and_control_routes_agree():
+    spec = load_spec(json.dumps(_vector_control_doc()))
+    tree, coeffs = _setup(spec, 6)
+    assert validate_h1_h2(coeffs, spec.delta).ok
+    assert coeffs.A[5].shape == (32, 2, 2) and coeffs.N[5].shape == (32, 2, 2)
+    dense = solve_oracle(tree, coeffs, method="dense")
+    sparse = solve_oracle(tree, coeffs)
+    assert control_error(tree, sparse.u, dense.u) <= 1e-8
+    assert sparse.certified
+
+
+def test_singular_control_weight_is_refused_as_a_kkt_pivot(m1_random):
+    # N pivots the u rows of every KKT block; H2 keeps it >= delta I, but
+    # solve_oracle takes the coefficients as given
+    tree, coeffs = _setup(m1_random, 5)
+    weights = [level.copy() for level in coeffs.N]
+    assert weights[3].shape == (8, 1, 1)
+    weights[3][5] = 0.0
+    with pytest.raises(StepSizeError, match="KKT pivot .*level 3"):
+        solve_oracle(tree, dataclasses.replace(coeffs, N=weights))
 
 
 def test_sparse_default_and_dense_size_cap(s1):
