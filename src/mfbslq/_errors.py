@@ -14,7 +14,8 @@ class SpecValidationError(MfbslqError):
 
 
 class StepSizeError(MfbslqError):
-    """A one-step implicit matrix became singular; a finer time grid is required."""
+    """A matrix the solver inverts is singular or not finite: a one-step
+    implicit matrix, a conditioner, the control weight N or a KKT pivot."""
 
 
 class RiccatiError(MfbslqError):

@@ -52,8 +52,7 @@ def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
     if not _MIN_STEP_SV < min_sv < np.inf:
         raise StepSizeError(
             f"{name} is singular or not finite at level {level}: smallest "
-            f"singular value {min_sv:.3e} (needs > {_MIN_STEP_SV:.0e}); "
-            "refine the time grid"
+            f"singular value {min_sv:.3e} (needs > {_MIN_STEP_SV:.0e})"
         )
     return _inv(mats), min_sv
 
@@ -90,6 +89,20 @@ def implicit_steps(tree: ScenarioTree, coeffs: CoefficientSet) -> ImplicitSteps:
         inverses, mean_ops, closings, step_svs, closing_svs = zip(*levels)
         cached = coeffs._cache[key] = ImplicitSteps(
             inverses, mean_ops, closings, min(step_svs), min(closing_svs))
+    return cached
+
+
+def control_weight_inverses(coeffs: CoefficientSet) -> tuple:
+    """Per-level N^{-1}, (2**k or 1, m, m), each checked by
+    :func:`checked_inverse` as "control weight N".  H2 only asks N >= delta
+    I, which admits an N whose inverse overflows.  Computed once per
+    coefficient set and cached on it; the Riccati pair and the decoupled
+    workspace both read it."""
+    cached = coeffs._cache.get("control_weight_inverses")
+    if cached is None:
+        cached = coeffs._cache["control_weight_inverses"] = tuple(
+            checked_inverse(weight, "control weight N", k)[0]
+            for k, weight in enumerate(coeffs.N))
     return cached
 
 

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from ._errors import ConfigurationError, MfbslqError, SpecValidationError
@@ -30,29 +29,6 @@ from .tree import DEFAULT_DEPTH, build_tree
 CHECK_CONTROL_ERROR = 0.10
 CHECK_RESIDUAL = 1e-8
 CHECK_COST_GAP = -1e-9
-
-
-def _pin_threads() -> None:
-    """Pin BLAS thread pools to ``MFBSLQ_THREADS`` (a positive integer).
-
-    Unset or empty leaves the pools alone; any other value that is not a
-    positive integer raises ConfigurationError.  Pinning needs the optional
-    threadpoolctl package and is skipped without it."""
-    value = os.environ.get("MFBSLQ_THREADS")
-    if not value:
-        return
-    try:
-        limit = int(value)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ConfigurationError(
-            f"MFBSLQ_THREADS must be a positive integer, got {value!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    threadpoolctl.threadpool_limits(limit)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -67,29 +43,29 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _run_checks(result, report: dict, max_control_error: float,
-                max_residual: float) -> list:
+def _run_checks(result, report: dict, max_control_error: float) -> list:
+    """The --check quality gates; each is written so that NaN fails it."""
     failures = []
     cres = report["constraint_residuals"]
     worst = max(cres.values())
-    if worst > max_residual:
-        failures.append(f"constraint residual {worst:.3e} > {max_residual:.1e}")
-    if report["multiplier_residual"] > max_residual:
+    if not worst <= CHECK_RESIDUAL:
+        failures.append(f"constraint residual {worst:.3e} > {CHECK_RESIDUAL:.1e}")
+    if not report["multiplier_residual"] <= CHECK_RESIDUAL:
         failures.append(f"multiplier residual {report['multiplier_residual']:.3e} "
-                        f"> {max_residual:.1e}")
-    if report["riccati"]["symmetry"] > 1e-10:
+                        f"> {CHECK_RESIDUAL:.1e}")
+    if not report["riccati"]["symmetry"] <= 1e-10:
         failures.append(f"riccati symmetry defect {report['riccati']['symmetry']:.3e}")
-    if report["riccati"]["min_I_plus_SigmaR_sv"] <= 0.0:
+    if not report["riccati"]["min_I_plus_SigmaR_sv"] > 0.0:
         failures.append("riccati conditioner lost invertibility")
     if not math.isfinite(report["cost"]):
         failures.append("cost is not finite")
     if result.oracle is not None:
-        if result.oracle_control_error > max_control_error:
+        if not result.oracle_control_error <= max_control_error:
             failures.append(
                 f"control error vs direct solve {result.oracle_control_error:.3f} "
                 f"> {max_control_error}"
             )
-        if result.oracle_cost_gap < CHECK_COST_GAP:
+        if not result.oracle_cost_gap >= CHECK_COST_GAP:
             failures.append(
                 f"cost gap vs direct solve {result.oracle_cost_gap:.3e} "
                 f"< {CHECK_COST_GAP:.1e}"
@@ -103,8 +79,7 @@ def _cmd_run(args) -> int:
     report = result.report()
     _write_text(args.out, _report_json(report))
     if args.check:
-        failures = _run_checks(result, report, args.max_control_error,
-                               args.max_residual)
+        failures = _run_checks(result, report, args.max_control_error)
         if failures:
             for line in failures:
                 print(f"check failed: {line}", file=sys.stderr)
@@ -186,9 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "02's bound at depth 16, and the error is first "
                             "order in dt, so shallower runs need an explicit "
                             "gate")
-    p_run.add_argument("--max-residual", type=float, default=CHECK_RESIDUAL,
-                       help="gate on the constraint and multiplier residuals "
-                            "(with --check)")
     p_run.add_argument("--out", default=None, help="output path (default stdout)")
     p_run.set_defaults(fn=_cmd_run)
 
@@ -211,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _pin_threads()
         return args.fn(args)
     except (ConfigurationError, SpecValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,9 +137,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def summary(self) -> str:
         lines = []
         for c in self.checks:

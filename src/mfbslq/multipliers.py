@@ -88,11 +88,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
-from .bsde import checked_inverse, forward_levels, implicit_steps, solve_forward_sde
+from .bsde import (checked_inverse, control_weight_inverses, forward_levels,
+                   implicit_steps, solve_forward_sde)
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import (ScenarioTree, _concat_nodes, _inv, _mm, _mul, _mv, _solve, _t,
-                   column_blocks)
+from .tree import ScenarioTree, _concat_nodes, _mm, _mul, _mv, _t, column_blocks
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -157,6 +157,7 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
     x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, ric.sigma[0]),
                                 "I + G Sigma(0)", 0)
     ws = DecoupledWorkspace(*([] for _ in range(11)), _mul(x0_inv, coeffs.G)[0])
+    n_inv = control_weight_inverses(coeffs)
     for k in range(tree.n_steps):
         sig, phi = ric.sigma[k], ric.phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
@@ -174,10 +175,10 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
         ws.phi_step.append(phi_step)
         ws.vtheta_coef.append(_mul(_mul(phi, R) - C, H))
         ws.source.append(_concat_nodes([
-            -sig, -_t(_solve(coeffs.N[k], _t(coeffs.B[k]))),
+            -sig, -_t(_mul(n_inv[k], _t(coeffs.B[k]))),
             -_mul(phi + _mul(C, sig_c), _t(H)),
             coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
-        ws.Ninv.append(_inv(coeffs.N[k]))
+        ws.Ninv.append(n_inv[k])
         ws.x_drift.append(_t(A) - _mul(Q, sig))
         ws.x_diff.append(_t(C) - _mul(G1, mart))
         ws.zx.append(_mul(H, mart))
@@ -262,7 +263,7 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
     ``keep`` each level's fields are dropped once reduced, and u, y and z
     come back as lists of None.  The guard is the worst defect of
     N u - (B' x - lam3) relative to 1 + |B' x| over every value
-    reconstructed; above _GUARD_TOL it raises NumericsError."""
+    reconstructed; above _GUARD_TOL or not finite it raises NumericsError."""
     n = coeffs.n
     _, lam2, lam3 = split_blocks(lam, tree, coeffs)
     u, y, z = ([None] * tree.n_steps for _ in range(3))
@@ -285,7 +286,7 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
         if keep:
             u[k], y[k], z[k] = uk, yk, zk
     worst = float(guard.max())
-    if worst > _GUARD_TOL:
+    if not worst <= _GUARD_TOL:
         raise NumericsError(
             f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
         )
@@ -508,9 +509,14 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
     modified Gram-Schmidt and Givens rotations, stopped once the residual
     falls to _KRYLOV_TOL |rhs|.  Returns (solution, products, relative
     residual); the residual is |A x - rhs| / |rhs| from the stored products,
-    not the rotations' estimate.  NumericsError if the system is singular
-    on the Krylov space or the tolerance is not met in ``max_products``."""
+    not the rotations' estimate.  NumericsError if the right-hand side is
+    not finite, the system is singular or not finite on the Krylov space, or
+    the tolerance is not met in ``max_products``: every test is written so
+    that NaN fails it."""
     beta = float(np.linalg.norm(rhs))
+    if not math.isfinite(beta):
+        raise NumericsError(
+            "right-hand side of the outer first-order system is not finite")
     if beta == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     basis = np.zeros((max_products + 1, rhs.size))   # orthonormal, one per row
@@ -521,7 +527,7 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
     gvec[0] = beta
     basis[0] = rhs / beta
     j = 0
-    while j < max_products and abs(gvec[j]) > _KRYLOV_TOL * beta:
+    while j < max_products and not abs(gvec[j]) <= _KRYLOV_TOL * beta:
         images[j] = product(basis[j])
         w = images[j].copy()
         for i in range(j + 1):
@@ -534,9 +540,9 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
             hess[i, j], hess[i + 1, j] = (cos[i] * hess[i, j] + sin[i] * hess[i + 1, j],
                                           cos[i] * hess[i + 1, j] - sin[i] * hess[i, j])
         rho = float(np.hypot(hess[j, j], hess[j + 1, j]))
-        if rho == 0.0:
-            raise NumericsError(f"outer first-order system is singular "
-                                f"(GMRES breakdown at product {j + 1})")
+        if not rho > 0.0:
+            raise NumericsError(f"outer first-order system is singular or not "
+                                f"finite (GMRES breakdown at product {j + 1})")
         cos[j], sin[j] = hess[j, j] / rho, hess[j + 1, j] / rho
         hess[j, j], hess[j + 1, j] = rho, 0.0
         gvec[j + 1] = -sin[j] * gvec[j]
@@ -544,7 +550,7 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
         j += 1
     coef = np.linalg.solve(hess[:j, :j], gvec[:j])   # upper triangular
     residual = float(np.linalg.norm(coef @ images[:j] - rhs)) / beta
-    if abs(gvec[j]) > _KRYLOV_TOL * beta:
+    if not abs(gvec[j]) <= _KRYLOV_TOL * beta:
         raise NumericsError(
             f"GMRES on the outer first-order system did not converge: relative "
             f"residual {residual:.3e} after {j} products (tolerance {_KRYLOV_TOL:.0e})")
@@ -586,14 +592,15 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
                             eta_vec: np.ndarray) -> ConstrainedSolution:
     """Solve at an explicitly given multiplier/mean pair and certify, column
     by column, that the realized means hit the targets:
-    ||means - eta|| <= _CERT_TOL (1 + ||eta||), else InfeasibleEtaError."""
+    ||means - eta|| <= _CERT_TOL (1 + ||eta||), else (NaN included)
+    InfeasibleEtaError."""
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
     sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
     defect = sol.means - eta_vec
     residual = np.linalg.norm(defect, axis=0)
     excess = residual - _CERT_TOL * (1.0 + np.linalg.norm(eta_vec, axis=0))
-    if np.any(excess > 0):
+    if not np.all(excess <= 0):
         worst = float(np.ravel(residual)[np.argmax(excess)])
         raise InfeasibleEtaError(
             f"target means are not attainable: realized means miss them by {worst:.3e}"

@@ -14,8 +14,8 @@ plain feedback control.
 Both conditions are certified on the final sweep, whose control is
 returned, not on the outer solve: its realized means must hit eta, and its
 realized couplings must give lam = W eta - coupling (W the mean-cost
-weights), else NumericsError.  The report's ``multiplier_residual`` is
-max |W eta - coupling - lam|.
+weights), else NumericsError; a NaN fails both.  The report's
+``multiplier_residual`` is max |W eta - coupling - lam|.
 
 Convexity is certified by the standing assumptions: the discrete cost is a
 sum of Gram forms over the weights Q, R, N, their barred means and G, so
@@ -202,7 +202,7 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
                    lambda: constrained_solution_at(tree, coeffs, ric, lam, eta))
     gap = mean_cost_weights(tree, coeffs) @ eta - final.coupling - lam
     gap_norm = float(np.linalg.norm(gap))
-    if gap_norm > _CERT_TOL * (1.0 + np.linalg.norm(lam)):
+    if not gap_norm <= _CERT_TOL * (1.0 + np.linalg.norm(lam)):
         raise NumericsError(
             f"multiplier residual {gap_norm:.3e} of the final solve exceeds "
             f"{_CERT_TOL:.1e} (1 + |lambda|)")

@@ -25,12 +25,13 @@ length is halved per node until the residual decreases.  Every inverse of
 the conditioner I + Sigma R is checked (:func:`.bsde.checked_inverse`): a
 singular one raises StepSizeError naming the level, and the smallest
 singular value on the accepted iterates is the reported
-``min_conditioner_sv``.
+``min_conditioner_sv``.  N^{-1} is the checked per-level inverse of
+:func:`.bsde.control_weight_inverses`, shared with the decoupled workspace.
 
 For a scalar state (n = 1, so one Newton coordinate) and a scalar control
 the per-node algebra is broadcast arithmetic: I + Sigma R is inverted by
-division, with the exact singular value |x|, B N^{-1} B' and the Newton
-step are divisions, and a zero or non-finite Newton matrix raises the same
+division, with the exact singular value |x|, the Newton step is a
+division, and a zero or non-finite Newton matrix raises the same
 RiccatiError as a singular LAPACK solve.  Wider stacks run LAPACK and
 matmul.
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import RiccatiError
-from .bsde import checked_inverse
+from .bsde import checked_inverse, control_weight_inverses
 from .model import CoefficientSet
 from .tree import ScenarioTree, _lowest_eig, _mul, _solve, _t
 
@@ -98,14 +99,15 @@ def _conditioners(sigma, R, eye, level):
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
     """Run the backward recursion over all levels; raises RiccatiError on a
-    node whose starting residual is NaN or where the Newton iteration
+    node whose starting residual is not finite or where the Newton iteration
     fails to meet the residual tolerance _NEWTON_TOL within _MAX_NEWTON
-    iterations, and StepSizeError where I + Sigma R is singular."""
+    iterations, and StepSizeError where N or I + Sigma R is singular."""
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
     basis = _sym_basis(n)
     iu = np.triu_indices(n)
     d = len(basis)
+    n_inv = control_weight_inverses(coeffs)   # refuses a singular N up front
 
     sigma: list = [None] * (n_steps + 1)
     phi: list = [None] * n_steps
@@ -117,7 +119,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     nodes = 0
     for k in range(n_steps - 1, -1, -1):
         A, Q, C, R = coeffs.A[k], coeffs.Q[k], coeffs.C[k], coeffs.R[k]
-        BNB = _mul(coeffs.B[k], _solve(coeffs.N[k], _t(coeffs.B[k])))
+        BNB = _mul(coeffs.B[k], _mul(n_inv[k], _t(coeffs.B[k])))
         phik = tree.z_from_next(sigma[k + 1])
         cond = tree.cond_expect(sigma[k + 1])
 
@@ -128,11 +130,11 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         H, G1, cond_sv = _conditioners(sig, R, eye, k)
         res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
         res_norm = np.linalg.norm(res, axis=(1, 2))
-        if np.isnan(res_norm).any():
+        if not np.isfinite(res_norm).all():
             # NaN fails the test below and would pass as converged; an
-            # infinite residual is active and is refused by the Newton step
-            j = int(np.argmax(np.isnan(res_norm)))
-            raise RiccatiError(f"Riccati residual is NaN at level {k}, node {j}")
+            # infinite residual comes from the data, not the Newton matrix
+            j = int(np.argmax(~np.isfinite(res_norm)))
+            raise RiccatiError(f"Riccati residual is not finite at level {k}, node {j}")
         tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         active = res_norm > tol_vec
 

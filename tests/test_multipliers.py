@@ -326,6 +326,11 @@ def test_gmres_solves_small_nonsymmetric_systems():
     singular = np.diag([0.0, 1.0])
     with pytest.raises(NumericsError, match="singular"):
         multipliers._gmres(lambda v: singular @ v, np.array([1.0, 0.0]), 4)
+    # NaN fails the breakdown test and the right-hand side's norm test
+    with pytest.raises(NumericsError, match="singular or not finite"):
+        multipliers._gmres(lambda v: v * math.nan, rhs, 12)
+    with pytest.raises(NumericsError, match="right-hand side .* not finite"):
+        multipliers._gmres(lambda v: mat @ v, rhs * math.nan, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +368,25 @@ def test_inconsistent_multiplier_pair_rejected():
     with pytest.raises(InfeasibleEtaError):
         constrained_solution_at(tree, coeffs, ric, np.zeros(bad_eta.size),
                                 bad_eta)
+    # a NaN multiplier makes a NaN control, which fails the reconstruction guard
+    with pytest.raises(NumericsError, match="reconstruction defect nan"):
+        constrained_solution_at(tree, coeffs, ric, np.full(bad_eta.size, math.nan),
+                                ops.p_xi)
+
+
+def test_nan_means_fail_the_certificate(monkeypatch):
+    spec = barred_zero_spec("m1")
+    tree, coeffs, ric = _setup(spec, 3)
+    real = multipliers.solve_decoupled
+
+    def nan_means(*args):
+        sol = real(*args)
+        return dataclasses.replace(sol, means=sol.means * math.nan)
+
+    monkeypatch.setattr(multipliers, "solve_decoupled", nan_means)
+    zero = np.zeros(eta_dimension(tree, coeffs))
+    with pytest.raises(InfeasibleEtaError, match="by nan"):
+        constrained_solution_at(tree, coeffs, ric, zero, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,27 @@ def test_wrong_probe_is_caught_by_multiplier_residual(m1, monkeypatch):
         run_pipeline(m1, 4)
 
 
+def test_nan_outer_map_is_a_numerics_error(m1_random, monkeypatch):
+    # NaN couplings in every product of the outer map used to come out as
+    # cost = nan with no error; the solve gates now refuse them
+    perturb_coupling_response(monkeypatch, np.nan)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError):
+        run_pipeline(m1_random, 6)
+
+
+def test_nan_multiplier_residual_is_a_numerics_error(m1, monkeypatch):
+    real = outer.constrained_solution_at
+
+    def nan_coupling(*args):
+        sol = real(*args)
+        sol.coupling = sol.coupling * np.nan
+        return sol
+
+    monkeypatch.setattr(outer, "constrained_solution_at", nan_coupling)
+    with pytest.raises(NumericsError, match="multiplier residual nan"):
+        run_pipeline(m1, 4)
+
+
 def test_pipeline_does_not_assemble_outer_quadratic(m1, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline must not assemble the outer quadratic")

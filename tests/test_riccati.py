@@ -154,11 +154,12 @@ def test_singular_newton_matrix_raises_riccati_error():
     with pytest.raises(RiccatiError,
                        match=r"^singular Newton matrix at level 2: Singular matrix$"):
         solve_riccati(tree, coeffs)
-    # a non-finite Newton matrix is refused the same way, not stepped through
+    # a non-finite coefficient is refused by its residual, before any Newton
+    # matrix is formed from it
     A = [level.copy() for level in coeffs.A]
     A[2][...] = np.inf
-    with pytest.raises(RiccatiError,
-                       match=r"^singular Newton matrix at level 2: Singular matrix$"):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RiccatiError, match=r"^Riccati residual is not finite at level 2, node 0$"):
         solve_riccati(tree, dataclasses.replace(coeffs, A=A))
 
 
@@ -170,5 +171,16 @@ def test_nan_residual_raises_riccati_error(m1):
     A = [level.copy() for level in coeffs.A]
     A[3][...] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(
-            RiccatiError, match=r"NaN at level 3, node 0"):
+            RiccatiError, match=r"not finite at level 3, node 0"):
         solve_riccati(tree, dataclasses.replace(coeffs, A=A))
+
+
+def test_singular_control_weight_is_refused(m1):
+    # H2 asks N >= delta I only; solve_riccati takes the coefficients as
+    # given and inverts N through its checked per-level inverse
+    tree = build_tree(1.0, 4)
+    coeffs = realize(m1, tree)
+    N = [level.copy() for level in coeffs.N]
+    N[2][...] = 0.0
+    with pytest.raises(StepSizeError, match=r"^control weight N .* at level 2:"):
+        solve_riccati(tree, dataclasses.replace(coeffs, N=N))
