@@ -36,5 +36,6 @@ class SizeCapError(MfbslqError):
 
 class NumericsError(MfbslqError):
     """An internal consistency check failed: a control reconstruction defect,
-    a singular or unconverged outer system, a singular KKT tail in the
-    oracle, or a multiplier residual of the final solve."""
+    a singular, ill-conditioned or unconverged outer system, a singular or
+    ill-conditioned KKT tail in the oracle, or a multiplier residual of the
+    final solve."""

@@ -28,13 +28,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._errors import StepSizeError
+from ._errors import NumericsError, StepSizeError
 from .model import CoefficientSet
-from .tree import ScenarioTree, _inv, _mm, _mul, _t
+from .tree import ScenarioTree, _inv, _mul, _t
 
 # An inverted one-step matrix whose smallest singular value falls below this
 # amplifies rounding errors by more than 1e6: the step is refused.
 _MIN_STEP_SV = 1e-6
+# A dense matrix solved whole (the outer preconditioner, the oracle's KKT
+# tail) whose condition number exceeds this is refused.
+_MAX_DENSE_CONDITION = 1e12
+
+
+def checked_dense_sv(mat: np.ndarray, name: str) -> float:
+    """Smallest singular value of a dense square matrix that is about to be
+    inverted or solved.  Raises NumericsError naming it as singular when it
+    is not finite or its condition number exceeds _MAX_DENSE_CONDITION."""
+    sv = (np.linalg.svd(mat, compute_uv=False) if np.isfinite(mat).all()
+          else np.full(2, np.nan))
+    if not (sv[-1] > 0.0 and sv[0] <= _MAX_DENSE_CONDITION * sv[-1]):
+        raise NumericsError(
+            f"{name} is singular or not finite: singular values from "
+            f"{sv[-1]:.3e} to {sv[0]:.3e} (condition number must be at most "
+            f"{_MAX_DENSE_CONDITION:.0e})")
+    return float(sv[-1])
 
 
 def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
@@ -189,17 +206,17 @@ def solve_meanfield_bsde(tree: ScenarioTree, coeffs: CoefficientSet, controls: l
         u_mean[k] = tree.expect(stacked[k])
         # accumulate in place: with many columns a level's temporaries,
         # not its results, would otherwise set the peak memory
-        rhs = _mm(coeffs.B[k], stacked[k])
-        rhs += _mm(coeffs.B_bar[k], u_mean[k])
-        rhs += _mm(coeffs.C[k], z[k])
-        rhs += _mm(coeffs.C_bar[k], z_mean[k])
+        rhs = _mul(coeffs.B[k], stacked[k])
+        rhs += _mul(coeffs.B_bar[k], u_mean[k])
+        rhs += _mul(coeffs.C[k], z[k])
+        rhs += _mul(coeffs.C_bar[k], z_mean[k])
         rhs *= dt
         rhs += tree.cond_expect(y[k + 1])
         # Y_j = base_j + mean_op_j @ y_mean; close the mean equation.
-        y[k] = _mm(steps.inverses[k], rhs)
+        y[k] = _mul(steps.inverses[k], rhs)
         del rhs
         y_mean[k] = steps.closings[k] @ tree.expect(y[k])
-        y[k] += _mm(steps.mean_ops[k], y_mean[k])
+        y[k] += _mul(steps.mean_ops[k], y_mean[k])
     if single:
         return MeanfieldBsdeSolution(
             [yk[..., 0] for yk in y[:n_steps]] + [xi], [zk[..., 0] for zk in z],

@@ -7,8 +7,9 @@ Subcommands:
                write a CSV convergence table
 * ``validate`` parse a problem file and check the standing assumptions
 
-Exit codes: 0 success, 1 parse/validation failure, 2 solver failure,
-3 a ``--check`` quality gate failed.  Reports are written with sorted keys
+Exit codes: 0 success (and ``--help``), 1 bad input (a usage error such as
+an unknown option, or a parse/validation failure), 2 solver failure, 3 a
+``--check`` quality gate failed.  Reports are written with sorted keys
 so that, apart from the timing block, repeated runs are byte-identical.
 """
 
@@ -181,7 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error: bad input
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ConfigurationError, SpecValidationError, OSError, json.JSONDecodeError) as exc:

@@ -43,7 +43,8 @@ node-constant reconstruction maps take xbar to the means of (y, z, u) and
 to the couplings.  Any number of columns then costs one sweep of one node
 per level.  Otherwise the linear part runs full-width sweeps, 16 columns
 to a sweep.  Both parts reduce each adjoint level to its means and
-couplings as it is formed and keep no field of the tree (`_response`).
+couplings (one GEMM each, :func:`.tree._level_coupling`) as it is formed
+and keep no field of the tree (`_response`).
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
@@ -88,11 +89,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
-from .bsde import (checked_inverse, control_weight_inverses, forward_levels,
-                   implicit_steps, solve_forward_sde)
+from .bsde import (checked_dense_sv, checked_inverse, control_weight_inverses,
+                   forward_levels, implicit_steps, solve_forward_sde)
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _concat_nodes, _mm, _mul, _mv, _t, column_blocks
+from .tree import ScenarioTree, _concat_nodes, _level_coupling, _mul, _mv, _t, column_blocks
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -203,17 +204,6 @@ class DecoupledSolution:
     coupling: np.ndarray   # stacked E[A_bar' x], E[C_bar' x], E[B_bar' x]
 
 
-def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """E[mats' x] over a level, the node mean of mats_j' x_j: one GEMM,
-    (n, k)' x (n, c).  A length-1 ``mats`` is the same on every node, so it
-    multiplies the node sum of x, taken as one GEMV (a stride-0 broadcast
-    would defeat BLAS).  A one-node x is its own mean."""
-    if len(mats) == 1:
-        total = np.ones(len(x)) @ x.reshape(len(x), -1)
-        return mats[0].T @ total.reshape(x.shape[1:]) / len(x)
-    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1]) / len(x)
-
-
 def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
                     ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
                     xi: np.ndarray) -> tuple:
@@ -231,8 +221,8 @@ def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
         vth = tree.z_from_next(phi[k + 1])
         # the six multiplier/target terms of E as one GEMM over ws.source
         inputs = np.concatenate([lam1[k], lam3[k], lam2[k], alpha[k], gamma[k], beta[k]])
-        rest = _mm(ws.vtheta_coef[k], vth) + _mm(ws.source[k], inputs)
-        phi[k] = _mm(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
+        rest = _mul(ws.vtheta_coef[k], vth) + _mul(ws.source[k], inputs)
+        phi[k] = _mul(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
         vtheta[k] = vth
     return phi, vtheta
 
@@ -245,11 +235,11 @@ def _adjoint(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
     lam1, lam2, _ = split_blocks(lam, tree, coeffs)
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
-        return -(_mm(ws.x_drift[k], x) + _mm(coeffs.Q[k], phi[k]) - lam1[k][None])
+        return -(_mul(ws.x_drift[k], x) + _mul(coeffs.Q[k], phi[k]) - lam1[k][None])
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
-        aff = _mm(ws.G1[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
-        return -(_mm(ws.x_diff[k], x) + aff)
+        aff = _mul(ws.G1[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
+        return -(_mul(ws.x_diff[k], x) + aff)
 
     return drift, diffusion
 
@@ -273,12 +263,12 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
     cpl_y, cpl_z, cpl_u = split_blocks(coupling, tree, coeffs)
     guard = np.zeros(lam.shape[1])
     for k, x in enumerate(x_levels):
-        bx = _mm(_t(coeffs.B[k]), x)
+        bx = _mul(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
-        uk = _mm(ws.Ninv[k], net)
-        yk = _mm(ric.sigma[k], x) - phi[k]
-        zk = _mm(ws.zx[k], x) - _mm(ws.H[k], _mm(ws.sig_c[k], lam2[k]) + vtheta[k])
-        defect = np.abs(_mm(coeffs.N[k], uk) - net).max(axis=(0, 1))
+        uk = _mul(ws.Ninv[k], net)
+        yk = _mul(ric.sigma[k], x) - phi[k]
+        zk = _mul(ws.zx[k], x) - _mul(ws.H[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k])
+        defect = np.abs(_mul(coeffs.N[k], uk) - net).max(axis=(0, 1))
         guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
         mean_y[k], mean_z[k], mean_u[k] = tree.expect(yk), tree.expect(zk), tree.expect(uk)
         bars = _level_coupling(ws.bars[k], x)
@@ -310,7 +300,7 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
                           *_adjoint(tree, coeffs, ws, lam, phi, vtheta))
     u, y, z, means, coupling = _reconstruct(tree, coeffs, ric, ws, lam, phi,
                                             vtheta, x[:-1])
-    y.append(_mm(ric.sigma[tree.n_steps], x[-1]) - phi[-1])
+    y.append(_mul(ric.sigma[tree.n_steps], x[-1]) - phi[-1])
     fields = (phi, vtheta, x, u, y, z)
     if single:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
@@ -441,6 +431,7 @@ class OuterSolution(NamedTuple):
     lam: np.ndarray
     columns: int                # the base column plus one per GMRES product
     relative_residual: float    # |A (eta, lam) - b| / |b| of the outer system
+    min_preconditioner_sv: float   # smallest singular value of M
 
 
 def _node_mean_problem(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -480,20 +471,18 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     feedback (stationarity in eta).  Both are affine in (eta, lam), so the
     pair is one linear system A (eta, lam) = b of size 2d, b from the base
     sweep.  GMRES solves A M^{-1} w = b and x = M^{-1} w, M the same system
-    of :func:`_node_mean_problem`, assembled densely.  A singular M raises
-    NumericsError; the answer itself is certified on the final sweep (see
-    :func:`constrained_solution_at`).
+    of :func:`_node_mean_problem`, assembled densely.  An M that is not
+    finite or has condition number above 1e12 raises NumericsError
+    (:func:`.bsde.checked_dense_sv`); the answer itself is certified on the
+    final sweep (see :func:`constrained_solution_at`).
     """
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
     mean_coeffs, mean_ric = _node_mean_problem(tree, coeffs, ric)
-    try:
-        precond = np.linalg.inv(_outer_map(tree, mean_coeffs, mean_ric, weights,
-                                           np.eye(2 * d)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"outer first-order system of the node-mean problem is singular ({exc})"
-        ) from exc
+    precond = _outer_map(tree, mean_coeffs, mean_ric, weights, np.eye(2 * d))
+    min_sv = checked_dense_sv(
+        precond, "outer first-order system of the node-mean problem")
+    precond = np.linalg.inv(precond)
     rhs = np.concatenate(_xi_response(tree, coeffs, ric))
 
     def product(vec: np.ndarray) -> np.ndarray:
@@ -501,7 +490,7 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
 
     sol, products, residual = _gmres(product, rhs, 2 * d)
     sol = precond @ sol
-    return OuterSolution(sol[:d], sol[d:], products + 1, residual)
+    return OuterSolution(sol[:d], sol[d:], products + 1, residual, min_sv)
 
 
 def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:

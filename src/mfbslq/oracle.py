@@ -1,6 +1,7 @@
 """Independent certification of optimal controls by direct quadratic programming.
 
-This module never touches the Riccati/multiplier pipeline.  It treats the
+This module never touches the Riccati/multiplier pipeline (it shares only
+the tree's kernels, such as E[M' x], :func:`.tree._level_coupling`).  It treats the
 discrete problem as the finite-dimensional convex program it is: the cost
 is evaluated by actually solving the controlled mean-field BSDE, the
 optimizer is found from the KKT system of the full discretization, and
@@ -38,10 +39,10 @@ import numpy as np
 import scipy.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
-from .bsde import (MeanfieldBsdeSolution, checked_inverse, implicit_steps,
-                   solve_forward_sde, solve_meanfield_bsde)
+from .bsde import (MeanfieldBsdeSolution, checked_dense_sv, checked_inverse,
+                   implicit_steps, solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _mm, _mul, _mv, _t, column_blocks
+from .tree import ScenarioTree, _level_coupling, _mul, _mv, _t, column_blocks
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -166,8 +167,8 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
     mu1_prev = None
     mu2_prev = None
     for k in range(n_steps):
-        prob = tree.node_probability(k)
-        r = -2.0 * dt * prob * _mm(coeffs.Q[k], sol.y[k])
+        prob, nodes = tree.node_probability(k), tree.n_nodes(k)
+        r = -2.0 * dt * prob * _mul(coeffs.Q[k], sol.y[k])
         if k == 0:
             r -= 2.0 * (coeffs.G @ sol.y[0])
         if k > 0:
@@ -177,24 +178,24 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         qb, rb, nb = coeffs.mean_weights(k)
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
-        #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j,
+        #   nu1 = -2 dt Qbar ybar + dt sum_j Abar' mu1_j (= dt 2^k E[Abar' mu1]),
         # closed by the transposed mean-closing matrix of the primal step
         resp = _t(steps.inverses[k])    # ((I - dt A)')^{-1}, checked once
-        base = _mm(resp, r)
-        s_base = dt * _mm(_t(coeffs.A_bar[k]), base).sum(axis=0)
+        base = _mul(resp, r)
+        s_base = dt * nodes * _level_coupling(coeffs.A_bar[k], base)
         g_ybar = 2.0 * dt * (qb @ sol.y_mean[k])
         nu1 = steps.closings[k].T @ (-g_ybar + s_base)
-        mu1 = base + prob * _mm(resp, nu1)
+        mu1 = base + prob * _mul(resp, nu1)
 
-        g_z = 2.0 * dt * prob * _mm(coeffs.R[k], sol.z[k])
-        nu2 = -2.0 * dt * (rb @ sol.z_mean[k]) + dt * (
-            _mm(_t(coeffs.C_bar[k]), mu1).sum(axis=0))
-        mu2 = -g_z + dt * _mm(_t(coeffs.C[k]), mu1) + prob * nu2[None]
+        g_z = 2.0 * dt * prob * _mul(coeffs.R[k], sol.z[k])
+        nu2 = (-2.0 * dt * (rb @ sol.z_mean[k])
+               + dt * nodes * _level_coupling(coeffs.C_bar[k], mu1))
+        mu2 = -g_z + dt * _mul(_t(coeffs.C[k]), mu1) + prob * nu2[None]
 
-        g_u = 2.0 * dt * prob * _mm(coeffs.N[k], controls[k])
-        nu3 = -2.0 * dt * (nb @ sol.u_mean[k]) + dt * (
-            _mm(_t(coeffs.B_bar[k]), mu1).sum(axis=0))
-        grad[k] = g_u - dt * _mm(_t(coeffs.B[k]), mu1) - prob * nu3[None]
+        g_u = 2.0 * dt * prob * _mul(coeffs.N[k], controls[k])
+        nu3 = (-2.0 * dt * (nb @ sol.u_mean[k])
+               + dt * nodes * _level_coupling(coeffs.B_bar[k], mu1))
+        grad[k] = g_u - dt * _mul(_t(coeffs.B[k]), mu1) - prob * nu3[None]
         mu1_prev, mu2_prev = mu1, mu2
     if single:
         return [g[..., 0] for g in grad]
@@ -257,14 +258,12 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
         qb = weights[k][0]
-        mean_term = tree.expect(_mv(_t(coeffs.A_bar[k]), x))
-        return -(_mv(_t(coeffs.A[k]), x) + mean_term[None]
+        return -(_mv(_t(coeffs.A[k]), x) + _level_coupling(coeffs.A_bar[k], x)[None]
                  - _mv(coeffs.Q[k], sol.y[k]) - (qb @ sol.y_mean[k])[None])
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
         rb = weights[k][1]
-        mean_term = tree.expect(_mv(_t(coeffs.C_bar[k]), x))
-        return -(_mv(_t(coeffs.C[k]), x) + mean_term[None]
+        return -(_mv(_t(coeffs.C[k]), x) + _level_coupling(coeffs.C_bar[k], x)[None]
                  - _mv(coeffs.R[k], sol.z[k]) - (rb @ sol.z_mean[k])[None])
 
     x = solve_forward_sde(tree, x0, drift, diffusion)
@@ -273,7 +272,7 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
         nb = weights[k][2]
         res = (_mv(coeffs.N[k], controls[k]) + (nb @ sol.u_mean[k])[None]
                - _mv(_t(coeffs.B[k]), x[k])
-               - tree.expect(_mv(_t(coeffs.B_bar[k]), x[k]))[None])
+               - _level_coupling(coeffs.B_bar[k], x[k])[None])
         total += tree.dt * tree.node_probability(k) * float(np.sum(res ** 2))
     return float(np.sqrt(total))
 
@@ -477,7 +476,9 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     >= k, so no node holds a full-width block.  Each level keeps the
     (u, mu1, mu2) rows of its solved columns; after one tail solve, a
     root-first back-substitution combines them with the tail solution and
-    the parents' multipliers.  A singular tail raises NumericsError.
+    the parents' multipliers.  A tail that is not finite or has condition
+    number above 1e12 raises NumericsError (:func:`.bsde.checked_dense_sv`).
+    Returns (controls, smallest singular value of the tail).
     """
     n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
     states = 2 * n + m
@@ -511,12 +512,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
-    try:
-        means = np.linalg.solve(tail, tail_rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"KKT tail of level means and their multipliers is singular ({exc})"
-        ) from exc
+    min_sv = checked_dense_sv(tail, "KKT tail of level means and their multipliers")
+    means = np.linalg.solve(tail, tail_rhs)
 
     controls, parent = [], None
     for k in range(n_steps):
@@ -526,7 +523,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
             node -= _mv(rows[..., :2 * n], tree.to_children(parent))
         controls.append(node[:, :m])
         parent = node[:, m:]
-    return controls
+    return controls, min_sv
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +538,8 @@ class OracleSolution:
     grad0_norm: float        # same at the zero control (sets the scale)
     certified: bool
     method: str              # "sparse" or "dense"
+    min_kkt_tail_sv: float | None   # smallest singular value of the sparse
+                                    # route's KKT tail; None on the dense route
 
 
 def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -551,9 +550,9 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
     sparse KKT system; it is a cross-check for small trees and raises
     SizeCapError above DENSE_SIZE_CAP control unknowns."""
     if method == "dense":
-        u = _solve_dense(tree, coeffs)
+        u, tail_sv = _solve_dense(tree, coeffs), None
     elif method == "sparse":
-        u = _solve_sparse(tree, coeffs)
+        u, tail_sv = _solve_sparse(tree, coeffs)
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
@@ -570,7 +569,7 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
         )
     return OracleSolution(
         u=u, cost=cost, gradient_norm=grad_norm, grad0_norm=grad0,
-        certified=certified, method=method,
+        certified=certified, method=method, min_kkt_tail_sv=tail_sv,
     )
 
 

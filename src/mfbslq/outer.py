@@ -139,6 +139,7 @@ class PipelineResult:
             "min_mean_closing_sv": steps.min_closing_sv,
             "outer_columns": self.outer.columns,
             "outer_relative_residual": self.outer.relative_residual,
+            "min_outer_preconditioner_sv": self.outer.min_preconditioner_sv,
         }
 
     def report(self) -> dict:
@@ -169,6 +170,7 @@ class PipelineResult:
                 "gradient_norm": self.oracle.gradient_norm,
                 "certified": self.oracle.certified,
                 "method": self.oracle.method,
+                "min_kkt_tail_sv": self.oracle.min_kkt_tail_sv,
             }
         return out
 

@@ -47,22 +47,53 @@ def _t(mats: np.ndarray) -> np.ndarray:
     return mats.swapaxes(-1, -2)
 
 
-def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Batched matrix @ vector over the node axis (a length-1 axis broadcasts)."""
-    return np.einsum("kij,kj->ki", mats, vecs)
-
-
 # Per-node kernels.  A stack of per-node matrices whose multiplied (or
 # inverted) dimension is 1 is handled by broadcast arithmetic, without one
 # library call per node: the same numbers as matmul, LAPACK's inverse and
 # its one-column solve.  (A solve of several columns, which LAPACK runs as
 # a multiply by the reciprocal, can differ from the division in the last
-# bit.)  Every wider stack runs the numpy.linalg or matmul call itself.
+# bit.)  Every per-node product goes through the one dispatch of ``_mul``;
+# wider inverses, solves and eigenvalues run the numpy.linalg call itself.
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for per-node matrix stacks (a length-1 node axis or a 2-D
-    matrix broadcasts); with inner dimension 1 a broadcast multiply."""
-    return a * b if a.shape[-1] == 1 else a @ b
+    """``a @ b`` for per-node stacks (nodes, r, q) @ (nodes, q, c); a length-1
+    node axis or a 2-D matrix broadcasts.  Inner dimension 1 is a broadcast
+    multiply and a shared (q, c) ``b`` one GEMM over all the nodes' rows;
+    times one column, a one-node ``a`` is one flat GEMM over ``b``'s rows
+    and a full-width one q broadcast multiply-adds; the rest is matmul."""
+    q = a.shape[-1]
+    if q == 1:
+        return a * b
+    if b.ndim == 2:
+        return (a.reshape(-1, q) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    if b.shape[-1] == 1:
+        if a.ndim == 3 and len(a) == 1:   # a 2-D a's len is its row count
+            return (b[..., 0] @ a[0].T)[..., None]
+        out = a[..., :1] * b[..., :1, :]
+        for j in range(1, q):
+            out += a[..., j:j + 1] * b[..., j:j + 1, :]
+        return out
+    return a @ b
+
+
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Per-node matrix @ vector, ``_mul`` on one-column stacks."""
+    return _mul(mats, vecs[..., None])[..., 0]
+
+
+def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """E[mats' x] over a level, the node mean of mats_j' x_j, for vectors x
+    (nodes, n) or column stacks (nodes, n, c): one GEMM, (n, k)' x (n, c).
+    A one-node side is the same on every node and multiplies the node sum
+    of the other, one GEMV (a stride-0 broadcast would defeat BLAS)."""
+    if x.ndim == 2:
+        return _level_coupling(mats, x[..., None])[..., 0]
+    if len(mats) == 1:
+        total = np.ones(len(x)) @ x.reshape(len(x), -1)
+        return mats[0].T @ total.reshape(x.shape[1:]) / len(x)
+    if len(x) == 1:   # E[mats' x] = E[x' mats]'
+        return _level_coupling(x, mats).T
+    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1]) / len(x)
 
 
 def _inv(mats: np.ndarray) -> np.ndarray:
@@ -86,29 +117,6 @@ def _lowest_eig(sym: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of every matrix of a symmetric per-node stack;
     a 1 x 1 matrix is its own eigenvalue."""
     return sym[:, 0, 0] if sym.shape[-1] == 1 else np.linalg.eigvalsh(sym)[:, 0]
-
-
-def _mm(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``mats @ cols`` for a level's per-node matrices (nodes, r, q).
-
-    ``cols`` is a per-node column stack (nodes, q, c) or one stack (q, c)
-    shared by every node.  With q = 1 the product is a broadcast multiply
-    (the same numbers as matmul, without one BLAS call per node), and with
-    one column per node it is q of them; a shared stack is one GEMM over
-    all the nodes' rows.  A length-1 node axis on either side broadcasts.
-    """
-    if mats.shape[-1] == 1:
-        return mats * cols
-    if cols.ndim == 2:
-        rows = mats.reshape(-1, mats.shape[-1]) @ cols
-        return rows.reshape(mats.shape[:-1] + cols.shape[-1:])
-    if cols.shape[-1] == 1:
-        vec = _t(cols)
-        out = mats[..., :1] * vec[..., :1]
-        for j in range(1, mats.shape[-1]):
-            out += mats[..., j:j + 1] * vec[..., j:j + 1]
-        return out
-    return mats @ cols
 
 
 def _concat_nodes(parts: list, axis: int) -> np.ndarray:

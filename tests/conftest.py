@@ -155,7 +155,8 @@ def probe_route(monkeypatch) -> None:
         sol = np.linalg.solve(a_sys, rhs)
         d = len(sol) // 2
         residual = np.linalg.norm(a_sys @ sol - rhs) / np.linalg.norm(rhs)
-        return OuterSolution(sol[:d], sol[d:], 2 * d + 1, float(residual))
+        return OuterSolution(sol[:d], sol[d:], 2 * d + 1, float(residual),
+                             float(np.linalg.svd(a_sys, compute_uv=False)[-1]))
 
     monkeypatch.setattr(outer, "solve_outer_system", solve)
 

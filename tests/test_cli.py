@@ -47,8 +47,9 @@ def test_run_writes_report(tmp_path):
             "oracle"} == set(report)
     assert report["oracle"]["control_error"] <= 0.10
     assert {"cost", "control_error", "gradient_norm", "certified",
-            "method"} == set(report["oracle"])
-    assert {"outer_columns", "outer_relative_residual"} <= set(report["diagnostics"])
+            "method", "min_kkt_tail_sv"} == set(report["oracle"])
+    assert {"outer_columns", "outer_relative_residual",
+            "min_outer_preconditioner_sv"} <= set(report["diagnostics"])
 
 
 def test_run_zero_terminal(tmp_path):
@@ -76,6 +77,14 @@ def test_run_check_gate_override(tmp_path):
 
 def test_run_missing_file_is_usage_error(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "nope.json"), "--nt", "4"]) == 1
+
+
+def test_mistyped_option_is_usage_error(capsys):
+    # argparse alone would exit 2, the code of a solver failure
+    assert main(["run", "--spec", M1, "--max-residual", "1"]) == 1
+    assert "unrecognized arguments: --max-residual" in capsys.readouterr().err
+    assert main(["run", "--spec", M1, "--nt", "four"]) == 1
+    assert main(["run", "--help"]) == 0
 
 
 def test_run_invalid_assumptions_is_usage_error(tmp_path):

@@ -201,6 +201,19 @@ def test_singular_kkt_tail_is_a_numerics_error(monkeypatch):
         solve_oracle(tree, coeffs)
 
 
+def test_near_singular_kkt_tail_is_a_numerics_error(monkeypatch):
+    # A_bar = (1 - 1e-7) / dt on level 2 leaves the mean-closing matrix at
+    # 1e-7 (the up-front check, bypassed here, refuses it); the tail is then
+    # regular, LAPACK would solve it, but its condition number is about 3e14
+    tree = build_tree(1.0, 4)
+    doc = singular_mean_doc()
+    doc["dynamics"]["A_bar"]["values"][2] = 4.0 * (1.0 - 1e-7)
+    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    monkeypatch.setattr(oracle, "implicit_steps", lambda *args: None)
+    with pytest.raises(NumericsError, match="KKT tail .*singular.*condition number"):
+        solve_oracle(tree, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

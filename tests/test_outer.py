@@ -63,7 +63,8 @@ def test_pipeline_report_contract(m1):
     assert set(report["riccati"]) == {"symmetry", "min_sigma_eig",
                                       "min_I_plus_SigmaR_sv"}
     assert set(report["oracle"]) == {"cost", "control_error", "gradient_norm",
-                                     "certified", "method"}
+                                     "certified", "method", "min_kkt_tail_sv"}
+    assert report["oracle"]["min_kkt_tail_sv"] == res.oracle.min_kkt_tail_sv > 0.0
     assert report["oracle"]["certified"] is True
     assert report["oracle"]["method"] == "sparse"
     assert report["oracle"]["gradient_norm"] == res.oracle.gradient_norm
@@ -72,7 +73,8 @@ def test_pipeline_report_contract(m1):
                          "min_I_plus_SR_sv",
                          "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
                          "min_mean_closing_sv", "outer_columns",
-                         "outer_relative_residual"}
+                         "outer_relative_residual", "min_outer_preconditioner_sv"}
+    assert diag["min_outer_preconditioner_sv"] == res.outer.min_preconditioner_sv > 0.0
     assert diag["newton_iterations"] == res.riccati.newton_iterations
     assert diag["riccati_nodes"] == res.riccati.newton_nodes == 4   # one per level
     assert diag["outer_columns"] == 2   # node-constant: the base and one product

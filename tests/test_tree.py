@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfbslq import ConfigurationError, build_tree
-from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _lowest_eig, _mm, _mul,
-                         _solve)
+from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _level_coupling,
+                         _lowest_eig, _mul, _mv, _solve)
 
 
 def test_grid_basics():
@@ -182,7 +182,12 @@ def test_scalar_kernels_match_numpy_exactly(level):
     assert np.array_equal(_mul(one, b), one @ b)
     assert np.array_equal(_mul(b, one), b @ one)
     assert np.array_equal(_solve(one, b), np.linalg.solve(one, b))
-    assert np.array_equal(_mm(one, b), one @ b)
+
+
+def _close(got, want, rtol=1e-15):
+    """Equal shapes and agreement to ``rtol`` relative in norm."""
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
 def test_wider_kernels_are_the_numpy_calls():
@@ -194,6 +199,29 @@ def test_wider_kernels_are_the_numpy_calls():
     assert np.array_equal(_mul(a, b), a @ b)
     sym = a @ np.swapaxes(a, 1, 2)
     assert np.array_equal(_lowest_eig(sym), np.linalg.eigvalsh(sym)[:, 0])
+    # every branch of the one product dispatch is a @ b: a shared (q, c)
+    # stack, a one-node a times a full-width column, a full-width a times
+    # a column (full-width or one-node), and matmul; a 2-D a, even one row
+    # long (len 1), is a plain matrix, not a one-node stack
+    wide = rng.standard_normal((64, 3, 2))
+    col = rng.standard_normal((64, 2, 1))
+    pairs = [(wide, b[0]), (wide[:1], b[0]), (wide[:1], col), (wide, col),
+             (wide, col[:1]), (wide[:1], col[:1]), (wide, b[:1]),
+             (wide[0], col), (wide[:1, :1], col), (wide[0, :1], col)]
+    for x, y in pairs:
+        _close(_mul(x, y), x @ y)
+        if y.ndim == 3 and y.shape[-1] == 1:   # _mv is the one-column case
+            vec = y[..., 0]
+            _close(_mv(x, vec), np.einsum("kij,kj->ki", x, vec) if x.ndim == 3
+                   else np.einsum("ij,kj->ki", x, vec))
+    # E[mats' x], one-node or full-width on either side, vectors or stacks,
+    # against the per-node loop, which sums the 64 nodes in another order
+    mats = rng.standard_normal((64, 2, 3))
+    stack = rng.standard_normal((64, 2, 4))
+    for m in (mats, mats[:1]):
+        for x in (stack, stack[:1], stack[..., 0], stack[:1, :, 0]):
+            want = sum(m[j % len(m)].T @ x[j % len(x)] for j in range(64)) / 64
+            _close(_level_coupling(m, x), want, rtol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
