@@ -36,8 +36,13 @@ from .tree import ScenarioTree, _inv, _mul, _t
 # amplifies rounding errors by more than 1e6: the step is refused.
 _MIN_STEP_SV = 1e-6
 # A dense matrix solved whole (the outer preconditioner, the oracle's KKT
-# tail) whose condition number exceeds this is refused.
-_MAX_DENSE_CONDITION = 1e12
+# tail) is refused when it is numerically singular: its condition number
+# exceeds 1 / machine epsilon, so a solve with it keeps no correct digit.
+# Below that, what is solved is certified afterwards (the outer system by
+# its final sweep, the oracle by its gradient).  A tighter limit would refuse
+# problems both pass: the tail's smallest singular value goes like the square
+# of the mean-closing matrix's, which is only held above _MIN_STEP_SV.
+_MAX_DENSE_CONDITION = 1.0 / np.finfo(float).eps
 
 
 def checked_dense_sv(mat: np.ndarray, name: str) -> float:
@@ -50,7 +55,7 @@ def checked_dense_sv(mat: np.ndarray, name: str) -> float:
         raise NumericsError(
             f"{name} is singular or not finite: singular values from "
             f"{sv[-1]:.3e} to {sv[0]:.3e} (condition number must be at most "
-            f"{_MAX_DENSE_CONDITION:.0e})")
+            f"{_MAX_DENSE_CONDITION:.1e})")
     return float(sv[-1])
 
 

@@ -472,9 +472,10 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     pair is one linear system A (eta, lam) = b of size 2d, b from the base
     sweep.  GMRES solves A M^{-1} w = b and x = M^{-1} w, M the same system
     of :func:`_node_mean_problem`, assembled densely.  An M that is not
-    finite or has condition number above 1e12 raises NumericsError
-    (:func:`.bsde.checked_dense_sv`); the answer itself is certified on the
-    final sweep (see :func:`constrained_solution_at`).
+    finite or is numerically singular (condition number above 1 / machine
+    epsilon) raises NumericsError (:func:`.bsde.checked_dense_sv`); the
+    answer itself is certified on the final sweep (see
+    :func:`constrained_solution_at`).
     """
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)

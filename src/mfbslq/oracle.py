@@ -463,7 +463,7 @@ def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
                            tree.z_from_next(child_rows)], axis=1)
 
 
-def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
+def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     """Optimal controls from the KKT system, by block elimination on the tree.
 
     Forward, leaves first: each level's pivots are inverted in one batch by
@@ -476,9 +476,11 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
     >= k, so no node holds a full-width block.  Each level keeps the
     (u, mu1, mu2) rows of its solved columns; after one tail solve, a
     root-first back-substitution combines them with the tail solution and
-    the parents' multipliers.  A tail that is not finite or has condition
-    number above 1e12 raises NumericsError (:func:`.bsde.checked_dense_sv`).
-    Returns (controls, smallest singular value of the tail).
+    the parents' multipliers.  A tail that is not finite or is numerically
+    singular (condition number above 1 / machine epsilon) raises
+    NumericsError (:func:`.bsde.checked_dense_sv`); below that, the gradient
+    certificate of :func:`solve_oracle` judges the answer.  Returns
+    (controls, smallest singular value of the tail).
     """
     n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
     states = 2 * n + m

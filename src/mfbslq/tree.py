@@ -58,21 +58,16 @@ def _t(mats: np.ndarray) -> np.ndarray:
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for per-node stacks (nodes, r, q) @ (nodes, q, c); a length-1
     node axis or a 2-D matrix broadcasts.  Inner dimension 1 is a broadcast
-    multiply and a shared (q, c) ``b`` one GEMM over all the nodes' rows;
-    times one column, a one-node ``a`` is one flat GEMM over ``b``'s rows
-    and a full-width one q broadcast multiply-adds; the rest is matmul."""
+    multiply, a shared (q, c) ``b`` one GEMM over all the nodes' rows, and a
+    one-node ``a`` times one column one flat GEMM over ``b``'s rows; the rest
+    is matmul."""
     q = a.shape[-1]
     if q == 1:
         return a * b
     if b.ndim == 2:
         return (a.reshape(-1, q) @ b).reshape(a.shape[:-1] + b.shape[-1:])
-    if b.shape[-1] == 1:
-        if a.ndim == 3 and len(a) == 1:   # a 2-D a's len is its row count
-            return (b[..., 0] @ a[0].T)[..., None]
-        out = a[..., :1] * b[..., :1, :]
-        for j in range(1, q):
-            out += a[..., j:j + 1] * b[..., j:j + 1, :]
-        return out
+    if b.shape[-1] == 1 and a.ndim == 3 and len(a) == 1:   # a 2-D a's len is its row count
+        return (b[..., 0] @ a[0].T)[..., None]
     return a @ b
 
 

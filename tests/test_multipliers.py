@@ -208,12 +208,13 @@ def test_singular_outer_system_is_a_numerics_error(m1_random, monkeypatch):
 
 def test_near_singular_outer_preconditioner_is_a_numerics_error(m1_random,
                                                                 monkeypatch):
-    # means = (1 - 1e-14) eta and couplings = 0: the feasibility rows of the
-    # node-mean system are about 1e-14 I, so it is regular (LAPACK inverts
-    # it) but its condition number is about 1e14, and its check refuses it
+    # means = (1 - 2**-52) eta and couplings = 0: the feasibility rows of
+    # the node-mean system are about 2**-52 I, so it is regular (LAPACK
+    # inverts it) but its condition number is about 9e15, above 1 / machine
+    # epsilon, and its check refuses it
     tree, coeffs, ric = _setup(m1_random, 3)
     monkeypatch.setattr(multipliers, "linear_response",
-                        lambda tree, coeffs, ric, lam, eta: ((1.0 - 1e-14) * eta,
+                        lambda tree, coeffs, ric, lam, eta: ((1.0 - 2.0**-52) * eta,
                                                              0.0 * eta))
     monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
     with pytest.raises(NumericsError,

@@ -21,12 +21,14 @@ import pytest
 from mfbslq import (NumericsError, SizeCapError, StepSizeError, build_tree,
                     load_spec, oracle, realize, solve_meanfield_bsde, validate_h1_h2)
 from mfbslq.bsde import MeanfieldBsdeSolution
+from mfbslq.cli import CHECK_COST_GAP
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
                            cost_of_solution, directional_derivative,
                            directional_derivative_fd, evaluate_cost,
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
+from mfbslq.outer import run_pipeline
 from conftest import (corpus_path, count_calls, scalar_spec, singular_mean_doc,
                       singular_step_doc)
 
@@ -201,17 +203,42 @@ def test_singular_kkt_tail_is_a_numerics_error(monkeypatch):
         solve_oracle(tree, coeffs)
 
 
-def test_near_singular_kkt_tail_is_a_numerics_error(monkeypatch):
-    # A_bar = (1 - 1e-7) / dt on level 2 leaves the mean-closing matrix at
-    # 1e-7 (the up-front check, bypassed here, refuses it); the tail is then
-    # regular, LAPACK would solve it, but its condition number is about 3e14
-    tree = build_tree(1.0, 4)
+def _closing_spec(closing: float):
+    """The 4-level singular_mean_doc with A_bar = (1 - closing) / dt on
+    level 2, so the mean-closing matrix there is ``closing``."""
     doc = singular_mean_doc()
-    doc["dynamics"]["A_bar"]["values"][2] = 4.0 * (1.0 - 1e-7)
-    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    doc["dynamics"]["A_bar"]["values"][2] = 4.0 * (1.0 - closing)
+    return load_spec(json.dumps(doc))
+
+
+def test_near_singular_kkt_tail_is_a_numerics_error(monkeypatch):
+    # a mean-closing matrix of 1e-8 (the up-front check, bypassed here,
+    # refuses it) leaves the tail regular, LAPACK would solve it, but its
+    # smallest singular value is about 1e-16 and its condition number about
+    # 3e16, above 1 / machine epsilon
+    tree = build_tree(1.0, 4)
+    coeffs = realize(_closing_spec(1e-8), tree)
     monkeypatch.setattr(oracle, "implicit_steps", lambda *args: None)
     with pytest.raises(NumericsError, match="KKT tail .*singular.*condition number"):
         solve_oracle(tree, coeffs)
+
+
+def test_ill_conditioned_kkt_tail_the_pipeline_accepts_is_solved():
+    # The tail's smallest singular value goes like the square of the
+    # mean-closing matrix's: a closing of 1.2e-6 passes its own check
+    # (> 1e-6) and leaves the tail at about 1.9e-12, condition number about
+    # 2e12.  The oracle still solves it, certified, to the dense route's
+    # controls, and the pipeline's cost is not below the oracle's.
+    spec, tree = _closing_spec(1.2e-6), build_tree(1.0, 4)
+    coeffs = realize(spec, tree)
+    sparse = solve_oracle(tree, coeffs)
+    assert sparse.certified
+    assert sparse.min_kkt_tail_sv < 1e-11
+    dense = solve_oracle(tree, coeffs, method="dense")
+    assert control_error(tree, sparse.u, dense.u) <= 1e-12
+    result = run_pipeline(spec, 4, with_oracle=True)
+    assert result.oracle.certified
+    assert result.oracle_cost_gap >= CHECK_COST_GAP
 
 
 # ---------------------------------------------------------------------------

@@ -200,9 +200,9 @@ def test_wider_kernels_are_the_numpy_calls():
     sym = a @ np.swapaxes(a, 1, 2)
     assert np.array_equal(_lowest_eig(sym), np.linalg.eigvalsh(sym)[:, 0])
     # every branch of the one product dispatch is a @ b: a shared (q, c)
-    # stack, a one-node a times a full-width column, a full-width a times
-    # a column (full-width or one-node), and matmul; a 2-D a, even one row
-    # long (len 1), is a plain matrix, not a one-node stack
+    # stack, a one-node a times a column (full-width or one-node), and
+    # matmul, here also for a full-width a times a column; a 2-D a, even
+    # one row long (len 1), is a plain matrix, not a one-node stack
     wide = rng.standard_normal((64, 3, 2))
     col = rng.standard_normal((64, 2, 1))
     pairs = [(wide, b[0]), (wide[:1], b[0]), (wide[:1], col), (wide, col),
