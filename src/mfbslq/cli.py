@@ -96,7 +96,13 @@ def _rate(prev: float, cur: float) -> str:
 
 def _cmd_converge(args) -> int:
     spec = load_spec_file(args.spec)
-    depths = [int(v) for v in args.nt.split(",") if v]
+    depths = []
+    for entry in filter(None, args.nt.split(",")):
+        try:
+            depths.append(int(entry))
+        except ValueError:
+            raise ConfigurationError(
+                f"--nt entries must be integers, got {entry!r} in {args.nt!r}") from None
     if not depths or any(b <= a for a, b in zip(depths, depths[1:])):
         raise ConfigurationError(
             f"--nt must be a strictly ascending list, got {args.nt!r}")

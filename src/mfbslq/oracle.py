@@ -12,7 +12,10 @@ route eliminates the node blocks leaves first, one batch per level, each
 block through its own n x n and m x m pivots (the control weight N, the
 one-step matrix I - dt A, and two multiplier blocks that are of order one
 at every depth), every one checked, and closes the tail with one
-Schur-complement solve.  A dense route, which assembles the reduced Hessian
+Schur-complement solve.  Its blocks are stored node-last, (rows, cols,
+nodes), so every block entry is one contiguous vector over a level's nodes,
+and a level's right-hand side is never assembled: the solved columns come
+from its known nonzero blocks.  A dense route, which assembles the reduced Hessian
 column by column, runs only when asked for and serves as a cross-check of
 the sparse one on small trees.
 
@@ -42,7 +45,8 @@ from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, checked_dense_sv, checked_inverse,
                    implicit_steps, solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import ScenarioTree, _level_coupling, _mul, _mv, _t, column_blocks
+from .tree import (ScenarioTree, _concat_nodes, _level_coupling, _mul, _mul_last,
+                   _mv, _t, column_blocks)
 
 DENSE_SIZE_CAP = 20000
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
@@ -103,11 +107,6 @@ def control_error(tree: ScenarioTree, u: list, reference: list) -> float:
 
 # ---------------------------------------------------------------------------
 # cost
-
-
-def _flat(levels: np.ndarray) -> np.ndarray:
-    """(nodes, dim, c) -> (nodes * dim, c), a view of a contiguous stack."""
-    return levels.reshape(-1, levels.shape[-1])
 
 
 def cost_of_solution(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
@@ -326,43 +325,33 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 # its parent's e1/e2 rows, through E_k[.] and the two-point difference
 # quotient.  Each level's means and their multipliers nu form a dense tail
 # of 2(2n + m) columns, ordered [y_mean, z_mean, u_mean, nu1, nu2, nu3].
+#
+# Blocks are stored node-last, (rows, cols, nodes), so every block entry is
+# one contiguous vector over a level's nodes, and a block that is the same
+# on every node is (rows, cols, 1).  Products run through
+# :func:`.tree._mul_last`.
 
 
-def _kkt_level(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
-               passed: np.ndarray) -> np.ndarray:
-    """Level k's KKT right-hand side (2**k, 4n + m, c), columns [E' (2n) | r |
-    tail of levels >= k], from what its eliminated children pass up."""
-    n, m, dt = coeffs.n, coeffs.m, tree.dt
-    states = 2 * n + m
-    y, mu1 = slice(0, n), slice(states, 3 * n + m)
-    prob = tree.node_probability(k)
-    # the children pass [fill | r | tail of levels > k]; level k's own tail
-    # columns follow them
-    own = passed.shape[2]
-    rhs = np.zeros((tree.n_nodes(k), 4 * n + m, own + 2 * states))
-    if k > 0:
-        # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
-        # -(+/-1) / (2 sqrt(dt))
-        sign = tree.child_signs(k - 1)[:, None, None]
-        rhs[:, y, :n] = -0.5 * np.eye(n)
-        rhs[:, y, n:2 * n] = -sign / (2.0 * tree.sqrt_dt) * np.eye(n)
-    rhs[:, states:, 2 * n:own] = passed[..., 2 * n:]
-    # coupling to the level's own tail columns [y_mean, z_mean, u_mean, nu]
-    rhs[:, mu1, own:own + n] = -dt * coeffs.A_bar[k]
-    rhs[:, mu1, own + n:own + 2 * n] = -dt * coeffs.C_bar[k]
-    rhs[:, mu1, own + 2 * n:own + states] = -dt * coeffs.B_bar[k]
-    rhs[:, :states, own + states:] = -prob * np.eye(states)
-    return rhs
+def _last(level: np.ndarray) -> np.ndarray:
+    """A node-first level (nodes, r, c) as a node-last view (r, c, nodes)."""
+    return level.transpose(1, 2, 0)
+
+
+def _checked_inverse_last(mats: np.ndarray, name: str, k: int) -> np.ndarray:
+    """:func:`.bsde.checked_inverse` of a node-last stack, given its
+    (nodes, p, p) view; the inverse comes back node-last and contiguous."""
+    inv = checked_inverse(mats.transpose(2, 0, 1), name, k)[0]
+    return np.ascontiguousarray(_last(inv))
 
 
 def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
                        fill: np.ndarray) -> np.ndarray:
-    """Inverses of level k's KKT pivots (2**k, 4n + m, 4n + m), by block
-    elimination through four checked n x n or m x m pivots.
+    """Inverses of level k's KKT pivots, node-last (4n + m, 4n + m, nodes),
+    by block elimination through four checked n x n or m x m pivots.
 
     With w = 2 dt 2^-k, Hy = w Q (+ 2G at the root), Hz = w R, Hu = w N,
     Ay = I - dt A and the children's fill F = [[F11, F12], [F21, F22]] on
-    the (mu1, mu2) rows, a node's pivot is
+    the (mu1, mu2) rows (node-last, (2n, 2n, nodes)), a node's pivot is
 
                 y       z       u      mu1     mu2
         y   [   Hy                      Ay'          ]
@@ -385,61 +374,66 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     three pivots regular S is regular exactly when the block is.  All four
     are of order one at every depth, and each is checked by
     :func:`.bsde.checked_inverse` under the name "KKT pivot ...".  The
-    inverse is these steps applied to the identity; a per-node stack whose
-    inner dimension is 1 runs as broadcast arithmetic."""
+    inverse is these steps applied to the identity.  The coefficients enter
+    as node-last views, and every product is :func:`.tree._mul_last`, so
+    the inverse is as wide as its widest input: one node when the
+    coefficients and the fill are node-constant."""
     n, m, dt = coeffs.n, coeffs.m, tree.dt
     states = 2 * n + m
     y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
     mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    mu = slice(states, 4 * n + m)
     weight = 2.0 * dt * tree.node_probability(k)
-    eye = np.eye(n)
-    hy = weight * coeffs.Q[k] + (2.0 * coeffs.G if k == 0 else 0.0)
-    hz = weight * coeffs.R[k]
-    ay = eye - dt * coeffs.A[k]
-    cdt, bdt = dt * coeffs.C[k], dt * coeffs.B[k]
-    f11, f12, f21, f22 = (fill[:, y, y], fill[:, y, z], fill[:, z, y],
-                          fill[:, z, z])
+    eye = np.eye(n)[..., None]
+    hy = weight * _last(coeffs.Q[k]) + (2.0 * coeffs.G[..., None] if k == 0 else 0.0)
+    hz = weight * _last(coeffs.R[k])
+    ay = eye - dt * _last(coeffs.A[k])
+    cdt, bdt = dt * _last(coeffs.C[k]), dt * _last(coeffs.B[k])
+    cdt_t, bdt_t = cdt.swapaxes(0, 1), bdt.swapaxes(0, 1)
+    f_y, f_z = fill[y], fill[z]                     # [F11 F12], [F21 F22]
 
-    hu_inv = checked_inverse(coeffs.N[k], "KKT pivot N", k)[0] / weight
-    ay_inv = checked_inverse(ay, "KKT pivot I - dt A", k)[0]
-    bh = _mul(bdt, hu_inv)                          # dt B Hu^-1
-    k1 = f11 + _mul(cdt, f21) - _mul(bh, _t(bdt))
-    k2 = f12 + _mul(cdt, f22)
-    lay = _mul(hy, ay_inv)                          # Hy Ay^-1
-    d_inv = checked_inverse(eye - _mul(hz, f22), "KKT pivot D = I - w R F22",
-                            k)[0]
-    x = _mul(_mul(lay, k2), d_inv)                  # -S12 D^-1
-    s21 = -_mul(hz, f21) - _t(cdt)
-    s_inv = checked_inverse(_t(ay) - _mul(lay, k1) + _mul(x, s21),
-                            "KKT pivot S (Schur complement of D)", k)[0]
+    hu_inv = _checked_inverse_last(_last(coeffs.N[k]), "KKT pivot N", k) / weight
+    ay_inv = _checked_inverse_last(ay, "KKT pivot I - dt A", k)
+    bh = _mul_last(bdt, hu_inv)                     # dt B Hu^-1
+    k12 = f_y + _mul_last(cdt, f_z)                 # [K1 | K2], K1 still without its B term
+    k1 = k12[:, y] - _mul_last(bh, bdt_t)
+    k2 = k12[:, z]
+    lay = _mul_last(hy, ay_inv)                     # Hy Ay^-1
+    hz_f = _mul_last(hz, f_z)                       # Hz [F21 F22]
+    d_inv = _checked_inverse_last(eye - hz_f[:, z], "KKT pivot D = I - w R F22", k)
+    x = _mul_last(_mul_last(lay, k2), d_inv)        # -S12 D^-1
+    s21 = -hz_f[:, y] - cdt_t
+    s_inv = _checked_inverse_last(
+        ay.swapaxes(0, 1) - _mul_last(lay, k1) + _mul_last(x, s21),
+        "KKT pivot S (Schur complement of D)", k)
 
-    inv = np.empty((len(fill), 4 * n + m, 4 * n + m))
+    # S depends on every input, so it is as wide as the widest of them
+    inv = np.empty((4 * n + m, 4 * n + m, s_inv.shape[2]))
     # mu1 = S^-1 (b_y - Hy Ay^-1 g1 + x (b_z - Hz b_mu2))
-    r1 = inv[:, mu1]
-    sl = _mul(s_inv, lay)
-    r1[:, :, y] = s_inv
-    r1[:, :, z] = _mul(s_inv, x)
-    r1[:, :, u] = -_mul(sl, bh)
-    r1[:, :, mu1] = -sl
-    r1[:, :, mu2] = -_mul(sl, cdt) - _mul(r1[:, :, z], hz)
+    r1 = inv[mu1]
+    sl = _mul_last(s_inv, lay)
+    r1[:, y] = s_inv
+    _mul_last(s_inv, x, out=r1[:, z])
+    r1[:, u] = -_mul_last(sl, bh)
+    r1[:, mu1] = -sl
+    r1[:, mu2] = -_mul_last(sl, cdt) - _mul_last(r1[:, z], hz)
     # mu2 = D^-1 (b_z - Hz b_mu2 - S21 mu1)
-    r2 = inv[:, mu2]
-    r2[...] = -_mul(_mul(d_inv, s21), r1)
-    r2[:, :, z] += d_inv
-    r2[:, :, mu2] -= _mul(d_inv, hz)
+    r2 = inv[mu2]
+    _mul_last(-_mul_last(d_inv, s21), r1, out=r2)
+    r2[:, z] += d_inv
+    r2[:, mu2] -= _mul_last(d_inv, hz)
     # u, z and y from the multipliers, by the first three steps
-    ru = inv[:, u]
-    ru[...] = _mul(_mul(hu_inv, _t(bdt)), r1)
-    ru[:, :, u] += hu_inv
-    rz = inv[:, z]
-    rz[...] = -_mul(f21, r1)
-    rz -= _mul(f22, r2)
-    rz[:, :, mu2] += eye
-    ry = inv[:, y]
-    ry[...] = -_mul(ay_inv, _mul(k1, r1) + _mul(k2, r2))
-    ry[:, :, u] += _mul(ay_inv, bh)
-    ry[:, :, mu1] += ay_inv
-    ry[:, :, mu2] += _mul(ay_inv, cdt)
+    ru = inv[u]
+    _mul_last(_mul_last(hu_inv, bdt_t), r1, out=ru)
+    ru[:, u] += hu_inv
+    rz = inv[z]
+    _mul_last(-f_z, inv[mu], out=rz)                # -F21 mu1 - F22 mu2
+    rz[:, mu2] += eye
+    ry = inv[y]
+    _mul_last(-ay_inv, _mul_last(k1, r1) + _mul_last(k2, r2), out=ry)
+    ry[:, u] += _mul_last(ay_inv, bh)
+    ry[:, mu1] += ay_inv
+    ry[:, mu2] += _mul_last(ay_inv, cdt)
     return inv
 
 
@@ -457,10 +451,11 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
 
 def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
     """Minus the sum of E over each parent's two children, applied to the
-    children's y rows (2**(k+1), n, c): (E_k[.], difference quotient) stacked
-    on the parents' (mu1, mu2) rows, (2**k, 2n, c)."""
-    return np.concatenate([tree.cond_expect(child_rows),
-                           tree.z_from_next(child_rows)], axis=1)
+    children's y rows, node-last (n, c, 2**(k+1)): (E_k[.], difference
+    quotient) stacked on the parents' (mu1, mu2) rows, (2n, c, 2**k).  The
+    tree's operators run along the node axis of a transposed view."""
+    rows = child_rows.T
+    return np.concatenate([tree.cond_expect(rows).T, tree.z_from_next(rows).T])
 
 
 def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
@@ -470,47 +465,83 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     elimination through their own n x n and m x m blocks
     (:func:`_kkt_pivot_inverse`: N, I - dt A, D = I - w R F22 and the Schur
     complement S, each checked by its smallest singular value and refused
-    as "KKT pivot ..." with its level), and the eliminated nodes pass a
-    Schur update to their parents' (mu1, mu2) rows and one GEMM into the
-    dense tail.  A node at level k couples only to tail columns of levels
-    >= k, so no node holds a full-width block.  Each level keeps the
-    (u, mu1, mu2) rows of its solved columns; after one tail solve, a
-    root-first back-substitution combines them with the tail solution and
-    the parents' multipliers.  A tail that is not finite or is numerically
-    singular (condition number above 1 / machine epsilon) raises
-    NumericsError (:func:`.bsde.checked_dense_sv`); below that, the gradient
-    certificate of :func:`solve_oracle` judges the answer.  Returns
-    (controls, smallest singular value of the tail).
+    as "KKT pivot ..." with its level).  Every block is node-last, (rows,
+    cols, nodes).  A level's solved columns [E' (2n) | r | tail of levels
+    >= k] are formed from the known nonzero blocks of its right-hand side,
+    which is never assembled: E' is a multiple of the pivot inverse's y
+    columns, r and the tail of deeper levels are what the children pass up
+    on the (mu1, mu2) rows, the level's own means enter the mu1 rows through
+    A_bar, C_bar and B_bar, and its own multipliers the state rows.  The
+    eliminated nodes pass a Schur update to their parents' (mu1, mu2) rows
+    (:func:`_lift`) and add their node sums to the dense tail.  A node at
+    level k couples only to tail columns of levels >= k, so no node holds a
+    full-width block.  Each level keeps the (u, mu1, mu2) rows of its solved
+    columns in their own array; after one tail solve, a root-first
+    back-substitution combines them with the tail solution and the parents'
+    multipliers.  A tail that is not finite or is numerically singular
+    (condition number above 1 / machine epsilon) raises NumericsError
+    (:func:`.bsde.checked_dense_sv`); below that, the gradient certificate
+    of :func:`solve_oracle` judges the answer.  Returns (controls, smallest
+    singular value of the tail).
     """
-    n, m, n_steps = coeffs.n, coeffs.m, tree.n_steps
+    n, m, n_steps, dt = coeffs.n, coeffs.m, tree.n_steps, tree.dt
     states = 2 * n + m
+    mu1, mu = slice(states, 3 * n + m), slice(states, 4 * n + m)
     width = 2 * states                      # tail columns per level
     # The tail runs from the deepest level to the root, so the columns of
-    # levels >= k are the first (n_steps - k) * width.  Level k's right-hand
-    # side columns are [E' (2n) | r | tail of levels >= k]; what its
-    # eliminated children pass up, [pivot fill (2n) | r | tail of levels
-    # > k], lands on its mu rows, in the same column order.
+    # levels >= k are the first (n_steps - k) * width.  What a level's
+    # eliminated children pass up on its (mu1, mu2) rows is the fill of its
+    # pivots and the columns [r | tail of levels > k]; the leaves pass no
+    # fill, and their r is the terminal value.
     tail = np.zeros((n_steps * width, n_steps * width))
     tail_rhs = np.zeros(n_steps * width)
-    leaves = coeffs.xi[..., None]
-    passed = np.concatenate([np.zeros((len(leaves) // 2, 2 * n, 2 * n)),
-                             _lift(tree, leaves)], axis=2)
+    fill = np.zeros((2 * n, 2 * n, 1))
+    passed = _lift(tree, coeffs.xi.T[:, None, :])
     solved = [None] * n_steps               # (u, mu1, mu2) rows of each level
     for k in range(n_steps - 1, -1, -1):
+        nodes, prob = tree.n_nodes(k), tree.node_probability(k)
         hi = (n_steps - k) * width
-        rhs = _kkt_level(tree, coeffs, k, passed)
-        sol = _kkt_pivot_inverse(tree, coeffs, k, passed[..., :2 * n]) @ rhs
+        lo = hi - width                     # tail columns of levels > k
+        own = 2 * n + 1 + lo                # first of the level's own tail columns
+        inv = _kkt_pivot_inverse(tree, coeffs, k, fill)
+        # the own mean columns' right-hand side on the mu1 rows, -dt [A_bar |
+        # C_bar | B_bar], as wide as the widest of the three
+        means_rhs = -dt * _last(_concat_nodes(
+            [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
 
-        tail[hi - width:hi, hi - width:hi] += _kkt_tail_block(tree, coeffs, k)
-        update = _flat(rhs[..., 2 * n + 1:]).T @ _flat(sol[..., 2 * n:])
+        # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
+        # -(+/-1) / (2 sqrt(dt)); the root has no parent
+        quotient = tree.child_signs(k - 1) / (-2.0 * tree.sqrt_dt) if k > 0 else 0.0
+        head = np.empty((2 * n, own + width, nodes))        # (y, z) rows
+        kept = np.empty((m + 2 * n, own + width, nodes))    # (u, mu1, mu2) rows
+        for rows, sol in ((inv[:2 * n], head), (inv[2 * n:], kept)):
+            np.multiply(rows[:, :n], -0.5 if k > 0 else 0.0, out=sol[:, :n])
+            np.multiply(rows[:, :n], quotient, out=sol[:, n:2 * n])
+            _mul_last(rows[:, mu], passed, out=sol[:, 2 * n:own])
+            _mul_last(rows[:, mu1], means_rhs, out=sol[:, own:own + states])
+            np.multiply(rows[:, :states], -prob, out=sol[:, own + states:])
+
+        # the tail update, the node sum of (tail columns of the right-hand
+        # side)' (solved columns [r | tail]), from the nonzero rows only: the
+        # passed columns meet the (mu1, mu2) rows in one GEMM per row over the
+        # nodes, the own mean columns the mu1 rows through -dt [A_bar | C_bar |
+        # B_bar] (a node sum when that is one node wide), and the own
+        # multiplier columns are -p times the node sums of the state rows
+        kept_mu = kept[m:, 2 * n:].transpose(0, 2, 1)      # (2n, nodes, 1 + hi)
+        sums = np.concatenate([head[:, 2 * n:].sum(axis=2), kept[:, 2 * n:].sum(axis=2)])
+        update = np.empty((hi, 1 + hi))
+        update[:lo] = np.matmul(passed[:, 1:], kept_mu).sum(axis=0)
+        update[lo:lo + states] = (means_rhs[:, :, 0].T @ sums[mu1] if means_rhs.shape[2] == 1 else
+                                  np.matmul(means_rhs, kept_mu[:n]).sum(axis=0))
+        update[lo + states:] = -prob * sums[:states]
+        tail[lo:hi, lo:hi] += _kkt_tail_block(tree, coeffs, k)
         tail_rhs[:hi] -= update[:, 0]
         tail[:hi, :hi] -= update[:, 1:]
         if k > 0:
-            passed = _lift(tree, sol[:, :n])
-        # keep a copy of the rows the back-substitution reads, and free this
-        # level's blocks before the next level is assembled
-        solved[k] = sol[:, 2 * n:].copy()
-        del rhs, sol
+            lifted = _lift(tree, head[:n])
+            fill, passed = lifted[:, :2 * n], lifted[:, 2 * n:]
+        solved[k] = kept
+        del inv, head
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
@@ -519,12 +550,13 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
 
     controls, parent = [], None
     for k in range(n_steps):
-        rows = solved[k]
-        node = rows[..., 2 * n] - rows[..., 2 * n + 1:] @ means[:(n_steps - k) * width]
+        kept = solved[k]
+        node = kept[:, 2 * n] - means[:(n_steps - k) * width] @ kept[:, 2 * n + 1:]
         if k > 0:
-            node -= _mv(rows[..., :2 * n], tree.to_children(parent))
-        controls.append(node[:, :m])
-        parent = node[:, m:]
+            children = np.repeat(parent, 2, axis=1)[:, None]   # parents' (mu1, mu2)
+            node -= _mul_last(kept[:, :2 * n], children)[:, 0]
+        controls.append(node[:m].T.copy())
+        parent = node[m:]
     return controls, min_sv
 
 

@@ -52,7 +52,8 @@ def _t(mats: np.ndarray) -> np.ndarray:
 # library call per node: the same numbers as matmul, LAPACK's inverse and
 # its one-column solve.  (A solve of several columns, which LAPACK runs as
 # a multiply by the reciprocal, can differ from the division in the last
-# bit.)  Every per-node product goes through the one dispatch of ``_mul``;
+# bit.)  Every per-node product goes through the one dispatch of ``_mul``,
+# or of ``_mul_last`` for the oracle's node-last stacks (rows, cols, nodes);
 # wider inverses, solves and eigenvalues run the numpy.linalg call itself.
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,6 +70,35 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[-1] == 1 and a.ndim == 3 and len(a) == 1:   # a 2-D a's len is its row count
         return (b[..., 0] @ a[0].T)[..., None]
     return a @ b
+
+
+def _mul_last(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` node by node for node-last stacks (r, q, nodes) @ (q, c,
+    nodes), where every matrix entry is one contiguous vector over the
+    nodes; a length-1 node axis broadcasts.  Inner dimension 1 is a
+    broadcast multiply, a one-node ``a`` one flat GEMM over ``b``'s
+    trailing (c, nodes) axes, a one-node ``b`` one GEMM per row of ``a``
+    over its (q, nodes) slab, and the rest q multiply-adds on contiguous
+    (r, c, nodes) slabs, accumulated in place.  Written into ``out`` when
+    given, which may be a slice of a larger node-last array."""
+    (r, q, wide_a), (c, wide_b) = a.shape, b.shape[1:]
+    if q == 1:
+        return np.multiply(a, b, out=out)
+    nodes = max(wide_a, wide_b)
+    if out is None:
+        out = np.empty((r, c, nodes))
+    elif out.shape[2] != nodes:           # both sides narrower than out
+        out[...] = _mul_last(a, b)
+        return out
+    if wide_a == 1:
+        np.matmul(a[:, :, 0], b.reshape(q, -1), out=out.reshape(r, -1, copy=False))
+        return out
+    if wide_b == 1:
+        return np.matmul(b[:, :, 0].T, a, out=out)
+    np.multiply(a[:, :1], b[:1], out=out)
+    for i in range(1, q):
+        out += a[:, i:i + 1] * b[i:i + 1]
+    return out
 
 
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -183,9 +183,13 @@ def test_converge_zero_terminal_all_zero(tmp_path):
         assert abs(float(row["cost_gap"])) <= 1e-15
 
 
-def test_converge_requires_ascending_depths(tmp_path):
+def test_converge_requires_ascending_depths(tmp_path, capsys):
     assert main(["converge", "--spec", S1, "--nt", "8,4",
                  "--out", str(tmp_path / "t.csv")]) == 1
+    # a non-integer entry is a configuration error naming it, not a traceback
+    assert main(["converge", "--spec", S1, "--nt", "4,x",
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    assert "error: --nt entries must be integers, got 'x'" in capsys.readouterr().err
 
 
 def test_converge_partial_table_on_failure(tmp_path, monkeypatch):

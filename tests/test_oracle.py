@@ -29,8 +29,8 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
 from mfbslq.outer import run_pipeline
-from conftest import (corpus_path, count_calls, scalar_spec, singular_mean_doc,
-                      singular_step_doc)
+from conftest import (corpus_path, count_calls, materialised, scalar_spec,
+                      singular_mean_doc, singular_step_doc)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -128,13 +128,19 @@ def _vector_control_doc():
 
 def test_vector_state_and_control_routes_agree():
     spec = load_spec(json.dumps(_vector_control_doc()))
-    tree, coeffs = _setup(spec, 6)
-    assert validate_h1_h2(coeffs, spec.delta).ok
-    assert coeffs.A[5].shape == (32, 2, 2) and coeffs.N[5].shape == (32, 2, 2)
-    dense = solve_oracle(tree, coeffs, method="dense")
-    sparse = solve_oracle(tree, coeffs)
-    assert control_error(tree, sparse.u, dense.u) <= 1e-8
-    assert sparse.certified
+    tree, compact = _setup(spec, 6)
+    assert validate_h1_h2(compact, spec.delta).ok
+    assert compact.A[5].shape == (32, 2, 2) and compact.N[5].shape == (32, 2, 2)
+    # materialised, A_bar, B_bar and C_bar are full width too, so the KKT
+    # tail update runs its node-varying branch on 2 x 2 blocks
+    tiled = materialised(tree, compact)
+    assert tiled.A_bar[5].shape == (32, 2, 2) and tiled.B_bar[5].shape == (32, 2, 2)
+    dense = solve_oracle(tree, compact, method="dense")
+    sparse = [solve_oracle(tree, coeffs) for coeffs in (compact, tiled)]
+    for sol in sparse:
+        assert control_error(tree, sol.u, dense.u) <= 1e-8
+        assert sol.certified
+    assert control_error(tree, sparse[1].u, sparse[0].u) <= 1e-12
 
 
 def test_singular_control_weight_is_refused_as_a_kkt_pivot(m1_random):

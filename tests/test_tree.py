@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mfbslq import ConfigurationError, build_tree
 from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _level_coupling,
-                         _lowest_eig, _mul, _mv, _solve)
+                         _lowest_eig, _mul, _mul_last, _mv, _solve)
 
 
 def test_grid_basics():
@@ -222,6 +222,36 @@ def test_wider_kernels_are_the_numpy_calls():
         for x in (stack, stack[:1], stack[..., 0], stack[:1, :, 0]):
             want = sum(m[j % len(m)].T @ x[j % len(x)] for j in range(64)) / 64
             _close(_level_coupling(m, x), want, rtol=1e-14)
+    # the node-last product (r, q, nodes) @ (q, c, nodes) against the
+    # per-node loop a[..., j] @ b[..., j], every branch of its dispatch,
+    # transposed views among the operands as the oracle passes them
+    def per_node(x, y):
+        nodes = max(x.shape[2], y.shape[2])
+        return np.stack([x[..., j % x.shape[2]] @ y[..., j % y.shape[2]]
+                         for j in range(nodes)], axis=-1)
+
+    def last(*shape):
+        return rng.standard_normal(shape)
+
+    cases = [(last(3, 1, 64), last(1, 4, 64)),                   # inner dimension 1
+             (last(2, 3, 1), last(5, 3, 64).swapaxes(0, 1)),     # one-node a
+             (last(3, 3, 64), last(3, 5, 1)),                    # one-node b
+             (last(2, 3, 1), last(3, 5, 1)),                     # both one-node
+             (last(2, 2, 64).swapaxes(0, 1), last(2, 2, 64)),    # full width, q = 2
+             (last(3, 3, 64), last(3, 4, 64)),                   # full width, q = 3
+             (last(5, 2, 64), last(2, 3, 64))]                   # rectangular
+    for x, y in cases:
+        want = per_node(x, y)
+        _close(_mul_last(x, y), want)
+        # into a strided slice of a larger node-last array, which keeps the
+        # rest; a one-node product broadcasts into a full-width slice
+        for nodes in {want.shape[2], 64}:
+            big = np.zeros((x.shape[0] + 2, y.shape[1] + 3, nodes))
+            dest = big[1:-1, 2:-1]
+            assert _mul_last(x, y, out=dest) is dest
+            _close(dest, np.broadcast_to(want, dest.shape))
+            dest[...] = 0.0
+            assert not big.any()
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
