@@ -497,6 +497,11 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     tail_rhs = np.zeros(n_steps * width)
     fill = np.zeros((2 * n, 2 * n, 1))
     passed = _lift(tree, coeffs.xi.T[:, None, :])
+    # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
+    # -(+/-1) / (2 sqrt(dt)).  The signs alternate, so each level's factors
+    # are the first 2**k of the deepest level's.
+    signs = tree.child_signs(max(n_steps - 2, 0))
+    coupling = np.stack([np.full(len(signs), -0.5), signs / (-2.0 * tree.sqrt_dt)])[:, None]
     solved = [None] * n_steps               # (u, mu1, mu2) rows of each level
     for k in range(n_steps - 1, -1, -1):
         nodes, prob = tree.n_nodes(k), tree.node_probability(k)
@@ -509,14 +514,12 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
         means_rhs = -dt * _last(_concat_nodes(
             [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
 
-        # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
-        # -(+/-1) / (2 sqrt(dt)); the root has no parent
-        quotient = tree.child_signs(k - 1) / (-2.0 * tree.sqrt_dt) if k > 0 else 0.0
         head = np.empty((2 * n, own + width, nodes))        # (y, z) rows
         kept = np.empty((m + 2 * n, own + width, nodes))    # (u, mu1, mu2) rows
         for rows, sol in ((inv[:2 * n], head), (inv[2 * n:], kept)):
-            np.multiply(rows[:, :n], -0.5 if k > 0 else 0.0, out=sol[:, :n])
-            np.multiply(rows[:, :n], quotient, out=sol[:, n:2 * n])
+            # the E' columns; the root has no parent
+            np.multiply(rows[:, None, :n], coupling[..., :nodes] if k > 0 else 0.0,
+                        out=sol[:, :2 * n].reshape(len(sol), 2, n, nodes, copy=False))
             _mul_last(rows[:, mu], passed, out=sol[:, 2 * n:own])
             _mul_last(rows[:, mu1], means_rhs, out=sol[:, own:own + states])
             np.multiply(rows[:, :states], -prob, out=sol[:, own + states:])
