@@ -15,9 +15,9 @@ at every depth), every one checked, and closes the tail with one
 Schur-complement solve.  Its blocks are stored node-last, (rows, cols,
 nodes), so every block entry is one contiguous vector over a level's nodes,
 and a level's right-hand side is never assembled: the solved columns come
-from its known nonzero blocks.  A dense route, which assembles the reduced Hessian
-column by column, runs only when asked for and serves as a cross-check of
-the sparse one on small trees.
+from its known nonzero blocks.  A dense route, which assembles the reduced
+Hessian column by column, runs only when asked for and serves as a
+cross-check of the sparse one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
