@@ -44,7 +44,8 @@ to the couplings.  Any number of columns then costs one sweep of one node
 per level.  Otherwise the linear part runs full-width sweeps, 16 columns
 to a sweep.  Both parts reduce each adjoint level to its means and
 couplings (one GEMM each, :func:`.tree._level_coupling`) as it is formed
-and keep no field of the tree (`_response`).
+and keep no field of the tree (`_response`).  The final sweep runs the
+same way from xi and keeps only the control u = N^{-1} (B' x - lam3).
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
@@ -72,8 +73,9 @@ random-coefficient spec about five do, at every depth.  With all barred
 coefficients zero the solve yields lam = 0 and the plain feedback control.
 
 The solve is not trusted on its own: `constrained_solution_at` gates the
-realized means of the final sweep against eta and returns its realized
-couplings, so the caller checks the multiplier condition on that solve.
+realized means of the final sweep against eta and returns its control,
+means and realized couplings, so the caller checks the multiplier
+condition on that solve.
 
 Vector layout: means and multipliers are stacked [y-block | z-block |
 u-block], each block time-major over levels 0..n_steps-1.
@@ -246,17 +248,16 @@ def _adjoint(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
 
 def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
                  ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
-                 x_levels, keep: bool = True) -> tuple:
+                 x_levels, keep: tuple) -> tuple:
     """u, y and z on levels 0..n_steps-1 from the adjoint levels that
-    ``x_levels`` yields, with their level means and the mean couplings,
-    each stacked like ``lam``.  Returns (u, y, z, means, coupling); without
-    ``keep`` each level's fields are dropped once reduced, and u, y and z
-    come back as lists of None.  The guard is the worst defect of
-    N u - (B' x - lam3) relative to 1 + |B' x| over every value
-    reconstructed; above _GUARD_TOL or not finite it raises NumericsError."""
+    ``x_levels`` yields, reduced to their level means and the mean
+    couplings, each stacked like ``lam``.  Returns (kept, means, coupling),
+    ``kept`` the levels of each field named in ``keep``.  The guard is the
+    worst defect of N u - (B' x - lam3) relative to 1 + |B' x| over every
+    value reconstructed; above _GUARD_TOL or not finite, NumericsError."""
     n = coeffs.n
     _, lam2, lam3 = split_blocks(lam, tree, coeffs)
-    u, y, z = ([None] * tree.n_steps for _ in range(3))
+    kept = {name: [None] * tree.n_steps for name in keep}
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     mean_y, mean_z, mean_u = split_blocks(means, tree, coeffs)
@@ -273,14 +274,14 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
         mean_y[k], mean_z[k], mean_u[k] = tree.expect(yk), tree.expect(zk), tree.expect(uk)
         bars = _level_coupling(ws.bars[k], x)
         cpl_y[k], cpl_z[k], cpl_u[k] = bars[:n], bars[n:2 * n], bars[2 * n:]
-        if keep:
-            u[k], y[k], z[k] = uk, yk, zk
+        for name in kept:
+            kept[name][k] = {"u": uk, "y": yk, "z": zk}[name]
     worst = float(guard.max())
     if not worst <= _GUARD_TOL:
         raise NumericsError(
             f"control reconstruction defect {worst:.3e} exceeds {_GUARD_TOL:.1e}"
         )
-    return u, y, z, means, coupling
+    return kept, means, coupling
 
 
 def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
@@ -291,18 +292,16 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     solved in one sweep and every field and mean keeps the column axis
     last.  A single pair runs as one column."""
     ws = build_workspace(tree, coeffs, ric)
-    lam_vec = np.asarray(lam_vec, dtype=float)
-    single = lam_vec.ndim == 1
-    lam = lam_vec[:, None] if single else lam_vec
+    lam = np.asarray(lam_vec, dtype=float).reshape(len(lam_vec), -1)
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
     phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
     x = solve_forward_sde(tree, ws.x0_gain @ phi[0][0],
                           *_adjoint(tree, coeffs, ws, lam, phi, vtheta))
-    u, y, z, means, coupling = _reconstruct(tree, coeffs, ric, ws, lam, phi,
-                                            vtheta, x[:-1])
-    y.append(_mul(ric.sigma[tree.n_steps], x[-1]) - phi[-1])
-    fields = (phi, vtheta, x, u, y, z)
-    if single:
+    kept, means, coupling = _reconstruct(tree, coeffs, ric, ws, lam, phi, vtheta,
+                                         x[:-1], keep=("u", "y", "z"))
+    y = kept["y"] + [_mul(ric.sigma[tree.n_steps], x[-1]) - phi[-1]]
+    fields = (phi, vtheta, x, kept["u"], y, kept["z"])
+    if np.ndim(lam_vec) == 1:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
         means, coupling = means[:, 0], coupling[:, 0]
     return DecoupledSolution(*fields, means, coupling)
@@ -319,27 +318,27 @@ def _level_means(tree: ScenarioTree, x0: np.ndarray, drift):
 
 
 def _response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
-              lam: np.ndarray, eta: np.ndarray, xi: np.ndarray) -> tuple:
-    """(means, coupling) of :func:`solve_decoupled` for column stacks (d, c)
-    from phi(T) = -xi, each adjoint level reduced as it is formed; the
-    leaves are never formed.  When xi and every array the mean recursion
-    reads have one node per level, all columns run as one block on the
-    adjoint's level mean (:func:`_level_means`); otherwise they run full
-    width, 16 to a block."""
+              lam: np.ndarray, eta: np.ndarray, xi: np.ndarray, keep: tuple = ()) -> tuple:
+    """:func:`_reconstruct` of column stacks (d, c) from phi(T) = -xi, each
+    adjoint level reduced as it is formed; the leaves are never formed.  A
+    sweep that keeps a field runs all columns as one full-width block.
+    Otherwise, when xi and every array the mean recursion reads have one
+    node per level, all columns run as one block on the adjoint's level
+    mean (:func:`_level_means`), else full width, 16 to a block."""
     ws = build_workspace(tree, coeffs, ric)
-    mean_path = ws.one_node and len(xi) == 1
+    mean_path = ws.one_node and len(xi) == 1 and not keep
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
-    for block in [slice(None)] if mean_path else column_blocks(lam.shape[1]):
+    for block in [slice(None)] if mean_path or keep else column_blocks(lam.shape[1]):
         lam_b = lam[:, block]
         phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
         drift, diffusion = _adjoint(tree, coeffs, ws, lam_b, phi, vtheta)
         x0 = ws.x0_gain @ phi[0][0]
         levels = (_level_means(tree, x0, drift) if mean_path else
                   islice(forward_levels(tree, x0, drift, diffusion), tree.n_steps))
-        means[:, block], coupling[:, block] = _reconstruct(
-            tree, coeffs, ric, ws, lam_b, phi, vtheta, levels, keep=False)[3:]
-    return means, coupling
+        kept, means[:, block], coupling[:, block] = _reconstruct(
+            tree, coeffs, ric, ws, lam_b, phi, vtheta, levels, keep)
+    return kept, means, coupling
 
 
 def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
@@ -348,7 +347,7 @@ def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     (lam, eta) -> (means, coupling), solved from a zero terminal, for column
     stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`).  Returns
     two (d, c) stacks."""
-    return _response(tree, coeffs, ric, lam, eta, np.zeros((1, coeffs.n)))
+    return _response(tree, coeffs, ric, lam, eta, np.zeros((1, coeffs.n)))[1:]
 
 
 def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -356,7 +355,7 @@ def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
     """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
     the constant part of the affine map, each (d,)."""
     zero = np.zeros((eta_dimension(tree, coeffs), 1))
-    means, coupling = _response(tree, coeffs, ric, zero, zero, coeffs.xi)
+    means, coupling = _response(tree, coeffs, ric, zero, zero, coeffs.xi)[1:]
     return means[:, 0], coupling[:, 0]
 
 
@@ -550,14 +549,10 @@ def _gmres(product, rhs: np.ndarray, max_products: int) -> tuple:
 @dataclass
 class ConstrainedSolution:
     """Solution of the mean-constrained subproblem at a given eta (or at a
-    column stack of them, every field then carrying the column axis)."""
+    column stack of them, u and every vector then carrying the column
+    axis).  :func:`solve_decoupled` at (lam, eta) gives the other fields."""
 
-    u: list
-    y: list
-    z: list
-    x: list
-    phi: list
-    vtheta: list
+    u: list                           # levels 0..n_steps - 1, (2**k, m)
     lam: np.ndarray
     eta: np.ndarray
     means: np.ndarray
@@ -583,11 +578,15 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
     """Solve at an explicitly given multiplier/mean pair and certify, column
     by column, that the realized means hit the targets:
     ||means - eta|| <= _CERT_TOL (1 + ||eta||), else (NaN included)
-    InfeasibleEtaError."""
+    InfeasibleEtaError.  One :func:`_response` sweep from xi that keeps u."""
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
-    sol = solve_decoupled(tree, coeffs, ric, lam_vec, eta_vec)
-    defect = sol.means - eta_vec
+    cols = (len(eta_vec), -1)
+    kept, means, coupling = _response(tree, coeffs, ric, lam_vec.reshape(cols),
+                                      eta_vec.reshape(cols), coeffs.xi, keep=("u",))
+    u = kept["u"] if eta_vec.ndim > 1 else [level[..., 0] for level in kept["u"]]
+    means, coupling = means.reshape(eta_vec.shape), coupling.reshape(eta_vec.shape)
+    defect = means - eta_vec
     residual = np.linalg.norm(defect, axis=0)
     excess = residual - _CERT_TOL * (1.0 + np.linalg.norm(eta_vec, axis=0))
     if not np.all(excess <= 0):
@@ -595,11 +594,8 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
         raise InfeasibleEtaError(
             f"target means are not attainable: realized means miss them by {worst:.3e}"
         )
-    return ConstrainedSolution(
-        u=sol.u, y=sol.y, z=sol.z, x=sol.x, phi=sol.phi, vtheta=sol.vtheta,
-        lam=lam_vec, eta=eta_vec, means=sol.means, coupling=sol.coupling,
-        constraint_residual=defect,
-    )
+    return ConstrainedSolution(u=u, lam=lam_vec, eta=eta_vec, means=means,
+                               coupling=coupling, constraint_residual=defect)
 
 
 def riccati_control(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -618,23 +614,25 @@ def decoupling_residual(tree: ScenarioTree, coeffs: CoefficientSet,
     Two defects are reported in the probability-and-dt weighted rms norm
     (the same norm used for control errors): the state-recursion residual
     and the martingale-representation defect z - z_from_next(y).  Both are
-    first order in the step size for a consistent reconstruction.
+    first order in the step size for a consistent reconstruction, re-solved
+    by :func:`solve_decoupled` at sol's (lam, eta).
     """
+    fields = solve_decoupled(tree, coeffs, ric, sol.lam, sol.eta)
     alpha, beta, gamma = split_blocks(sol.eta, tree, coeffs)
     eye = np.eye(coeffs.n)
     y_sq = 0.0
     z_sq = 0.0
     for k in range(tree.n_steps):
         weight = tree.dt * tree.node_probability(k)
-        lhs = _mv(eye[None] - tree.dt * coeffs.A[k], sol.y[k])
-        rhs = tree.cond_expect(sol.y[k + 1]) + tree.dt * (
-            _mv(coeffs.B[k], sol.u[k]) + _mv(coeffs.C[k], sol.z[k])
+        lhs = _mv(eye[None] - tree.dt * coeffs.A[k], fields.y[k])
+        rhs = tree.cond_expect(fields.y[k + 1]) + tree.dt * (
+            _mv(coeffs.B[k], fields.u[k]) + _mv(coeffs.C[k], fields.z[k])
             + coeffs.A_bar[k] @ alpha[k] + coeffs.B_bar[k] @ gamma[k]
             + coeffs.C_bar[k] @ beta[k]
         )
         y_sq += weight * float(((lhs - rhs) ** 2).sum())
         z_sq += weight * float(
-            ((sol.z[k] - tree.z_from_next(sol.y[k + 1])) ** 2).sum())
+            ((fields.z[k] - tree.z_from_next(fields.y[k + 1])) ** 2).sum())
     return {"y_recursion": math.sqrt(y_sq), "z_defect": math.sqrt(z_sq),
             "combined": math.sqrt(y_sq + z_sq)}
 
@@ -642,7 +640,8 @@ def decoupling_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
                        ric: RiccatiSolution, sol: ConstrainedSolution) -> dict:
     """Re-solve the optimality system at sol's multipliers by plain
-    alternation (no Riccati decoupling) and report the disagreement.
+    alternation (no Riccati decoupling) and report the disagreement with
+    :func:`solve_decoupled` at the same (lam, eta).
 
     Alternates: backward solve for (y, z) given u with the target means
     frozen; explicit forward step for the adjoint x given (y, z); control
@@ -696,7 +695,8 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
             converged = True
             break
 
-    y_diff = max(float(np.abs(y[k] - sol.y[k]).max()) for k in range(n_steps + 1))
-    x_diff = max(float(np.abs(x[k] - sol.x[k]).max()) for k in range(n_steps + 1))
+    fields = solve_decoupled(tree, coeffs, ric, sol.lam, sol.eta)
+    y_diff = max(float(np.abs(y[k] - fields.y[k]).max()) for k in range(n_steps + 1))
+    x_diff = max(float(np.abs(x[k] - fields.x[k]).max()) for k in range(n_steps + 1))
     return {"y_diff": y_diff, "x_diff": x_diff,
             "iterations": iterations, "converged": converged}

@@ -346,8 +346,9 @@ def _checked_inverse_last(mats: np.ndarray, name: str, k: int) -> np.ndarray:
 
 def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
                        fill: np.ndarray) -> np.ndarray:
-    """Inverses of level k's KKT pivots, node-last (4n + m, 4n + m, nodes),
-    by block elimination through four checked n x n or m x m pivots.
+    """The (y, u, mu1, mu2) rows of the inverses of level k's KKT pivots,
+    node-last (3n + m, 4n + m, nodes), by block elimination through four
+    checked n x n or m x m pivots; a solve's z rows follow from its mu rows.
 
     With w = 2 dt 2^-k, Hy = w Q (+ 2G at the root), Hz = w R, Hu = w N,
     Ay = I - dt A and the children's fill F = [[F11, F12], [F21, F22]] on
@@ -382,7 +383,6 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     states = 2 * n + m
     y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
     mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
-    mu = slice(states, 4 * n + m)
     weight = 2.0 * dt * tree.node_probability(k)
     eye = np.eye(n)[..., None]
     hy = weight * _last(coeffs.Q[k]) + (2.0 * coeffs.G[..., None] if k == 0 else 0.0)
@@ -408,9 +408,9 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
         "KKT pivot S (Schur complement of D)", k)
 
     # S depends on every input, so it is as wide as the widest of them
-    inv = np.empty((4 * n + m, 4 * n + m, s_inv.shape[2]))
+    inv = np.empty((3 * n + m, 4 * n + m, s_inv.shape[2]))
+    ry, ru, r1, r2 = np.split(inv, [n, n + m, 2 * n + m])
     # mu1 = S^-1 (b_y - Hy Ay^-1 g1 + x (b_z - Hz b_mu2))
-    r1 = inv[mu1]
     sl = _mul_last(s_inv, lay)
     r1[:, y] = s_inv
     _mul_last(s_inv, x, out=r1[:, z])
@@ -418,18 +418,12 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     r1[:, mu1] = -sl
     r1[:, mu2] = -_mul_last(sl, cdt) - _mul_last(r1[:, z], hz)
     # mu2 = D^-1 (b_z - Hz b_mu2 - S21 mu1)
-    r2 = inv[mu2]
     _mul_last(-_mul_last(d_inv, s21), r1, out=r2)
     r2[:, z] += d_inv
     r2[:, mu2] -= _mul_last(d_inv, hz)
-    # u, z and y from the multipliers, by the first three steps
-    ru = inv[u]
+    # u and y from the multipliers, by the first and third steps
     _mul_last(_mul_last(hu_inv, bdt_t), r1, out=ru)
     ru[:, u] += hu_inv
-    rz = inv[z]
-    _mul_last(-f_z, inv[mu], out=rz)                # -F21 mu1 - F22 mu2
-    rz[:, mu2] += eye
-    ry = inv[y]
     _mul_last(-ay_inv, _mul_last(k1, r1) + _mul_last(k2, r2), out=ry)
     ry[:, u] += _mul_last(ay_inv, bh)
     ry[:, mu1] += ay_inv
@@ -462,12 +456,11 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     """Optimal controls from the KKT system, by block elimination on the tree.
 
     Forward, leaves first: each level's pivots are inverted in one batch by
-    elimination through their own n x n and m x m blocks
-    (:func:`_kkt_pivot_inverse`: N, I - dt A, D = I - w R F22 and the Schur
-    complement S, each checked by its smallest singular value and refused
-    as "KKT pivot ..." with its level).  Every block is node-last, (rows,
-    cols, nodes).  A level's solved columns [E' (2n) | r | tail of levels
-    >= k] are formed from the known nonzero blocks of its right-hand side,
+    elimination through their own checked n x n and m x m blocks
+    (:func:`_kkt_pivot_inverse`, refused as "KKT pivot ..." with the
+    level).  Every block is node-last, (rows, cols, nodes).  A level's
+    solved columns [E' (2n) | r | tail of levels >= k], z rows aside, are
+    formed from the known nonzero blocks of its right-hand side,
     which is never assembled: E' is a multiple of the pivot inverse's y
     columns, r and the tail of deeper levels are what the children pass up
     on the (mu1, mu2) rows, the level's own means enter the mu1 rows through
@@ -514,15 +507,24 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
         means_rhs = -dt * _last(_concat_nodes(
             [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
 
-        head = np.empty((2 * n, own + width, nodes))        # (y, z) rows
+        head = np.empty((n, own + width, nodes))            # y rows
         kept = np.empty((m + 2 * n, own + width, nodes))    # (u, mu1, mu2) rows
-        for rows, sol in ((inv[:2 * n], head), (inv[2 * n:], kept)):
+        for rows, sol in ((inv[:n], head), (inv[n:], kept)):
             # the E' columns; the root has no parent
             np.multiply(rows[:, None, :n], coupling[..., :nodes] if k > 0 else 0.0,
                         out=sol[:, :2 * n].reshape(len(sol), 2, n, nodes, copy=False))
             _mul_last(rows[:, mu], passed, out=sol[:, 2 * n:own])
             _mul_last(rows[:, mu1], means_rhs, out=sol[:, own:own + states])
             np.multiply(rows[:, :states], -prob, out=sol[:, own + states:])
+        # node sums of the [r | tail] columns; those of the z rows, z = b_mu2
+        # - F21 mu1 - F22 mu2, by one contraction over (q, nodes)
+        kept_mu = kept[m:, 2 * n:].transpose(0, 2, 1)      # (2n, nodes, 1 + hi)
+        sums = np.empty((4 * n + m, 1 + hi))
+        head[:, 2 * n:].sum(axis=2, out=sums[:n])
+        kept[:, 2 * n:].sum(axis=2, out=sums[2 * n:])
+        sums[n:2 * n] = -(fill[n:, :, 0] @ sums[mu] if fill.shape[2] == 1 else
+                          np.matmul(fill[n:].transpose(1, 0, 2), kept_mu).sum(axis=0))
+        sums[n:2 * n, :1 + lo] += passed[n:].sum(axis=2)
 
         # the tail update, the node sum of (tail columns of the right-hand
         # side)' (solved columns [r | tail]), from the nonzero rows only: the
@@ -530,8 +532,6 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
         # nodes, the own mean columns the mu1 rows through -dt [A_bar | C_bar |
         # B_bar] (a node sum when that is one node wide), and the own
         # multiplier columns are -p times the node sums of the state rows
-        kept_mu = kept[m:, 2 * n:].transpose(0, 2, 1)      # (2n, nodes, 1 + hi)
-        sums = np.concatenate([head[:, 2 * n:].sum(axis=2), kept[:, 2 * n:].sum(axis=2)])
         update = np.empty((hi, 1 + hi))
         update[:lo] = np.matmul(passed[:, 1:], kept_mu).sum(axis=0)
         update[lo:lo + states] = (means_rhs[:, :, 0].T @ sums[mu1] if means_rhs.shape[2] == 1 else
@@ -541,7 +541,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
         tail_rhs[:hi] -= update[:, 0]
         tail[:hi, :hi] -= update[:, 1:]
         if k > 0:
-            lifted = _lift(tree, head[:n])
+            lifted = _lift(tree, head)
             fill, passed = lifted[:, :2 * n], lifted[:, 2 * n:]
         solved[k] = kept
         del inv, head

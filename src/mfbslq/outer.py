@@ -15,7 +15,9 @@ Both conditions are certified on the final sweep, whose control is
 returned, not on the outer solve: its realized means must hit eta, and its
 realized couplings must give lam = W eta - coupling (W the mean-cost
 weights), else NumericsError; a NaN fails both.  The report's
-``multiplier_residual`` is max |W eta - coupling - lam|.
+``multiplier_residual`` is max |W eta - coupling - lam|.  The final sweep
+keeps only the control: the result holds u, the means and the couplings,
+and no other field of the tree.
 
 Convexity is certified by the standing assumptions: the discrete cost is a
 sum of Gram forms over the weights Q, R, N, their barred means and G, so
@@ -31,7 +33,7 @@ The reported cost re-runs the controlled mean-field BSDE at the final
 control, and the reported stationarity residual re-derives the first-order
 adjoint from that re-solved state: both numbers are produced by machinery
 that does not share intermediate results with the solver that chose the
-control.
+control.  The re-solved state is dropped once both are computed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import ConvexityError, NumericsError, SpecValidationError
-from .bsde import MeanfieldBsdeSolution, implicit_steps, solve_meanfield_bsde
+from .bsde import implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
 # probe_operators is not called here; perfbench/spans.py wraps it by name
 from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,  # noqa: F401
@@ -118,7 +120,6 @@ class PipelineResult:
     multiplier_residual: float   # max |W eta - coupling - lam| on the final sweep
     outer: OuterSolution
     constrained: ConstrainedSolution
-    resolved: MeanfieldBsdeSolution
     cost: float
     stationarity_residual: float
     timings: dict = field(default_factory=dict)
@@ -216,8 +217,7 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
     result = PipelineResult(
         tree=tree, coeffs=coeffs, riccati=ric,
         multiplier_residual=float(np.abs(gap).max()), outer=system,
-        constrained=final,
-        resolved=resolved, cost=cost,
+        constrained=final, cost=cost,
         stationarity_residual=stationarity, timings=timings,
     )
     if with_oracle:

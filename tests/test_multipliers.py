@@ -393,13 +393,13 @@ def test_inconsistent_multiplier_pair_rejected():
 def test_nan_means_fail_the_certificate(monkeypatch):
     spec = barred_zero_spec("m1")
     tree, coeffs, ric = _setup(spec, 3)
-    real = multipliers.solve_decoupled
+    real = multipliers._response
 
-    def nan_means(*args):
-        sol = real(*args)
-        return dataclasses.replace(sol, means=sol.means * math.nan)
+    def nan_means(*args, **kwargs):
+        kept, means, coupling = real(*args, **kwargs)
+        return kept, means * math.nan, coupling
 
-    monkeypatch.setattr(multipliers, "solve_decoupled", nan_means)
+    monkeypatch.setattr(multipliers, "_response", nan_means)
     zero = np.zeros(eta_dimension(tree, coeffs))
     with pytest.raises(InfeasibleEtaError, match="by nan"):
         constrained_solution_at(tree, coeffs, ric, zero, zero)

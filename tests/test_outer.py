@@ -1,12 +1,14 @@
 """Outer stage: the on-demand mean-target quadratic and the pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfbslq import NumericsError, build_tree, realize, solve_riccati
 from mfbslq import multipliers
-from mfbslq.multipliers import (eta_dimension,
-                                solve_constrained_problem)
+from mfbslq.multipliers import (eta_dimension, solve_constrained_problem,
+                                solve_decoupled)
 from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
@@ -178,10 +180,10 @@ def test_deep_node_varying_trees_run_gmres(corpus, monkeypatch, name):
 
 def test_krylov_pipeline_never_probes(corpus):
     # the base sweep, then the preconditioner's columns on one node per
-    # level and one column per GMRES product, then the final solve.  Only
-    # the final solve keeps the tree's fields; a product sweeps the tree
-    # only on node-varying data, and a missed memo would re-run the base
-    # sweep inside the outer solve
+    # level and one column per GMRES product, then the final solve.  The
+    # base and final sweeps always sweep the tree and keep no field but the
+    # final control; a product sweeps the tree only on node-varying data,
+    # and a missed memo would re-run the base sweep inside the outer solve
     for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
                             ("m1_random", 5, False), ("d2", 5, True)):
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -196,13 +198,42 @@ def test_krylov_pipeline_never_probes(corpus):
         case = (name, nt, tiled)
         products = res.outer.columns - 1
         assert 1 <= products <= 8, case
-        assert len(calls) == 1, case
-        assert len(sweeps) == 1 + (products if name == "m1_random" or tiled else 0), case
+        assert len(calls) == 0, case
+        assert len(sweeps) == 2 + (products if name == "m1_random" or tiled else 0), case
         diag = res.report()["diagnostics"]
         assert diag["outer_columns"] == products + 1, case
         assert diag["outer_relative_residual"] <= 1e-12, case
         assert "probe_operators" not in res.timings, case
         assert res.multiplier_residual <= 1e-12, case
+
+
+def test_final_sweep_keeps_only_the_control(corpus, monkeypatch):
+    # every adjoint sweep of the pipeline, the final one last, stops at
+    # level n_steps - 1; the result holds the control, no other field, and
+    # it is the full-field solve's control at the certified (lam, eta)
+    widths = []
+    real = multipliers.forward_levels
+
+    def recorded(*args):
+        for level in real(*args):
+            widths.append(len(level))
+            yield level
+
+    monkeypatch.setattr(multipliers, "forward_levels", recorded)
+    monkeypatch.setattr(multipliers, "solve_decoupled",
+                        _refuse("the pipeline must not keep the decoupled fields"))
+    for name, nt in (("d2", 6), ("m1_random", 6)):
+        widths.clear()
+        res = run_pipeline(corpus[name], nt)
+        assert widths[-1] == max(widths) == res.tree.n_nodes(nt - 1), name
+        assert [len(level) for level in res.constrained.u] == [
+            res.tree.n_nodes(k) for k in range(nt)], name
+        kept = {f.name for f in dataclasses.fields(res.constrained)}
+        assert kept.isdisjoint({"y", "z", "x", "phi", "vtheta"}), name
+        assert "resolved" not in {f.name for f in dataclasses.fields(res)}, name
+        full = solve_decoupled(res.tree, res.coeffs, res.riccati,
+                               res.constrained.lam, res.constrained.eta)
+        assert all(np.array_equal(a, b) for a, b in zip(res.constrained.u, full.u)), name
 
 
 def test_wrong_probe_is_caught_by_multiplier_residual(m1, monkeypatch):
