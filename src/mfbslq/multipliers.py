@@ -25,6 +25,8 @@ value S = (Sigma_k + E_k[Sigma_{k+1}]) / 2, because the exact discrete
 martingale elimination conditions on the *next* level (one-sided Sigma_k
 doubles the consistency constant, one-sided Sigma_{k+1} collapses the
 scheme onto the discrete optimizer and hides genuine time-step error).
+These formulas read one per-level workspace, `build_workspace` of (Sigma,
+Phi); the caller builds it once and passes it to every stage below.
 
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]).
@@ -84,7 +86,7 @@ u-block], each block time-major over levels 0..n_steps-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -128,6 +130,7 @@ def pack_blocks(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
 class DecoupledWorkspace:
     """Per-level matrices shared by every (lam, eta) solve on one Riccati pair."""
 
+    sigma: list        # Sigma, levels 0..n_steps: y = Sigma x - phi
     H: list            # (I + S R)^{-1}, S the centered Sigma
     G1: list           # R H
     sig_c: list        # S = (Sigma_k + E_k[Sigma_{k+1}]) / 2
@@ -148,38 +151,34 @@ class DecoupledWorkspace:
 
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
-                    ric: RiccatiSolution) -> DecoupledWorkspace:
-    """Assemble (and memoize on the Riccati pair) the per-level matrices.
+                    sigma: list, phi: list) -> DecoupledWorkspace:
+    """Assemble the per-level matrices from the Riccati pair (sigma, phi).
     Every inverted matrix is checked; StepSizeError names the level."""
-    key = "decoupled_workspace"
-    cached = ric._cache.get(key)
-    if cached is not None and cached[0] is coeffs:
-        return cached[1]
     n = coeffs.n
     eye = np.eye(n)
-    x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, ric.sigma[0]),
+    x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, sigma[0]),
                                 "I + G Sigma(0)", 0)
-    ws = DecoupledWorkspace(*([] for _ in range(11)), _mul(x0_inv, coeffs.G)[0])
+    ws = DecoupledWorkspace(sigma, *([] for _ in range(11)), _mul(x0_inv, coeffs.G)[0])
     n_inv = control_weight_inverses(coeffs)
     for k in range(tree.n_steps):
-        sig, phi = ric.sigma[k], ric.phi[k]
+        sig, phik = sigma[k], phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
-        sig_c = 0.5 * (sig + tree.cond_expect(ric.sigma[k + 1]))
+        sig_c = 0.5 * (sig + tree.cond_expect(sigma[k + 1]))
         H, cond_sv = checked_inverse(eye[None] + _mul(sig_c, R), "I + S R", k)
         phi_step, step_sv = checked_inverse(eye[None] + tree.dt * (_mul(sig, Q) - A),
                                             "I + dt (Sigma Q - A)", k)
         ws.min_conditioner_sv = min(ws.min_conditioner_sv, cond_sv)
         ws.min_phi_step_sv = min(ws.min_phi_step_sv, step_sv)
         G1 = _mul(R, H)
-        mart = phi + _mul(sig_c, _t(C))
+        mart = phik + _mul(sig_c, _t(C))
         ws.H.append(H)
         ws.G1.append(G1)
         ws.sig_c.append(sig_c)
         ws.phi_step.append(phi_step)
-        ws.vtheta_coef.append(_mul(_mul(phi, R) - C, H))
+        ws.vtheta_coef.append(_mul(_mul(phik, R) - C, H))
         ws.source.append(_concat_nodes([
             -sig, -_t(_mul(n_inv[k], _t(coeffs.B[k]))),
-            -_mul(phi + _mul(C, sig_c), _t(H)),
+            -_mul(phik + _mul(C, sig_c), _t(H)),
             coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
         ws.Ninv.append(n_inv[k])
         ws.x_drift.append(_t(A) - _mul(Q, sig))
@@ -187,10 +186,9 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
         ws.zx.append(_mul(H, mart))
         ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
                                       coeffs.B_bar[k]], axis=2))
-    arrays = (ric.sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
+    arrays = (sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
               ws.Ninv, ws.x_drift, ws.zx, ws.bars, coeffs.Q, coeffs.B, coeffs.N)
     ws.one_node = all(len(level) == 1 for levels in arrays for level in levels)
-    ric._cache[key] = (coeffs, ws)
     return ws
 
 
@@ -246,9 +244,9 @@ def _adjoint(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
     return drift, diffusion
 
 
-def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
-                 ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
-                 x_levels, keep: tuple) -> tuple:
+def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
+                 lam: np.ndarray, phi: list, vtheta: list, x_levels,
+                 keep: tuple) -> tuple:
     """u, y and z on levels 0..n_steps-1 from the adjoint levels that
     ``x_levels`` yields, reduced to their level means and the mean
     couplings, each stacked like ``lam``.  Returns (kept, means, coupling),
@@ -267,7 +265,7 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolutio
         bx = _mul(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
         uk = _mul(ws.Ninv[k], net)
-        yk = _mul(ric.sigma[k], x) - phi[k]
+        yk = _mul(ws.sigma[k], x) - phi[k]
         zk = _mul(ws.zx[k], x) - _mul(ws.H[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k])
         defect = np.abs(_mul(coeffs.N[k], uk) - net).max(axis=(0, 1))
         guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
@@ -291,15 +289,15 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     ``lam_vec`` and ``eta_vec`` are (d,) or column stacks (d, c); a stack is
     solved in one sweep and every field and mean keeps the column axis
     last.  A single pair runs as one column."""
-    ws = build_workspace(tree, coeffs, ric)
+    ws = build_workspace(tree, coeffs, ric.sigma, ric.phi)
     lam = np.asarray(lam_vec, dtype=float).reshape(len(lam_vec), -1)
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
     phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
     x = solve_forward_sde(tree, ws.x0_gain @ phi[0][0],
                           *_adjoint(tree, coeffs, ws, lam, phi, vtheta))
-    kept, means, coupling = _reconstruct(tree, coeffs, ric, ws, lam, phi, vtheta,
+    kept, means, coupling = _reconstruct(tree, coeffs, ws, lam, phi, vtheta,
                                          x[:-1], keep=("u", "y", "z"))
-    y = kept["y"] + [_mul(ric.sigma[tree.n_steps], x[-1]) - phi[-1]]
+    y = kept["y"] + [_mul(ws.sigma[tree.n_steps], x[-1]) - phi[-1]]
     fields = (phi, vtheta, x, kept["u"], y, kept["z"])
     if np.ndim(lam_vec) == 1:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
@@ -317,7 +315,7 @@ def _level_means(tree: ScenarioTree, x0: np.ndarray, drift):
         xbar = xbar - tree.dt * drift(k, xbar)
 
 
-def _response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+def _response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
               lam: np.ndarray, eta: np.ndarray, xi: np.ndarray, keep: tuple = ()) -> tuple:
     """:func:`_reconstruct` of column stacks (d, c) from phi(T) = -xi, each
     adjoint level reduced as it is formed; the leaves are never formed.  A
@@ -325,7 +323,6 @@ def _response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
     Otherwise, when xi and every array the mean recursion reads have one
     node per level, all columns run as one block on the adjoint's level
     mean (:func:`_level_means`), else full width, 16 to a block."""
-    ws = build_workspace(tree, coeffs, ric)
     mean_path = ws.one_node and len(xi) == 1 and not keep
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
@@ -337,25 +334,25 @@ def _response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
         levels = (_level_means(tree, x0, drift) if mean_path else
                   islice(forward_levels(tree, x0, drift, diffusion), tree.n_steps))
         kept, means[:, block], coupling[:, block] = _reconstruct(
-            tree, coeffs, ric, ws, lam_b, phi, vtheta, levels, keep)
+            tree, coeffs, ws, lam_b, phi, vtheta, levels, keep)
     return kept, means, coupling
 
 
-def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
                     lam: np.ndarray, eta: np.ndarray) -> tuple:
     """Level means and mean couplings of the linear part of the map
     (lam, eta) -> (means, coupling), solved from a zero terminal, for column
     stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`).  Returns
     two (d, c) stacks."""
-    return _response(tree, coeffs, ric, lam, eta, np.zeros((1, coeffs.n)))[1:]
+    return _response(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))[1:]
 
 
 def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
-                 ric: RiccatiSolution) -> tuple:
+                 ws: DecoupledWorkspace) -> tuple:
     """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
     the constant part of the affine map, each (d,)."""
     zero = np.zeros((eta_dimension(tree, coeffs), 1))
-    means, coupling = _response(tree, coeffs, ric, zero, zero, coeffs.xi)[1:]
+    means, coupling = _response(tree, coeffs, ws, zero, zero, coeffs.xi)[1:]
     return means[:, 0], coupling[:, 0]
 
 
@@ -384,27 +381,21 @@ class MeanOperators:
 
 
 def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
-                    ric: RiccatiSolution) -> MeanOperators:
-    """Assemble the affine maps by unit impulses; memoized on the Riccati pair.
+                    ws: DecoupledWorkspace) -> MeanOperators:
+    """Assemble the affine maps by unit impulses.
 
     One base sweep (xi terminal, lam = eta = 0) gives p_xi and q_xi; the d
     lam impulses and the d eta impulses give the linear part directly, as
     the columns of :func:`linear_response` (zero terminal, no base to
     subtract): one sweep of one node per level on node-constant data, else
     one batched full-width sweep per column block."""
-    key = "mean_operators"
-    cached = ric._cache.get(key)
-    if cached is not None and cached[0] is coeffs:
-        return cached[1]
     d = eta_dimension(tree, coeffs)
-    p_xi, q_xi = _xi_response(tree, coeffs, ric)
+    p_xi, q_xi = _xi_response(tree, coeffs, ws)
     unit, zero = np.eye(d), np.zeros((d, d))
-    means, coupling = linear_response(tree, coeffs, ric, np.hstack([unit, zero]),
+    means, coupling = linear_response(tree, coeffs, ws, np.hstack([unit, zero]),
                                       np.hstack([zero, unit]))
-    ops = MeanOperators(p_xi=p_xi, P_eta=means[:, d:], L=means[:, :d],
-                        q_xi=q_xi, Q_eta=coupling[:, d:], M=coupling[:, :d])
-    ric._cache[key] = (coeffs, ops)
-    return ops
+    return MeanOperators(p_xi=p_xi, P_eta=means[:, d:], L=means[:, :d],
+                         q_xi=q_xi, Q_eta=coupling[:, d:], M=coupling[:, :d])
 
 
 def mean_cost_weights(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
@@ -434,22 +425,22 @@ class OuterSolution(NamedTuple):
 
 
 def _node_mean_problem(tree: ScenarioTree, coeffs: CoefficientSet,
-                       ric: RiccatiSolution) -> tuple:
-    """(coefficients, Riccati pair) of the node-mean problem: every level of
+                       ws: DecoupledWorkspace) -> tuple:
+    """(coefficients, workspace) of the node-mean problem: every level of
     the coefficients and of Sigma replaced by its node mean, kept as one
     node, and Phi = 0, the martingale integrand of a one-node Sigma.  Node
     means of PSD weights are PSD and keep N >= delta I, so its workspace
     passes the same checked inverses.  A problem that is its own node mean
-    (one node everywhere) is returned as is, with its memoized workspace."""
+    (one node everywhere) is returned as is, with its own workspace."""
     mean_coeffs = coeffs.node_means()
-    if mean_coeffs is coeffs and all(len(level) == 1 for level in ric.sigma):
-        return coeffs, ric
-    sigma = [level.mean(axis=0, keepdims=True) for level in ric.sigma]
-    return mean_coeffs, replace(
-        ric, sigma=sigma, phi=[np.zeros((1, coeffs.n, coeffs.n))] * tree.n_steps, _cache={})
+    if mean_coeffs is coeffs and all(len(level) == 1 for level in ws.sigma):
+        return coeffs, ws
+    sigma = [level.mean(axis=0, keepdims=True) for level in ws.sigma]
+    phi = [np.zeros((1, coeffs.n, coeffs.n))] * tree.n_steps
+    return mean_coeffs, build_workspace(tree, mean_coeffs, sigma, phi)
 
 
-def _outer_map(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
+def _outer_map(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
                weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The outer system's matrix applied to a column stack (2d, c) of
     (eta, lam): feasibility rows eta - means and stationarity rows
@@ -457,12 +448,12 @@ def _outer_map(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolution,
     :func:`linear_response`."""
     d = len(weights)
     eta, lam = cols[:d], cols[d:]
-    means, coupling = linear_response(tree, coeffs, ric, lam, eta)
+    means, coupling = linear_response(tree, coeffs, ws, lam, eta)
     return np.concatenate([eta - means, weights @ eta - coupling - lam])
 
 
 def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
-                       ric: RiccatiSolution) -> OuterSolution:
+                       ws: DecoupledWorkspace) -> OuterSolution:
     """Solve the outer first-order conditions for (eta, lam).
 
     Two blocks of equations: the realized means equal eta (feasibility),
@@ -478,15 +469,15 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     """
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
-    mean_coeffs, mean_ric = _node_mean_problem(tree, coeffs, ric)
-    precond = _outer_map(tree, mean_coeffs, mean_ric, weights, np.eye(2 * d))
+    mean_coeffs, mean_ws = _node_mean_problem(tree, coeffs, ws)
+    precond = _outer_map(tree, mean_coeffs, mean_ws, weights, np.eye(2 * d))
     min_sv = checked_dense_sv(
         precond, "outer first-order system of the node-mean problem")
     precond = np.linalg.inv(precond)
-    rhs = np.concatenate(_xi_response(tree, coeffs, ric))
+    rhs = np.concatenate(_xi_response(tree, coeffs, ws))
 
     def product(vec: np.ndarray) -> np.ndarray:
-        return _outer_map(tree, coeffs, ric, weights, (precond @ vec)[:, None])[:, 0]
+        return _outer_map(tree, coeffs, ws, weights, (precond @ vec)[:, None])[:, 0]
 
     sol, products, residual = _gmres(product, rhs, 2 * d)
     sol = precond @ sol
@@ -561,19 +552,19 @@ class ConstrainedSolution:
 
 
 def solve_constrained_problem(tree: ScenarioTree, coeffs: CoefficientSet,
-                              ric: RiccatiSolution,
+                              ws: DecoupledWorkspace, ops: MeanOperators,
                               eta_vec: np.ndarray) -> ConstrainedSolution:
-    """Pick multipliers hitting the target means, certify, and solve.
-    ``eta_vec`` is (d,) or a column stack (d, c) solved in one sweep."""
-    ops = probe_operators(tree, coeffs, ric)
+    """Pick multipliers hitting the target means from the probed maps
+    ``ops`` (:func:`probe_operators`), certify, and solve.  ``eta_vec`` is
+    (d,) or a column stack (d, c) solved in one sweep."""
     eta_vec = np.asarray(eta_vec, dtype=float)
     p_xi = ops.p_xi.reshape((-1,) + (1,) * (eta_vec.ndim - 1))
     lam = ops.solve_lambda(eta_vec - p_xi - ops.P_eta @ eta_vec)
-    return constrained_solution_at(tree, coeffs, ric, lam, eta_vec)
+    return constrained_solution_at(tree, coeffs, ws, lam, eta_vec)
 
 
 def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
-                            ric: RiccatiSolution, lam_vec: np.ndarray,
+                            ws: DecoupledWorkspace, lam_vec: np.ndarray,
                             eta_vec: np.ndarray) -> ConstrainedSolution:
     """Solve at an explicitly given multiplier/mean pair and certify, column
     by column, that the realized means hit the targets:
@@ -582,7 +573,7 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
     cols = (len(eta_vec), -1)
-    kept, means, coupling = _response(tree, coeffs, ric, lam_vec.reshape(cols),
+    kept, means, coupling = _response(tree, coeffs, ws, lam_vec.reshape(cols),
                                       eta_vec.reshape(cols), coeffs.xi, keep=("u",))
     u = kept["u"] if eta_vec.ndim > 1 else [level[..., 0] for level in kept["u"]]
     means, coupling = means.reshape(eta_vec.shape), coupling.reshape(eta_vec.shape)
@@ -652,10 +643,10 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
     """
     lam1, lam2, lam3 = split_blocks(sol.lam, tree, coeffs)
     alpha, beta, gamma = split_blocks(sol.eta, tree, coeffs)
-    ws = build_workspace(tree, coeffs, ric)
+    n_inv = control_weight_inverses(coeffs)
     steps = implicit_steps(tree, coeffs)
     n_steps, dt = tree.n_steps, tree.dt
-    u = [_mv(ws.Ninv[k], np.tile(-lam3[k][None], (tree.n_nodes(k), 1)))
+    u = [_mv(n_inv[k], np.tile(-lam3[k][None], (tree.n_nodes(k), 1)))
          for k in range(n_steps)]
 
     y: list = [None] * (n_steps + 1)
@@ -687,7 +678,7 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
         change = 0.0
         scale = 1.0
         for k in range(n_steps):
-            u_new = _mv(ws.Ninv[k], _mv(_t(coeffs.B[k]), x[k]) - lam3[k][None])
+            u_new = _mv(n_inv[k], _mv(_t(coeffs.B[k]), x[k]) - lam3[k][None])
             change = max(change, float(np.abs(u_new - u[k]).max()))
             scale = max(scale, float(np.abs(u_new).max()))
             u[k] = u_new

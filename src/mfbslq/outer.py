@@ -17,7 +17,8 @@ realized couplings must give lam = W eta - coupling (W the mean-cost
 weights), else NumericsError; a NaN fails both.  The report's
 ``multiplier_residual`` is max |W eta - coupling - lam|.  The final sweep
 keeps only the control: the result holds u, the means and the couplings,
-and no other field of the tree.
+and no other field of the tree; the decoupled workspace, built once for
+both solves, is dropped after the final sweep.
 
 Convexity is certified by the standing assumptions: the discrete cost is a
 sum of Gram forms over the weights Q, R, N, their barred means and G, so
@@ -38,6 +39,7 @@ control.  The re-solved state is dropped once both are computed.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -46,8 +48,7 @@ import numpy as np
 from ._errors import ConvexityError, NumericsError, SpecValidationError
 from .bsde import implicit_steps, solve_meanfield_bsde
 from .model import CoefficientSet, ProblemSpec, realize, validate_h1_h2
-# probe_operators is not called here; perfbench/spans.py wraps it by name
-from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,  # noqa: F401
+from .multipliers import (_CERT_TOL, ConstrainedSolution, OuterSolution,
                           build_workspace, column_blocks,
                           constrained_solution_at, eta_dimension,
                           mean_cost_weights, probe_operators,
@@ -84,12 +85,14 @@ def assemble_outer_quadratic(tree: ScenarioTree, coeffs: CoefficientSet,
     u(eta) = u(0) + D eta, the hessian is D' H D, taken one block of H D at
     a time, and the linear term is half of D' times the gradient at u(0)."""
     d = eta_dimension(tree, coeffs)
-    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d)).u
+    ws = build_workspace(tree, coeffs, ric.sigma, ric.phi)
+    ops = probe_operators(tree, coeffs, ws)
+    base = solve_constrained_problem(tree, coeffs, ws, ops, np.zeros(d)).u
     unit = np.eye(d)
     flat = np.empty((control_dimension(tree, coeffs.m), d))
     directions = unstack_controls(flat, tree, coeffs.m)   # views into flat
     for block in column_blocks(d):
-        sol = solve_constrained_problem(tree, coeffs, ric, unit[:, block])
+        sol = solve_constrained_problem(tree, coeffs, ws, ops, unit[:, block])
         for level, part, origin in zip(directions, sol.u, base):
             np.subtract(part, origin[..., None], out=level[:, :, block])
         del sol   # free this block's fields before the next block is solved
@@ -118,6 +121,8 @@ class PipelineResult:
     coeffs: CoefficientSet
     riccati: RiccatiSolution
     multiplier_residual: float   # max |W eta - coupling - lam| on the final sweep
+    min_conditioner_sv: float    # the decoupled workspace's smallest singular
+    min_phi_step_sv: float       # values of I + S R and I + dt (Sigma Q - A)
     outer: OuterSolution
     constrained: ConstrainedSolution
     cost: float
@@ -129,13 +134,12 @@ class PipelineResult:
 
     def diagnostics(self) -> dict:
         """Health numbers the solve computed along the way; deterministic."""
-        ws = build_workspace(self.tree, self.coeffs, self.riccati)
         steps = implicit_steps(self.tree, self.coeffs)
         return {
             "newton_iterations": self.riccati.newton_iterations,
             "riccati_nodes": self.riccati.newton_nodes,
-            "min_I_plus_SR_sv": ws.min_conditioner_sv,
-            "min_I_plus_dt_SigmaQ_minus_A_sv": ws.min_phi_step_sv,
+            "min_I_plus_SR_sv": self.min_conditioner_sv,
+            "min_I_plus_dt_SigmaQ_minus_A_sv": self.min_phi_step_sv,
             "min_I_minus_dt_A_sv": steps.min_step_sv,
             "min_mean_closing_sv": steps.min_closing_sv,
             "outer_columns": self.outer.columns,
@@ -199,10 +203,13 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         )
     implicit_steps(tree, coeffs)   # refuses a singular backward step up front
     ric = staged("riccati", lambda: solve_riccati(tree, coeffs))
-    system = staged("solve_outer_system", lambda: solve_outer_system(tree, coeffs, ric))
+    ws = build_workspace(tree, coeffs, ric.sigma, ric.phi)
+    system = staged("solve_outer_system", lambda: solve_outer_system(tree, coeffs, ws))
     eta, lam = system.eta, system.lam
     final = staged("final_solve",
-                   lambda: constrained_solution_at(tree, coeffs, ric, lam, eta))
+                   lambda: constrained_solution_at(tree, coeffs, ws, lam, eta))
+    conditioner_sv, phi_step_sv = ws.min_conditioner_sv, ws.min_phi_step_sv
+    del ws   # the sweeps are done: the cost re-solve and the oracle run without it
     gap = mean_cost_weights(tree, coeffs) @ eta - final.coupling - lam
     gap_norm = float(np.linalg.norm(gap))
     if not gap_norm <= _CERT_TOL * (1.0 + np.linalg.norm(lam)):
@@ -216,7 +223,8 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
 
     result = PipelineResult(
         tree=tree, coeffs=coeffs, riccati=ric,
-        multiplier_residual=float(np.abs(gap).max()), outer=system,
+        multiplier_residual=float(np.abs(gap).max()),
+        min_conditioner_sv=conditioner_sv, min_phi_step_sv=phi_step_sv, outer=system,
         constrained=final, cost=cost,
         stationarity_residual=stationarity, timings=timings,
     )
@@ -225,4 +233,6 @@ def run_pipeline(spec: ProblemSpec, n_steps: int,
         result.oracle = oracle
         result.oracle_control_error = control_error(tree, final.u, oracle.u)
         result.oracle_cost_gap = cost - oracle.cost
+    # the process's high-water mark so far, KiB on Linux
+    timings["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return result

@@ -45,7 +45,7 @@ where one of its inputs varies over the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class RiccatiSolution:
     min_conditioner_sv: float   # min singular value of I + Sigma R over nodes
     newton_iterations: int      # worst per-level Newton iteration count
     newton_nodes: int           # nodes the Newton iteration ran on, all levels
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _sym_basis(n: int) -> list:

@@ -107,6 +107,12 @@ def barred_zero_spec(name: str = "m1"):
     return load_spec(json.dumps(raw))
 
 
+def workspace(tree, coeffs, ric):
+    """:func:`.multipliers.build_workspace` of the Riccati pair ``ric``."""
+    from mfbslq.multipliers import build_workspace
+    return build_workspace(tree, coeffs, ric.sigma, ric.phi)
+
+
 def perturb_coupling_response(monkeypatch, shift: float) -> None:
     """Make every call of :func:`.multipliers.linear_response`, which builds
     the outer solve's preconditioner and runs each GMRES product, return
@@ -115,18 +121,18 @@ def perturb_coupling_response(monkeypatch, shift: float) -> None:
     from mfbslq import multipliers
     real = multipliers.linear_response
 
-    def perturbed(tree, coeffs, ric, lam, eta):
-        means, coupling = real(tree, coeffs, ric, lam, eta)
+    def perturbed(tree, coeffs, ws, lam, eta):
+        means, coupling = real(tree, coeffs, ws, lam, eta)
         return means, coupling + shift * lam.sum(axis=0)
 
     monkeypatch.setattr(multipliers, "linear_response", perturbed)
 
 
-def _probed_system(tree, coeffs, ric):
+def _probed_system(tree, coeffs, ws):
     """(A, b) of the outer system assembled densely from
     :func:`.multipliers.probe_operators`."""
     from mfbslq.multipliers import eta_dimension, mean_cost_weights, probe_operators
-    ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ws)
     eye = np.eye(eta_dimension(tree, coeffs))
     a_sys = np.block([
         [eye - ops.P_eta, -ops.L],
@@ -135,10 +141,10 @@ def _probed_system(tree, coeffs, ric):
     return a_sys, np.concatenate([ops.p_xi, ops.q_xi])
 
 
-def probed_solve(tree, coeffs, ric):
+def probed_solve(tree, coeffs, ws):
     """(eta, lam) from a dense solve of the probed outer system, the referee
     of the GMRES solve."""
-    a_sys, rhs = _probed_system(tree, coeffs, ric)
+    a_sys, rhs = _probed_system(tree, coeffs, ws)
     sol = np.linalg.solve(a_sys, rhs)
     d = len(sol) // 2
     return sol[:d], sol[d:]
@@ -150,8 +156,8 @@ def probe_route(monkeypatch) -> None:
     from mfbslq import outer
     from mfbslq.multipliers import OuterSolution
 
-    def solve(tree, coeffs, ric):
-        a_sys, rhs = _probed_system(tree, coeffs, ric)
+    def solve(tree, coeffs, ws):
+        a_sys, rhs = _probed_system(tree, coeffs, ws)
         sol = np.linalg.solve(a_sys, rhs)
         d = len(sol) // 2
         residual = np.linalg.norm(a_sys @ sol - rhs) / np.linalg.norm(rhs)

@@ -15,7 +15,7 @@ from mfbslq.multipliers import (column_blocks, eta_dimension, probe_operators,
                                 solve_constrained_problem, solve_decoupled)
 from mfbslq.oracle import stack_controls
 from mfbslq.outer import assemble_outer_quadratic
-from conftest import CORPUS
+from conftest import CORPUS, workspace
 
 DEPTH = 5
 COLUMNS = 5
@@ -87,10 +87,12 @@ def test_outer_quadratic_matches_per_column_directions(corpus, name):
     tree, coeffs, ric = _setup(corpus, name)
     quad = assemble_outer_quadratic(tree, coeffs, ric)
     d = eta_dimension(tree, coeffs)
-    base = solve_constrained_problem(tree, coeffs, ric, np.zeros(d)).u
+    ws = workspace(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ws)
+    base = solve_constrained_problem(tree, coeffs, ws, ops, np.zeros(d)).u
     columns = []
     for j in range(d):
-        u = solve_constrained_problem(tree, coeffs, ric, np.eye(d)[j]).u
+        u = solve_constrained_problem(tree, coeffs, ws, ops, np.eye(d)[j]).u
         columns.append([a - b for a, b in zip(u, base)])
     # reference: one single-column gradient per direction.  The cost is
     # u' H u + 2 l' u + J(0), so with a zero terminal value the gradient at
@@ -122,7 +124,7 @@ def test_outer_quadratic_matches_per_column_directions(corpus, name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_solve_lambda_matrix_matches_column_loop(corpus, name):
     tree, coeffs, ric = _setup(corpus, name)
-    ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, workspace(tree, coeffs, ric))
     rhs = np.random.default_rng(13).standard_normal((ops.L.shape[0], COLUMNS))
     stacked = ops.solve_lambda(rhs)
     assert stacked.shape == rhs.shape

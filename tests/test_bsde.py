@@ -172,7 +172,8 @@ def test_singular_implicit_step_raises_step_size_error():
     with pytest.raises(StepSizeError, match=r"I - dt A .*level 2.*0\.000e\+00"):
         solve_meanfield_bsde(tree, coeffs, _zero_controls(tree, 1))
     with pytest.raises(StepSizeError, match=r"Sigma Q - A.*level 2"):
-        build_workspace(tree, coeffs, solve_riccati(tree, coeffs))
+        ric = solve_riccati(tree, coeffs)
+        build_workspace(tree, coeffs, ric.sigma, ric.phi)
     # A_bar = I/dt on level 2 makes the mean-closing matrix exactly zero there
     coeffs = realize(load_spec(json.dumps(singular_mean_doc())), tree)
     with pytest.raises(StepSizeError, match=r"mean-closing .*level 2.*0\.000e\+00"):

@@ -18,16 +18,18 @@ state multiplier q gives x_k = -q t_k.
 """
 
 import dataclasses
+import gc
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from mfbslq import (InfeasibleEtaError, NumericsError, build_tree, load_spec,
-                    realize, solve_riccati)
-from mfbslq import multipliers
-from mfbslq.multipliers import (build_workspace, constrained_solution_at,
+from mfbslq import (InfeasibleEtaError, NumericsError, RiccatiSolution, build_tree,
+                    load_spec, realize, solve_riccati)
+from mfbslq import multipliers, outer
+from mfbslq.multipliers import (DecoupledWorkspace, constrained_solution_at,
                                 decoupling_residual, eta_dimension,
                                 mean_cost_weights, pack_blocks,
                                 picard_cross_check, probe_operators,
@@ -35,8 +37,8 @@ from mfbslq.multipliers import (build_workspace, constrained_solution_at,
                                 solve_decoupled, solve_outer_system,
                                 split_blocks)
 from mfbslq.outer import run_pipeline
-from conftest import (barred_zero_spec, corpus_path, materialised, probed_solve,
-                      scalar_spec)
+from conftest import (barred_zero_spec, corpus_path, count_calls, materialised,
+                      probed_solve, scalar_spec, workspace)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -130,7 +132,7 @@ def test_zero_multipliers_reproduce_plain_feedback():
 
 def test_probed_operators_reproduce_solves(m1):
     tree, coeffs, ric = _setup(m1, 3)
-    ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, workspace(tree, coeffs, ric))
     d = eta_dimension(tree, coeffs)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -143,11 +145,35 @@ def test_probed_operators_reproduce_solves(m1):
         assert np.abs(sol.coupling - want_coupling).max() <= 1e-10
 
 
-def test_workspace_cache_reused(m1):
-    tree, coeffs, ric = _setup(m1, 3)
-    ws1 = build_workspace(tree, coeffs, ric)
-    ws2 = build_workspace(tree, coeffs, ric)
-    assert ws1 is ws2
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through instances and
+    containers; classes, functions and modules are not followed."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_pipeline_builds_each_workspace_once(corpus, monkeypatch):
+    # the problem's workspace is built once and passed to every stage; only
+    # node-varying m1_random adds the node-mean problem's.  Nothing keeps a
+    # workspace once the pipeline returns, and the report rebuilds none
+    assert "_cache" not in {f.name for f in dataclasses.fields(RiccatiSolution)}
+    builds = (count_calls(monkeypatch, outer, "build_workspace"),
+              count_calls(monkeypatch, multipliers, "build_workspace"))
+    for name, want in (("s1", 1), ("m1", 1), ("d2", 1), ("m1_random", 2)):
+        for calls in builds:
+            calls.clear()
+        res = run_pipeline(corpus[name], 5)
+        res.report()
+        assert sum(map(len, builds)) == want, name
+        assert not any(isinstance(obj, DecoupledWorkspace)
+                       for obj in _reachable(res)), name
 
 
 def test_mean_cost_weights_blocks(m1):
@@ -163,8 +189,9 @@ def test_mean_cost_weights_blocks(m1):
 
 def test_outer_system_solves_first_order_conditions(m1):
     tree, coeffs, ric = _setup(m1, 4)
-    ops = probe_operators(tree, coeffs, ric)
-    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
+    ws = workspace(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ws)
+    eta, lam = solve_outer_system(tree, coeffs, ws)[:2]
 
     weights = mean_cost_weights(tree, coeffs)
     eye = np.eye(eta.size)
@@ -183,12 +210,13 @@ def test_outer_system_solves_first_order_conditions(m1):
 def test_outer_system_collapses_without_coupling():
     spec = barred_zero_spec("m1")
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
+    ws = workspace(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ws)[:2]
     assert np.abs(lam).max() <= 1e-12
-    ops = probe_operators(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ws)
     assert np.allclose(eta, ops.p_xi, atol=1e-12)
 
-    final = constrained_solution_at(tree, coeffs, ric, lam, eta)
+    final = constrained_solution_at(tree, coeffs, ws, lam, eta)
     feedback = riccati_control(tree, coeffs, ric)
     for k in range(4):
         assert np.abs(final.u[k] - feedback[k]).max() <= 1e-10
@@ -200,10 +228,10 @@ def test_singular_outer_system_is_a_numerics_error(m1_random, monkeypatch):
     # preconditioner, are zero, and its build refuses it
     tree, coeffs, ric = _setup(m1_random, 3)
     monkeypatch.setattr(multipliers, "linear_response",
-                        lambda tree, coeffs, ric, lam, eta: (eta, 0.0 * eta))
+                        lambda tree, coeffs, ws, lam, eta: (eta, 0.0 * eta))
     monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
     with pytest.raises(NumericsError, match="node-mean problem is singular"):
-        solve_outer_system(tree, coeffs, ric)
+        solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
 
 
 def test_near_singular_outer_preconditioner_is_a_numerics_error(m1_random,
@@ -214,12 +242,12 @@ def test_near_singular_outer_preconditioner_is_a_numerics_error(m1_random,
     # epsilon, and its check refuses it
     tree, coeffs, ric = _setup(m1_random, 3)
     monkeypatch.setattr(multipliers, "linear_response",
-                        lambda tree, coeffs, ric, lam, eta: ((1.0 - 2.0**-52) * eta,
-                                                             0.0 * eta))
+                        lambda tree, coeffs, ws, lam, eta: ((1.0 - 2.0**-52) * eta,
+                                                            0.0 * eta))
     monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
     with pytest.raises(NumericsError,
                        match="node-mean problem is singular.*condition number"):
-        solve_outer_system(tree, coeffs, ric)
+        solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
 
 
 def _refuse(what):
@@ -235,9 +263,9 @@ def test_krylov_route_matches_probed_solve(corpus):
         tree = build_tree(spec.horizon, 5)
         compact = realize(spec, tree)
         for coeffs in (compact, materialised(tree, compact)):
-            ric = solve_riccati(tree, coeffs)
-            got = solve_outer_system(tree, coeffs, ric)
-            eta, lam = probed_solve(tree, coeffs, ric)
+            ws = workspace(tree, coeffs, solve_riccati(tree, coeffs))
+            got = solve_outer_system(tree, coeffs, ws)
+            eta, lam = probed_solve(tree, coeffs, ws)
             assert 2 <= got.columns <= 9, name
             assert np.abs(got.eta - eta).max() <= 1e-10, name
             assert np.abs(got.lam - lam).max() <= 1e-10, name
@@ -255,7 +283,7 @@ def test_route_rule(d2, m1_random):
         for coeffs, varying in ((compact, False), (tiled, True),
                                 (realize(m1_random, tree), True)):
             ric = solve_riccati(tree, coeffs)
-            assert build_workspace(tree, coeffs, ric).one_node == (not varying)
+            assert workspace(tree, coeffs, ric).one_node == (not varying)
 
 
 @pytest.mark.parametrize("name", ["s1", "m1", "d2"])
@@ -273,7 +301,8 @@ def test_mean_path_matches_full_sweeps(corpus, monkeypatch, name, nt):
 
     monkeypatch.setattr(multipliers, "forward_levels",
                         _refuse("the mean path must not sweep the tree"))
-    means, coupling = multipliers.linear_response(tree, coeffs, ric, lam, eta)
+    means, coupling = multipliers.linear_response(tree, coeffs, workspace(tree, coeffs, ric),
+                                                  lam, eta)
     for got, want in ((means, full.means), (coupling, full.coupling)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -286,7 +315,8 @@ def test_full_width_response_matches_full_sweeps(m1_random):
     lam, eta = np.random.default_rng(4).standard_normal((2, d, 20))
     zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
     full = solve_decoupled(tree, zero, ric, lam, eta)
-    means, coupling = multipliers.linear_response(tree, coeffs, ric, lam, eta)
+    means, coupling = multipliers.linear_response(tree, coeffs, workspace(tree, coeffs, ric),
+                                                  lam, eta)
     for got, want in ((means, full.means), (coupling, full.coupling)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -306,7 +336,7 @@ def test_preconditioned_gmres_products_do_not_grow_with_depth(m1_random, nt):
     # node-varying data (the unpreconditioned solve took 31 to 33)
     for name, spec in (("m1_random", m1_random), ("harsh", harsh_random_spec())):
         tree, coeffs, ric = _setup(spec, nt)
-        sol = solve_outer_system(tree, coeffs, ric)
+        sol = solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
         assert sol.columns - 1 <= 8, name
         assert sol.relative_residual <= 1e-12, name
 
@@ -325,7 +355,7 @@ def test_krylov_product_cap_is_a_numerics_error(m1_random, monkeypatch):
     monkeypatch.setattr(multipliers, "_gmres",
                         lambda product, rhs, cap: real(product, rhs, 1))
     with pytest.raises(NumericsError, match=r"after 1 products.*tolerance"):
-        solve_outer_system(tree, coeffs, ric)
+        solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
 
 
 def test_gmres_solves_small_nonsymmetric_systems():
@@ -362,7 +392,8 @@ def test_constrained_solution_meets_certificate(m1, d2):
                              terminal=WALK_TERMINAL)
     for spec, nt, rank in ((m1, 4, 12), (d2, 4, 20), (no_control, 3, 3)):
         tree, coeffs, ric = _setup(spec, nt)
-        ops = probe_operators(tree, coeffs, ric)
+        ws = workspace(tree, coeffs, ric)
+        ops = probe_operators(tree, coeffs, ws)
         assert np.linalg.matrix_rank(ops.L) == rank
         rng = np.random.default_rng(5)
         d = eta_dimension(tree, coeffs)
@@ -372,21 +403,22 @@ def test_constrained_solution_meets_certificate(m1, d2):
             # random multiplier, eta = (I - P_eta)^{-1} (p_xi + L lam)
             lam = rng.standard_normal(d)
             eta = np.linalg.solve(eye - ops.P_eta, ops.p_xi + ops.L @ lam)
-            sol = solve_constrained_problem(tree, coeffs, ric, eta)
+            sol = solve_constrained_problem(tree, coeffs, ws, ops, eta)
             assert np.abs(sol.constraint_residual).max() <= 1e-8
 
 
 def test_inconsistent_multiplier_pair_rejected():
     spec = barred_zero_spec("m1")
     tree, coeffs, ric = _setup(spec, 3)
-    ops = probe_operators(tree, coeffs, ric)
+    ws = workspace(tree, coeffs, ric)
+    ops = probe_operators(tree, coeffs, ws)
     bad_eta = ops.p_xi + 1.0  # not the means the zero multiplier produces
     with pytest.raises(InfeasibleEtaError):
-        constrained_solution_at(tree, coeffs, ric, np.zeros(bad_eta.size),
+        constrained_solution_at(tree, coeffs, ws, np.zeros(bad_eta.size),
                                 bad_eta)
     # a NaN multiplier makes a NaN control, which fails the reconstruction guard
     with pytest.raises(NumericsError, match="reconstruction defect nan"):
-        constrained_solution_at(tree, coeffs, ric, np.full(bad_eta.size, math.nan),
+        constrained_solution_at(tree, coeffs, ws, np.full(bad_eta.size, math.nan),
                                 ops.p_xi)
 
 
@@ -402,7 +434,7 @@ def test_nan_means_fail_the_certificate(monkeypatch):
     monkeypatch.setattr(multipliers, "_response", nan_means)
     zero = np.zeros(eta_dimension(tree, coeffs))
     with pytest.raises(InfeasibleEtaError, match="by nan"):
-        constrained_solution_at(tree, coeffs, ric, zero, zero)
+        constrained_solution_at(tree, coeffs, workspace(tree, coeffs, ric), zero, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +445,9 @@ def test_decoupling_residual_decays(m1):
     values = []
     for nt in (4, 8):
         tree, coeffs, ric = _setup(m1, nt)
-        eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
-        sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
+        ws = workspace(tree, coeffs, ric)
+        eta, lam = solve_outer_system(tree, coeffs, ws)[:2]
+        sol = constrained_solution_at(tree, coeffs, ws, lam, eta)
         res = decoupling_residual(tree, coeffs, ric, sol)
         assert res["combined"] > 0.0
         assert res["combined"] >= max(res["y_recursion"], res["z_defect"]) / 2
@@ -425,8 +458,9 @@ def test_decoupling_residual_decays(m1):
 def test_picard_alternation_agrees_on_short_horizon(m1):
     spec = dataclasses.replace(m1, horizon=0.25)
     tree, coeffs, ric = _setup(spec, 4)
-    eta, lam = solve_outer_system(tree, coeffs, ric)[:2]
-    sol = constrained_solution_at(tree, coeffs, ric, lam, eta)
+    ws = workspace(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ws)[:2]
+    sol = constrained_solution_at(tree, coeffs, ws, lam, eta)
     report = picard_cross_check(tree, coeffs, ric, sol)
     assert report["converged"]
     assert report["y_diff"] <= 10 * tree.dt

@@ -13,7 +13,7 @@ from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
 from conftest import (barred_zero_spec, count_calls, perturb_coupling_response,
-                      scalar_spec, tile_realize)
+                      scalar_spec, tile_realize, workspace)
 
 
 def _setup(spec, nt):
@@ -34,12 +34,24 @@ def _quad_value(quad, eta):
 def test_quadratic_equals_true_cost(m1):
     tree, coeffs, ric = _setup(m1, 4)
     quad = assemble_outer_quadratic(tree, coeffs, ric)
+    ws = workspace(tree, coeffs, ric)
+    ops = multipliers.probe_operators(tree, coeffs, ws)
     rng = np.random.default_rng(29)
     for _ in range(3):
         eta = rng.standard_normal(eta_dimension(tree, coeffs))
-        sol = solve_constrained_problem(tree, coeffs, ric, eta)
+        sol = solve_constrained_problem(tree, coeffs, ws, ops, eta)
         true_cost = evaluate_cost(tree, coeffs, sol.u)
         assert abs(_quad_value(quad, eta) - true_cost) <= 1e-9 * (1 + abs(true_cost))
+
+
+def test_quadratic_probes_once(m1_random, monkeypatch):
+    # every column block of the eta family reuses one probe of the maps
+    probes = (count_calls(monkeypatch, outer, "probe_operators"),
+              count_calls(monkeypatch, multipliers, "probe_operators"))
+    tree, coeffs, ric = _setup(m1_random, 6)
+    assemble_outer_quadratic(tree, coeffs, ric)
+    assert eta_dimension(tree, coeffs) > 16   # more than one column block
+    assert sum(map(len, probes)) == 1
 
 
 def test_quadratic_is_positive_semidefinite(corpus):
@@ -133,6 +145,7 @@ def test_pipeline_timings_cover_stages(m1):
                   "final_solve", "cost", "stationarity"):
         assert stage in stages and stages[stage] >= 0.0
     assert "outer_quadratic" not in stages and "probe_operators" not in stages
+    assert stages["peak_rss_mb"] > 0.0
 
 
 def _refuse(what):
@@ -144,14 +157,14 @@ def _refuse(what):
 def test_pipeline_probes_once(corpus, monkeypatch):
     # the node-mean system is probed once, by 2d columns in one call, and
     # the base sweep runs once: then one single-column call per GMRES
-    # product, and nothing else.  A missed memo or a preconditioner rebuilt
-    # per product would add calls
+    # product, and nothing else.  A preconditioner rebuilt per product
+    # would add calls
     widths = []
     real = multipliers.linear_response
 
-    def counted(tree, coeffs, ric, lam, eta):
+    def counted(tree, coeffs, ws, lam, eta):
         widths.append(lam.shape[1])
-        return real(tree, coeffs, ric, lam, eta)
+        return real(tree, coeffs, ws, lam, eta)
 
     monkeypatch.setattr(multipliers, "linear_response", counted)
     base = count_calls(monkeypatch, multipliers, "_xi_response")
@@ -183,7 +196,7 @@ def test_krylov_pipeline_never_probes(corpus):
     # level and one column per GMRES product, then the final solve.  The
     # base and final sweeps always sweep the tree and keep no field but the
     # final control; a product sweeps the tree only on node-varying data,
-    # and a missed memo would re-run the base sweep inside the outer solve
+    # and a second base sweep inside the outer solve would add one
     for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
                             ("m1_random", 5, False), ("d2", 5, True)):
         with pytest.MonkeyPatch.context() as monkeypatch:
