@@ -137,6 +137,7 @@ class PipelineResult:
         steps = implicit_steps(self.tree, self.coeffs)
         return {
             "newton_iterations": self.riccati.newton_iterations,
+            "newton_iterations_per_level": self.riccati.newton_iterations_per_level,
             "riccati_nodes": self.riccati.newton_nodes,
             "min_I_plus_SR_sv": self.min_conditioner_sv,
             "min_I_plus_dt_SigmaQ_minus_A_sv": self.min_phi_step_sv,

@@ -12,13 +12,16 @@ with Sigma at the final level identically zero and
 
 where H = (I + Sigma R)^{-1} and G1 = R H (= (R^{-1} + Sigma)^{-1}, symmetric).
 S maps symmetric (Sigma, Phi) to a symmetric matrix, so the per-node root
-find F(Sigma) = Sigma - E_k[Sigma_{k+1}] + dt S(Sigma, Phi) = 0 is run as a
-damped Newton iteration in the upper-triangle coordinates of Sigma.  The
-directional derivative of S has the compact form
+find F(Sigma) = Sigma - E_k[Sigma_{k+1}] + dt S(Sigma, Phi) = 0 is a damped
+Newton iteration in the upper-triangle coordinates of Sigma.  With
 
-    dS(D) = -(A D + D A') + D Q Sigma + Sigma Q D - V D V',   V = Phi G1 - C H,
+    dS(D) = P D + D P' - V D V',   P = Sigma Q - A,   V = Phi G1 - C H,
 
-which is what the Newton matrix is assembled from.  Nodes whose initial
+the Newton matrix on the row-major vec of D is I + dt (P(x)I + I(x)P - V(x)V),
+formed per node in this closed form and restricted to the upper triangle by
+the constant duplication matrix (Magnus and Neudecker, Matrix Differential
+Calculus, ch. 3).  In all n^2 coordinates its antisymmetric block can be
+singular where the symmetric one is not.  Nodes whose initial
 residual already meets the tolerance are left untouched (so degenerate
 problems reproduce the conditional expectation bit for bit), and the step
 length is halved per node until the residual decreases.  Every inverse of
@@ -30,10 +33,10 @@ singular value on the accepted iterates is the reported
 
 For a scalar state (n = 1, so one Newton coordinate) and a scalar control
 the per-node algebra is broadcast arithmetic: I + Sigma R is inverted by
-division, with the exact singular value |x|, the Newton step is a
-division, and a zero or non-finite Newton matrix raises the same
-RiccatiError as a singular LAPACK solve.  Wider stacks run LAPACK and
-matmul.
+division, with the exact singular value |x|, every Kronecker product is a
+multiply, the Newton step is a division, and a zero or non-finite Newton
+matrix raises the same RiccatiError as a singular LAPACK solve.  Wider
+stacks run LAPACK and matmul.
 
 The recursion starts from a terminal Sigma stored as one node (the tree's
 length-1 convention), and each level's Newton arrays take the broadcast
@@ -67,18 +70,17 @@ class RiccatiSolution:
     min_sigma_eig: float        # most negative eigenvalue of any Sigma node
     min_conditioner_sv: float   # min singular value of I + Sigma R over nodes
     newton_iterations: int      # worst per-level Newton iteration count
+    newton_iterations_per_level: list   # levels 0..n_steps - 1
     newton_nodes: int           # nodes the Newton iteration ran on, all levels
 
 
-def _sym_basis(n: int) -> list:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-    return basis
+def _kron(a, b):
+    """Per-node Kronecker products of (nodes, n, n) stacks as (nodes, n*n, n*n).
+    The result owns its memory, so numpy reuses it for the sums it enters."""
+    n = a.shape[-1]
+    out = np.empty((max(len(a), len(b)), n * n, n * n))
+    np.multiply(a[:, :, None, :, None], b[:, None, :, None, :], out=out.reshape(-1, n, n, n, n))
+    return out
 
 
 def _drift(A, Q, BNB, C, sigma, phi, H, G1):
@@ -103,9 +105,10 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     iterations, and StepSizeError where N or I + Sigma R is singular."""
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
-    basis = _sym_basis(n)
-    iu = np.triu_indices(n)
-    d = len(basis)
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols                 # row-major flat indices of the unknowns
+    dup = np.eye(n * n)[:, upper]           # vec(D) = dup @ D.flat[upper], D symmetric
+    dup[cols * n + rows, range(len(upper))] = 1.0
     n_inv = control_weight_inverses(coeffs)   # refuses a singular N up front
 
     sigma: list = [None] * (n_steps + 1)
@@ -114,7 +117,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
 
     min_eig = np.inf
     min_sv = np.inf
-    worst_iters = 0
+    level_iters = [0] * n_steps
     nodes = 0
     for k in range(n_steps - 1, -1, -1):
         A, Q, C, R = coeffs.A[k], coeffs.Q[k], coeffs.C[k], coeffs.R[k]
@@ -147,22 +150,17 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                     f"(worst residual {res_norm[j]:.3e} at node {j})"
                 )
             iters += 1
+            P = _mul(sig, Q) - A
             V = _mul(phik, G1) - _mul(C, H)
-            QS = _mul(Q, sig)
-            jac = np.empty((sig.shape[0], d, d))
-            for b, eb in enumerate(basis):
-                ds = (-(_mul(A, eb) + _mul(eb, _t(A))) + _mul(eb, QS)
-                      + _mul(sig, _mul(Q, eb)) - _mul(_mul(V, eb), _t(V)))
-                jac[:, :, b] = (eb[None] + dt * ds)[:, iu[0], iu[1]]
+            jac = np.eye(n * n) + dt * (_kron(P, eye[None]) + _kron(eye[None], P) - _kron(V, V))
             try:
-                step_vec = _solve(jac, -res[:, iu[0], iu[1], None])[:, :, 0]
+                coords = _solve(_mul(jac[:, upper], dup),
+                                -res.reshape(len(res), -1)[:, upper, None])
             except np.linalg.LinAlgError as exc:
                 raise RiccatiError(
                     f"singular Newton matrix at level {k}: {exc}"
                 ) from exc
-            step = np.zeros_like(sig)
-            step[:, iu[0], iu[1]] = step_vec
-            step[:, iu[1], iu[0]] = step_vec
+            step = (coords[:, :, 0] @ dup.T).reshape(sig.shape)
 
             alpha = np.where(active, 1.0, 0.0)
             pending = active.copy()
@@ -187,8 +185,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
             tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
             active = res_norm > tol_vec
 
-        sigma[k], phi[k] = sig, phik
-        worst_iters = max(worst_iters, iters)
+        sigma[k], phi[k], level_iters[k] = sig, phik, iters
         min_eig = min(min_eig, float(_lowest_eig(sig).min()))
         min_sv = min(min_sv, cond_sv)
 
@@ -197,6 +194,6 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         defect = max(defect, float(np.abs(mats - _t(mats)).max()))
     return RiccatiSolution(
         sigma=sigma, phi=phi, symmetry_defect=defect,
-        min_sigma_eig=min_eig, min_conditioner_sv=min_sv,
-        newton_iterations=worst_iters, newton_nodes=nodes,
+        min_sigma_eig=min_eig, min_conditioner_sv=min_sv, newton_nodes=nodes,
+        newton_iterations=max(level_iters), newton_iterations_per_level=level_iters,
     )

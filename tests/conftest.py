@@ -97,6 +97,22 @@ def singular_mean_doc() -> dict:
     return doc
 
 
+def vector_control_doc() -> dict:
+    """d2 with a two-dimensional control and node-varying A and N, so every
+    KKT pivot block of the sparse route is 2 x 2 and differs per node, and
+    the Riccati pair varies over the nodes of a 2 x 2 state."""
+    doc = json.loads(corpus_path("d2").read_text())
+    doc["m"] = 2
+    doc["dynamics"]["A"] = {"form": "affine_tanh_W", "m0": [[0.1, 0.05], [0.0, 0.15]],
+                            "m1": [[0.1, 0.0], [0.05, -0.1]]}
+    doc["dynamics"]["B"] = {"form": "constant", "value": [[1.0, 0.2], [0.5, -0.3]]}
+    doc["dynamics"]["B_bar"] = {"form": "constant", "value": [[0.2, 0.0], [0.0, 0.1]]}
+    doc["cost"]["N"] = {"form": "tanh_poly_W", "coeffs": [
+        [[1.0, 0.1], [0.1, 0.8]], [[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.0], [0.0, 0.25]]]}
+    doc["cost"]["N_bar"] = {"form": "constant", "value": [[0.5, 0.0], [0.0, 0.5]]}
+    return doc
+
+
 def barred_zero_spec(name: str = "m1"):
     """A corpus spec with every mean-coupling coefficient replaced by zero."""
     raw = json.loads(corpus_path(name).read_text())

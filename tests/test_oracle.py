@@ -29,8 +29,8 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
 from mfbslq.outer import run_pipeline
-from conftest import (corpus_path, count_calls, materialised, scalar_spec,
-                      singular_mean_doc, singular_step_doc)
+from conftest import (count_calls, materialised, scalar_spec, singular_mean_doc,
+                      singular_step_doc, vector_control_doc)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -111,23 +111,8 @@ def test_dense_and_sparse_routes_agree(corpus):
         assert dense.certified and sparse.certified
 
 
-def _vector_control_doc():
-    """d2 with a two-dimensional control and node-varying A and N, so every
-    KKT pivot block of the sparse route is 2 x 2 and differs per node."""
-    doc = json.loads(corpus_path("d2").read_text())
-    doc["m"] = 2
-    doc["dynamics"]["A"] = {"form": "affine_tanh_W", "m0": [[0.1, 0.05], [0.0, 0.15]],
-                            "m1": [[0.1, 0.0], [0.05, -0.1]]}
-    doc["dynamics"]["B"] = {"form": "constant", "value": [[1.0, 0.2], [0.5, -0.3]]}
-    doc["dynamics"]["B_bar"] = {"form": "constant", "value": [[0.2, 0.0], [0.0, 0.1]]}
-    doc["cost"]["N"] = {"form": "tanh_poly_W", "coeffs": [
-        [[1.0, 0.1], [0.1, 0.8]], [[0.0, 0.0], [0.0, 0.0]], [[0.25, 0.0], [0.0, 0.25]]]}
-    doc["cost"]["N_bar"] = {"form": "constant", "value": [[0.5, 0.0], [0.0, 0.5]]}
-    return doc
-
-
 def test_vector_state_and_control_routes_agree():
-    spec = load_spec(json.dumps(_vector_control_doc()))
+    spec = load_spec(json.dumps(vector_control_doc()))
     tree, compact = _setup(spec, 6)
     assert validate_h1_h2(compact, spec.delta).ok
     assert compact.A[5].shape == (32, 2, 2) and compact.N[5].shape == (32, 2, 2)

@@ -83,13 +83,15 @@ def test_pipeline_report_contract(m1):
     assert report["oracle"]["method"] == "sparse"
     assert report["oracle"]["gradient_norm"] == res.oracle.gradient_norm
     diag = report["diagnostics"]
-    assert set(diag) == {"newton_iterations", "riccati_nodes",
+    assert set(diag) == {"newton_iterations", "newton_iterations_per_level", "riccati_nodes",
                          "min_I_plus_SR_sv",
                          "min_I_plus_dt_SigmaQ_minus_A_sv", "min_I_minus_dt_A_sv",
                          "min_mean_closing_sv", "outer_columns",
                          "outer_relative_residual", "min_outer_preconditioner_sv"}
     assert diag["min_outer_preconditioner_sv"] == res.outer.min_preconditioner_sv > 0.0
     assert diag["newton_iterations"] == res.riccati.newton_iterations
+    assert len(diag["newton_iterations_per_level"]) == res.tree.n_steps
+    assert max(diag["newton_iterations_per_level"]) == diag["newton_iterations"]
     assert diag["riccati_nodes"] == res.riccati.newton_nodes == 4   # one per level
     assert diag["outer_columns"] == 2   # node-constant: the base and one product
     assert 0.0 <= diag["outer_relative_residual"] <= 1e-12

@@ -14,7 +14,8 @@ import pytest
 
 from mfbslq import (RiccatiError, StepSizeError, build_tree, load_spec, realize,
                     riccati, solve_riccati)
-from conftest import scalar_spec, scalar_spec_doc
+from mfbslq.bsde import control_weight_inverses
+from conftest import scalar_spec, scalar_spec_doc, vector_control_doc
 
 
 def test_linear_growth_exact():
@@ -161,6 +162,62 @@ def test_singular_newton_matrix_raises_riccati_error():
     with np.errstate(invalid="ignore"), pytest.raises(
             RiccatiError, match=r"^Riccati residual is not finite at level 2, node 0$"):
         solve_riccati(tree, dataclasses.replace(coeffs, A=A))
+
+
+def test_singular_newton_matrix_on_a_vector_state():
+    # n = m = 2 with Q = C = 0, B = N = R = I and deterministic data, so
+    # Phi = V = 0 and the Newton matrix is I - dt (A(x)I + I(x)A), diagonal
+    # for a diagonal A: A = diag(2, 0) on level 2 (dt = 1/4) makes its
+    # Sigma_11 entry 1 - 2 dt 2 exactly zero, and LAPACK refuses it
+    tree = build_tree(1.0, 4)
+    zero, eye = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
+    doc = scalar_spec_doc()
+    doc.update(n=2, m=2, terminal={"form": "affine_in_WT", "g0": [0.0, 0.0],
+                                   "g1": [0.0, 0.0]})
+    for block in (doc["dynamics"], doc["cost"]):
+        for entry in block.values():
+            if isinstance(entry, dict):   # the scalar doc's constant 0 or 1
+                entry["value"] = eye if entry["value"] else zero
+    doc["cost"]["G"] = zero
+    doc["dynamics"]["A"] = {"form": "time_table",
+                            "values": [zero, zero, [[2.0, 0.0], [0.0, 0.0]], zero]}
+    coeffs = realize(load_spec(json.dumps(doc)), tree)
+    with pytest.raises(RiccatiError,
+                       match=r"^singular Newton matrix at level 2: Singular matrix$"):
+        solve_riccati(tree, coeffs)
+
+
+def test_vector_pair_meets_the_newton_tolerance_on_every_node():
+    # n = m = 2 with node-varying A and N: every level's Sigma solves its
+    # implicit step to the Newton tolerance on every node, and the step,
+    # taken in the upper-triangle coordinates, keeps Sigma exactly symmetric
+    spec = load_spec(json.dumps(vector_control_doc()))
+    tree = build_tree(spec.horizon, 6)
+    coeffs = realize(spec, tree)
+    ric = solve_riccati(tree, coeffs)
+    assert ric.symmetry_defect == 0.0
+    n_inv = control_weight_inverses(coeffs)
+    for k in range(6):
+        sig, B = ric.sigma[k], coeffs.B[k]
+        assert sig.shape == (tree.n_nodes(k), 2, 2)
+        BNB = B @ (n_inv[k] @ B.swapaxes(-1, -2))
+        H, G1, _ = riccati._conditioners(sig, coeffs.R[k], np.eye(2), k)
+        drift = riccati._drift(coeffs.A[k], coeffs.Q[k], BNB, coeffs.C[k], sig,
+                               ric.phi[k], H, G1)
+        res = sig - tree.cond_expect(ric.sigma[k + 1]) + tree.dt * drift
+        tol = riccati._NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
+        assert (np.linalg.norm(res, axis=(1, 2)) <= tol).all(), k
+
+
+@pytest.mark.parametrize("nt", (4, 6, 8, 13))
+def test_newton_converges_quadratically(corpus, nt):
+    # the exact Newton matrix, started at E_k[Sigma_{k+1}], needs at most four
+    # iterations on every level (one that drops the -V(x)V term takes 4-6)
+    specs = {name: corpus[name] for name in ("d2", "m1", "m1_random")}
+    specs["vector"] = load_spec(json.dumps(vector_control_doc()))
+    for name, spec in specs.items():
+        tree = build_tree(spec.horizon, nt)
+        assert solve_riccati(tree, realize(spec, tree)).newton_iterations <= 4, name
 
 
 def test_nan_residual_raises_riccati_error(m1):
