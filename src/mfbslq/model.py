@@ -100,15 +100,21 @@ class CoefficientSet:
     N_bar: list
     G: np.ndarray
     xi: np.ndarray
-    # matrices derived from the coefficients (the implicit BSDE step);
-    # never part of equality, and a replaced copy starts with an empty one
+    # matrices derived from the coefficients (the implicit BSDE step, the
+    # mean cost weights); never part of equality, and a replaced copy starts
+    # with an empty one
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def mean_weights(self, k: int) -> tuple:
-        """Level-k weights of the mean cost terms: E[Q_bar], E[R_bar], E[N_bar]."""
-        return (self.Q_bar[k].mean(axis=0), self.R_bar[k].mean(axis=0),
-                self.N_bar[k].mean(axis=0))
+        """Level-k weights of the mean cost terms: E[Q_bar], E[R_bar], E[N_bar].
+        Computed for every level at the first call and cached on the set."""
+        cached = self._cache.get("mean_weights")
+        if cached is None:
+            cached = self._cache["mean_weights"] = [
+                (qb.mean(axis=0), rb.mean(axis=0), nb.mean(axis=0))
+                for qb, rb, nb in zip(self.Q_bar, self.R_bar, self.N_bar)]
+        return cached[k]
 
     def node_means(self) -> CoefficientSet:
         """The coefficients with every level replaced by its node mean, kept
@@ -436,20 +442,48 @@ _SYMMETRY_TOL = 1e-12
 _PSD_TOL = -1e-12
 
 
+def _level_blocks(levels: list):
+    """Yield (first level, stacked matrices, number of levels): each run of
+    consecutive one-node levels stacked into one array, one row per level,
+    and each wider level on its own, so no block is wider than a level."""
+    start = 0
+    while start < len(levels):
+        stop = start + 1
+        if len(levels[start]) == 1:
+            while stop < len(levels) and len(levels[stop]) == 1:
+                stop += 1
+        block = levels[start] if stop == start + 1 else np.concatenate(levels[start:stop])
+        yield start, block, stop - start
+        start = stop
+
+
+def _first_largest(values: np.ndarray, first: int, count: int) -> tuple:
+    """The largest of one block's per-matrix values and its (level, node),
+    the first one on ties.  A level with a NaN value is passed over, as a
+    NaN compares false."""
+    table = values.reshape(count, -1)
+    table = np.where(np.isnan(table).any(axis=1, keepdims=True), -np.inf, table)
+    row, node = divmod(int(np.argmax(table)), table.shape[1])
+    return float(table[row, node]), (first + row, node)
+
+
 def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
     """Symmetry / semidefiniteness / eigenvalue-floor checks for one weight process."""
     checks = []
     sym_defect, sym_worst = 0.0, None
-    min_eig, eig_worst = np.inf, None
-    for k, mats in enumerate(levels):
-        defect = np.abs(mats - np.swapaxes(mats, -1, -2)).max(axis=(1, 2))
-        j = int(np.argmax(defect))
-        if defect[j] > sym_defect:
-            sym_defect, sym_worst = float(defect[j]), (k, j)
-        lows = _lowest_eig(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        j = int(np.argmin(lows))
-        if lows[j] < min_eig:
-            min_eig, eig_worst = float(lows[j]), (k, j)
+    # the lowest eigenvalue is found as the largest negated one
+    neg_min_eig, eig_worst = -np.inf, None
+    for first, mats, count in _level_blocks(levels):
+        transposed = np.swapaxes(mats, -1, -2)
+        defect, where = _first_largest(np.abs(mats - transposed).max(axis=(1, 2)),
+                                       first, count)
+        if defect > sym_defect:
+            sym_defect, sym_worst = defect, where
+        neg_low, where = _first_largest(-_lowest_eig(0.5 * (mats + transposed)),
+                                        first, count)
+        if neg_low > neg_min_eig:
+            neg_min_eig, eig_worst = neg_low, where
+    min_eig = -neg_min_eig
     checks.append(CheckResult(
         f"{name} symmetric", sym_defect <= _SYMMETRY_TOL,
         margin=_SYMMETRY_TOL - sym_defect, worst_node=sym_worst,
@@ -477,10 +511,12 @@ def validate_h1_h2(coeffs: CoefficientSet, delta: float) -> ValidationReport:
     max_abs = 0.0
     all_finite = True
     for name in list(_DYNAMICS_SHAPES) + list(_COST_SHAPES):
-        for mats in getattr(coeffs, name):
-            if not np.all(np.isfinite(mats)):
-                all_finite = False
-            max_abs = max(max_abs, float(np.abs(mats).max()))
+        for _, mats, count in _level_blocks(getattr(coeffs, name)):
+            # per level: NaN if it has a NaN entry, else inf if it has an
+            # infinite one; a NaN level is left out of the maximum
+            peaks = np.abs(mats).reshape(count, -1).max(axis=1)
+            all_finite = all_finite and bool(np.isfinite(peaks).all())
+            max_abs = float(np.fmax.reduce(peaks, initial=max_abs))
     all_finite = all_finite and bool(np.all(np.isfinite(coeffs.G)))
     all_finite = all_finite and bool(np.all(np.isfinite(coeffs.xi)))
     checks.append(CheckResult(

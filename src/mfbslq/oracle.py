@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, checked_dense_sv, checked_inverse,
@@ -303,6 +302,10 @@ def _reduced_hessian(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
 
 
 def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
+    # imported here, not at module level: SciPy takes longer to import than
+    # a shallow solve takes to run, and no other route needs it
+    import scipy.linalg
+
     hess = _reduced_hessian(tree, coeffs)
     lin = 0.5 * stack_controls(
         cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))

@@ -254,19 +254,40 @@ def test_validate_parse_error(tmp_path):
     assert main(["validate", "--spec", str(path)]) == 1
 
 
+def _run_python(*args):
+    """A fresh interpreter that imports the package from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 def test_validate_malformed_structure_is_an_error_line(tmp_path):
     # run as a process, so an escaping exception would show as a traceback
     doc = scalar_spec_doc()
     doc["dynamics"] = 5
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mfbslq.cli", "validate", "--spec",
-         _write_spec(tmp_path, doc)], capture_output=True, text=True, env=env)
+    proc = _run_python("-m", "mfbslq.cli", "validate", "--spec",
+                       _write_spec(tmp_path, doc))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: dynamics must be an object")
     assert "Traceback" not in proc.stderr
+
+
+def test_certified_pipeline_and_validate_load_no_scipy():
+    # SciPy is imported only by the dense cross-check route; a fresh process
+    # that solves, certifies and validates must not pay for importing it
+    proc = _run_python("-c", f"""
+import sys
+import mfbslq
+import mfbslq.cli
+spec = mfbslq.load_spec_file({M1_RANDOM!r})
+mfbslq.run_pipeline(spec, 4, with_oracle=True).report()
+assert mfbslq.cli.main(["validate", "--spec", {M1_RANDOM!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -288,24 +288,55 @@ def test_asymmetric_weight_detected():
     assert not report.ok and "Q" in report.summary()
 
 
-def test_indefinite_state_weight_reports_eigenvalue():
+def _two_state_doc(Q) -> dict:
     doc = _doc()
     doc["n"] = 2
     for key in ("A", "A_bar", "C", "C_bar"):
         doc["dynamics"][key] = constant([[0.0, 0.0], [0.0, 0.0]])
     doc["dynamics"]["B"] = constant([[1.0], [0.0]])
     doc["dynamics"]["B_bar"] = constant([[0.0], [0.0]])
-    doc["cost"]["Q"] = constant([[1.0, 2.0], [2.0, 1.0]])
+    doc["cost"]["Q"] = Q
     for key in ("Q_bar", "R_bar"):
         doc["cost"][key] = constant([[0.0, 0.0], [0.0, 0.0]])
     doc["cost"]["R"] = constant([[1.0, 0.0], [0.0, 1.0]])
     doc["cost"]["G"] = [[0.0, 0.0], [0.0, 0.0]]
     doc["terminal"] = {"form": "affine_in_WT", "g0": [0.0, 0.0], "g1": [0.0, 0.0]}
+    return doc
 
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_indefinite_state_weight_reports_eigenvalue():
+    doc = _two_state_doc(constant([[1.0, 2.0], [2.0, 1.0]]))
     report = _report(load_spec(json.dumps(doc)))
     assert not report.ok
     text = report.summary()
     assert "Q" in text and "-1" in text
+
+
+def test_failed_check_names_the_level_of_a_time_table():
+    # eigenvalues -1 and 3 on level 3 of 5, the identity elsewhere
+    tables = [[[1.0, 0.0], [0.0, 1.0]]] * 5
+    tables[3] = [[1.0, 2.0], [2.0, 1.0]]
+    doc = _two_state_doc({"form": "time_table", "values": tables})
+    check = _check(_report(load_spec(json.dumps(doc)), nt=5), "Q positive semidefinite")
+    assert not check.passed
+    assert check.worst_node == (3, 0)
+    assert check.margin == pytest.approx(-1.0)
+
+
+def test_failed_check_names_the_node_of_a_node_table():
+    # N = 0.1 < delta = 0.5 on node 3 of level 2 only
+    levels = [[1.0] * 2 ** k for k in range(4)]
+    levels[2][3] = 0.1
+    doc = _doc()
+    doc["cost"]["N"] = {"form": "node_table", "values": levels}
+    check = _check(_report(load_spec(json.dumps(doc))), "N >= delta*I")
+    assert not check.passed
+    assert check.worst_node == (2, 3)
+    assert check.margin == pytest.approx(0.1 - 0.5)
 
 
 def test_nonfinite_coefficient_detected():
