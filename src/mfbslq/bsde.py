@@ -128,10 +128,9 @@ def control_weight_inverses(coeffs: CoefficientSet) -> tuple:
     return cached
 
 
-def forward_levels(tree: ScenarioTree, initial: np.ndarray, drift, diffusion):
-    """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree,
-    yielding levels 0..n_steps one at a time; a level is computed only when
-    the next one is asked for.
+def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
+    """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree
+    and return the list of levels 0..n_steps.
 
     ``initial`` has shape (dim,) or (dim, c).  ``drift(k, x)`` and
     ``diffusion(k, x)`` receive the level index and the level-k values of
@@ -141,20 +140,15 @@ def forward_levels(tree: ScenarioTree, initial: np.ndarray, drift, diffusion):
     integrate dX = +b ds + s dW, pass callbacks returning -b and -s.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float))[None]
+    levels = [x]
     for k in range(tree.n_steps):
-        yield x
         step = x - tree.dt * drift(k, x)
         shock = tree.sqrt_dt * diffusion(k, x)
-        nxt = np.empty((2 * len(x),) + x.shape[1:])
-        np.subtract(step, shock, out=nxt[0::2])   # up child, dW = +sqrt(dt)
-        np.add(step, shock, out=nxt[1::2])        # down child, dW = -sqrt(dt)
-        x = nxt
-    yield x
-
-
-def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
-    """The list of levels 0..n_steps of :func:`forward_levels`."""
-    return list(forward_levels(tree, initial, drift, diffusion))
+        x = np.empty((2 * len(x),) + x.shape[1:])
+        np.subtract(step, shock, out=x[0::2])   # up child, dW = +sqrt(dt)
+        np.add(step, shock, out=x[1::2])        # down child, dW = -sqrt(dt)
+        levels.append(x)
+    return levels
 
 
 @dataclass

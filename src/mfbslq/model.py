@@ -474,13 +474,20 @@ def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
     # the lowest eigenvalue is found as the largest negated one
     neg_min_eig, eig_worst = -np.inf, None
     for first, mats, count in _level_blocks(levels):
+        # a matrix with a NaN or infinite entry (H1 reports it) is read as
+        # all NaN, so its level is passed over and never reaches eigvalsh
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            mats = np.where(finite[:, None, None], mats, np.nan)
         transposed = np.swapaxes(mats, -1, -2)
         defect, where = _first_largest(np.abs(mats - transposed).max(axis=(1, 2)),
                                        first, count)
         if defect > sym_defect:
             sym_defect, sym_worst = defect, where
-        neg_low, where = _first_largest(-_lowest_eig(0.5 * (mats + transposed)),
-                                        first, count)
+        sym = 0.5 * (mats + transposed)
+        lowest = np.full(len(mats), np.nan)
+        lowest[finite] = _lowest_eig(sym if finite.all() else sym[finite])
+        neg_low, where = _first_largest(-lowest, first, count)
         if neg_low > neg_min_eig:
             neg_min_eig, eig_worst = neg_low, where
     min_eig = -neg_min_eig

@@ -7,24 +7,28 @@ deterministic per-level multipliers lam = (lam1, lam2, lam3).  Given
 
   * an auxiliary backward equation for (phi, vtheta):
         d phi = E ds + vtheta dW,   phi(T) = -xi,
-        E = (Sigma Q - A) phi + (Phi R - C) H vtheta
-            - Sigma lam1 - B N^{-1} lam3 - (Phi + C S) H' lam2
-            + A_bar alpha + B_bar gamma + C_bar beta,
-  * a forward equation for the adjoint x:
-        dx = [(A' - Q Sigma) x + Q phi - lam1] ds
-           + [(C' - G1 (Phi + S C')) x + G1 (S lam2 + vtheta) - lam2] dW,
+  * the adjoint of the maximum principle, a forward equation
+        dx = (A' x - Q y - lam1) ds + (C' x - R z - lam2) dW,
         x(0) = (I + G Sigma(0))^{-1} G phi(0),
-  * and the reconstruction
+  * and the reconstruction of (u, y, z) from x, which the adjoint reads
         u = N^{-1} (B' x - lam3),
         y = Sigma x - phi,
-        z = H ((Phi + S C') x - S lam2 - vtheta),
+        z = zx x - H (S lam2 + vtheta),   zx = H (Phi + S C'),
 
-with H = (I + S R)^{-1} and G1 = R H.  Drift-side occurrences use the
-level value Sigma = Sigma_k; the martingale-side algebra uses the centered
-value S = (Sigma_k + E_k[Sigma_{k+1}]) / 2, because the exact discrete
-martingale elimination conditions on the *next* level (one-sided Sigma_k
-doubles the consistency constant, one-sided Sigma_{k+1} collapses the
-scheme onto the discrete optimizer and hides genuine time-step error).
+with H = (I + S R)^{-1}.  Each sweep steps x one level at a time from the
+(y, z) reconstructed on that level.  The source E takes its multiplier
+terms through the transposed reconstruction maps (Sigma, Phi and S are
+symmetric) and its target terms through the coupling maps:
+        E = (Sigma Q - A) phi + (Phi R - C) H vtheta
+            - Sigma lam1 - zx' lam2 - (N^{-1} B')' lam3
+            + A_bar alpha + C_bar beta + B_bar gamma.
+
+Drift-side occurrences use the level value Sigma = Sigma_k; the
+martingale-side algebra uses the centered value S = (Sigma_k +
+E_k[Sigma_{k+1}]) / 2, because the exact discrete martingale elimination
+conditions on the *next* level (one-sided Sigma_k doubles the consistency
+constant, one-sided Sigma_{k+1} collapses the scheme onto the discrete
+optimizer and hides genuine time-step error).
 These formulas read one per-level workspace, `build_workspace` of (Sigma,
 Phi); the caller builds it once and passes it to every stage below.
 
@@ -36,17 +40,18 @@ When every array that part reads has one node per level (noise-independent
 coefficients, the tree's length-1 convention) the level means follow their
 own deterministic recursion, the mean half of the centred/mean split of
 mean-field LQ problems (Yong, SIAM J. Control Optim. 51(4), 2013): phi has
-one node per level, vtheta is zero, the adjoint's mean obeys
+one node per level, vtheta is zero, the node-constant reconstruction maps
+take the adjoint's mean xbar to the means ybar, zbar, ubar and to the
+couplings, and xbar takes the adjoint's step without the shock,
 
-    xbar_{k+1} = xbar_k + dt ((A' - Q Sigma)_k xbar_k + Q_k phi_k - lam1_k)
+    xbar_{k+1} = xbar_k + dt (A_k' xbar_k - Q_k ybar_k - lam1_k),
 
-because the +/- sqrt(dt) shock averages out over the two children, and the
-node-constant reconstruction maps take xbar to the means of (y, z, u) and
-to the couplings.  Any number of columns then costs one sweep of one node
-per level.  Otherwise the linear part runs full-width sweeps, 16 columns
-to a sweep.  Both parts reduce each adjoint level to its means and
-couplings (one GEMM each, :func:`.tree._level_coupling`) as it is formed
-and keep no field of the tree (`_response`).  The final sweep runs the
+because the +/- sqrt(dt) shock averages out over the two children.  Any
+number of columns then costs one sweep of one node per level.  Otherwise
+the linear part runs full-width sweeps, 16 columns to a sweep.  Both parts
+reduce each adjoint level to its means and couplings (one GEMM each,
+:func:`.tree._level_coupling`) as it is formed and keep no field of the
+tree (`_response`).  The final sweep runs the
 same way from xi and keeps only the control u = N^{-1} (B' x - lam3).
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
@@ -87,14 +92,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from ._errors import InfeasibleEtaError, NumericsError
 from .bsde import (checked_dense_sv, checked_inverse, control_weight_inverses,
-                   forward_levels, implicit_steps, solve_forward_sde)
+                   implicit_steps, solve_forward_sde)
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
 from .tree import ScenarioTree, _concat_nodes, _level_coupling, _mul, _mv, _t, column_blocks
@@ -132,21 +136,17 @@ class DecoupledWorkspace:
 
     sigma: list        # Sigma, levels 0..n_steps: y = Sigma x - phi
     H: list            # (I + S R)^{-1}, S the centered Sigma
-    G1: list           # R H
     sig_c: list        # S = (Sigma_k + E_k[Sigma_{k+1}]) / 2
     phi_step: list     # (I + dt (Sigma Q - A))^{-1}
     vtheta_coef: list  # (Phi R - C) H
-    source: list       # [-Sigma | -B N^{-1} | -(Phi + C S) H' | A_bar | B_bar | C_bar]
     Ninv: list         # N^{-1}
-    x_drift: list      # A' - Q Sigma
-    x_diff: list       # C' - G1 (Phi + S C')
-    zx: list           # H (Phi + S C')
+    zx: list           # H (Phi + S C'): z = zx x - H (S lam2 + vtheta)
     bars: list         # [A_bar | C_bar | B_bar], the coupling maps
     x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
     # every level of every array the mean recursion reads has one node: the
-    # linear part's level means follow their own recursion (_level_means)
+    # linear part's level means follow their own recursion (_forward_sweep)
     one_node: bool = False
 
 
@@ -158,7 +158,7 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
     eye = np.eye(n)
     x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, sigma[0]),
                                 "I + G Sigma(0)", 0)
-    ws = DecoupledWorkspace(sigma, *([] for _ in range(11)), _mul(x0_inv, coeffs.G)[0])
+    ws = DecoupledWorkspace(sigma, *([] for _ in range(7)), _mul(x0_inv, coeffs.G)[0])
     n_inv = control_weight_inverses(coeffs)
     for k in range(tree.n_steps):
         sig, phik = sigma[k], phi[k]
@@ -169,25 +169,16 @@ def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                                             "I + dt (Sigma Q - A)", k)
         ws.min_conditioner_sv = min(ws.min_conditioner_sv, cond_sv)
         ws.min_phi_step_sv = min(ws.min_phi_step_sv, step_sv)
-        G1 = _mul(R, H)
-        mart = phik + _mul(sig_c, _t(C))
         ws.H.append(H)
-        ws.G1.append(G1)
         ws.sig_c.append(sig_c)
         ws.phi_step.append(phi_step)
         ws.vtheta_coef.append(_mul(_mul(phik, R) - C, H))
-        ws.source.append(_concat_nodes([
-            -sig, -_t(_mul(n_inv[k], _t(coeffs.B[k]))),
-            -_mul(phik + _mul(C, sig_c), _t(H)),
-            coeffs.A_bar[k], coeffs.B_bar[k], coeffs.C_bar[k]], axis=2))
         ws.Ninv.append(n_inv[k])
-        ws.x_drift.append(_t(A) - _mul(Q, sig))
-        ws.x_diff.append(_t(C) - _mul(G1, mart))
-        ws.zx.append(_mul(H, mart))
+        ws.zx.append(_mul(H, phik + _mul(sig_c, _t(C))))
         ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
                                       coeffs.B_bar[k]], axis=2))
-    arrays = (sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.source,
-              ws.Ninv, ws.x_drift, ws.zx, ws.bars, coeffs.Q, coeffs.B, coeffs.N)
+    arrays = (sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.Ninv, ws.zx,
+              ws.bars, coeffs.A, coeffs.Q, coeffs.B, coeffs.N)
     ws.one_node = all(len(level) == 1 for levels in arrays for level in levels)
     return ws
 
@@ -219,49 +210,55 @@ def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
     phi[n_steps] = np.repeat(-xi[..., None], lam.shape[1], axis=2)
     for k in range(n_steps - 1, -1, -1):
         vth = tree.z_from_next(phi[k + 1])
-        # the six multiplier/target terms of E as one GEMM over ws.source
-        inputs = np.concatenate([lam1[k], lam3[k], lam2[k], alpha[k], gamma[k], beta[k]])
-        rest = _mul(ws.vtheta_coef[k], vth) + _mul(ws.source[k], inputs)
+        # the multipliers enter through the transposed reconstruction maps
+        # of y, z and u (Sigma is symmetric), the targets through the bars
+        rest = (_mul(ws.vtheta_coef[k], vth) - _mul(ws.sigma[k], lam1[k])
+                - _mul(_t(ws.zx[k]), lam2[k])
+                - _mul(coeffs.B[k], _mul(_t(ws.Ninv[k]), lam3[k]))
+                + _mul(ws.bars[k], np.concatenate([alpha[k], beta[k], gamma[k]])))
         phi[k] = _mul(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
         vtheta[k] = vth
     return phi, vtheta
 
 
-def _adjoint(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-             lam: np.ndarray, phi: list, vtheta: list) -> tuple:
-    """The adjoint's (drift, diffusion) callbacks in
-    :func:`.bsde.forward_levels`' sign convention:
-    x_{k+1} = x_k - dt drift(k, x_k) -/+ sqrt(dt) diffusion(k, x_k)."""
-    lam1, lam2, _ = split_blocks(lam, tree, coeffs)
+def _adjoint_step(tree: ScenarioTree, coeffs: CoefficientSet, k: int, x: np.ndarray,
+                  y: np.ndarray, z: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
+                  mean: bool) -> np.ndarray:
+    """Level k + 1 of the adjoint dx = (A' x - Q y - lam1) ds + (C' x - R z
+    - lam2) dW from level k and the (y, z) reconstructed on it: the up child
+    of each node takes dW = +sqrt(dt), the down child -sqrt(dt).  The
+    level-mean step (``mean``) leaves the shock out and keeps one node."""
+    step = x + tree.dt * (_mul(_t(coeffs.A[k]), x) - _mul(coeffs.Q[k], y) - lam1[None])
+    if mean:
+        return step
+    shock = tree.sqrt_dt * (_mul(_t(coeffs.C[k]), x) - _mul(coeffs.R[k], z) - lam2[None])
+    nxt = np.empty((2 * len(step),) + step.shape[1:])
+    np.add(step, shock, out=nxt[0::2])        # up child, dW = +sqrt(dt)
+    np.subtract(step, shock, out=nxt[1::2])   # down child, dW = -sqrt(dt)
+    return nxt
 
-    def drift(k: int, x: np.ndarray) -> np.ndarray:
-        return -(_mul(ws.x_drift[k], x) + _mul(coeffs.Q[k], phi[k]) - lam1[k][None])
 
-    def diffusion(k: int, x: np.ndarray) -> np.ndarray:
-        aff = _mul(ws.G1[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k]) - lam2[k][None]
-        return -(_mul(ws.x_diff[k], x) + aff)
-
-    return drift, diffusion
-
-
-def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-                 lam: np.ndarray, phi: list, vtheta: list, x_levels,
-                 keep: tuple) -> tuple:
-    """u, y and z on levels 0..n_steps-1 from the adjoint levels that
-    ``x_levels`` yields, reduced to their level means and the mean
-    couplings, each stacked like ``lam``.  Returns (kept, means, coupling),
+def _forward_sweep(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
+                   lam: np.ndarray, phi: list, vtheta: list, mean: bool,
+                   keep: tuple) -> tuple:
+    """u, y and z on levels 0..n_steps-1, reconstructed from the adjoint x
+    level by level as :func:`_adjoint_step` forms it (the level mean when
+    ``mean``) and reduced to their level means and the mean couplings, each
+    stacked like ``lam``.  x stops at level n_steps - 1 unless ``keep``
+    names it; then it runs to the leaves.  Returns (kept, means, coupling),
     ``kept`` the levels of each field named in ``keep``.  The guard is the
     worst defect of N u - (B' x - lam3) relative to 1 + |B' x| over every
     value reconstructed; above _GUARD_TOL or not finite, NumericsError."""
-    n = coeffs.n
-    _, lam2, lam3 = split_blocks(lam, tree, coeffs)
-    kept = {name: [None] * tree.n_steps for name in keep}
+    n, n_steps = coeffs.n, tree.n_steps
+    lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
+    kept = {name: [] for name in keep}
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     mean_y, mean_z, mean_u = split_blocks(means, tree, coeffs)
     cpl_y, cpl_z, cpl_u = split_blocks(coupling, tree, coeffs)
     guard = np.zeros(lam.shape[1])
-    for k, x in enumerate(x_levels):
+    x = (ws.x0_gain @ phi[0][0])[None]
+    for k in range(n_steps):
         bx = _mul(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
         uk = _mul(ws.Ninv[k], net)
@@ -272,8 +269,12 @@ def _reconstruct(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorksp
         mean_y[k], mean_z[k], mean_u[k] = tree.expect(yk), tree.expect(zk), tree.expect(uk)
         bars = _level_coupling(ws.bars[k], x)
         cpl_y[k], cpl_z[k], cpl_u[k] = bars[:n], bars[n:2 * n], bars[2 * n:]
-        for name in kept:
-            kept[name][k] = {"u": uk, "y": yk, "z": zk}[name]
+        for name in keep:
+            kept[name].append({"x": x, "u": uk, "y": yk, "z": zk}[name])
+        if k + 1 < n_steps or "x" in keep:
+            x = _adjoint_step(tree, coeffs, k, x, yk, zk, lam1[k], lam2[k], mean)
+    if "x" in keep:
+        kept["x"].append(x)
     worst = float(guard.max())
     if not worst <= _GUARD_TOL:
         raise NumericsError(
@@ -293,10 +294,9 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     lam = np.asarray(lam_vec, dtype=float).reshape(len(lam_vec), -1)
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
     phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
-    x = solve_forward_sde(tree, ws.x0_gain @ phi[0][0],
-                          *_adjoint(tree, coeffs, ws, lam, phi, vtheta))
-    kept, means, coupling = _reconstruct(tree, coeffs, ws, lam, phi, vtheta,
-                                         x[:-1], keep=("u", "y", "z"))
+    kept, means, coupling = _forward_sweep(tree, coeffs, ws, lam, phi, vtheta, False,
+                                           keep=("x", "u", "y", "z"))
+    x = kept["x"]
     y = kept["y"] + [_mul(ws.sigma[tree.n_steps], x[-1]) - phi[-1]]
     fields = (phi, vtheta, x, kept["u"], y, kept["z"])
     if np.ndim(lam_vec) == 1:
@@ -305,36 +305,21 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     return DecoupledSolution(*fields, means, coupling)
 
 
-def _level_means(tree: ScenarioTree, x0: np.ndarray, drift):
-    """Levels 0..n_steps-1 of the adjoint's level mean, one node each:
-    xbar_{k+1} = xbar_k - dt drift(k, xbar_k), the +/- sqrt(dt) shock
-    averaging out over the two children."""
-    xbar = x0[None]
-    for k in range(tree.n_steps):
-        yield xbar
-        xbar = xbar - tree.dt * drift(k, xbar)
-
-
 def _response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
               lam: np.ndarray, eta: np.ndarray, xi: np.ndarray, keep: tuple = ()) -> tuple:
-    """:func:`_reconstruct` of column stacks (d, c) from phi(T) = -xi, each
-    adjoint level reduced as it is formed; the leaves are never formed.  A
-    sweep that keeps a field runs all columns as one full-width block.
-    Otherwise, when xi and every array the mean recursion reads have one
-    node per level, all columns run as one block on the adjoint's level
-    mean (:func:`_level_means`), else full width, 16 to a block."""
+    """:func:`_forward_sweep` of column stacks (d, c) from phi(T) = -xi; the
+    leaves are never formed.  A sweep that keeps a field runs all columns
+    as one full-width block.  Otherwise, when xi and every array the mean
+    recursion reads have one node per level, all columns run as one block
+    on the adjoint's level mean, else full width, 16 to a block."""
     mean_path = ws.one_node and len(xi) == 1 and not keep
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     for block in [slice(None)] if mean_path or keep else column_blocks(lam.shape[1]):
         lam_b = lam[:, block]
         phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
-        drift, diffusion = _adjoint(tree, coeffs, ws, lam_b, phi, vtheta)
-        x0 = ws.x0_gain @ phi[0][0]
-        levels = (_level_means(tree, x0, drift) if mean_path else
-                  islice(forward_levels(tree, x0, drift, diffusion), tree.n_steps))
-        kept, means[:, block], coupling[:, block] = _reconstruct(
-            tree, coeffs, ws, lam_b, phi, vtheta, levels, keep)
+        kept, means[:, block], coupling[:, block] = _forward_sweep(
+            tree, coeffs, ws, lam_b, phi, vtheta, mean_path, keep)
     return kept, means, coupling
 
 

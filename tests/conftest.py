@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,23 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def record_adjoint_steps(monkeypatch) -> list:
+    """Wrap ``multipliers._adjoint_step`` so that every step appends (level
+    k, nodes of the level k + 1 it forms) to the returned list.  A sweep
+    that forms the tree starts with (0, 2); the level-mean path with (0, 1)."""
+    from mfbslq import multipliers
+    steps = []
+    real = multipliers._adjoint_step
+
+    def recorded(tree, coeffs, k, *args):
+        nxt = real(tree, coeffs, k, *args)
+        steps.append((k, len(nxt)))
+        return nxt
+
+    monkeypatch.setattr(multipliers, "_adjoint_step", recorded)
+    return steps
+
+
 def constant(value) -> dict:
     return {"form": "constant", "value": value}
 
@@ -79,6 +97,27 @@ def scalar_spec_doc(*, A=0.0, A_bar=0.0, B=1.0, B_bar=0.0, C=0.0, C_bar=0.0,
 
 def scalar_spec(**kwargs):
     return load_spec(json.dumps(scalar_spec_doc(**kwargs)))
+
+
+def infinite_weight_doc() -> dict:
+    """A 3-state document whose constant Q has one infinite entry, at
+    (3, 1), and is the identity elsewhere."""
+    zero, eye = np.zeros((3, 3)), np.eye(3)
+    q = eye.copy()
+    q[2, 0] = math.inf
+    doc = scalar_spec_doc(terminal={"form": "affine_in_WT", "g0": [0.0] * 3,
+                                    "g1": [0.0] * 3})
+    doc["n"] = 3
+    for key in ("A", "A_bar", "C", "C_bar"):
+        doc["dynamics"][key] = constant(zero.tolist())
+    doc["dynamics"]["B"] = constant([[1.0], [0.0], [0.0]])
+    doc["dynamics"]["B_bar"] = constant([[0.0]] * 3)
+    for key in ("Q_bar", "R_bar"):
+        doc["cost"][key] = constant(zero.tolist())
+    doc["cost"]["Q"] = constant(q.tolist())
+    doc["cost"]["R"] = constant(eye.tolist())
+    doc["cost"]["G"] = eye.tolist()
+    return doc
 
 
 def singular_step_doc() -> dict:

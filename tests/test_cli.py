@@ -12,8 +12,8 @@ import pytest
 
 from mfbslq import NumericsError
 from mfbslq.cli import main
-from conftest import (corpus_path, perturb_coupling_response, scalar_spec_doc,
-                      singular_mean_doc, singular_step_doc)
+from conftest import (corpus_path, infinite_weight_doc, perturb_coupling_response,
+                      scalar_spec_doc, singular_mean_doc, singular_step_doc)
 
 S1 = str(corpus_path("s1"))
 M1 = str(corpus_path("m1"))
@@ -261,6 +261,16 @@ def _run_python(*args):
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env)
+
+
+def test_validate_infinite_weight_entry_fails_h1(tmp_path):
+    # run as a process: a LinAlgError from the eigenvalue check used to
+    # escape as a traceback, after a RuntimeWarning
+    proc = _run_python("-m", "mfbslq.cli", "validate", "--spec",
+                       _write_spec(tmp_path, infinite_weight_doc()))
+    assert proc.returncode == 1
+    assert "FAIL: H1 coefficients finite" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_validate_malformed_structure_is_an_error_line(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfbslq import ConfigurationError, build_tree, load_spec, realize, validate_h1_h2
-from conftest import constant, corpus_path, scalar_spec, scalar_spec_doc
+from conftest import constant, corpus_path, infinite_weight_doc, scalar_spec, scalar_spec_doc
 
 
 def _doc(**kwargs):
@@ -344,6 +344,17 @@ def test_nonfinite_coefficient_detected():
     doc["dynamics"]["A"] = constant(float("1e400"))  # parses to inf
     report = _report(load_spec(json.dumps(doc)))
     assert not report.ok
+
+
+def test_infinite_entry_of_a_wide_weight_is_reported_not_raised():
+    # a 3 x 3 weight with an infinite entry used to reach eigvalsh (which
+    # raised LinAlgError) and to warn on inf - inf; H1 reports it, and the
+    # level is passed over by the symmetry and eigenvalue checks
+    report = _report(load_spec(json.dumps(infinite_weight_doc())))
+    assert not report.ok
+    assert not _check(report, "H1 coefficients finite").passed
+    assert _check(report, "Q symmetric").worst_node is None
+    assert _check(report, "R >= delta*I").passed
 
 
 def test_corpus_files_match_committed_dimensions():

@@ -21,6 +21,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -38,7 +39,7 @@ from mfbslq.multipliers import (DecoupledWorkspace, constrained_solution_at,
                                 split_blocks)
 from mfbslq.outer import run_pipeline
 from conftest import (barred_zero_spec, corpus_path, count_calls, materialised,
-                      probed_solve, scalar_spec, workspace)
+                      probed_solve, record_adjoint_steps, scalar_spec, workspace)
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -299,12 +300,58 @@ def test_mean_path_matches_full_sweeps(corpus, monkeypatch, name, nt):
     full = solve_decoupled(tree, zero, ric, lam, eta)
     assert len(full.x[-1]) == tree.n_nodes(nt)
 
-    monkeypatch.setattr(multipliers, "forward_levels",
-                        _refuse("the mean path must not sweep the tree"))
+    steps = record_adjoint_steps(monkeypatch)
     means, coupling = multipliers.linear_response(tree, coeffs, workspace(tree, coeffs, ric),
                                                   lam, eta)
+    # one sweep, every level it forms one node wide
+    assert steps == [(k, 1) for k in range(nt - 1)]
     for got, want in ((means, full.means), (coupling, full.coupling)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
+def test_adjoint_is_the_maximum_principle_adjoint(corpus, name):
+    # node-varying data: every level of the decoupled solve's adjoint steps
+    # as dx = (A' x - Q y - lam1) ds + (C' x - R z - lam2) dW from the (y, z)
+    # of its own level, +sqrt(dt) to the up child and -sqrt(dt) to the down
+    spec = corpus[name.removeprefix("tiled_")]
+    tree = build_tree(spec.horizon, 6)
+    coeffs = realize(spec, tree)
+    if name == "tiled_d2":
+        coeffs = materialised(tree, coeffs)
+    ric = solve_riccati(tree, coeffs)
+    assert not workspace(tree, coeffs, ric).one_node
+    d = eta_dimension(tree, coeffs)
+    lam, eta = np.random.default_rng(7).standard_normal((2, d, 3))
+    sol = solve_decoupled(tree, coeffs, ric, lam, eta)
+    lam1, lam2, _ = split_blocks(lam, tree, coeffs)
+    for k in range(tree.n_steps):
+        x, y, z = sol.x[k], sol.y[k], sol.z[k]
+        drift = np.swapaxes(coeffs.A[k], 1, 2) @ x - coeffs.Q[k] @ y - lam1[k]
+        diffusion = np.swapaxes(coeffs.C[k], 1, 2) @ x - coeffs.R[k] @ z - lam2[k]
+        step, shock = x + tree.dt * drift, tree.sqrt_dt * diffusion
+        scale = np.abs(sol.x[k + 1]).max()
+        assert np.abs(sol.x[k + 1][0::2] - (step + shock)).max() <= 1e-12 * scale, k
+        assert np.abs(sol.x[k + 1][1::2] - (step - shock)).max() <= 1e-12 * scale, k
+
+
+def test_workspace_holds_five_floats_per_node(m1_random):
+    # on m1_random only H, S, the phi step, the vtheta coefficient and zx
+    # vary over the nodes; the coupling maps stay one node per level and
+    # N^{-1} is the coefficient set's cached copy, so the workspace adds at
+    # most five floats per node of levels 0..n_steps-1
+    tree, coeffs, ric = _setup(m1_random, 14)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = multipliers.build_workspace(tree, coeffs, ric.sigma, ric.phi)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nodes = tree.total_nodes - tree.n_nodes(tree.n_steps)
+    assert not ws.one_node
+    assert held <= 5 * 8 * nodes + 64 * 1024
 
 
 def test_full_width_response_matches_full_sweeps(m1_random):

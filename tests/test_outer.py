@@ -13,7 +13,7 @@ from mfbslq.oracle import evaluate_cost
 from mfbslq import outer
 from mfbslq.outer import assemble_outer_quadratic, run_pipeline
 from conftest import (barred_zero_spec, count_calls, perturb_coupling_response,
-                      scalar_spec, tile_realize, workspace)
+                      record_adjoint_steps, scalar_spec, tile_realize, workspace)
 
 
 def _setup(spec, nt):
@@ -205,7 +205,7 @@ def test_krylov_pipeline_never_probes(corpus):
             if tiled:
                 tile_realize(monkeypatch)
             calls = count_calls(monkeypatch, multipliers, "solve_decoupled")
-            sweeps = count_calls(monkeypatch, multipliers, "forward_levels")
+            steps = record_adjoint_steps(monkeypatch)
             refuse = _refuse("the pipeline must not probe")
             monkeypatch.setattr(multipliers, "probe_operators", refuse)
             monkeypatch.setattr(outer, "probe_operators", refuse)
@@ -214,7 +214,9 @@ def test_krylov_pipeline_never_probes(corpus):
         products = res.outer.columns - 1
         assert 1 <= products <= 8, case
         assert len(calls) == 0, case
-        assert len(sweeps) == 2 + (products if name == "m1_random" or tiled else 0), case
+        sweeps = steps.count((0, 2))
+        assert sweeps == 2 + (products if name == "m1_random" or tiled else 0), case
+        assert max(width for _, width in steps) == res.tree.n_nodes(nt - 1), case
         diag = res.report()["diagnostics"]
         assert diag["outer_columns"] == products + 1, case
         assert diag["outer_relative_residual"] <= 1e-12, case
@@ -226,20 +228,13 @@ def test_final_sweep_keeps_only_the_control(corpus, monkeypatch):
     # every adjoint sweep of the pipeline, the final one last, stops at
     # level n_steps - 1; the result holds the control, no other field, and
     # it is the full-field solve's control at the certified (lam, eta)
-    widths = []
-    real = multipliers.forward_levels
-
-    def recorded(*args):
-        for level in real(*args):
-            widths.append(len(level))
-            yield level
-
-    monkeypatch.setattr(multipliers, "forward_levels", recorded)
+    steps = record_adjoint_steps(monkeypatch)
     monkeypatch.setattr(multipliers, "solve_decoupled",
                         _refuse("the pipeline must not keep the decoupled fields"))
     for name, nt in (("d2", 6), ("m1_random", 6)):
-        widths.clear()
+        steps.clear()
         res = run_pipeline(corpus[name], nt)
+        widths = [width for _, width in steps]
         assert widths[-1] == max(widths) == res.tree.n_nodes(nt - 1), name
         assert [len(level) for level in res.constrained.u] == [
             res.tree.n_nodes(k) for k in range(nt)], name
