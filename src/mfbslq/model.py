@@ -468,17 +468,20 @@ def _first_largest(values: np.ndarray, first: int, count: int) -> tuple:
 
 
 def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
-    """Symmetry / semidefiniteness / eigenvalue-floor checks for one weight process."""
+    """Symmetry / semidefiniteness / eigenvalue-floor checks for one weight
+    process.  They fail, with no margin, when no level was finite."""
     checks = []
     sym_defect, sym_worst = 0.0, None
     # the lowest eigenvalue is found as the largest negated one
     neg_min_eig, eig_worst = -np.inf, None
+    checked = False
     for first, mats, count in _level_blocks(levels):
         # a matrix with a NaN or infinite entry (H1 reports it) is read as
         # all NaN, so its level is passed over and never reaches eigvalsh
         finite = np.isfinite(mats).all(axis=(1, 2))
         if not finite.all():
             mats = np.where(finite[:, None, None], mats, np.nan)
+        checked = checked or bool(finite.reshape(count, -1).all(axis=1).any())
         transposed = np.swapaxes(mats, -1, -2)
         defect, where = _first_largest(np.abs(mats - transposed).max(axis=(1, 2)),
                                        first, count)
@@ -508,6 +511,10 @@ def _process_checks(name: str, levels: list, psd: bool, floor: float | None):
             margin=min_eig - floor, worst_node=eig_worst,
             detail=f"min eigenvalue {min_eig:.6g} vs delta {floor:.6g}",
         ))
+    if not checked:   # every level was passed over, so nothing was measured
+        return [replace(check, passed=False, margin=None, worst_node=None,
+                        detail="no level was finite, so none was checked")
+                for check in checks]
     return checks
 
 

@@ -15,9 +15,11 @@ at every depth), every one checked, and closes the tail with one
 Schur-complement solve.  Its blocks are stored node-last, (rows, cols,
 nodes), so every block entry is one contiguous vector over a level's nodes,
 and a level's right-hand side is never assembled: the solved columns come
-from its known nonzero blocks.  A dense route, which assembles the reduced
-Hessian column by column, runs only when asked for and serves as a
-cross-check of the sparse one on small trees.
+from its known nonzero blocks.  Each level keeps only its pivot inverse, and
+two passes over the levels, leaves first and then root first, recover the
+controls from it.  A dense route, which assembles the reduced Hessian column
+by column, runs only when asked for and serves as a cross-check of the
+sparse one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
@@ -48,6 +50,9 @@ from .tree import (ScenarioTree, _concat_nodes, _level_coupling, _mul, _mul_last
                    _mv, _t, column_blocks)
 
 DENSE_SIZE_CAP = 20000
+# Nodes of a level whose (u, mu1, mu2) rows the sparse route forms together.
+# Fixed, so results never depend on the machine.
+_NODE_CHUNK = 2048
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
 CERTIFICATE_TOL = 1e-9
 
@@ -333,6 +338,11 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 # one contiguous vector over a level's nodes, and a block that is the same
 # on every node is (rows, cols, 1).  Products run through
 # :func:`.tree._mul_last`.
+#
+# The elimination keeps one array per level for what follows it: the
+# level's pivot inverse P^-1.  After the tail solve, a leaves-first pass
+# solves one right-hand side per level with it, and a root-first pass adds
+# the parents' multipliers through its y columns.
 
 
 def _last(level: np.ndarray) -> np.ndarray:
@@ -398,9 +408,10 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     hu_inv = _checked_inverse_last(_last(coeffs.N[k]), "KKT pivot N", k) / weight
     ay_inv = _checked_inverse_last(ay, "KKT pivot I - dt A", k)
     bh = _mul_last(bdt, hu_inv)                     # dt B Hu^-1
-    k12 = f_y + _mul_last(cdt, f_z)                 # [K1 | K2], K1 still without its B term
-    k1 = k12[:, y] - _mul_last(bh, bdt_t)
-    k2 = k12[:, z]
+    # [K1 | K2] = [F11 F12] + dt C [F21 F22] - [dt^2 B Hu^-1 B' | 0]
+    bhb = _mul_last(bh, bdt_t)
+    kk = f_y + _mul_last(cdt, f_z) - np.concatenate([bhb, np.zeros_like(bhb)], axis=1)
+    k1, k2 = kk[:, y], kk[:, z]
     lay = _mul_last(hy, ay_inv)                     # Hy Ay^-1
     hz_f = _mul_last(hz, f_z)                       # Hz [F21 F22]
     d_inv = _checked_inverse_last(eye - hz_f[:, z], "KKT pivot D = I - w R F22", k)
@@ -409,12 +420,15 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     s_inv = _checked_inverse_last(
         ay.swapaxes(0, 1) - _mul_last(lay, k1) + _mul_last(x, s21),
         "KKT pivot S (Schur complement of D)", k)
+    sl = _mul_last(s_inv, lay)
+    ak = _mul_last(-ay_inv, kk)                     # -Ay^-1 [K1 | K2]
+    # free what the rows below do not read before the widest array is made
+    del bhb, kk, k1, k2, lay, hz_f
 
     # S depends on every input, so it is as wide as the widest of them
     inv = np.empty((3 * n + m, 4 * n + m, s_inv.shape[2]))
-    ry, ru, r1, r2 = np.split(inv, [n, n + m, 2 * n + m])
+    ry, ru, r1, r2 = inv[:n], inv[n:n + m], inv[n + m:2 * n + m], inv[2 * n + m:]
     # mu1 = S^-1 (b_y - Hy Ay^-1 g1 + x (b_z - Hz b_mu2))
-    sl = _mul_last(s_inv, lay)
     r1[:, y] = s_inv
     _mul_last(s_inv, x, out=r1[:, z])
     r1[:, u] = -_mul_last(sl, bh)
@@ -427,7 +441,7 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
     # u and y from the multipliers, by the first and third steps
     _mul_last(_mul_last(hu_inv, bdt_t), r1, out=ru)
     ru[:, u] += hu_inv
-    _mul_last(-ay_inv, _mul_last(k1, r1) + _mul_last(k2, r2), out=ry)
+    _mul_last(ak, inv[n + m:], out=ry)
     ry[:, u] += _mul_last(ay_inv, bh)
     ry[:, mu1] += ay_inv
     ry[:, mu2] += _mul_last(ay_inv, cdt)
@@ -446,13 +460,40 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
     return blk
 
 
+def _nodes(block: np.ndarray, at: slice) -> np.ndarray:
+    """The nodes ``at`` of a node-last block; a one-node block as it is."""
+    return block if block.shape[2] == 1 else block[..., at]
+
+
 def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
     """Minus the sum of E over each parent's two children, applied to the
     children's y rows, node-last (n, c, 2**(k+1)): (E_k[.], difference
     quotient) stacked on the parents' (mu1, mu2) rows, (2n, c, 2**k).  The
-    tree's operators run along the node axis of a transposed view."""
+    tree's operators run along the node axis of a transposed view,
+    _NODE_CHUNK parents at a time, so their temporaries stay small."""
     rows = child_rows.T
-    return np.concatenate([tree.cond_expect(rows).T, tree.z_from_next(rows).T])
+    n, cols = child_rows.shape[:2]
+    parents = max(len(rows) // 2, 1)
+    out = np.empty((2 * n, cols, parents))
+    for start in range(0, parents, _NODE_CHUNK):
+        part = rows[2 * start:2 * (start + _NODE_CHUNK)]
+        out[:n, :, start:start + _NODE_CHUNK] = tree.cond_expect(part).T
+        out[n:, :, start:start + _NODE_CHUNK] = tree.z_from_next(part).T
+    return out
+
+
+def _solved_columns(rows: np.ndarray, passed: np.ndarray, means_rhs: np.ndarray,
+                    prob: float, out: np.ndarray) -> None:
+    """Rows of a level's pivot inverse times its right-hand side columns [r |
+    tail], into ``out``, from the known nonzero blocks: what the children
+    pass up on the (mu1, mu2) rows for r and the tail of deeper levels, -dt
+    [A_bar | C_bar | B_bar] on the mu1 rows for the level's own means, and
+    -p on the state rows for its own multipliers."""
+    states, own = means_rhs.shape[1], passed.shape[1]
+    mu1 = slice(states, states + means_rhs.shape[0])
+    _mul_last(rows[:, states:], passed, out=out[:, :own])
+    _mul_last(rows[:, mu1], means_rhs, out=out[:, own:own + states])
+    np.multiply(rows[:, :states], -prob, out=out[:, own + states:])
 
 
 def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
@@ -471,11 +512,24 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     eliminated nodes pass a Schur update to their parents' (mu1, mu2) rows
     (:func:`_lift`) and add their node sums to the dense tail.  A node at
     level k couples only to tail columns of levels >= k, so no node holds a
-    full-width block.  Each level keeps the (u, mu1, mu2) rows of its solved
-    columns in their own array; after one tail solve, a root-first
-    back-substitution combines them with the tail solution and the parents'
-    multipliers.  A tail that is not finite or is numerically singular
-    (condition number above 1 / machine epsilon) raises NumericsError
+    full-width block.  The y rows of the solved columns are formed for the
+    whole level, since they become the parents' fill and passed columns; the
+    (u, mu1, mu2) rows enter only node sums, so they are formed _NODE_CHUNK
+    nodes at a time.  A level keeps only its pivot inverse P^-1 and its -dt
+    [A_bar | C_bar | B_bar].
+
+    After one tail solve, the back-substitution takes two passes.  Leaves
+    first, level k's right-hand side at the solved means, v_k = [r] - [tail]
+    means, is p times the level's own multipliers on the state rows, the
+    lift of the children's y rows of P^-1 v (of xi at the deepest level) on
+    the (mu1, mu2) rows, less -dt [A_bar | C_bar | B_bar] times the level's
+    own means on the mu1 rows; P^-1 v_k gives the y rows to lift and the
+    (u, mu1, mu2) rows to keep.  Root first, each node subtracts P^-1 [(u,
+    mu1, mu2), y] times its parent's multipliers as they enter its y rows,
+    -mu1 / 2 - (+/-1) mu2 / (2 sqrt(dt)), and emits u.
+
+    A tail that is not finite or is numerically singular (condition number
+    above 1 / machine epsilon) raises NumericsError
     (:func:`.bsde.checked_dense_sv`); below that, the gradient certificate
     of :func:`solve_oracle` judges the answer.  Returns (controls, smallest
     singular value of the tail).
@@ -492,75 +546,109 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     tail = np.zeros((n_steps * width, n_steps * width))
     tail_rhs = np.zeros(n_steps * width)
     fill = np.zeros((2 * n, 2 * n, 1))
-    passed = _lift(tree, coeffs.xi.T[:, None, :])
+    xi_lift = _lift(tree, coeffs.xi.T[:, None, :])
+    passed = xi_lift
     # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
     # -(+/-1) / (2 sqrt(dt)).  The signs alternate, so each level's factors
     # are the first 2**k of the deepest level's.
     signs = tree.child_signs(max(n_steps - 2, 0))
     coupling = np.stack([np.full(len(signs), -0.5), signs / (-2.0 * tree.sqrt_dt)])[:, None]
-    solved = [None] * n_steps               # (u, mu1, mu2) rows of each level
+    pivots = [None] * n_steps               # (P^-1, -dt [A_bar | C_bar | B_bar]) per level
     for k in range(n_steps - 1, -1, -1):
         nodes, prob = tree.n_nodes(k), tree.node_probability(k)
         hi = (n_steps - k) * width
         lo = hi - width                     # tail columns of levels > k
-        own = 2 * n + 1 + lo                # first of the level's own tail columns
+        own = 1 + lo                        # first of the level's own tail columns
         inv = _kkt_pivot_inverse(tree, coeffs, k, fill)
         # the own mean columns' right-hand side on the mu1 rows, -dt [A_bar |
         # C_bar | B_bar], as wide as the widest of the three
         means_rhs = -dt * _last(_concat_nodes(
             [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
+        pivots[k] = inv, means_rhs
 
-        head = np.empty((n, own + width, nodes))            # y rows
-        kept = np.empty((m + 2 * n, own + width, nodes))    # (u, mu1, mu2) rows
-        for rows, sol in ((inv[:n], head), (inv[n:], kept)):
-            # the E' columns; the root has no parent
-            np.multiply(rows[:, None, :n], coupling[..., :nodes] if k > 0 else 0.0,
-                        out=sol[:, :2 * n].reshape(len(sol), 2, n, nodes, copy=False))
-            _mul_last(rows[:, mu], passed, out=sol[:, 2 * n:own])
-            _mul_last(rows[:, mu1], means_rhs, out=sol[:, own:own + states])
-            np.multiply(rows[:, :states], -prob, out=sol[:, own + states:])
-        # node sums of the [r | tail] columns; those of the z rows, z = b_mu2
-        # - F21 mu1 - F22 mu2, by one contraction over (q, nodes)
-        kept_mu = kept[m:, 2 * n:].transpose(0, 2, 1)      # (2n, nodes, 1 + hi)
-        sums = np.empty((4 * n + m, 1 + hi))
+        # the y rows of the solved columns [E' | r | tail]; E' becomes the
+        # parents' fill, and the root has no parent
+        head = np.empty((n, 2 * n + own + width, nodes))
+        np.multiply(inv[:n, None, :n], coupling[..., :nodes] if k > 0 else 0.0,
+                    out=head[:, :2 * n].reshape(n, 2, n, nodes, copy=False))
+        _solved_columns(inv[:n], passed, means_rhs, prob, head[:, 2 * n:])
+        sums = np.zeros((4 * n + m, 1 + hi))
         head[:, 2 * n:].sum(axis=2, out=sums[:n])
-        kept[:, 2 * n:].sum(axis=2, out=sums[2 * n:])
-        sums[n:2 * n] = -(fill[n:, :, 0] @ sums[mu] if fill.shape[2] == 1 else
-                          np.matmul(fill[n:].transpose(1, 0, 2), kept_mu).sum(axis=0))
-        sums[n:2 * n, :1 + lo] += passed[n:].sum(axis=2)
 
         # the tail update, the node sum of (tail columns of the right-hand
         # side)' (solved columns [r | tail]), from the nonzero rows only: the
         # passed columns meet the (mu1, mu2) rows in one GEMM per row over the
         # nodes, the own mean columns the mu1 rows through -dt [A_bar | C_bar |
         # B_bar] (a node sum when that is one node wide), and the own
-        # multiplier columns are -p times the node sums of the state rows
-        update = np.empty((hi, 1 + hi))
-        update[:lo] = np.matmul(passed[:, 1:], kept_mu).sum(axis=0)
-        update[lo:lo + states] = (means_rhs[:, :, 0].T @ sums[mu1] if means_rhs.shape[2] == 1 else
-                                  np.matmul(means_rhs, kept_mu[:n]).sum(axis=0))
+        # multiplier columns are -p times the node sums of the state rows.
+        # The (u, mu1, mu2) rows enter only such node sums, so they are formed
+        # _NODE_CHUNK nodes at a time.  The z rows' sums, z = b_mu2 - F21 mu1
+        # - F22 mu2, are one contraction over (q, nodes).
+        update = np.zeros((hi, 1 + hi))
+        for chunk in range(0, nodes, _NODE_CHUNK):
+            at = slice(chunk, chunk + _NODE_CHUNK)
+            kept = np.empty((m + 2 * n, own + width, min(nodes - chunk, _NODE_CHUNK)))
+            _solved_columns(_nodes(inv[n:], at), passed[..., at], _nodes(means_rhs, at),
+                            prob, kept)
+            kept_mu = kept[m:].transpose(0, 2, 1)          # (2n, chunk, 1 + hi)
+            sums[2 * n:] += kept.sum(axis=2)
+            if fill.shape[2] > 1:
+                sums[n:2 * n] -= np.matmul(fill[n:, :, at].transpose(1, 0, 2),
+                                           kept_mu).sum(axis=0)
+            update[:lo] += np.matmul(passed[:, 1:, at], kept_mu).sum(axis=0)
+            if means_rhs.shape[2] > 1:
+                update[lo:lo + states] += np.matmul(means_rhs[..., at], kept_mu[:n]).sum(axis=0)
+            del kept, kept_mu
+        if fill.shape[2] == 1:
+            sums[n:2 * n] = -(fill[n:, :, 0] @ sums[mu])
+        sums[n:2 * n, :own] += passed[n:].sum(axis=2)
+        if means_rhs.shape[2] == 1:
+            update[lo:lo + states] = means_rhs[:, :, 0].T @ sums[mu1]
         update[lo + states:] = -prob * sums[:states]
         tail[lo:hi, lo:hi] += _kkt_tail_block(tree, coeffs, k)
         tail_rhs[:hi] -= update[:, 0]
         tail[:hi, :hi] -= update[:, 1:]
+        del inv, fill, passed
         if k > 0:
             lifted = _lift(tree, head)
             fill, passed = lifted[:, :2 * n], lifted[:, 2 * n:]
-        solved[k] = kept
-        del inv, head
+            del lifted
+        del head
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
     min_sv = checked_dense_sv(tail, "KKT tail of level means and their multipliers")
     means = np.linalg.solve(tail, tail_rhs)
 
+    # leaves first: one right-hand side per level at the solved means
+    partial = [None] * n_steps              # (u, mu1, mu2) rows of P^-1 v
+    down = [None] * n_steps                 # P^-1 [(u, mu1, mu2), y]
+    lifted = xi_lift
+    for k in range(n_steps - 1, -1, -1):
+        inv, means_rhs = pivots[k]
+        lo = (n_steps - k - 1) * width
+        own_means, own_nu = means[lo:lo + states], means[lo + states:lo + width]
+        rhs = np.empty((4 * n + m, 1, tree.n_nodes(k)))
+        rhs[:states] = tree.node_probability(k) * own_nu[:, None, None]
+        rhs[mu] = lifted
+        rhs[mu1] -= _mul_last(means_rhs, own_means[:, None, None])
+        sol = _mul_last(inv, rhs)[:, 0]
+        del rhs
+        if k > 0:
+            lifted = _lift(tree, sol[:n, None])
+        partial[k] = sol[n:]
+        # the root-first pass reads only these columns of the pivot inverse
+        down[k] = inv[n:, :n].copy()
+        pivots[k] = None
+        del inv, sol
+
+    # root first: the parents' multipliers enter through E'
     controls, parent = [], None
     for k in range(n_steps):
-        kept = solved[k]
-        node = kept[:, 2 * n] - means[:(n_steps - k) * width] @ kept[:, 2 * n + 1:]
+        node = partial[k]
         if k > 0:
-            children = np.repeat(parent, 2, axis=1)[:, None]   # parents' (mu1, mu2)
-            node -= _mul_last(kept[:, :2 * n], children)[:, 0]
+            up = coupling[..., :tree.n_nodes(k)] * np.repeat(parent, 2, axis=1).reshape(2, n, -1)
+            node -= _mul_last(down[k], (up[0] + up[1])[:, None])[:, 0]
         controls.append(node[:m].T.copy())
         parent = node[m:]
     return controls, min_sv

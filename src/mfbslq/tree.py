@@ -78,9 +78,9 @@ def _mul_last(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
     nodes; a length-1 node axis broadcasts.  Inner dimension 1 is a
     broadcast multiply, a one-node ``a`` one flat GEMM over ``b``'s
     trailing (c, nodes) axes, a one-node ``b`` one GEMM per row of ``a``
-    over its (q, nodes) slab, and the rest q multiply-adds on contiguous
-    (r, c, nodes) slabs, accumulated in place.  Written into ``out`` when
-    given, which may be a slice of a larger node-last array."""
+    over its (q, nodes) slab, and the rest one ``einsum`` that runs along
+    the contiguous node vectors.  Written into ``out`` when given, which may
+    be a slice of a larger node-last array."""
     (r, q, wide_a), (c, wide_b) = a.shape, b.shape[1:]
     if q == 1:
         return np.multiply(a, b, out=out)
@@ -95,10 +95,9 @@ def _mul_last(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
         return out
     if wide_b == 1:
         return np.matmul(b[:, :, 0].T, a, out=out)
-    np.multiply(a[:, :1], b[:1], out=out)
-    for i in range(1, q):
-        out += a[:, i:i + 1] * b[i:i + 1]
-    return out
+    # one pass over the nodes per output entry, with no (r, c, nodes)
+    # temporary; it adds the q products in order, as multiply-adds would
+    return np.einsum("rqn,qcn->rcn", a, b, out=out)
 
 
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -271,6 +271,9 @@ def test_validate_infinite_weight_entry_fails_h1(tmp_path):
     assert proc.returncode == 1
     assert "FAIL: H1 coefficients finite" in proc.stdout
     assert proc.stderr == ""
+    # Q's only level is passed over, so no Q check may claim a pass
+    assert "FAIL: Q symmetric (no level was finite" in proc.stdout
+    assert not any(line.startswith("pass: Q ") for line in proc.stdout.splitlines())
 
 
 def test_validate_malformed_structure_is_an_error_line(tmp_path):

@@ -357,6 +357,21 @@ def test_infinite_entry_of_a_wide_weight_is_reported_not_raised():
     assert _check(report, "R >= delta*I").passed
 
 
+def test_weight_checks_with_no_finite_level_fail_without_a_margin():
+    # Q's only level is passed over, so its checks measured nothing: they
+    # fail with no margin and say why, instead of passing with margin inf;
+    # the floor check of R fails the same way
+    doc = infinite_weight_doc()
+    doc["cost"]["R"] = doc["cost"]["Q"]
+    report = _report(load_spec(json.dumps(doc)))
+    for name in ("Q symmetric", "Q positive semidefinite", "R symmetric", "R >= delta*I"):
+        check = _check(report, name)
+        assert not check.passed, name
+        assert check.margin is None and check.worst_node is None, name
+        assert check.detail == "no level was finite, so none was checked", name
+    assert _check(report, "N >= delta*I").passed
+
+
 def test_corpus_files_match_committed_dimensions():
     raw = json.loads(corpus_path("d2").read_text())
     assert raw["n"] == 2 and raw["m"] == 1

@@ -12,8 +12,10 @@ Frozen reference values (hand-derived before the tests were written):
 """
 
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +162,37 @@ def test_sparse_oracle_solves_the_state_twice(m1_random, monkeypatch):
     sol = solve_oracle(tree, coeffs)
     assert len(calls) == 2
     assert sol.cost == evaluate_cost(tree, coeffs, sol.u)
+
+
+@pytest.mark.parametrize("name, depth, multiple", [("m1_random", 12, 2.5), ("d2", 10, 4.0)])
+def test_sparse_oracle_peak_is_a_small_multiple_of_its_pivot_inverses(
+        corpus, monkeypatch, name, depth, multiple):
+    # the sparse route keeps one pivot inverse per level for its two
+    # back-substitution passes, and holds every other level-wide block for
+    # one level (the (u, mu1, mu2) rows for one node chunk) at a time.
+    # Keeping each level's solved columns [E' | r | tail] until a single
+    # back-substitution instead peaks at 2.96 (m1_random) and 6.11 (d2)
+    # times the inverses' bytes at these depths.
+    tree, coeffs = _setup(corpus[name], depth)
+    oracle._solve_sparse(tree, coeffs)      # fills the coefficient set's caches
+    stored = []
+    real = oracle._kkt_pivot_inverse
+
+    def recorded(*args):
+        inv = real(*args)
+        stored.append(inv.nbytes)
+        return inv
+
+    monkeypatch.setattr(oracle, "_kkt_pivot_inverse", recorded)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        oracle._solve_sparse(tree, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stored) == depth
+    assert peak <= multiple * sum(stored), (peak, sum(stored))
 
 
 def test_singular_step_raises_typed_errors():
