@@ -15,11 +15,12 @@ at every depth), every one checked, and closes the tail with one
 Schur-complement solve.  Its blocks are stored node-last, (rows, cols,
 nodes), so every block entry is one contiguous vector over a level's nodes,
 and a level's right-hand side is never assembled: the solved columns come
-from its known nonzero blocks.  Each level keeps only its pivot inverse, and
-two passes over the levels, leaves first and then root first, recover the
-controls from it.  A dense route, which assembles the reduced Hessian column
-by column, runs only when asked for and serves as a cross-check of the
-sparse one on small trees.
+from its known nonzero blocks.  Each level keeps only what its pivots are
+solved from, not their inverses, which are formed a node chunk at a time,
+and two passes over the levels, leaves first and then root first, recover
+the controls by the same block elimination.  A dense route, which assembles
+the reduced Hessian column by column, runs only when asked for and serves
+as a cross-check of the sparse one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
@@ -39,6 +40,7 @@ to it so tolerances are mesh-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +52,9 @@ from .tree import (ScenarioTree, _concat_nodes, _level_coupling, _mul, _mul_last
                    _mv, _t, column_blocks)
 
 DENSE_SIZE_CAP = 20000
-# Nodes of a level whose (u, mu1, mu2) rows the sparse route forms together.
-# Fixed, so results never depend on the machine.
+# Nodes of a level whose pivot inverses and solved columns the sparse route
+# forms together, and whose back-substitution it solves together.  Fixed, so
+# results never depend on the machine.
 _NODE_CHUNK = 2048
 # solve_oracle certifies |grad| <= CERTIFICATE_TOL (1 + |grad at u = 0|)
 CERTIFICATE_TOL = 1e-9
@@ -339,15 +342,41 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 # on every node is (rows, cols, 1).  Products run through
 # :func:`.tree._mul_last`.
 #
-# The elimination keeps one array per level for what follows it: the
-# level's pivot inverse P^-1.  After the tail solve, a leaves-first pass
-# solves one right-hand side per level with it, and a root-first pass adds
-# the parents' multipliers through its y columns.
+# A level's pivots are solved by one block elimination (:func:`_pivot_solve`)
+# from what the elimination keeps of the level (:func:`_kkt_factors`): the
+# inverses of three checked pivots, one block of the children's fill times
+# one of them, and the y columns of the pivot inverse P^-1, each at the
+# width of its data.
+# P^-1 itself is that solve of the identity, formed _NODE_CHUNK nodes at a
+# time for the solved columns of the elimination only, and never kept.
+# After the tail solve, a leaves-first pass solves one right-hand side per
+# level, and a root-first pass adds the parents' multipliers through P^-1's
+# y columns.
+
+
+class _PivotFactors(NamedTuple):
+    """What a level's KKT pivots are solved from (:func:`_kkt_factors`),
+    node-last, each as wide as its inputs."""
+
+    hy: np.ndarray        # Hy = w Q (+ 2G at the root), (n, n, .)
+    hz: np.ndarray        # Hz = w R, (n, n, .)
+    cdt: np.ndarray       # dt C, (n, n, .)
+    bdt: np.ndarray       # dt B, (n, m, .)
+    hu_inv: np.ndarray    # Hu^-1 = N^-1 / w, (m, m, .)
+    ay_inv: np.ndarray    # Ay^-1 = (I - dt A)^-1, (n, n, .)
+    d_inv: np.ndarray     # D^-1, (n, n, .)
+    k2d: np.ndarray       # K2 D^-1, with K2 = F12 + dt C F22, (n, n, .)
+    inv_y: np.ndarray     # P^-1's y columns, z rows aside, (3n + m, n, .)
 
 
 def _last(level: np.ndarray) -> np.ndarray:
     """A node-first level (nodes, r, c) as a node-last view (r, c, nodes)."""
     return level.transpose(1, 2, 0)
+
+
+def _nodes(block: np.ndarray, at: slice) -> np.ndarray:
+    """The nodes ``at`` of a node-last block; a one-node block as it is."""
+    return block if block.shape[2] == 1 else block[..., at]
 
 
 def _checked_inverse_last(mats: np.ndarray, name: str, k: int) -> np.ndarray:
@@ -357,11 +386,10 @@ def _checked_inverse_last(mats: np.ndarray, name: str, k: int) -> np.ndarray:
     return np.ascontiguousarray(_last(inv))
 
 
-def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
-                       fill: np.ndarray) -> np.ndarray:
-    """The (y, u, mu1, mu2) rows of the inverses of level k's KKT pivots,
-    node-last (3n + m, 4n + m, nodes), by block elimination through four
-    checked n x n or m x m pivots; a solve's z rows follow from its mu rows.
+def _kkt_factors(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
+                 fill: np.ndarray) -> _PivotFactors:
+    """The factors that level k's KKT pivots are solved from, through four
+    checked n x n or m x m pivots.
 
     With w = 2 dt 2^-k, Hy = w Q (+ 2G at the root), Hz = w R, Hu = w N,
     Ay = I - dt A and the children's fill F = [[F11, F12], [F21, F22]] on
@@ -374,78 +402,98 @@ def _kkt_pivot_inverse(tree: ScenarioTree, coeffs: CoefficientSet, k: int,
         mu1 [   Ay    -dt C   -dt B     F11     F12  ]
         mu2 [            I              F21     F22  ]
 
-    and a right-hand side b is solved by
-      u = Hu^-1 (b_u + dt B' mu1)                        pivot N,
-      z = b_mu2 - F21 mu1 - F22 mu2                      pivot I,
-      y = Ay^-1 (g1 - K1 mu1 - K2 mu2)                   pivot I - dt A,
-    with g1 = b_mu1 + dt C b_mu2 + dt B Hu^-1 b_u, K1 = F11 + dt C F21 -
-    dt^2 B Hu^-1 B' and K2 = F12 + dt C F22; the y and z rows then leave
-    [[S11, S12], [S21, D]] (mu1, mu2) = (b_y - Hy Ay^-1 g1, b_z - Hz b_mu2)
-    with S11 = Ay' - Hy Ay^-1 K1, S12 = -Hy Ay^-1 K2, S21 = -Hz F21 - dt C'
-    and D = I - Hz F22, solved through D and its Schur complement
-    S = S11 - S12 D^-1 S21.  A convex subtree's fill is negative
+    and a right-hand side b is solved (:func:`_pivot_solve`) by
+      u = Hu^-1 (b_u + dt B' mu1)                               pivot N,
+      z = b_mu2 - F21 mu1 - F22 mu2                             pivot I,
+      y = Ay^-1 (b_mu1 + dt C b_mu2 + dt B u - K (mu1, mu2))    pivot I - dt A,
+    with K = [K1 K2] = [F11 F12] + dt C [F21 F22].  The z and y rows then
+    leave (mu1, mu2) to the pivots D = I - Hz F22 and S = Ay' - Hy T, with
+    S21 = -Hz F21 - dt C' and T = Ay^-1 (K1 - K2 D^-1 S21 - dt^2 B Hu^-1 B'):
+      mu2 = e - D^-1 S21 mu1,  e = D^-1 (b_z - Hz b_mu2)        pivot D,
+      mu1 = S^-1 (b_y - Hy y0)                                  pivot S,
+    where y0 = Ay^-1 (b_mu1 + dt C b_mu2 + dt B Hu^-1 b_u - K2 e) is y at
+    mu1 = 0, mu2 = e and u = Hu^-1 b_u.  So (y, u, mu1, mu2) is (y0, Hu^-1
+    b_u, 0, e) plus P^-1's y columns, [-T; Hu^-1 dt B'; I; -D^-1 S21] S^-1
+    (z rows aside), times b_y - Hy y0.  A convex subtree's fill is negative
     semidefinite, so D's eigenvalues are at least 1, and with the other
     three pivots regular S is regular exactly when the block is.  All four
     are of order one at every depth, and each is checked by
-    :func:`.bsde.checked_inverse` under the name "KKT pivot ...".  The
-    inverse is these steps applied to the identity.  The coefficients enter
-    as node-last views, and every product is :func:`.tree._mul_last`, so
-    the inverse is as wide as its widest input: one node when the
-    coefficients and the fill are node-constant."""
-    n, m, dt = coeffs.n, coeffs.m, tree.dt
-    states = 2 * n + m
-    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, states)
-    mu1, mu2 = slice(states, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    :func:`.bsde.checked_inverse` under the name "KKT pivot ..." with the
+    level.  A solve reads the fill only through D and K2 D^-1, so that is
+    kept, not F, and P^-1's y columns, not S^-1.  The coefficients enter as
+    node-last views, and every product is :func:`.tree._mul_last`, so each
+    factor is as wide as its widest input: one node when the coefficients
+    and the fill are node-constant."""
+    n, dt = coeffs.n, tree.dt
     weight = 2.0 * dt * tree.node_probability(k)
     eye = np.eye(n)[..., None]
     hy = weight * _last(coeffs.Q[k]) + (2.0 * coeffs.G[..., None] if k == 0 else 0.0)
     hz = weight * _last(coeffs.R[k])
-    ay = eye - dt * _last(coeffs.A[k])
     cdt, bdt = dt * _last(coeffs.C[k]), dt * _last(coeffs.B[k])
-    cdt_t, bdt_t = cdt.swapaxes(0, 1), bdt.swapaxes(0, 1)
-    f_y, f_z = fill[y], fill[z]                     # [F11 F12], [F21 F22]
-
+    ay = eye - dt * _last(coeffs.A[k])
     hu_inv = _checked_inverse_last(_last(coeffs.N[k]), "KKT pivot N", k) / weight
     ay_inv = _checked_inverse_last(ay, "KKT pivot I - dt A", k)
-    bh = _mul_last(bdt, hu_inv)                     # dt B Hu^-1
-    # [K1 | K2] = [F11 F12] + dt C [F21 F22] - [dt^2 B Hu^-1 B' | 0]
-    bhb = _mul_last(bh, bdt_t)
-    kk = f_y + _mul_last(cdt, f_z) - np.concatenate([bhb, np.zeros_like(bhb)], axis=1)
-    k1, k2 = kk[:, y], kk[:, z]
-    lay = _mul_last(hy, ay_inv)                     # Hy Ay^-1
-    hz_f = _mul_last(hz, f_z)                       # Hz [F21 F22]
-    d_inv = _checked_inverse_last(eye - hz_f[:, z], "KKT pivot D = I - w R F22", k)
-    x = _mul_last(_mul_last(lay, k2), d_inv)        # -S12 D^-1
-    s21 = -hz_f[:, y] - cdt_t
-    s_inv = _checked_inverse_last(
-        ay.swapaxes(0, 1) - _mul_last(lay, k1) + _mul_last(x, s21),
-        "KKT pivot S (Schur complement of D)", k)
-    sl = _mul_last(s_inv, lay)
-    ak = _mul_last(-ay_inv, kk)                     # -Ay^-1 [K1 | K2]
-    # free what the rows below do not read before the widest array is made
-    del bhb, kk, k1, k2, lay, hz_f
-
+    d_inv = _checked_inverse_last(eye - _mul_last(hz, fill[n:, n:]),
+                                  "KKT pivot D = I - w R F22", k)
+    kk = fill[:n] + _mul_last(cdt, fill[n:])
+    hu_b = _mul_last(hu_inv, bdt.swapaxes(0, 1))                # Hu^-1 dt B'
+    ds = _mul_last(d_inv, _mul_last(hz, fill[n:, :n]) + cdt.swapaxes(0, 1))   # -D^-1 S21
+    t = _mul_last(ay_inv, kk[:, :n] + _mul_last(kk[:, n:], ds) - _mul_last(bdt, hu_b))
+    s_inv = _checked_inverse_last(ay.swapaxes(0, 1) - _mul_last(hy, t),
+                                  "KKT pivot S (Schur complement of D)", k)
     # S depends on every input, so it is as wide as the widest of them
-    inv = np.empty((3 * n + m, 4 * n + m, s_inv.shape[2]))
-    ry, ru, r1, r2 = inv[:n], inv[n:n + m], inv[n + m:2 * n + m], inv[2 * n + m:]
-    # mu1 = S^-1 (b_y - Hy Ay^-1 g1 + x (b_z - Hz b_mu2))
-    r1[:, y] = s_inv
-    _mul_last(s_inv, x, out=r1[:, z])
-    r1[:, u] = -_mul_last(sl, bh)
-    r1[:, mu1] = -sl
-    r1[:, mu2] = -_mul_last(sl, cdt) - _mul_last(r1[:, z], hz)
-    # mu2 = D^-1 (b_z - Hz b_mu2 - S21 mu1)
-    _mul_last(-_mul_last(d_inv, s21), r1, out=r2)
-    r2[:, z] += d_inv
-    r2[:, mu2] -= _mul_last(d_inv, hz)
-    # u and y from the multipliers, by the first and third steps
-    _mul_last(_mul_last(hu_inv, bdt_t), r1, out=ru)
-    ru[:, u] += hu_inv
-    _mul_last(ak, inv[n + m:], out=ry)
-    ry[:, u] += _mul_last(ay_inv, bh)
-    ry[:, mu1] += ay_inv
-    ry[:, mu2] += _mul_last(ay_inv, cdt)
-    return inv
+    inv_y = np.empty((3 * n + len(hu_b), n, s_inv.shape[2]))
+    _mul_last(-t, s_inv, out=inv_y[:n])
+    _mul_last(hu_b, s_inv, out=inv_y[n:-2 * n])
+    inv_y[-2 * n:-n] = s_inv
+    _mul_last(ds, s_inv, out=inv_y[-n:])
+    return _PivotFactors(hy, hz, cdt, bdt, hu_inv, ay_inv, d_inv,
+                         _mul_last(kk[:, n:], d_inv), inv_y)
+
+
+def _pivot_solve(factors: _PivotFactors, rhs: np.ndarray | None, at: slice) -> np.ndarray:
+    """The (y, u, mu1, mu2) rows of P^-1 rhs at the nodes ``at`` of a level,
+    by the block elimination of :func:`_kkt_factors`; a solve's z rows
+    follow from its mu rows.  ``rhs`` is node-last, (4n + m, c, nodes at
+    ``at`` or 1), and the solution (3n + m, c, .) is as wide as the widest
+    input.  ``rhs=None`` is the identity, which gives the nodes' pivot
+    inverses P^-1: on its unit columns, the steps up to y0 are written out
+    block by block."""
+    parts = [_nodes(factor, at) for factor in factors]
+    hy, hz, cdt, bdt, hu_inv, ay_inv, d_inv, k2d, inv_y = parts
+    n, m = len(cdt), len(hu_inv)
+    # the rows of a right-hand side, or the columns of the identity
+    y, z, u = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    mu1, mu2 = slice(2 * n + m, 3 * n + m), slice(3 * n + m, 4 * n + m)
+    # g = Ay y0 = b_mu1 + dt C b_mu2 + dt B Hu^-1 b_u - K2 D^-1 (b_z - Hz b_mu2)
+    if rhs is None:
+        cols, width = 4 * n + m, max(part.shape[2] for part in parts)
+        b_y = np.eye(n, cols)[..., None]
+        g = np.zeros((n, cols, width))
+        g[:, z] = -k2d
+        _mul_last(bdt, hu_inv, out=g[:, u])
+        g[:, mu1] = np.eye(n)[..., None]
+        g[:, mu2] = cdt + _mul_last(k2d, hz)
+    else:
+        cols, width = rhs.shape[1], max(part.shape[2] for part in (rhs, *parts))
+        b_y, b_2 = rhs[y], rhs[mu2]
+        hb = _mul_last(hu_inv, rhs[u])
+        c2 = rhs[z] - _mul_last(hz, b_2)
+        e = _mul_last(d_inv, c2)
+        g = rhs[mu1] + _mul_last(cdt, b_2) + _mul_last(bdt, hb) - _mul_last(k2d, c2)
+    y0 = _mul_last(ay_inv, g)
+    out = np.empty((3 * n + m, cols, width))
+    _mul_last(inv_y, b_y - _mul_last(hy, y0), out=out)
+    # plus (y0, Hu^-1 b_u, 0, e) on the solution's (y, u, mu1, mu2) rows
+    out[:n] += y0
+    if rhs is None:
+        out[n:n + m, u] += hu_inv
+        out[2 * n + m:, z] += d_inv
+        out[2 * n + m:, mu2] -= _mul_last(d_inv, hz)
+    else:
+        out[n:n + m] += hb
+        out[2 * n + m:] += e
+    return out
 
 
 def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.ndarray:
@@ -458,11 +506,6 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
         blk[block, block] = 2.0 * tree.dt * weight
     blk[:states, states:] = blk[states:, :states] = np.eye(states)
     return blk
-
-
-def _nodes(block: np.ndarray, at: slice) -> np.ndarray:
-    """The nodes ``at`` of a node-last block; a one-node block as it is."""
-    return block if block.shape[2] == 1 else block[..., at]
 
 
 def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
@@ -483,50 +526,57 @@ def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
 
 
 def _solved_columns(rows: np.ndarray, passed: np.ndarray, means_rhs: np.ndarray,
-                    prob: float, out: np.ndarray) -> None:
+                    mults_rhs: np.ndarray, out: np.ndarray) -> None:
     """Rows of a level's pivot inverse times its right-hand side columns [r |
     tail], into ``out``, from the known nonzero blocks: what the children
     pass up on the (mu1, mu2) rows for r and the tail of deeper levels, -dt
     [A_bar | C_bar | B_bar] on the mu1 rows for the level's own means, and
-    -p on the state rows for its own multipliers."""
+    ``mults_rhs`` = -p I on the state rows for its own multipliers.  That
+    too is a product: a ufunc writing into these strided columns of a small
+    level takes NumPy iterator buffers of 64 KiB per operand."""
     states, own = means_rhs.shape[1], passed.shape[1]
     mu1 = slice(states, states + means_rhs.shape[0])
     _mul_last(rows[:, states:], passed, out=out[:, :own])
     _mul_last(rows[:, mu1], means_rhs, out=out[:, own:own + states])
-    np.multiply(rows[:, :states], -prob, out=out[:, own + states:])
+    _mul_last(rows[:, :states], mults_rhs, out=out[:, own + states:])
 
 
 def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     """Optimal controls from the KKT system, by block elimination on the tree.
 
-    Forward, leaves first: each level's pivots are inverted in one batch by
-    elimination through their own checked n x n and m x m blocks
-    (:func:`_kkt_pivot_inverse`, refused as "KKT pivot ..." with the
-    level).  Every block is node-last, (rows, cols, nodes).  A level's
-    solved columns [E' (2n) | r | tail of levels >= k], z rows aside, are
-    formed from the known nonzero blocks of its right-hand side,
-    which is never assembled: E' is a multiple of the pivot inverse's y
-    columns, r and the tail of deeper levels are what the children pass up
-    on the (mu1, mu2) rows, the level's own means enter the mu1 rows through
-    A_bar, C_bar and B_bar, and its own multipliers the state rows.  The
-    eliminated nodes pass a Schur update to their parents' (mu1, mu2) rows
-    (:func:`_lift`) and add their node sums to the dense tail.  A node at
-    level k couples only to tail columns of levels >= k, so no node holds a
-    full-width block.  The y rows of the solved columns are formed for the
-    whole level, since they become the parents' fill and passed columns; the
-    (u, mu1, mu2) rows enter only node sums, so they are formed _NODE_CHUNK
-    nodes at a time.  A level keeps only its pivot inverse P^-1 and its -dt
-    [A_bar | C_bar | B_bar].
+    Forward, leaves first: each level's pivots are factored in one batch
+    through their own checked n x n and m x m blocks (:func:`_kkt_factors`,
+    refused as "KKT pivot ..." with the level).  Every block is node-last,
+    (rows, cols, nodes).  A level's solved columns [E' (2n) | r | tail of
+    levels >= k], z rows aside, are formed _NODE_CHUNK nodes at a time from
+    the chunk's pivot inverse P^-1 (:func:`_pivot_solve` of the identity)
+    and the known nonzero blocks of the level's right-hand side, which is
+    never assembled: E' is a multiple of P^-1's y columns, r and the tail of
+    deeper levels are what the children pass up on the (mu1, mu2) rows, the
+    level's own means enter the mu1 rows through A_bar, C_bar and B_bar, and
+    its own multipliers the state rows.  The eliminated nodes pass a Schur
+    update to their parents' (mu1, mu2) rows (:func:`_lift`) and add their
+    node sums to the dense tail.  A node at level k couples only to tail
+    columns of levels >= k, so no node holds a full-width block.  The y rows
+    of the solved columns are kept for the whole level, since they become
+    the parents' fill and passed columns; the (mu1, mu2) rows enter only
+    node sums (the z and u rows' sums follow from them, and those rows are
+    never formed), and the chunk's P^-1 only the chunk's columns, so both
+    are dropped with the chunk.  A level keeps only its factors (the
+    inverses of N, I - dt A and D, K2 D^-1 with K2 = F12 + dt C F22, and
+    P^-1's y columns, each at the width of its data) and its -dt [A_bar |
+    C_bar | B_bar].
 
-    After one tail solve, the back-substitution takes two passes.  Leaves
-    first, level k's right-hand side at the solved means, v_k = [r] - [tail]
-    means, is p times the level's own multipliers on the state rows, the
-    lift of the children's y rows of P^-1 v (of xi at the deepest level) on
-    the (mu1, mu2) rows, less -dt [A_bar | C_bar | B_bar] times the level's
-    own means on the mu1 rows; P^-1 v_k gives the y rows to lift and the
-    (u, mu1, mu2) rows to keep.  Root first, each node subtracts P^-1 [(u,
-    mu1, mu2), y] times its parent's multipliers as they enter its y rows,
-    -mu1 / 2 - (+/-1) mu2 / (2 sqrt(dt)), and emits u.
+    After one tail solve, the back-substitution takes two passes over the
+    factors.  Leaves first, level k's right-hand side at the solved means,
+    v_k = [r] - [tail] means, is p times the level's own multipliers on the
+    state rows, the lift of the children's y rows of P^-1 v (of xi at the
+    deepest level) on the (mu1, mu2) rows, less -dt [A_bar | C_bar | B_bar]
+    times the level's own means on the mu1 rows; P^-1 v_k (:func:`_pivot_solve`,
+    _NODE_CHUNK nodes at a time) gives the y rows to lift and the (u, mu1,
+    mu2) rows to keep.  Root first, each node subtracts the (u, mu1, mu2)
+    rows of P^-1's y columns times its parent's multipliers as they enter
+    its y rows, -mu1 / 2 - (+/-1) mu2 / (2 sqrt(dt)), and emits u.
 
     A tail that is not finite or is numerically singular (condition number
     above 1 / machine epsilon) raises NumericsError
@@ -549,66 +599,87 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     xi_lift = _lift(tree, coeffs.xi.T[:, None, :])
     passed = xi_lift
     # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
-    # -(+/-1) / (2 sqrt(dt)).  The signs alternate, so each level's factors
-    # are the first 2**k of the deepest level's.
-    signs = tree.child_signs(max(n_steps - 2, 0))
+    # -(+/-1) / (2 sqrt(dt)).  The signs alternate, and a chunk starts at an
+    # even node, so every chunk's factors are the first of these.
+    signs = np.resize([1.0, -1.0], min(_NODE_CHUNK, tree.n_nodes(n_steps - 1)))
     coupling = np.stack([np.full(len(signs), -0.5), signs / (-2.0 * tree.sqrt_dt)])[:, None]
-    pivots = [None] * n_steps               # (P^-1, -dt [A_bar | C_bar | B_bar]) per level
+    pivots = [None] * n_steps               # (factors, -dt [A_bar | C_bar | B_bar]) per level
     for k in range(n_steps - 1, -1, -1):
         nodes, prob = tree.n_nodes(k), tree.node_probability(k)
         hi = (n_steps - k) * width
         lo = hi - width                     # tail columns of levels > k
         own = 1 + lo                        # first of the level's own tail columns
-        inv = _kkt_pivot_inverse(tree, coeffs, k, fill)
+        factors = _kkt_factors(tree, coeffs, k, fill)
         # the own mean columns' right-hand side on the mu1 rows, -dt [A_bar |
-        # C_bar | B_bar], as wide as the widest of the three
+        # C_bar | B_bar], as wide as the widest of the three, and the own
+        # multiplier columns' on the state rows, -p I
         means_rhs = -dt * _last(_concat_nodes(
             [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
-        pivots[k] = inv, means_rhs
+        mults_rhs = -prob * np.eye(states)[..., None]
+        pivots[k] = factors, means_rhs
 
-        # the y rows of the solved columns [E' | r | tail]; E' becomes the
-        # parents' fill, and the root has no parent
+        # The solved columns [E' | r | tail], z rows aside, one node chunk
+        # at a time.  Their y rows are kept for the whole level (`head`):
+        # E' becomes the parents' fill, and the root has no parent.  Their
+        # node sums and the tail update, the node sum of (tail columns of the
+        # right-hand side)' (solved columns [r | tail]), come from the
+        # nonzero rows only: the passed columns meet the (mu1, mu2) rows in
+        # one GEMM per row over the chunk's nodes, the own mean columns the
+        # mu1 rows through -dt [A_bar | C_bar | B_bar] (a node sum when that
+        # is one node wide), and the own multiplier columns are -p times the
+        # node sums of the state rows.  The z and u rows are not formed: their
+        # sums come from the (mu1, mu2) rows, z = b_mu2 - F21 mu1 - F22 mu2
+        # and u = Hu^-1 (b_u + dt B' mu1), by one contraction over (q, nodes)
+        # each, or by a product with the node sums when F or Hu^-1 dt B' is
+        # one node wide.
+        hu_b = _mul_last(factors.hu_inv, factors.bdt.swapaxes(0, 1))      # Hu^-1 dt B'
         head = np.empty((n, 2 * n + own + width, nodes))
-        np.multiply(inv[:n, None, :n], coupling[..., :nodes] if k > 0 else 0.0,
-                    out=head[:, :2 * n].reshape(n, 2, n, nodes, copy=False))
-        _solved_columns(inv[:n], passed, means_rhs, prob, head[:, 2 * n:])
         sums = np.zeros((4 * n + m, 1 + hi))
-        head[:, 2 * n:].sum(axis=2, out=sums[:n])
-
-        # the tail update, the node sum of (tail columns of the right-hand
-        # side)' (solved columns [r | tail]), from the nonzero rows only: the
-        # passed columns meet the (mu1, mu2) rows in one GEMM per row over the
-        # nodes, the own mean columns the mu1 rows through -dt [A_bar | C_bar |
-        # B_bar] (a node sum when that is one node wide), and the own
-        # multiplier columns are -p times the node sums of the state rows.
-        # The (u, mu1, mu2) rows enter only such node sums, so they are formed
-        # _NODE_CHUNK nodes at a time.  The z rows' sums, z = b_mu2 - F21 mu1
-        # - F22 mu2, are one contraction over (q, nodes).
         update = np.zeros((hi, 1 + hi))
+        product = np.empty((lo, 1 + hi))
         for chunk in range(0, nodes, _NODE_CHUNK):
-            at = slice(chunk, chunk + _NODE_CHUNK)
-            kept = np.empty((m + 2 * n, own + width, min(nodes - chunk, _NODE_CHUNK)))
-            _solved_columns(_nodes(inv[n:], at), passed[..., at], _nodes(means_rhs, at),
-                            prob, kept)
-            kept_mu = kept[m:].transpose(0, 2, 1)          # (2n, chunk, 1 + hi)
-            sums[2 * n:] += kept.sum(axis=2)
+            at = slice(chunk, min(chunk + _NODE_CHUNK, nodes))
+            count = at.stop - at.start
+            # at full chunk width, so that no product writes a flat GEMM into
+            # the strided chunk of `head`
+            inv = np.broadcast_to(_pivot_solve(factors, None, at),
+                                  (3 * n + m, 4 * n + m, count))
+            np.multiply(inv[:n, None, :n], coupling[..., :count] if k > 0 else 0.0,
+                        out=head[:, :2 * n, at].reshape(n, 2, n, count, copy=False))
+            blocks = passed[..., at], _nodes(means_rhs, at), mults_rhs
+            _solved_columns(inv[:n], *blocks, head[:, 2 * n:, at])
+            kept = np.empty((2 * n, own + width, count))    # the (mu1, mu2) rows
+            _solved_columns(inv[n + m:], *blocks, kept)
+            del inv, blocks
+            sums[mu] += kept.sum(axis=2)
+            kept_t = kept.transpose(0, 2, 1)                # (2n, chunk, 1 + hi)
             if fill.shape[2] > 1:
                 sums[n:2 * n] -= np.matmul(fill[n:, :, at].transpose(1, 0, 2),
-                                           kept_mu).sum(axis=0)
-            update[:lo] += np.matmul(passed[:, 1:, at], kept_mu).sum(axis=0)
+                                           kept_t).sum(axis=0)
+            if hu_b.shape[2] > 1:
+                sums[2 * n:states] += np.matmul(hu_b[..., at].transpose(1, 0, 2),
+                                                kept_t[:n]).sum(axis=0)
+            for q in range(2 * n if lo else 0):
+                update[:lo] += np.matmul(passed[q, 1:, at], kept[q].T, out=product)
             if means_rhs.shape[2] > 1:
-                update[lo:lo + states] += np.matmul(means_rhs[..., at], kept_mu[:n]).sum(axis=0)
-            del kept, kept_mu
+                update[lo:lo + states] += np.matmul(means_rhs[..., at], kept_t[:n]).sum(axis=0)
+            del kept, kept_t
+        head[:, 2 * n:].sum(axis=2, out=sums[:n])
         if fill.shape[2] == 1:
             sums[n:2 * n] = -(fill[n:, :, 0] @ sums[mu])
         sums[n:2 * n, :own] += passed[n:].sum(axis=2)
+        if hu_b.shape[2] == 1:
+            sums[2 * n:states] = hu_b[:, :, 0] @ sums[mu1]
+        hu_inv = factors.hu_inv                 # times b_u = -p I on the own nu3 columns
+        sums[2 * n:states, own + states + 2 * n:] -= prob * (
+            hu_inv.sum(axis=2) if hu_inv.shape[2] > 1 else nodes * hu_inv[:, :, 0])
         if means_rhs.shape[2] == 1:
             update[lo:lo + states] = means_rhs[:, :, 0].T @ sums[mu1]
         update[lo + states:] = -prob * sums[:states]
         tail[lo:hi, lo:hi] += _kkt_tail_block(tree, coeffs, k)
         tail_rhs[:hi] -= update[:, 0]
         tail[:hi, :hi] -= update[:, 1:]
-        del inv, fill, passed
+        del factors, fill, passed
         if k > 0:
             lifted = _lift(tree, head)
             fill, passed = lifted[:, :2 * n], lifted[:, 2 * n:]
@@ -622,33 +693,36 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
 
     # leaves first: one right-hand side per level at the solved means
     partial = [None] * n_steps              # (u, mu1, mu2) rows of P^-1 v
-    down = [None] * n_steps                 # P^-1 [(u, mu1, mu2), y]
     lifted = xi_lift
     for k in range(n_steps - 1, -1, -1):
-        inv, means_rhs = pivots[k]
+        factors, means_rhs = pivots[k]
+        nodes, prob = tree.n_nodes(k), tree.node_probability(k)
         lo = (n_steps - k - 1) * width
         own_means, own_nu = means[lo:lo + states], means[lo + states:lo + width]
-        rhs = np.empty((4 * n + m, 1, tree.n_nodes(k)))
-        rhs[:states] = tree.node_probability(k) * own_nu[:, None, None]
-        rhs[mu] = lifted
-        rhs[mu1] -= _mul_last(means_rhs, own_means[:, None, None])
-        sol = _mul_last(inv, rhs)[:, 0]
-        del rhs
+        means_term = _mul_last(means_rhs, own_means[:, None, None])
+        ys, partial[k] = np.empty((n, 1, nodes)), np.empty((2 * n + m, nodes))
+        for chunk in range(0, nodes, _NODE_CHUNK):
+            at = slice(chunk, min(chunk + _NODE_CHUNK, nodes))
+            rhs = np.empty((4 * n + m, 1, at.stop - at.start))
+            rhs[:states] = prob * own_nu[:, None, None]
+            rhs[mu] = lifted[..., at]
+            rhs[mu1] -= _nodes(means_term, at)
+            sol = _pivot_solve(factors, rhs, at)
+            ys[..., at], partial[k][:, at] = sol[:n], sol[n:, 0]
+            del rhs, sol
         if k > 0:
-            lifted = _lift(tree, sol[:n, None])
-        partial[k] = sol[n:]
-        # the root-first pass reads only these columns of the pivot inverse
-        down[k] = inv[n:, :n].copy()
-        pivots[k] = None
-        del inv, sol
+            lifted = _lift(tree, ys)
+        del ys
 
-    # root first: the parents' multipliers enter through E'
+    # root first: the parents' multipliers enter the y rows through E'
     controls, parent = [], None
     for k in range(n_steps):
         node = partial[k]
         if k > 0:
-            up = coupling[..., :tree.n_nodes(k)] * np.repeat(parent, 2, axis=1).reshape(2, n, -1)
-            node -= _mul_last(down[k], (up[0] + up[1])[:, None])[:, 0]
+            half, quotient = -0.5 * parent[:n], parent[n:] / (2.0 * tree.sqrt_dt)
+            up = np.stack([half - quotient, half + quotient], axis=2).reshape(n, 1, -1)
+            node -= _mul_last(pivots[k][0].inv_y[n:], up)[:, 0]
+        pivots[k] = None
         controls.append(node[:m].T.copy())
         parent = node[m:]
     return controls, min_sv

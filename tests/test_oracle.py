@@ -164,26 +164,17 @@ def test_sparse_oracle_solves_the_state_twice(m1_random, monkeypatch):
     assert sol.cost == evaluate_cost(tree, coeffs, sol.u)
 
 
-@pytest.mark.parametrize("name, depth, multiple", [("m1_random", 12, 2.5), ("d2", 10, 4.0)])
-def test_sparse_oracle_peak_is_a_small_multiple_of_its_pivot_inverses(
-        corpus, monkeypatch, name, depth, multiple):
-    # the sparse route keeps one pivot inverse per level for its two
-    # back-substitution passes, and holds every other level-wide block for
-    # one level (the (u, mu1, mu2) rows for one node chunk) at a time.
-    # Keeping each level's solved columns [E' | r | tail] until a single
-    # back-substitution instead peaks at 2.96 (m1_random) and 6.11 (d2)
-    # times the inverses' bytes at these depths.
+@pytest.mark.parametrize("name, depth, limit", [("m1_random", 12, 300), ("d2", 10, 780)])
+def test_sparse_oracle_peak_per_tree_node(corpus, name, depth, limit):
+    # the sparse route keeps per level only what its pivots are solved from
+    # (8 floats per node on m1_random, 22 on d2) and forms their inverses,
+    # like the multiplier rows of the solved columns, one node chunk at a
+    # time.  Keeping each level's pivot inverse (20 and 63 floats per node)
+    # peaks at 332 (m1_random) and 825 (d2) bytes per node here; this route
+    # reads 273 and 728.
     tree, coeffs = _setup(corpus[name], depth)
     oracle._solve_sparse(tree, coeffs)      # fills the coefficient set's caches
-    stored = []
-    real = oracle._kkt_pivot_inverse
-
-    def recorded(*args):
-        inv = real(*args)
-        stored.append(inv.nbytes)
-        return inv
-
-    monkeypatch.setattr(oracle, "_kkt_pivot_inverse", recorded)
+    nodes = sum(tree.n_nodes(k) for k in range(depth))
     gc.collect()
     tracemalloc.start()
     try:
@@ -191,8 +182,36 @@ def test_sparse_oracle_peak_is_a_small_multiple_of_its_pivot_inverses(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(stored) == depth
-    assert peak <= multiple * sum(stored), (peak, sum(stored))
+    assert peak <= limit * nodes, peak / nodes
+
+
+@pytest.mark.parametrize("name, depth", [("m1_random", 8), ("d2", 7)])
+def test_sparse_oracle_does_not_depend_on_the_node_chunk(corpus, monkeypatch, name, depth):
+    # with 8-node chunks the deepest levels form their pivot inverses, solved
+    # columns and leaves-first solves in 16 (m1_random) and 8 (d2) chunks
+    tree, coeffs = _setup(corpus[name], depth)
+    u, tail_sv = oracle._solve_sparse(tree, coeffs)
+    monkeypatch.setattr(oracle, "_NODE_CHUNK", 8)
+    chunked, chunked_sv = oracle._solve_sparse(tree, coeffs)
+    reference = np.concatenate([level.ravel() for level in u])
+    diff = np.concatenate([level.ravel() for level in chunked]) - reference
+    assert np.abs(diff).max() <= 1e-13 * np.abs(reference).max()
+    assert abs(chunked_sv - tail_sv) <= 1e-13 * tail_sv
+
+
+@pytest.mark.parametrize("field, value, name", [("N", 0.0, "KKT pivot N"),
+                                                ("A", 6.0, "KKT pivot I - dt A")])
+def test_singular_pivot_on_a_chunked_level_is_refused_by_name(m1_random, monkeypatch,
+                                                               field, value, name):
+    # level 5 has 32 nodes, four chunks of 8; one node of the third has a
+    # singular pivot (dt = 1/6, so I - dt A = 0 at A = 6)
+    tree, coeffs = _setup(m1_random, 6)
+    monkeypatch.setattr(oracle, "_NODE_CHUNK", 8)
+    levels = [level.copy() for level in getattr(coeffs, field)]
+    assert levels[5].shape == (32, 1, 1)
+    levels[5][20] = value
+    with pytest.raises(StepSizeError, match=f"{name} .*level 5"):
+        solve_oracle(tree, dataclasses.replace(coeffs, **{field: levels}))
 
 
 def test_singular_step_raises_typed_errors():
