@@ -69,8 +69,11 @@ def checked_inverse(mats: np.ndarray, name: str, level: int) -> tuple:
     if mats.shape[-1] == 1:
         min_sv = float(np.abs(mats).min())
     else:
-        min_sv = float(np.sqrt(max(
-            float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
+        try:
+            min_sv = float(np.sqrt(max(
+                float(np.linalg.eigvalsh(_t(mats) @ mats)[:, 0].min()), 0.0)))
+        except np.linalg.LinAlgError:   # 3 x 3 and wider: no convergence on NaN
+            min_sv = np.nan
     if not _MIN_STEP_SV < min_sv < np.inf:
         raise StepSizeError(
             f"{name} is singular or not finite at level {level}: smallest "

@@ -19,8 +19,9 @@ from its known nonzero blocks.  Each level keeps only what its pivots are
 solved from, not their inverses, which are formed a node chunk at a time,
 and two passes over the levels, leaves first and then root first, recover
 the controls by the same block elimination.  A dense route, which assembles
-the reduced Hessian column by column, runs only when asked for and serves
-as a cross-check of the sparse one on small trees.
+the reduced Hessian column by column, checks that it is positive definite
+with a Cholesky factorization and solves it once, runs only when asked for
+and serves as a cross-check of the sparse one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
@@ -304,27 +305,22 @@ def _reduced_hessian(tree: ScenarioTree, coeffs: CoefficientSet) -> np.ndarray:
         impulses[block] = np.eye(block.stop - block.start)
         hess[:, block] = stack_controls(hessian_product(
             tree, coeffs, unstack_controls(impulses, tree, m)))
+    if not np.isfinite(hess).all():
+        raise NumericsError("reduced Hessian is not finite")
     hess += hess.T   # symmetric up to rounding; make both triangles agree
     hess *= 0.5
     return hess
 
 
 def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
-    # imported here, not at module level: SciPy takes longer to import than
-    # a shallow solve takes to run, and no other route needs it
-    import scipy.linalg
-
     hess = _reduced_hessian(tree, coeffs)
     lin = 0.5 * stack_controls(
         cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))
     try:
-        factor = scipy.linalg.cho_factor(hess)
+        np.linalg.cholesky(hess)   # the convexity check; its factor is dropped
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(f"reduced Hessian is not positive definite: {exc}") from exc
-    u_vec = scipy.linalg.cho_solve(factor, -lin)
-    for _ in range(2):  # iterative refinement sharpens the certificate
-        u_vec -= scipy.linalg.cho_solve(factor, hess @ u_vec + lin)
-    return unstack_controls(u_vec, tree, coeffs.m)
+    return unstack_controls(np.linalg.solve(hess, -lin), tree, coeffs.m)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,9 @@ def test_singular_implicit_step_raises_step_size_error():
                                   # singular 2 x 2 stacks, as the KKT pivots of
                                   # a vector state can be
                                   np.array([[[1.0, 0.0], [0.0, 0.0]]]),
-                                  np.array([[[1.0, 1.0], [1.0, 1.0]]])])
+                                  np.array([[[1.0, 1.0], [1.0, 1.0]]]),
+                                  # 3 x 3: eigvalsh does not converge on NaN
+                                  np.full((2, 3, 3), np.nan)])
 def test_checked_inverse_refuses_singular_or_non_finite(mats):
     with pytest.raises(StepSizeError, match="I \\+ S R .*level 3"):
         checked_inverse(mats, "I + S R", 3)

@@ -287,15 +287,21 @@ def test_validate_malformed_structure_is_an_error_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_certified_pipeline_and_validate_load_no_scipy():
-    # SciPy is imported only by the dense cross-check route; a fresh process
-    # that solves, certifies and validates must not pay for importing it
+def test_no_route_of_the_package_loads_scipy():
+    # NumPy is the only dependency: a fresh process that solves, certifies
+    # (by both oracle routes), takes the Hessian spectrum and validates must
+    # not import SciPy
     proc = _run_python("-c", f"""
 import sys
 import mfbslq
 import mfbslq.cli
+from mfbslq import oracle
 spec = mfbslq.load_spec_file({M1_RANDOM!r})
 mfbslq.run_pipeline(spec, 4, with_oracle=True).report()
+tree = mfbslq.build_tree(spec.horizon, 4)
+coeffs = mfbslq.realize(spec, tree)
+assert oracle.solve_oracle(tree, coeffs, "dense").certified
+assert oracle.weighted_hessian_eigenvalues(tree, coeffs).min() > 0.0
 assert mfbslq.cli.main(["validate", "--spec", {M1_RANDOM!r}]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """)

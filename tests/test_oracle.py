@@ -20,8 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfbslq import (NumericsError, SizeCapError, StepSizeError, build_tree,
-                    load_spec, oracle, realize, solve_meanfield_bsde, validate_h1_h2)
+from mfbslq import (ConvexityError, NumericsError, SizeCapError, StepSizeError,
+                    build_tree, load_spec, oracle, realize, solve_meanfield_bsde,
+                    validate_h1_h2)
 from mfbslq.bsde import MeanfieldBsdeSolution
 from mfbslq.cli import CHECK_COST_GAP
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
@@ -152,6 +153,32 @@ def test_sparse_default_and_dense_size_cap(s1):
         solve_oracle(deep, deep_coeffs, method="dense")
     with pytest.raises(SizeCapError):
         weighted_hessian_eigenvalues(deep, deep_coeffs)
+
+
+def _scaled_hessian_products(monkeypatch, factor: float) -> None:
+    """Make every :func:`.oracle.hessian_product` return its columns times
+    ``factor``."""
+    real = oracle.hessian_product
+    monkeypatch.setattr(oracle, "hessian_product",
+                        lambda *args: [factor * g for g in real(*args)])
+
+
+def test_non_finite_reduced_hessian_is_a_numerics_error(m1, monkeypatch):
+    # NaN columns used to reach LAPACK: the dense solve raised an untyped
+    # ValueError and the spectrum a LinAlgError
+    tree, coeffs = _setup(m1, 4)
+    _scaled_hessian_products(monkeypatch, np.nan)
+    with pytest.raises(NumericsError, match="reduced Hessian is not finite"):
+        solve_oracle(tree, coeffs, method="dense")
+    with pytest.raises(NumericsError, match="reduced Hessian is not finite"):
+        weighted_hessian_eigenvalues(tree, coeffs)
+
+
+def test_indefinite_reduced_hessian_is_a_convexity_error(m1, monkeypatch):
+    tree, coeffs = _setup(m1, 4)
+    _scaled_hessian_products(monkeypatch, -1.0)
+    with pytest.raises(ConvexityError, match="reduced Hessian is not positive definite"):
+        solve_oracle(tree, coeffs, method="dense")
 
 
 def test_sparse_oracle_solves_the_state_twice(m1_random, monkeypatch):
