@@ -116,6 +116,21 @@ class CoefficientSet:
                 for qb, rb, nb in zip(self.Q_bar, self.R_bar, self.N_bar)]
         return cached[k]
 
+    def on_lattice(self, tree: ScenarioTree) -> CoefficientSet | None:
+        """The coefficients on the tree's walk lattice, each level restricted
+        by :meth:`.tree.ScenarioTree.restrict`, or None when one of them is
+        not a function of W(t_k).  xi is restricted the same way, and is
+        None on the lattice set when it is not a function of W(T).  Decided
+        at the first call and cached on the set."""
+        if "lattice" not in self._cache:
+            names = (*_DYNAMICS_SHAPES, *_COST_SHAPES)
+            fields = {name: [tree.restrict(level) for level in getattr(self, name)]
+                      for name in names}
+            passed = all(level is not None for levels in fields.values() for level in levels)
+            self._cache["lattice"] = (replace(self, xi=tree.restrict(self.xi), **fields)
+                                      if passed else None)
+        return self._cache["lattice"]
+
     def node_means(self) -> CoefficientSet:
         """The coefficients with every level replaced by its node mean, kept
         as one node; ``self`` when every level already has one node."""

@@ -47,12 +47,24 @@ couplings, and xbar takes the adjoint's step without the shock,
     xbar_{k+1} = xbar_k + dt (A_k' xbar_k - Q_k ybar_k - lam1_k),
 
 because the +/- sqrt(dt) shock averages out over the two children.  Any
-number of columns then costs one sweep of one node per level.  Otherwise
-the linear part runs full-width sweeps, 16 columns to a sweep.  Both parts
-reduce each adjoint level to its means and couplings (one GEMM each,
-:func:`.tree._level_coupling`) as it is formed and keep no field of the
-tree (`_response`).  The final sweep runs the
-same way from xi and keeps only the control u = N^{-1} (B' x - lam3).
+number of columns then costs one sweep of one node per level.
+
+When every coefficient and the Riccati pair are functions of the walk
+value W(t_k) (decided by value, `build_workspace`), every map the sweeps
+apply on level k is a function of the number d of down moves, so the
+means and couplings read the adjoint only through its conditional mean
+given d.  The linear part then runs on the walk lattice (Cox, Ross and
+Rubinstein, J. Financial Economics 7, 1979), k + 1 nodes on level k, all
+columns in one sweep: phi is a function of d there, and node d' of level
+k + 1 merges the adjoint's step to the up child of node d', weight
+(k + 1 - d') / (k + 1), and to the down child of node d' - 1, weight
+d' / (k + 1) (:meth:`.tree.WalkLattice.children`).  So does the base
+sweep when xi is a function of W(T).  Otherwise the linear part runs
+full-width sweeps of the tree, 16 columns to a sweep.  All of them reduce
+each adjoint level to its means and couplings (one GEMM each,
+``level_coupling``) as it is formed and keep no field (`_response`).  The
+final sweep runs the same way on the tree from xi and keeps only the
+control u = N^{-1} (B' x - lam3).
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
@@ -69,15 +81,17 @@ while the realized means equal eta.  `solve_outer_system` solves the
 resulting linear system A (eta, lam) = b, of size 2d with d = n_steps
 (2n + m), the same way for every input: unrestarted matrix-free GMRES, a
 product being one single-column zero-terminal sweep, right-preconditioned
-by the outer system M of the node-mean problem.  That problem replaces
-every coefficient level and every Sigma level by its node mean, kept as one
-node, with Phi = 0; it is node-constant, so its dense 2d x 2d system costs
-one sweep of one node per level.  GMRES solves A M^{-1} w = b and returns
+by the outer system M of a reduced problem, assembled densely from 2d
+columns in one sweep.  On lattice data that is the lattice problem, whose
+system is the problem's own: M = A, and one product suffices.  Otherwise it
+is the node-mean problem, which replaces every coefficient level and every
+Sigma level by its node mean, kept as one node, with Phi = 0; it is
+node-constant, so its sweep has one node per level, and on path-dependent
+data about five products remain.  GMRES solves A M^{-1} w = b and returns
 x = M^{-1} w, so its stopping test is on the true residual |A x - b|
 (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 9).
-On node-constant data M is A and one product suffices; on the shipped
-random-coefficient spec about five do, at every depth.  With all barred
-coefficients zero the solve yields lam = 0 and the plain feedback control.
+With all barred coefficients zero the solve yields lam = 0 and the plain
+feedback control.
 
 The solve is not trusted on its own: `constrained_solution_at` gates the
 realized means of the final sweep against eta and returns its control,
@@ -91,7 +105,7 @@ u-block], each block time-major over levels 0..n_steps-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +115,7 @@ from .bsde import (checked_dense_sv, checked_inverse, control_weight_inverses,
                    implicit_steps, solve_forward_sde)
 from .model import CoefficientSet
 from .riccati import RiccatiSolution
-from .tree import ScenarioTree, _concat_nodes, _level_coupling, _mul, _mv, _t, column_blocks
+from .tree import ScenarioTree, WalkLattice, _concat_nodes, _mul, _mv, _t, column_blocks
 
 _RANK_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -148,12 +162,41 @@ class DecoupledWorkspace:
     # every level of every array the mean recursion reads has one node: the
     # linear part's level means follow their own recursion (_forward_sweep)
     one_node: bool = False
+    # the same problem on the walk lattice, when its data are functions of
+    # W(t_k): (lattice, coefficients, workspace), whose sweeps give this
+    # problem's means and couplings; the coefficients' xi is None when the
+    # terminal is not a function of W(T)
+    lattice: tuple | None = None
 
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                     sigma: list, phi: list) -> DecoupledWorkspace:
     """Assemble the per-level matrices from the Riccati pair (sigma, phi).
-    Every inverted matrix is checked; StepSizeError names the level."""
+    Every inverted matrix is checked; StepSizeError names the level.
+
+    When the coefficients and the pair are functions of W(t_k) (decided by
+    value, :meth:`.tree.ScenarioTree.restrict`), the matrices are built on
+    the walk lattice, kept as ``lattice``, and gathered to the tree's nodes,
+    bit for bit what the per-node build gives; N^-1 is the coefficient
+    set's own."""
+    lattice = coeffs.on_lattice(tree)
+    if lattice is not None:
+        pair = ([tree.restrict(level) for level in sigma],
+                [tree.restrict(level) for level in phi])
+        if all(level is not None for levels in pair for level in levels):
+            grid = tree.lattice()
+            small = _assemble_workspace(grid, lattice, *pair)
+            return replace(small, sigma=sigma, Ninv=list(control_weight_inverses(coeffs)),
+                           lattice=(grid, lattice, small),
+                           **{name: [tree.gather(level) for level in getattr(small, name)]
+                              for name in ("H", "sig_c", "phi_step", "vtheta_coef",
+                                           "zx", "bars")})
+    return _assemble_workspace(tree, coeffs, sigma, phi)
+
+
+def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
+                        sigma: list, phi: list) -> DecoupledWorkspace:
+    """:func:`build_workspace` on the given layout, node by node."""
     n = coeffs.n
     eye = np.eye(n)
     x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, sigma[0]),
@@ -195,7 +238,7 @@ class DecoupledSolution:
     coupling: np.ndarray   # stacked E[A_bar' x], E[C_bar' x], E[B_bar' x]
 
 
-def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
+def _backward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                     ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
                     xi: np.ndarray) -> tuple:
     """(phi, vtheta) of the auxiliary backward equation for column stacks
@@ -221,30 +264,31 @@ def _backward_sweep(tree: ScenarioTree, coeffs: CoefficientSet,
     return phi, vtheta
 
 
-def _adjoint_step(tree: ScenarioTree, coeffs: CoefficientSet, k: int, x: np.ndarray,
-                  y: np.ndarray, z: np.ndarray, lam1: np.ndarray, lam2: np.ndarray,
-                  mean: bool) -> np.ndarray:
+def _adjoint_step(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet, k: int,
+                  x: np.ndarray, y: np.ndarray, z: np.ndarray, lam1: np.ndarray,
+                  lam2: np.ndarray, mean: bool) -> np.ndarray:
     """Level k + 1 of the adjoint dx = (A' x - Q y - lam1) ds + (C' x - R z
     - lam2) dW from level k and the (y, z) reconstructed on it: the up child
-    of each node takes dW = +sqrt(dt), the down child -sqrt(dt).  The
-    level-mean step (``mean``) leaves the shock out and keeps one node."""
+    of each node takes dW = +sqrt(dt), the down child -sqrt(dt) (on the
+    lattice, their conditional mean given d, ``children``).  The level-mean
+    step (``mean``) leaves the shock out and keeps one node."""
     step = x + tree.dt * (_mul(_t(coeffs.A[k]), x) - _mul(coeffs.Q[k], y) - lam1[None])
     if mean:
         return step
     shock = tree.sqrt_dt * (_mul(_t(coeffs.C[k]), x) - _mul(coeffs.R[k], z) - lam2[None])
-    nxt = np.empty((2 * len(step),) + step.shape[1:])
-    np.add(step, shock, out=nxt[0::2])        # up child, dW = +sqrt(dt)
-    np.subtract(step, shock, out=nxt[1::2])   # down child, dW = -sqrt(dt)
-    return nxt
+    return tree.children(step, shock)
 
 
-def _forward_sweep(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-                   lam: np.ndarray, phi: list, vtheta: list, mean: bool,
-                   keep: tuple) -> tuple:
+def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
+                   ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
+                   mean: bool, keep: tuple) -> tuple:
     """u, y and z on levels 0..n_steps-1, reconstructed from the adjoint x
     level by level as :func:`_adjoint_step` forms it (the level mean when
     ``mean``) and reduced to their level means and the mean couplings, each
-    stacked like ``lam``.  x stops at level n_steps - 1 unless ``keep``
+    stacked like ``lam``.  ``tree`` is the tree or the walk lattice: on the
+    lattice, x is its conditional mean given the node, which is all the
+    means and couplings read, since every map applied to it is a function
+    of the node.  x stops at level n_steps - 1 unless ``keep``
     names it; then it runs to the leaves.  Returns (kept, means, coupling),
     ``kept`` the levels of each field named in ``keep``.  The guard is the
     worst defect of N u - (B' x - lam3) relative to 1 + |B' x| over every
@@ -267,7 +311,7 @@ def _forward_sweep(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWork
         defect = np.abs(_mul(coeffs.N[k], uk) - net).max(axis=(0, 1))
         guard = np.maximum(guard, defect / (1.0 + np.abs(bx).max(axis=(0, 1))))
         mean_y[k], mean_z[k], mean_u[k] = tree.expect(yk), tree.expect(zk), tree.expect(uk)
-        bars = _level_coupling(ws.bars[k], x)
+        bars = tree.level_coupling(ws.bars[k], x)
         cpl_y[k], cpl_z[k], cpl_u[k] = bars[:n], bars[n:2 * n], bars[2 * n:]
         for name in keep:
             kept[name].append({"x": x, "u": uk, "y": yk, "z": zk}[name])
@@ -305,17 +349,20 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     return DecoupledSolution(*fields, means, coupling)
 
 
-def _response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-              lam: np.ndarray, eta: np.ndarray, xi: np.ndarray, keep: tuple = ()) -> tuple:
+def _response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
+              ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray, xi: np.ndarray,
+              keep: tuple = ()) -> tuple:
     """:func:`_forward_sweep` of column stacks (d, c) from phi(T) = -xi; the
     leaves are never formed.  A sweep that keeps a field runs all columns
     as one full-width block.  Otherwise, when xi and every array the mean
     recursion reads have one node per level, all columns run as one block
-    on the adjoint's level mean, else full width, 16 to a block."""
+    on the adjoint's level mean; else on the lattice as one block, and on
+    the tree full width, 16 to a block."""
     mean_path = ws.one_node and len(xi) == 1 and not keep
+    one_block = mean_path or keep or isinstance(tree, WalkLattice)
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
-    for block in [slice(None)] if mean_path or keep else column_blocks(lam.shape[1]):
+    for block in [slice(None)] if one_block else column_blocks(lam.shape[1]):
         lam_b = lam[:, block]
         phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
         kept, means[:, block], coupling[:, block] = _forward_sweep(
@@ -323,19 +370,25 @@ def _response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace
     return kept, means, coupling
 
 
-def linear_response(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-                    lam: np.ndarray, eta: np.ndarray) -> tuple:
+def linear_response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
+                    ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray) -> tuple:
     """Level means and mean couplings of the linear part of the map
     (lam, eta) -> (means, coupling), solved from a zero terminal, for column
-    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`).  Returns
-    two (d, c) stacks."""
+    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`), on the
+    workspace's lattice problem when it has one.  Returns two (d, c)
+    stacks."""
+    if ws.lattice is not None:
+        tree, coeffs, ws = ws.lattice
     return _response(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))[1:]
 
 
 def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
                  ws: DecoupledWorkspace) -> tuple:
     """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
-    the constant part of the affine map, each (d,)."""
+    the constant part of the affine map, each (d,); on the lattice when the
+    workspace has a lattice problem and xi too is a function of W(T)."""
+    if ws.lattice is not None and ws.lattice[1].xi is not None:
+        tree, coeffs, ws = ws.lattice
     zero = np.zeros((eta_dimension(tree, coeffs), 1))
     means, coupling = _response(tree, coeffs, ws, zero, zero, coeffs.xi)[1:]
     return means[:, 0], coupling[:, 0]
@@ -409,24 +462,27 @@ class OuterSolution(NamedTuple):
     min_preconditioner_sv: float   # smallest singular value of M
 
 
-def _node_mean_problem(tree: ScenarioTree, coeffs: CoefficientSet,
-                       ws: DecoupledWorkspace) -> tuple:
-    """(coefficients, workspace) of the node-mean problem: every level of
-    the coefficients and of Sigma replaced by its node mean, kept as one
-    node, and Phi = 0, the martingale integrand of a one-node Sigma.  Node
-    means of PSD weights are PSD and keep N >= delta I, so its workspace
-    passes the same checked inverses.  A problem that is its own node mean
-    (one node everywhere) is returned as is, with its own workspace."""
+def _reduced_problem(tree: ScenarioTree, coeffs: CoefficientSet,
+                     ws: DecoupledWorkspace) -> tuple:
+    """(layout, coefficients, workspace, name) of the problem whose outer
+    system preconditions this one's.  With a lattice problem (``ws.lattice``)
+    it is that one, which is exact: the products run on it too, so M = A.
+    Otherwise it is the node-mean problem: every level of the coefficients
+    and of Sigma replaced by its node mean, kept as one node, and Phi = 0,
+    the martingale integrand of a one-node Sigma.  Node means of PSD weights
+    are PSD and keep N >= delta I, so its workspace passes the same checked
+    inverses."""
+    if ws.lattice is not None:
+        return (*ws.lattice, "lattice")
     mean_coeffs = coeffs.node_means()
-    if mean_coeffs is coeffs and all(len(level) == 1 for level in ws.sigma):
-        return coeffs, ws
     sigma = [level.mean(axis=0, keepdims=True) for level in ws.sigma]
     phi = [np.zeros((1, coeffs.n, coeffs.n))] * tree.n_steps
-    return mean_coeffs, build_workspace(tree, mean_coeffs, sigma, phi)
+    return (tree, mean_coeffs, _assemble_workspace(tree, mean_coeffs, sigma, phi),
+            "node-mean")
 
 
-def _outer_map(tree: ScenarioTree, coeffs: CoefficientSet, ws: DecoupledWorkspace,
-               weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _outer_map(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
+               ws: DecoupledWorkspace, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The outer system's matrix applied to a column stack (2d, c) of
     (eta, lam): feasibility rows eta - means and stationarity rows
     W eta - coupling - lam, with the linear part from
@@ -446,7 +502,7 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     feedback (stationarity in eta).  Both are affine in (eta, lam), so the
     pair is one linear system A (eta, lam) = b of size 2d, b from the base
     sweep.  GMRES solves A M^{-1} w = b and x = M^{-1} w, M the same system
-    of :func:`_node_mean_problem`, assembled densely.  An M that is not
+    of :func:`_reduced_problem`, assembled densely.  An M that is not
     finite or is numerically singular (condition number above 1 / machine
     epsilon) raises NumericsError (:func:`.bsde.checked_dense_sv`); the
     answer itself is certified on the final sweep (see
@@ -454,10 +510,10 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     """
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
-    mean_coeffs, mean_ws = _node_mean_problem(tree, coeffs, ws)
-    precond = _outer_map(tree, mean_coeffs, mean_ws, weights, np.eye(2 * d))
+    grid, small_coeffs, small_ws, name = _reduced_problem(tree, coeffs, ws)
+    precond = _outer_map(grid, small_coeffs, small_ws, weights, np.eye(2 * d))
     min_sv = checked_dense_sv(
-        precond, "outer first-order system of the node-mean problem")
+        precond, f"outer first-order system of the {name} problem")
     precond = np.linalg.inv(precond)
     rhs = np.concatenate(_xi_response(tree, coeffs, ws))
 

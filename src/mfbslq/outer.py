@@ -4,12 +4,16 @@ The optimal deterministic mean triple eta is selected by the outer
 first-order conditions (see :func:`.multipliers.solve_outer_system`):
 feasibility of the realized means plus the multiplier/mean-cost-gradient
 matching condition, one linear system in (eta, lam).  Every input solves
-it by matrix-free GMRES, right-preconditioned by the system of the
-node-mean problem; the pipeline never probes.  The report's
-``outer_columns`` counts the base column and one per GMRES product, and
-``outer_relative_residual`` is |A x - b| / |b| of the system.  With all
-barred coefficients zero the system collapses to zero multipliers and the
-plain feedback control.
+it by matrix-free GMRES, right-preconditioned by the system of a reduced
+problem; the pipeline never probes.  Where the data are functions of the
+walk value W(t_k), the Riccati pair and the outer solve run on the walk
+lattice, whose system is the problem's own, and the final sweep, the cost
+re-solve and the stationarity residual run on the tree from the gathered
+pair; other data run on the tree, preconditioned by the node-mean problem.
+The report's ``outer_columns`` counts the base column and one per GMRES
+product, and ``outer_relative_residual`` is |A x - b| / |b| of the system.
+With all barred coefficients zero the system collapses to zero multipliers
+and the plain feedback control.
 
 Both conditions are certified on the final sweep, whose control is
 returned, not on the outer solve: its realized means must hit eta, and its

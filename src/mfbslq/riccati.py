@@ -44,6 +44,13 @@ width of that level's inputs: E_k[Sigma_{k+1}] and the coefficients A, Q,
 C, R, B N^{-1} B'.  With deterministic coefficients Sigma and Phi therefore
 stay at one node per level (Phi = 0), and a level is 2**k nodes wide only
 where one of its inputs varies over the nodes.
+
+Where every coefficient level is a function of the walk value W(t_k)
+(:meth:`.model.CoefficientSet.on_lattice`, decided by value), so are Sigma
+and Phi: the recursion then runs on the walk lattice, k + 1 nodes on level
+k, with the same per-node arithmetic, and Sigma and Phi are gathered back
+to the tree's nodes bit for bit.  ``newton_nodes`` counts the nodes of the
+layout it ran on.  Any other data run on the tree.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ class RiccatiSolution:
     newton_iterations: int      # worst per-level Newton iteration count
     newton_iterations_per_level: list   # levels 0..n_steps - 1
     newton_nodes: int           # nodes the Newton iteration ran on, all levels
+                                # (lattice nodes on lattice data)
 
 
 def _kron(a, b):
@@ -102,14 +110,17 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     """Run the backward recursion over all levels; raises RiccatiError on a
     node whose starting residual is not finite or where the Newton iteration
     fails to meet the residual tolerance _NEWTON_TOL within _MAX_NEWTON
-    iterations, and StepSizeError where N or I + Sigma R is singular."""
+    iterations, and StepSizeError where N or I + Sigma R is singular.  A
+    node named in an error is the first tree node of its lattice node."""
+    lattice = coeffs.on_lattice(tree)
+    grid, data = (tree, coeffs) if lattice is None else (tree.lattice(), lattice)
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
     eye = np.eye(n)
     rows, cols = np.triu_indices(n)
     upper = rows * n + cols                 # row-major flat indices of the unknowns
     dup = np.eye(n * n)[:, upper]           # vec(D) = dup @ D.flat[upper], D symmetric
     dup[cols * n + rows, range(len(upper))] = 1.0
-    n_inv = control_weight_inverses(coeffs)   # refuses a singular N up front
+    n_inv = control_weight_inverses(data)   # refuses a singular N up front
 
     sigma: list = [None] * (n_steps + 1)
     phi: list = [None] * n_steps
@@ -120,10 +131,10 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     level_iters = [0] * n_steps
     nodes = 0
     for k in range(n_steps - 1, -1, -1):
-        A, Q, C, R = coeffs.A[k], coeffs.Q[k], coeffs.C[k], coeffs.R[k]
-        BNB = _mul(coeffs.B[k], _mul(n_inv[k], _t(coeffs.B[k])))
-        phik = tree.z_from_next(sigma[k + 1])
-        cond = tree.cond_expect(sigma[k + 1])
+        A, Q, C, R = data.A[k], data.Q[k], data.C[k], data.R[k]
+        BNB = _mul(data.B[k], _mul(n_inv[k], _t(data.B[k])))
+        phik = grid.z_from_next(sigma[k + 1])
+        cond = grid.cond_expect(sigma[k + 1])
 
         width = np.broadcast_shapes(cond.shape, A.shape, Q.shape, C.shape,
                                     R.shape, BNB.shape)
@@ -135,7 +146,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
         if not np.isfinite(res_norm).all():
             # NaN fails the test below and would pass as converged; an
             # infinite residual comes from the data, not the Newton matrix
-            j = int(np.argmax(~np.isfinite(res_norm)))
+            j = grid.first_node(int(np.argmax(~np.isfinite(res_norm))))
             raise RiccatiError(f"Riccati residual is not finite at level {k}, node {j}")
         tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         active = res_norm > tol_vec
@@ -145,9 +156,9 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
             if iters >= _MAX_NEWTON:
                 j = int(np.argmax(np.where(active, res_norm, -np.inf)))
                 raise RiccatiError(
-                    f"Newton failed at level {k}: {int(active.sum())} nodes "
+                    f"Newton failed at level {k}: {grid.tree_nodes(k, active)} nodes "
                     f"above tolerance after {_MAX_NEWTON} iterations "
-                    f"(worst residual {res_norm[j]:.3e} at node {j})"
+                    f"(worst residual {res_norm[j]:.3e} at node {grid.first_node(j)})"
                 )
             iters += 1
             P = _mul(sig, Q) - A
@@ -177,7 +188,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
             if pending.any():
                 j = int(np.argmax(np.where(pending, res_norm, -np.inf)))
                 raise RiccatiError(
-                    f"Newton line search stalled at level {k}, node {j} "
+                    f"Newton line search stalled at level {k}, node {grid.first_node(j)} "
                     f"(residual {res_norm[j]:.3e})"
                 )
             sig, H, G1, cond_sv = trial, Ht, G1t, svt
@@ -192,6 +203,9 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     defect = 0.0
     for mats in sigma[:n_steps]:
         defect = max(defect, float(np.abs(mats - _t(mats)).max()))
+    if lattice is not None:
+        sigma = [tree.gather(level) for level in sigma]
+        phi = [tree.gather(level) for level in phi]
     return RiccatiSolution(
         sigma=sigma, phi=phi, symmetry_defect=defect,
         min_sigma_eig=min_eig, min_conditioner_sv=min_sv, newton_nodes=nodes,

@@ -19,6 +19,12 @@ driven only by such data).  Every operator here accepts it: its conditional
 expectation is itself, its martingale integrand is zero and its mean is its
 value, and per-node products broadcast it against full levels.  Level 0 has
 one node either way.
+
+A level that depends on the path only through the walk value W(t_k), that
+is through the number d of down moves (the set bits of j), takes k + 1
+distinct values.  :class:`WalkLattice` stores such a level once per d and
+offers the operators the sweeps call on the tree; :meth:`ScenarioTree.restrict`
+and :meth:`ScenarioTree.gather` move a level between the two layouts.
 """
 
 from __future__ import annotations
@@ -31,6 +37,12 @@ from ._errors import ConfigurationError
 
 MAX_DEPTH = 24
 DEFAULT_DEPTH = 16
+# Moves at the end of a path that :meth:`ScenarioTree.gather` copies as one
+# block: 2^8 nodes, so a level's gather copies contiguous runs of 256 entries.
+_LOW_BITS = 8
+# Moves at the end of a path that :meth:`ScenarioTree.restrict` compares as
+# one block: 2^16 nodes, a bounded transient whatever the depth.
+_CHECK_BITS = 16
 # Columns solved together in one batched sweep.  Fixed, so results never
 # depend on the machine; every per-column buffer lives for one block only.
 _COLUMN_BLOCK = 16
@@ -152,8 +164,10 @@ def _concat_nodes(parts: list, axis: int) -> np.ndarray:
                            for part in parts], axis=axis)
 
 
-class ScenarioTree:
-    """Time grid plus the exact conditional-expectation calculus of the walk."""
+class _Walk:
+    """Time grid of the walk and the one-step operators both of its node
+    layouts share: a level's nodes pair up as (up child, down child) of the
+    nodes one level up, and :meth:`_pairs` says how."""
 
     def __init__(self, horizon: float, n_steps: int):
         if not 0 < horizon < math.inf:
@@ -168,6 +182,40 @@ class ScenarioTree:
         self.dt = self.horizon / self.n_steps
         self.sqrt_dt = math.sqrt(self.dt)
         self.times = np.arange(self.n_steps + 1) * self.dt
+
+    def cond_expect(self, values: np.ndarray) -> np.ndarray:
+        """One-step conditional expectation: average the two children of each
+        node.  A length-1 level is the same on every node: returned as is."""
+        up, down = self._pairs(values, "cond_expect")
+        if up is None:
+            return values
+        return 0.5 * (up + down)
+
+    def z_from_next(self, y_next: np.ndarray) -> np.ndarray:
+        """Martingale-representation integrand of a next-level process.
+
+        Z(k, j) = (y(up child) - y(down child)) / (2 sqrt(dt)), exact on the
+        walk; zero, of the same shape, for a length-1 (node-constant) level.
+        """
+        up, down = self._pairs(y_next, "z_from_next")
+        if up is None:
+            return np.zeros(y_next.shape)
+        return (up - down) / (2.0 * self.sqrt_dt)
+
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level <= self.n_steps:
+            raise ConfigurationError(
+                f"level {level} outside [0, {self.n_steps}]"
+            )
+
+
+class ScenarioTree(_Walk):
+    """Time grid plus the exact conditional-expectation calculus of the walk."""
+
+    def __init__(self, horizon: float, n_steps: int):
+        super().__init__(horizon, n_steps)
+        self._lattice = None
+        self._popcounts = [np.zeros(1, dtype=np.uint8)]
 
     # -- structure ---------------------------------------------------------
 
@@ -200,29 +248,38 @@ class ScenarioTree:
 
     # -- operators ---------------------------------------------------------
 
-    def cond_expect(self, values: np.ndarray) -> np.ndarray:
-        """One-step conditional expectation: average the two children of each
-        node.  A length-1 level is the same on every node: returned as is."""
-        _check_child_level(values, "cond_expect")
+    def _pairs(self, values: np.ndarray, name: str) -> tuple:
+        """(up children, down children) of a child level, (None, None) for a
+        length-1 one."""
+        _check_child_level(values, name)
         if len(values) == 1:
-            return values
-        return 0.5 * (values[0::2] + values[1::2])
+            return None, None
+        return values[0::2], values[1::2]
 
     def expect(self, values: np.ndarray) -> np.ndarray:
         """Unconditional mean over a level (uniform node probability 2^-k);
         ``values.mean(axis=0)`` without its per-call overhead."""
         return np.add.reduce(values, axis=0) / len(values)
 
-    def z_from_next(self, y_next: np.ndarray) -> np.ndarray:
-        """Martingale-representation integrand of a next-level process.
+    def level_coupling(self, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """E[mats' x] over a level (:func:`_level_coupling`)."""
+        return _level_coupling(mats, x)
 
-        Z(k, j) = (y(k+1, 2j) - y(k+1, 2j+1)) / (2 sqrt(dt)), exact on the
-        tree; zero, of the same shape, for a length-1 (node-constant) level.
-        """
-        _check_child_level(y_next, "z_from_next")
-        if len(y_next) == 1:
-            return np.zeros(y_next.shape)
-        return (y_next[0::2] - y_next[1::2]) / (2.0 * self.sqrt_dt)
+    def children(self, step: np.ndarray, shock: np.ndarray) -> np.ndarray:
+        """The next level of a forward step: step + shock on the up child of
+        each node, dW = +sqrt(dt), and step - shock on the down child."""
+        nxt = np.empty((2 * len(step),) + step.shape[1:])
+        np.add(step, shock, out=nxt[0::2])
+        np.subtract(step, shock, out=nxt[1::2])
+        return nxt
+
+    def first_node(self, index: int) -> int:
+        """The node an index of a level names: itself on the tree."""
+        return index
+
+    def tree_nodes(self, level: int, mask: np.ndarray) -> int:
+        """How many nodes the selected entries of a level stand for."""
+        return int(mask.sum())
 
     # -- helpers -----------------------------------------------------------
 
@@ -230,11 +287,166 @@ class ScenarioTree:
         """Copy level-k node values onto their two children (repeat along axis 0)."""
         return np.repeat(values, 2, axis=0)
 
-    def _check_level(self, level: int) -> None:
-        if not 0 <= level <= self.n_steps:
-            raise ConfigurationError(
-                f"level {level} outside [0, {self.n_steps}]"
-            )
+    # -- the recombining lattice -------------------------------------------
+
+    def lattice(self) -> WalkLattice:
+        """The walk lattice of this tree, built at the first call."""
+        if self._lattice is None:
+            self._lattice = WalkLattice(self.horizon, self.n_steps)
+        return self._lattice
+
+    def popcounts(self, level: int) -> np.ndarray:
+        """Down moves to every node of a level, the set bits of j, as uint8;
+        each level is built from the one above it and kept."""
+        self._check_level(level)
+        counts = self._popcounts
+        while len(counts) <= level:
+            prev = counts[-1]
+            nxt = np.empty(2 * len(prev), dtype=np.uint8)
+            nxt[0::2] = prev                       # an up move adds no set bit
+            np.add(prev, 1, out=nxt[1::2])
+            counts.append(nxt)
+        return counts[level]
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """A lattice level, (k + 1, ...), at every node of tree level k:
+        node j takes entry popcount(j).  A length-1 level is returned as is.
+
+        The last _LOW_BITS moves of a path are gathered once per count of
+        down moves before them, and the nodes' leading moves then pick
+        whole rows of that table, so every copy is a contiguous block."""
+        if len(values) == 1:
+            return values
+        level = len(values) - 1
+        if level <= _LOW_BITS:
+            return values[self.popcounts(level)]
+        low = self.popcounts(_LOW_BITS)
+        table = values[np.arange(level - _LOW_BITS + 1)[:, None] + low]
+        return table[self.popcounts(level - _LOW_BITS)].reshape(
+            (1 << level,) + values.shape[1:])
+
+    def restrict(self, values: np.ndarray) -> np.ndarray | None:
+        """A tree level on the lattice: the value of the first node of each
+        count of down moves d, node 2^d - 1, when every node equals the value
+        of its count bit for bit (so no node is NaN), else None.  A length-1
+        level is returned as is.
+
+        The level is compared in blocks of 2^_CHECK_BITS nodes that share
+        their leading moves, so no full-width copy is formed."""
+        if len(values) == 1:
+            return values
+        level = len(values).bit_length() - 1
+        firsts = values[(1 << np.arange(level + 1)) - 1]
+        if np.isnan(firsts).any():
+            return None
+        low = min(level, _CHECK_BITS)
+        bits = np.ascontiguousarray(values).view(np.uint64)
+        blocks = bits.reshape((-1, 1 << low) + bits.shape[1:])
+        expected: dict = {}   # the block of each count of leading down moves
+        for block, lead in zip(blocks, self.popcounts(level - low).tolist()):
+            if lead not in expected:
+                expected[lead] = self.gather(firsts[lead:lead + low + 1]).view(np.uint64)
+            if not np.array_equal(block, expected[lead]):
+                return None
+        return firsts
+
+
+class WalkLattice(_Walk):
+    """The recombining binomial lattice of the walk (Cox, Ross and
+    Rubinstein, J. Financial Economics 7, 1979): level k has k + 1 nodes,
+    indexed by the number d of down moves, so W(k, d) = sqrt(dt) (k - 2d).
+    The up child of d is d and the down child d + 1, and node d stands for
+    the C(k, d) tree nodes with d down moves, probability C(k, d) 2^-k.
+
+    A process that is a function of (k, W(t_k)) lives here exactly: its
+    conditional expectation and martingale integrand take the same
+    arithmetic as on the tree.  A linear forward process does not, but its
+    conditional mean given d does, and that is all a level's means and
+    couplings read (:meth:`children`).  Level weights are built at their
+    first use and kept."""
+
+    def __init__(self, horizon: float, n_steps: int):
+        super().__init__(horizon, n_steps)
+        self._weights = [np.ones(1)]
+        self._merges: dict = {}
+
+    def weights(self, level: int) -> np.ndarray:
+        """Node probabilities C(k, d) 2^-k of a level, exact in binary
+        floating point; each level is built from the one above it."""
+        self._check_level(level)
+        weights = self._weights
+        while len(weights) <= level:
+            prev = weights[-1]
+            nxt = np.zeros(len(prev) + 1)
+            nxt[:-1] = prev
+            nxt[1:] += prev
+            weights.append(0.5 * nxt)
+        return weights[level]
+
+    def _pairs(self, values: np.ndarray, name: str) -> tuple:
+        """(up children, down children) of a child level, (None, None) for a
+        length-1 one."""
+        if not len(values):
+            raise ConfigurationError(f"{name} needs a lattice level or one node, got none")
+        if len(values) == 1:
+            return None, None
+        return values[:-1], values[1:]
+
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """Mean over a level under its binomial node weights."""
+        if len(values) == 1:
+            return values[0].copy()
+        weights = self.weights(len(values) - 1)
+        return (weights @ values.reshape(len(values), -1)).reshape(values.shape[1:])
+
+    def level_coupling(self, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """E[mats' x] over a level under its node weights, for vectors x
+        (nodes, n) or column stacks (nodes, n, c); a one-node side multiplies
+        the mean of the other."""
+        if x.ndim == 2:
+            return self.level_coupling(mats, x[..., None])[..., 0]
+        if len(mats) == 1:
+            return mats[0].T @ self.expect(x)
+        if len(x) == 1:
+            return self.expect(mats).T @ x[0]
+        weighted = x * self.weights(len(x) - 1)[:, None, None]
+        return mats.reshape(-1, mats.shape[-1]).T @ weighted.reshape(-1, x.shape[-1])
+
+    def children(self, step: np.ndarray, shock: np.ndarray) -> np.ndarray:
+        """E[x_{k+1} | d] from a level-k forward step x_{k+1} = step +/-
+        shock, both functions of d on level k: node d of level k + 1 is the
+        up child of d, a share (k + 1 - d) / (k + 1) of its tree nodes, and
+        the down child of d - 1, the other d / (k + 1)."""
+        level = len(step) - 1
+        up_share, down_share = self._merge_shares(level, step.ndim)
+        nxt = np.empty((level + 2,) + step.shape[1:])
+        nxt[-1] = 0.0
+        np.multiply(step + shock, up_share, out=nxt[:-1])
+        nxt[1:] += (step - shock) * down_share
+        return nxt
+
+    def _merge_shares(self, level: int, ndim: int) -> tuple:
+        key = (level, ndim)
+        shares = self._merges.get(key)
+        if shares is None:
+            counts = np.arange(1.0, level + 2.0)
+            shape = (-1,) + (1,) * (ndim - 1)
+            shares = self._merges[key] = ((counts[::-1] / (level + 1)).reshape(shape),
+                                          (counts / (level + 1)).reshape(shape))
+        return shares
+
+    def first_node(self, index: int) -> int:
+        """The first tree node of lattice node d (or of a length-1 level's
+        only entry): 2^d - 1, the path that moves down d times first."""
+        return (1 << index) - 1
+
+    def tree_nodes(self, level: int, mask: np.ndarray) -> int:
+        """How many tree nodes the selected lattice nodes of a level stand
+        for, C(k, d) each; a length-1 level's entry counts once, as on the
+        tree."""
+        if len(mask) == 1:
+            return int(mask.sum())
+        return int(self.weights(level)[mask].sum() * 2.0 ** level)
 
 
 def _check_child_level(values: np.ndarray, name: str) -> None:

@@ -243,5 +243,12 @@ def d2():
 
 
 @pytest.fixture(scope="session")
+def m1_path():
+    """m1_random with A drawn per node (``node_table``, depth 8 only): the
+    coefficients depend on the path, not only on W(t_k)."""
+    return load_spec_file(corpus_path("m1_path"))
+
+
+@pytest.fixture(scope="session")
 def corpus(s1, m1, m1_random, d2):
     return {"s1": s1, "m1": m1, "m1_random": m1_random, "d2": d2}

@@ -1,0 +1,252 @@
+"""The walk lattice: data that depend on the path only through W(t_k).
+
+Level k of the lattice has k + 1 nodes, one per number d of down moves.
+Where every coefficient is a function of (k, W(t_k)), the Riccati pair and
+the outer system run on it; gathered back to the tree, the pair is the
+tree's solve bit for bit, and the lattice sweeps give the level means and
+couplings of the full sweeps.  The route is decided by the values.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from mfbslq import (RiccatiError, build_tree, load_spec, realize, run_pipeline,
+                    solve_decoupled, solve_riccati)
+from mfbslq import model, multipliers
+from mfbslq.multipliers import eta_dimension
+from conftest import corpus_path, materialised, record_adjoint_steps, workspace
+
+
+def vector_walk_doc() -> dict:
+    """d2 with A, C and R affine in tanh(W), Q a polynomial in tanh(W) and
+    a polynomial terminal in W(T): a 2 x 2 Riccati pair that varies over
+    the nodes, on the lattice."""
+    doc = json.loads(corpus_path("d2").read_text())
+    doc["dynamics"]["A"] = {"form": "affine_tanh_W", "m0": [[0.1, 0.05], [0.0, 0.15]],
+                            "m1": [[0.1, 0.0], [0.05, -0.1]]}
+    doc["dynamics"]["C"] = {"form": "affine_tanh_W", "m0": [[0.2, 0.0], [0.1, 0.1]],
+                            "m1": [[0.1, 0.05], [0.0, 0.1]]}
+    doc["cost"]["R"] = {"form": "affine_tanh_W", "m0": [[1.0, 0.2], [0.2, 1.0]],
+                        "m1": [[0.2, 0.0], [0.0, 0.1]]}
+    doc["cost"]["Q"] = {"form": "tanh_poly_W", "coeffs": [
+        [[1.0, 0.1], [0.1, 0.5]], [[0.2, 0.0], [0.0, 0.1]], [[0.1, 0.0], [0.0, 0.1]]]}
+    doc["terminal"] = {"form": "poly_in_WT",
+                       "coeffs": [[1.0, -0.5], [0.5, 0.2], [0.1, 0.0]]}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def walk_specs(m1_random):
+    return {"m1_random": m1_random, "vector": load_spec(json.dumps(vector_walk_doc()))}
+
+
+def _on_tree(monkeypatch):
+    """Make every coefficient set refuse the lattice, so each solve takes
+    the tree route."""
+    monkeypatch.setattr(model.CoefficientSet, "on_lattice", lambda self, tree: None)
+
+
+def _class_means(tree, values):
+    """The mean of a tree level over each class of nodes with d down moves."""
+    downs = tree.popcounts(len(values).bit_length() - 1)
+    counts = np.bincount(downs)
+    sums = np.zeros((len(counts),) + values.shape[1:])
+    np.add.at(sums, downs, values)
+    return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+# ---------------------------------------------------------------------------
+# the layout
+
+
+def test_restrict_and_gather_are_inverse():
+    tree = build_tree(1.0, 14)
+    rng = np.random.default_rng(5)
+    for level in range(15):
+        downs = np.bitwise_count(np.arange(1 << level))
+        assert tree.popcounts(level).dtype == np.uint8
+        assert np.array_equal(tree.popcounts(level), downs)
+        lattice = rng.standard_normal((level + 1, 2, 3))
+        full = tree.gather(lattice)
+        assert np.array_equal(full, lattice[downs])
+        assert np.array_equal(tree.restrict(full), lattice)
+        if level > 1:   # one node off its class: not on the lattice
+            full[-2, 1, 2] = np.nextafter(full[-2, 1, 2], np.inf)
+            assert tree.restrict(full) is None
+    one = rng.standard_normal((1, 2))
+    assert tree.gather(one) is one and tree.restrict(one) is one
+    # the walk itself, and a NaN never passes
+    assert np.array_equal(tree.restrict(tree.brownian(9)),
+                          tree.sqrt_dt * (9 - 2.0 * np.arange(10)))
+    assert tree.restrict(np.full((8, 1), np.nan)) is None
+
+
+def test_lattice_operators_match_the_tree():
+    tree = build_tree(1.5, 9)
+    lattice = tree.lattice()
+    rng = np.random.default_rng(6)
+    for level in range(9):
+        weights = lattice.weights(level)
+        assert weights.sum() == 1.0
+        assert lattice.tree_nodes(level, np.ones(level + 1, bool)) == 1 << level
+        nxt = rng.standard_normal((level + 2, 3))
+        # a function of W(t_{k+1}): the same arithmetic, bit for bit
+        for op in ("cond_expect", "z_from_next"):
+            assert np.array_equal(getattr(lattice, op)(nxt),
+                                  tree.restrict(getattr(tree, op)(tree.gather(nxt))))
+        mats = rng.standard_normal((level + 1, 3, 2))
+        x = rng.standard_normal((level + 1, 3, 4))
+        for m, v in ((mats, x), (mats[:1], x), (mats, x[:1]), (mats, x[..., 0])):
+            want = tree.level_coupling(tree.gather(m), tree.gather(v))
+            np.testing.assert_allclose(lattice.level_coupling(m, v), want, rtol=1e-13)
+        np.testing.assert_allclose(lattice.expect(x), tree.expect(tree.gather(x)),
+                                   rtol=1e-13)
+        # a forward step: the lattice keeps the children's mean given d
+        step, shock = x, rng.standard_normal((level + 1, 3, 4))
+        want = _class_means(tree, tree.children(tree.gather(step), tree.gather(shock)))
+        np.testing.assert_allclose(lattice.children(step, shock), want, rtol=1e-13,
+                                   atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the Riccati pair
+
+
+@pytest.mark.parametrize("name", ["m1_random", "vector"])
+def test_lattice_riccati_pair_is_the_tree_solve(walk_specs, monkeypatch, name):
+    # Sigma and Phi gathered from the lattice equal the tree's solve bit for
+    # bit, and so do the health numbers; Newton runs on k + 1 nodes of level k
+    spec = walk_specs[name]
+    for nt in (4, 8, 12, 16):
+        tree = build_tree(spec.horizon, nt)
+        got = solve_riccati(tree, realize(spec, tree))
+        with monkeypatch.context() as patch:
+            _on_tree(patch)
+            want = solve_riccati(tree, realize(spec, tree))
+        assert got.newton_nodes == nt * (nt + 1) // 2
+        assert want.newton_nodes == (1 << nt) - 1
+        for a, b in zip(got.sigma + got.phi, want.sigma + want.phi):
+            assert a.shape == b.shape and np.array_equal(a, b), nt
+        for field in ("symmetry_defect", "min_sigma_eig", "min_conditioner_sv",
+                      "newton_iterations_per_level"):
+            assert getattr(got, field) == getattr(want, field), (nt, field)
+
+
+def test_lattice_riccati_names_the_tree_node(m1_random, monkeypatch):
+    # an infinite A on the level-3 nodes with two down moves, 3, 5 and 6:
+    # both routes name the first of them
+    tree = build_tree(1.0, 6)
+    coeffs = realize(m1_random, tree)
+    coeffs.A[3][[3, 5, 6]] = np.inf
+    assert coeffs.on_lattice(tree) is not None
+    for route in ("lattice", "tree"):
+        with monkeypatch.context() as patch:
+            if route == "tree":
+                _on_tree(patch)
+            with pytest.raises(RiccatiError, match=r"not finite at level 3, node 3$"):
+                solve_riccati(tree, dataclasses.replace(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the outer system
+
+
+@pytest.mark.parametrize("name", ["m1_random", "vector", "tiled_d2"])
+@pytest.mark.parametrize("nt", [5, 12])
+def test_lattice_means_match_full_sweeps(walk_specs, d2, monkeypatch, name, nt):
+    # the linear part and the base sweep, each one lattice sweep, give the
+    # means and couplings of full sweeps of the tree
+    spec = d2 if name == "tiled_d2" else walk_specs[name]
+    tree = build_tree(spec.horizon, nt)
+    coeffs = realize(spec, tree)
+    if name == "tiled_d2":
+        coeffs = materialised(tree, coeffs)
+    ric = solve_riccati(tree, coeffs)
+    ws = workspace(tree, coeffs, ric)
+    assert ws.lattice is not None and not ws.lattice[2].one_node
+    d = eta_dimension(tree, coeffs)
+    lam, eta = np.random.default_rng(nt).standard_normal((2, d, 3))
+    zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
+    full = solve_decoupled(tree, zero, ric, lam, eta)
+    base = solve_decoupled(tree, coeffs, ric, np.zeros(d), np.zeros(d))
+
+    steps = record_adjoint_steps(monkeypatch)
+    means, coupling = multipliers.linear_response(tree, coeffs, ws, lam, eta)
+    assert steps == [(k, k + 2) for k in range(nt - 1)]
+    steps.clear()
+    base_means, base_coupling = multipliers._xi_response(tree, coeffs, ws)
+    assert steps == [(k, k + 2) for k in range(nt - 1)]
+    for got, want in ((means, full.means), (coupling, full.coupling),
+                      (base_means, base.means), (base_coupling, base.coupling)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nt", [6, 11])
+def test_lattice_pipeline_matches_the_tree_route(walk_specs, monkeypatch, nt):
+    # the n = 2 document end to end: one GMRES product on the lattice, the
+    # answers of the tree route within rounding
+    spec = walk_specs["vector"]
+    got = run_pipeline(spec, nt)
+    with monkeypatch.context() as patch:
+        _on_tree(patch)
+        want = run_pipeline(spec, nt)
+    assert got.outer.columns == 2 and want.outer.columns > 2
+    assert abs(got.cost - want.cost) <= 1e-12 * abs(want.cost)
+    scale = np.abs(want.constrained.eta).max()
+    assert np.abs(got.constrained.eta - want.constrained.eta).max() <= 1e-10 * scale
+    for a, b in zip(got.constrained.u, want.constrained.u):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+# ---------------------------------------------------------------------------
+# the route
+
+
+def test_route_is_decided_by_value(m1_path, m1_random, monkeypatch):
+    # path-dependent data run on the tree
+    tree = build_tree(1.0, 8)
+    coeffs = realize(m1_path, tree)
+    assert coeffs.on_lattice(tree) is None
+    ric = solve_riccati(tree, coeffs)
+    assert ric.newton_nodes == tree.total_nodes - tree.n_nodes(8)
+    assert workspace(tree, coeffs, ric).lattice is None
+
+    # a node_table that is a function of W(t_k) takes the lattice: the
+    # values decide, not the form
+    doc = json.loads(corpus_path("m1_random").read_text())
+    shallow = build_tree(1.0, 6)
+    a_levels = realize(m1_random, shallow).A
+    doc["dynamics"]["A"] = {"form": "node_table",
+                            "values": [level[:, 0, 0].tolist() for level in a_levels]}
+    assert realize(load_spec(json.dumps(doc)), shallow).on_lattice(shallow) is not None
+
+    # a leaf_table terminal off the walk: the Riccati pair and the linear
+    # part on the lattice, the base sweep on the tree
+    rng = np.random.default_rng(9)
+    doc["dynamics"]["A"] = json.loads(corpus_path("m1_random").read_text())["dynamics"]["A"]
+    doc["terminal"] = {"form": "leaf_table",
+                       "values": rng.standard_normal(64).tolist()}
+    spec = load_spec(json.dumps(doc))
+    coeffs = realize(spec, shallow)
+    assert coeffs.on_lattice(shallow).xi is None
+    ric = solve_riccati(shallow, coeffs)
+    assert ric.newton_nodes == 21
+    ws = workspace(shallow, coeffs, ric)
+    assert ws.lattice is not None
+    steps = record_adjoint_steps(monkeypatch)
+    multipliers._xi_response(shallow, coeffs, ws)
+    assert steps[1] == (1, 4)      # the tree
+    steps.clear()
+    d = eta_dimension(shallow, coeffs)
+    multipliers.linear_response(shallow, coeffs, ws, np.eye(d)[:, :1], np.zeros((d, 1)))
+    assert steps[1] == (1, 3)      # the lattice
+    res = run_pipeline(spec, 6)
+    assert res.outer.columns == 2 and res.multiplier_residual <= 1e-12
+
+    # a NaN on one node of a wide level: the tree
+    coeffs = realize(m1_random, shallow)
+    coeffs.N[4][7] = np.nan
+    assert coeffs.on_lattice(shallow) is None

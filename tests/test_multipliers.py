@@ -160,21 +160,26 @@ def _reachable(root) -> list:
     return list(seen.values())
 
 
-def test_pipeline_builds_each_workspace_once(corpus, monkeypatch):
-    # the problem's workspace is built once and passed to every stage; only
-    # node-varying m1_random adds the node-mean problem's.  Nothing keeps a
+def test_pipeline_builds_each_workspace_once(corpus, m1_path, monkeypatch):
+    # the problem's workspace is built once and passed to every stage.  The
+    # shipped specs are functions of W(t_k): it is assembled once, on the
+    # lattice, and gathered to the tree.  Path-dependent m1_path assembles
+    # it on the tree and adds the node-mean problem's.  Nothing keeps a
     # workspace once the pipeline returns, and the report rebuilds none
     assert "_cache" not in {f.name for f in dataclasses.fields(RiccatiSolution)}
     builds = (count_calls(monkeypatch, outer, "build_workspace"),
               count_calls(monkeypatch, multipliers, "build_workspace"))
-    for name, want in (("s1", 1), ("m1", 1), ("d2", 1), ("m1_random", 2)):
-        for calls in builds:
+    assembled = count_calls(monkeypatch, multipliers, "_assemble_workspace")
+    cases = [(corpus[name], 5, 1) for name in ("s1", "m1", "d2", "m1_random")]
+    for spec, nt, want in cases + [(m1_path, 8, 2)]:
+        for calls in builds + (assembled,):
             calls.clear()
-        res = run_pipeline(corpus[name], 5)
+        res = run_pipeline(spec, nt)
         res.report()
-        assert sum(map(len, builds)) == want, name
+        assert sum(map(len, builds)) == 1, spec
+        assert len(assembled) == want, spec
         assert not any(isinstance(obj, DecoupledWorkspace)
-                       for obj in _reachable(res)), name
+                       for obj in _reachable(res)), spec
 
 
 def test_mean_cost_weights_blocks(m1):
@@ -223,32 +228,42 @@ def test_outer_system_collapses_without_coupling():
         assert np.abs(final.u[k] - feedback[k]).max() <= 1e-10
 
 
-def test_singular_outer_system_is_a_numerics_error(m1_random, monkeypatch):
-    # every linear response reads means = eta and couplings = 0 (P_eta = I,
-    # L = 0): the feasibility rows of the node-mean system, the
-    # preconditioner, are zero, and its build refuses it
-    tree, coeffs, ric = _setup(m1_random, 3)
-    monkeypatch.setattr(multipliers, "linear_response",
-                        lambda tree, coeffs, ws, lam, eta: (eta, 0.0 * eta))
-    monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
-    with pytest.raises(NumericsError, match="node-mean problem is singular"):
-        solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
+def _refused_preconditioner(monkeypatch, spec, nt, scale, match):
+    """Every linear response reads means = scale eta and couplings = 0, so
+    the feasibility rows of the preconditioner are (1 - scale) I: its
+    check must refuse it with ``match`` before GMRES starts."""
+    tree, coeffs, ric = _setup(spec, nt)
+    with monkeypatch.context() as patch:
+        patch.setattr(multipliers, "linear_response",
+                      lambda tree, coeffs, ws, lam, eta: (scale * eta, 0.0 * eta))
+        patch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
+        with pytest.raises(NumericsError, match=match):
+            solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
 
 
-def test_near_singular_outer_preconditioner_is_a_numerics_error(m1_random,
+# the preconditioner is the lattice problem's system on data that are
+# functions of W(t_k), and the node-mean problem's on path-dependent data
+PRECONDITIONERS = (("m1_random", 3, "lattice"), ("m1_path", 8, "node-mean"))
+
+
+def test_singular_outer_system_is_a_numerics_error(corpus, m1_path, monkeypatch):
+    # means = eta and couplings = 0 (P_eta = I, L = 0): the feasibility
+    # rows of the preconditioner are zero, and its build refuses it
+    for name, nt, problem in PRECONDITIONERS:
+        _refused_preconditioner(monkeypatch, corpus.get(name, m1_path), nt, 1.0,
+                                f"{problem} problem is singular")
+
+
+def test_near_singular_outer_preconditioner_is_a_numerics_error(corpus, m1_path,
                                                                 monkeypatch):
     # means = (1 - 2**-52) eta and couplings = 0: the feasibility rows of
-    # the node-mean system are about 2**-52 I, so it is regular (LAPACK
+    # the preconditioner are about 2**-52 I, so it is regular (LAPACK
     # inverts it) but its condition number is about 9e15, above 1 / machine
     # epsilon, and its check refuses it
-    tree, coeffs, ric = _setup(m1_random, 3)
-    monkeypatch.setattr(multipliers, "linear_response",
-                        lambda tree, coeffs, ws, lam, eta: ((1.0 - 2.0**-52) * eta,
-                                                            0.0 * eta))
-    monkeypatch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
-    with pytest.raises(NumericsError,
-                       match="node-mean problem is singular.*condition number"):
-        solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
+    for name, nt, problem in PRECONDITIONERS:
+        _refused_preconditioner(monkeypatch, corpus.get(name, m1_path), nt,
+                                1.0 - 2.0**-52,
+                                f"{problem} problem is singular.*condition number")
 
 
 def _refuse(what):
@@ -339,8 +354,11 @@ def test_workspace_holds_five_floats_per_node(m1_random):
     # on m1_random only H, S, the phi step, the vtheta coefficient and zx
     # vary over the nodes; the coupling maps stay one node per level and
     # N^{-1} is the coefficient set's cached copy, so the workspace adds at
-    # most five floats per node of levels 0..n_steps-1
+    # most five floats per node of levels 0..n_steps-1.  The Riccati pair
+    # ran on the lattice and read the lattice set's N^{-1}: the coefficient
+    # set's own is built first, by its first reader
     tree, coeffs, ric = _setup(m1_random, 14)
+    multipliers.control_weight_inverses(coeffs)
     gc.collect()
     tracemalloc.start()
     try:
@@ -396,8 +414,10 @@ def test_deep_random_residuals_meet_the_krylov_tolerance(m1_random):
     assert report["multiplier_residual"] <= 1e-12
 
 
-def test_krylov_product_cap_is_a_numerics_error(m1_random, monkeypatch):
-    tree, coeffs, ric = _setup(m1_random, 4)
+def test_krylov_product_cap_is_a_numerics_error(m1_path, monkeypatch):
+    # path-dependent data: the node-mean preconditioner leaves more than one
+    # product
+    tree, coeffs, ric = _setup(m1_path, 8)
     real = multipliers._gmres
     monkeypatch.setattr(multipliers, "_gmres",
                         lambda product, rhs, cap: real(product, rhs, 1))

@@ -193,14 +193,19 @@ def test_deep_node_varying_trees_run_gmres(corpus, monkeypatch, name):
     assert res.multiplier_residual <= 1e-12
 
 
-def test_krylov_pipeline_never_probes(corpus):
-    # the base sweep, then the preconditioner's columns on one node per
-    # level and one column per GMRES product, then the final solve.  The
-    # base and final sweeps always sweep the tree and keep no field but the
-    # final control; a product sweeps the tree only on node-varying data,
-    # and a second base sweep inside the outer solve would add one
+def test_krylov_pipeline_never_probes(corpus, m1_path):
+    # the base sweep, then the preconditioner's columns and one column per
+    # GMRES product, then the final solve, which always sweeps the tree and
+    # keeps no field but the final control.  On data that are functions of
+    # W(t_k) the base sweep runs on the lattice, and so do the
+    # preconditioner and the products where the data vary over the nodes
+    # (one node per level where they do not); on path-dependent data all
+    # but the preconditioner sweep the tree.  A second base sweep inside the
+    # outer solve would add one.  Level 2 tells the layouts apart: 4 tree
+    # nodes, 3 lattice nodes
     for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
-                            ("m1_random", 5, False), ("d2", 5, True)):
+                            ("m1_random", 5, False), ("d2", 5, True),
+                            ("m1_path", 8, False)):
         with pytest.MonkeyPatch.context() as monkeypatch:
             if tiled:
                 tile_realize(monkeypatch)
@@ -209,13 +214,18 @@ def test_krylov_pipeline_never_probes(corpus):
             refuse = _refuse("the pipeline must not probe")
             monkeypatch.setattr(multipliers, "probe_operators", refuse)
             monkeypatch.setattr(outer, "probe_operators", refuse)
-            res = run_pipeline(corpus[name], nt)
+            res = run_pipeline(corpus.get(name, m1_path), nt)
         case = (name, nt, tiled)
         products = res.outer.columns - 1
-        assert 1 <= products <= 8, case
         assert len(calls) == 0, case
-        sweeps = steps.count((0, 2))
-        assert sweeps == 2 + (products if name == "m1_random" or tiled else 0), case
+        tree_sweeps, lattice_sweeps = steps.count((1, 4)), steps.count((1, 3))
+        if name == "m1_path":
+            assert 2 <= products <= 8, case
+            assert (tree_sweeps, lattice_sweeps) == (2 + products, 0), case
+        else:
+            assert products == 1, case
+            varying = name == "m1_random" or tiled
+            assert (tree_sweeps, lattice_sweeps) == (1, 1 + varying * (1 + products)), case
         assert max(width for _, width in steps) == res.tree.n_nodes(nt - 1), case
         diag = res.report()["diagnostics"]
         assert diag["outer_columns"] == products + 1, case

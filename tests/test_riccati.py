@@ -83,15 +83,16 @@ def test_matrix_flow_against_rk4(d2):
 
 def test_solution_structure_and_guards(m1, m1_random):
     # deterministic coefficients keep the pair at one node per level; random
-    # A and N widen every level below the root (the terminal level is zero)
+    # A and N widen every level below the root (the terminal level is zero).
+    # They are functions of W(t_k), so Newton runs on k + 1 lattice nodes of
+    # level k, 1 + 2 + ... + 6 = 21 in all
     tree = build_tree(1.0, 6)
     for spec, random_coeffs in ((m1, False), (m1_random, True)):
         ric = solve_riccati(tree, realize(spec, tree))
         for k in range(7):
             nodes = tree.n_nodes(k) if random_coeffs and k < 6 else 1
             assert ric.sigma[k].shape == (nodes, 1, 1)
-        assert ric.newton_nodes == (tree.total_nodes - 2**6 if random_coeffs
-                                    else 6)
+        assert ric.newton_nodes == (21 if random_coeffs else 6)
         assert ric.symmetry_defect <= 1e-10
         assert ric.min_sigma_eig >= -1e-12
         assert ric.min_conditioner_sv > 0.5
