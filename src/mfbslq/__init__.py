@@ -7,11 +7,10 @@ from .bsde import MeanfieldBsdeSolution, solve_forward_sde, solve_meanfield_bsde
 from .model import (CoefficientSet, ProblemSpec, ValidationReport, load_spec,
                     load_spec_file, realize, validate_h1_h2)
 from .multipliers import (ConstrainedSolution, MeanOperators, OuterSolution,
-                          constrained_solution_at, decoupling_residual,
-                          eta_dimension, mean_cost_weights, picard_cross_check,
-                          probe_operators, riccati_control,
-                          solve_constrained_problem, solve_decoupled,
-                          solve_outer_system)
+                          constrained_solution_at, eta_dimension,
+                          mean_cost_weights, picard_cross_check,
+                          probe_operators, solve_constrained_problem,
+                          solve_decoupled, solve_outer_system)
 from .oracle import (OracleSolution, control_error, cost_gradient, evaluate_cost,
                      smp_stationarity_residual, solve_oracle, weighted_inner,
                      weighted_norm)
@@ -33,8 +32,8 @@ __all__ = [
     "RiccatiSolution", "solve_riccati",
     "ConstrainedSolution", "MeanOperators", "eta_dimension", "probe_operators",
     "solve_decoupled", "solve_constrained_problem", "constrained_solution_at",
-    "solve_outer_system", "OuterSolution", "mean_cost_weights", "riccati_control",
-    "decoupling_residual", "picard_cross_check",
+    "solve_outer_system", "OuterSolution", "mean_cost_weights",
+    "picard_cross_check",
     "OracleSolution", "solve_oracle", "evaluate_cost", "cost_gradient",
     "control_error", "weighted_inner", "weighted_norm",
     "smp_stationarity_residual",

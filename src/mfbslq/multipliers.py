@@ -36,29 +36,16 @@ The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]).
 Their constant part comes from one base sweep (xi terminal, lam = eta = 0);
 their linear part, `linear_response`, from sweeps with a zero terminal.
-When every array that part reads has one node per level (noise-independent
-coefficients, the tree's length-1 convention) the level means follow their
-own deterministic recursion, the mean half of the centred/mean split of
-mean-field LQ problems (Yong, SIAM J. Control Optim. 51(4), 2013): phi has
-one node per level, vtheta is zero, the node-constant reconstruction maps
-take the adjoint's mean xbar to the means ybar, zbar, ubar and to the
-couplings, and xbar takes the adjoint's step without the shock,
-
-    xbar_{k+1} = xbar_k + dt (A_k' xbar_k - Q_k ybar_k - lam1_k),
-
-because the +/- sqrt(dt) shock averages out over the two children.  Any
-number of columns then costs one sweep of one node per level.
-
 When every coefficient and the Riccati pair are functions of the walk
-value W(t_k) (decided by value, `build_workspace`), every map the sweeps
-apply on level k is a function of the number d of down moves, so the
-means and couplings read the adjoint only through its conditional mean
-given d.  The linear part then runs on the walk lattice (Cox, Ross and
-Rubinstein, J. Financial Economics 7, 1979), k + 1 nodes on level k, all
-columns in one sweep: phi is a function of d there, and node d' of level
-k + 1 merges the adjoint's step to the up child of node d', weight
-(k + 1 - d') / (k + 1), and to the down child of node d' - 1, weight
-d' / (k + 1) (:meth:`.tree.WalkLattice.children`).  So does the base
+value W(t_k) (decided by value, `build_workspace`; node-constant data
+are), every map the sweeps apply on level k is a function of the number
+d of down moves, so the means and couplings read the adjoint only
+through its conditional mean given d.  The linear part then runs on the
+walk lattice (Cox, Ross and Rubinstein, J. Financial Economics 7, 1979),
+k + 1 nodes on level k, all columns in one sweep: phi is a function of d
+there, and node d' of level k + 1 merges the adjoint's step to the up
+child of node d', weight (k + 1 - d') / (k + 1), and to the down child of
+node d' - 1, weight d' / (k + 1) (:meth:`.tree.WalkLattice.children`).  So does the base
 sweep when xi is a function of W(T).  Otherwise the linear part runs
 full-width sweeps of the tree, 16 columns to a sweep.  All of them reduce
 each adjoint level to its means and couplings (one GEMM each,
@@ -86,8 +73,8 @@ columns in one sweep.  On lattice data that is the lattice problem, whose
 system is the problem's own: M = A, and one product suffices.  Otherwise it
 is the node-mean problem, which replaces every coefficient level and every
 Sigma level by its node mean, kept as one node, with Phi = 0; it is
-node-constant, so its sweep has one node per level, and on path-dependent
-data about five products remain.  GMRES solves A M^{-1} w = b and returns
+node-constant, so it runs on the lattice, and on path-dependent data about
+five products remain.  GMRES solves A M^{-1} w = b and returns
 x = M^{-1} w, so its stopping test is on the true residual |A x - b|
 (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 9).
 With all barred coefficients zero the solve yields lam = 0 and the plain
@@ -140,10 +127,6 @@ def split_blocks(vec: np.ndarray, tree: ScenarioTree, coeffs: CoefficientSet):
     return a, b, g
 
 
-def pack_blocks(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.ravel(), b.ravel(), g.ravel()])
-
-
 @dataclass
 class DecoupledWorkspace:
     """Per-level matrices shared by every (lam, eta) solve on one Riccati pair."""
@@ -159,9 +142,6 @@ class DecoupledWorkspace:
     x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
-    # every level of every array the mean recursion reads has one node: the
-    # linear part's level means follow their own recursion (_forward_sweep)
-    one_node: bool = False
     # the same problem on the walk lattice, when its data are functions of
     # W(t_k): (lattice, coefficients, workspace), whose sweeps give this
     # problem's means and couplings; the coefficients' xi is None when the
@@ -220,9 +200,6 @@ def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet
         ws.zx.append(_mul(H, phik + _mul(sig_c, _t(C))))
         ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
                                       coeffs.B_bar[k]], axis=2))
-    arrays = (sigma, ws.H, ws.sig_c, ws.phi_step, ws.vtheta_coef, ws.Ninv, ws.zx,
-              ws.bars, coeffs.A, coeffs.Q, coeffs.B, coeffs.N)
-    ws.one_node = all(len(level) == 1 for levels in arrays for level in levels)
     return ws
 
 
@@ -266,33 +243,30 @@ def _backward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
 
 def _adjoint_step(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet, k: int,
                   x: np.ndarray, y: np.ndarray, z: np.ndarray, lam1: np.ndarray,
-                  lam2: np.ndarray, mean: bool) -> np.ndarray:
+                  lam2: np.ndarray) -> np.ndarray:
     """Level k + 1 of the adjoint dx = (A' x - Q y - lam1) ds + (C' x - R z
     - lam2) dW from level k and the (y, z) reconstructed on it: the up child
     of each node takes dW = +sqrt(dt), the down child -sqrt(dt) (on the
-    lattice, their conditional mean given d, ``children``).  The level-mean
-    step (``mean``) leaves the shock out and keeps one node."""
+    lattice, their conditional mean given d, ``children``)."""
     step = x + tree.dt * (_mul(_t(coeffs.A[k]), x) - _mul(coeffs.Q[k], y) - lam1[None])
-    if mean:
-        return step
     shock = tree.sqrt_dt * (_mul(_t(coeffs.C[k]), x) - _mul(coeffs.R[k], z) - lam2[None])
     return tree.children(step, shock)
 
 
 def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                    ws: DecoupledWorkspace, lam: np.ndarray, phi: list, vtheta: list,
-                   mean: bool, keep: tuple) -> tuple:
+                   keep: tuple) -> tuple:
     """u, y and z on levels 0..n_steps-1, reconstructed from the adjoint x
-    level by level as :func:`_adjoint_step` forms it (the level mean when
-    ``mean``) and reduced to their level means and the mean couplings, each
-    stacked like ``lam``.  ``tree`` is the tree or the walk lattice: on the
-    lattice, x is its conditional mean given the node, which is all the
-    means and couplings read, since every map applied to it is a function
-    of the node.  x stops at level n_steps - 1 unless ``keep``
-    names it; then it runs to the leaves.  Returns (kept, means, coupling),
-    ``kept`` the levels of each field named in ``keep``.  The guard is the
-    worst defect of N u - (B' x - lam3) relative to 1 + |B' x| over every
-    value reconstructed; above _GUARD_TOL or not finite, NumericsError."""
+    level by level as :func:`_adjoint_step` forms it and reduced to their
+    level means and the mean couplings, each stacked like ``lam``.  ``tree``
+    is the tree or the walk lattice: on the lattice, x is its conditional
+    mean given the node, which is all the means and couplings read, since
+    every map applied to it is a function of the node.  x stops at level
+    n_steps - 1 unless ``keep`` names it; then it runs to the leaves.
+    Returns (kept, means, coupling), ``kept`` the levels of each field
+    named in ``keep``.  The guard is the worst defect of N u - (B' x -
+    lam3) relative to 1 + |B' x| over every value reconstructed; above
+    _GUARD_TOL or not finite, NumericsError."""
     n, n_steps = coeffs.n, tree.n_steps
     lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
     kept = {name: [] for name in keep}
@@ -316,7 +290,7 @@ def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
         for name in keep:
             kept[name].append({"x": x, "u": uk, "y": yk, "z": zk}[name])
         if k + 1 < n_steps or "x" in keep:
-            x = _adjoint_step(tree, coeffs, k, x, yk, zk, lam1[k], lam2[k], mean)
+            x = _adjoint_step(tree, coeffs, k, x, yk, zk, lam1[k], lam2[k])
     if "x" in keep:
         kept["x"].append(x)
     worst = float(guard.max())
@@ -338,7 +312,7 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     lam = np.asarray(lam_vec, dtype=float).reshape(len(lam_vec), -1)
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
     phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
-    kept, means, coupling = _forward_sweep(tree, coeffs, ws, lam, phi, vtheta, False,
+    kept, means, coupling = _forward_sweep(tree, coeffs, ws, lam, phi, vtheta,
                                            keep=("x", "u", "y", "z"))
     x = kept["x"]
     y = kept["y"] + [_mul(ws.sigma[tree.n_steps], x[-1]) - phi[-1]]
@@ -353,20 +327,17 @@ def _response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
               ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray, xi: np.ndarray,
               keep: tuple = ()) -> tuple:
     """:func:`_forward_sweep` of column stacks (d, c) from phi(T) = -xi; the
-    leaves are never formed.  A sweep that keeps a field runs all columns
-    as one full-width block.  Otherwise, when xi and every array the mean
-    recursion reads have one node per level, all columns run as one block
-    on the adjoint's level mean; else on the lattice as one block, and on
-    the tree full width, 16 to a block."""
-    mean_path = ws.one_node and len(xi) == 1 and not keep
-    one_block = mean_path or keep or isinstance(tree, WalkLattice)
+    leaves are never formed.  A sweep that keeps a field, or runs on the
+    lattice, runs all columns as one block; otherwise the tree runs full
+    width, 16 columns to a block."""
+    one_block = keep or isinstance(tree, WalkLattice)
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     for block in [slice(None)] if one_block else column_blocks(lam.shape[1]):
         lam_b = lam[:, block]
         phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
         kept, means[:, block], coupling[:, block] = _forward_sweep(
-            tree, coeffs, ws, lam_b, phi, vtheta, mean_path, keep)
+            tree, coeffs, ws, lam_b, phi, vtheta, keep)
     return kept, means, coupling
 
 
@@ -425,8 +396,8 @@ def probe_operators(tree: ScenarioTree, coeffs: CoefficientSet,
     One base sweep (xi terminal, lam = eta = 0) gives p_xi and q_xi; the d
     lam impulses and the d eta impulses give the linear part directly, as
     the columns of :func:`linear_response` (zero terminal, no base to
-    subtract): one sweep of one node per level on node-constant data, else
-    one batched full-width sweep per column block."""
+    subtract): one lattice sweep on lattice data, else one batched
+    full-width sweep per column block."""
     d = eta_dimension(tree, coeffs)
     p_xi, q_xi = _xi_response(tree, coeffs, ws)
     unit, zero = np.eye(d), np.zeros((d, d))
@@ -469,15 +440,16 @@ def _reduced_problem(tree: ScenarioTree, coeffs: CoefficientSet,
     it is that one, which is exact: the products run on it too, so M = A.
     Otherwise it is the node-mean problem: every level of the coefficients
     and of Sigma replaced by its node mean, kept as one node, and Phi = 0,
-    the martingale integrand of a one-node Sigma.  Node means of PSD weights
-    are PSD and keep N >= delta I, so its workspace passes the same checked
-    inverses."""
+    the martingale integrand of a one-node Sigma.  It is node-constant, so
+    it runs on the walk lattice.  Node means of PSD weights are PSD and keep
+    N >= delta I, so its workspace passes the same checked inverses."""
     if ws.lattice is not None:
         return (*ws.lattice, "lattice")
+    grid = tree.lattice()
     mean_coeffs = coeffs.node_means()
     sigma = [level.mean(axis=0, keepdims=True) for level in ws.sigma]
     phi = [np.zeros((1, coeffs.n, coeffs.n))] * tree.n_steps
-    return (tree, mean_coeffs, _assemble_workspace(tree, mean_coeffs, sigma, phi),
+    return (grid, mean_coeffs, _assemble_workspace(grid, mean_coeffs, sigma, phi),
             "node-mean")
 
 
@@ -628,45 +600,6 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
         )
     return ConstrainedSolution(u=u, lam=lam_vec, eta=eta_vec, means=means,
                                coupling=coupling, constraint_residual=defect)
-
-
-def riccati_control(tree: ScenarioTree, coeffs: CoefficientSet,
-                    ric: RiccatiSolution) -> list:
-    """Unconstrained feedback control (zero multipliers, zero target means).
-    With all barred coefficients zero this is the classical Riccati control."""
-    zero = np.zeros(eta_dimension(tree, coeffs))
-    return solve_decoupled(tree, coeffs, ric, zero, zero).u
-
-
-def decoupling_residual(tree: ScenarioTree, coeffs: CoefficientSet,
-                        ric: RiccatiSolution, sol: ConstrainedSolution) -> dict:
-    """How far the reconstructed (y, z, u) is from solving the discrete
-    backward recursion it represents.
-
-    Two defects are reported in the probability-and-dt weighted rms norm
-    (the same norm used for control errors): the state-recursion residual
-    and the martingale-representation defect z - z_from_next(y).  Both are
-    first order in the step size for a consistent reconstruction, re-solved
-    by :func:`solve_decoupled` at sol's (lam, eta).
-    """
-    fields = solve_decoupled(tree, coeffs, ric, sol.lam, sol.eta)
-    alpha, beta, gamma = split_blocks(sol.eta, tree, coeffs)
-    eye = np.eye(coeffs.n)
-    y_sq = 0.0
-    z_sq = 0.0
-    for k in range(tree.n_steps):
-        weight = tree.dt * tree.node_probability(k)
-        lhs = _mv(eye[None] - tree.dt * coeffs.A[k], fields.y[k])
-        rhs = tree.cond_expect(fields.y[k + 1]) + tree.dt * (
-            _mv(coeffs.B[k], fields.u[k]) + _mv(coeffs.C[k], fields.z[k])
-            + coeffs.A_bar[k] @ alpha[k] + coeffs.B_bar[k] @ gamma[k]
-            + coeffs.C_bar[k] @ beta[k]
-        )
-        y_sq += weight * float(((lhs - rhs) ** 2).sum())
-        z_sq += weight * float(
-            ((fields.z[k] - tree.z_from_next(fields.y[k + 1])) ** 2).sum())
-    return {"y_recursion": math.sqrt(y_sq), "z_defect": math.sqrt(z_sq),
-            "combined": math.sqrt(y_sq + z_sq)}
 
 
 def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,

@@ -229,24 +229,6 @@ def gradient_dual_norm(tree: ScenarioTree, grad: list) -> float:
     return float(np.sqrt(total))
 
 
-def directional_derivative(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
-                           direction: list) -> float:
-    """Exact derivative of the cost along a control direction: the exact
-    gradient paired with it (the state map is affine, so no truncation)."""
-    grad = cost_gradient(tree, coeffs, controls)
-    return float(stack_controls(grad) @ stack_controls(direction))
-
-
-def directional_derivative_fd(tree: ScenarioTree, coeffs: CoefficientSet,
-                              controls: list, direction: list) -> float:
-    """Central difference with step 1e-3 (exact up to rounding: the cost
-    is quadratic)."""
-    step = 1e-3
-    up = [u + step * v for u, v in zip(controls, direction)]
-    dn = [u - step * v for u, v in zip(controls, direction)]
-    return (evaluate_cost(tree, coeffs, up) - evaluate_cost(tree, coeffs, dn)) / (2 * step)
-
-
 # ---------------------------------------------------------------------------
 # first-order (maximum-principle style) residual of a candidate control
 

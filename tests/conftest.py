@@ -60,7 +60,8 @@ def count_calls(monkeypatch, module, name: str) -> list:
 def record_adjoint_steps(monkeypatch) -> list:
     """Wrap ``multipliers._adjoint_step`` so that every step appends (level
     k, nodes of the level k + 1 it forms) to the returned list.  A sweep
-    that forms the tree starts with (0, 2); the level-mean path with (0, 1)."""
+    of the tree forms 2^(k + 1) nodes, one of the walk lattice k + 2: level
+    2 tells them apart, (1, 4) against (1, 3)."""
     from mfbslq import multipliers
     steps = []
     real = multipliers._adjoint_step

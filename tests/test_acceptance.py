@@ -20,16 +20,16 @@ import pytest
 
 from mfbslq import build_tree, realize, solve_riccati
 from mfbslq.cli import main as cli_main
-from mfbslq.multipliers import (decoupling_residual, picard_cross_check,
-                                riccati_control)
+from mfbslq.multipliers import picard_cross_check
 from mfbslq.oracle import (control_dimension, cost_gradient,
-                           directional_derivative, directional_derivative_fd,
                            evaluate_cost, gradient_dual_norm,
                            smp_stationarity_residual, solve_oracle,
                            unstack_controls, weighted_hessian_eigenvalues,
                            weighted_inner, zero_controls)
 from mfbslq.outer import run_pipeline
 from conftest import barred_zero_spec, corpus_path, scalar_spec
+from referees import (decoupling_residual, directional_derivative,
+                      directional_derivative_fd, riccati_control)
 
 DELTA = 0.5
 GRID = (4, 8, 16)

@@ -154,19 +154,20 @@ def test_lattice_riccati_names_the_tree_node(m1_random, monkeypatch):
 # the outer system
 
 
-@pytest.mark.parametrize("name", ["m1_random", "vector", "tiled_d2"])
+@pytest.mark.parametrize("name", ["m1_random", "vector", "tiled_d2", "s1", "m1", "d2"])
 @pytest.mark.parametrize("nt", [5, 12])
-def test_lattice_means_match_full_sweeps(walk_specs, d2, monkeypatch, name, nt):
+def test_lattice_means_match_full_sweeps(walk_specs, corpus, monkeypatch, name, nt):
     # the linear part and the base sweep, each one lattice sweep, give the
-    # means and couplings of full sweeps of the tree
-    spec = d2 if name == "tiled_d2" else walk_specs[name]
+    # means and couplings of full sweeps of the tree, on node-varying data
+    # and on compact node-constant data alike
+    spec = {**corpus, **walk_specs}[name.removeprefix("tiled_")]
     tree = build_tree(spec.horizon, nt)
     coeffs = realize(spec, tree)
     if name == "tiled_d2":
         coeffs = materialised(tree, coeffs)
     ric = solve_riccati(tree, coeffs)
     ws = workspace(tree, coeffs, ric)
-    assert ws.lattice is not None and not ws.lattice[2].one_node
+    assert ws.lattice is not None
     d = eta_dimension(tree, coeffs)
     lam, eta = np.random.default_rng(nt).standard_normal((2, d, 3))
     zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))

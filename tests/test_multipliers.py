@@ -31,15 +31,14 @@ from mfbslq import (InfeasibleEtaError, NumericsError, RiccatiSolution, build_tr
                     load_spec, realize, solve_riccati)
 from mfbslq import multipliers, outer
 from mfbslq.multipliers import (DecoupledWorkspace, constrained_solution_at,
-                                decoupling_residual, eta_dimension,
-                                mean_cost_weights, pack_blocks,
+                                eta_dimension, mean_cost_weights,
                                 picard_cross_check, probe_operators,
-                                riccati_control, solve_constrained_problem,
-                                solve_decoupled, solve_outer_system,
-                                split_blocks)
+                                solve_constrained_problem, solve_decoupled,
+                                solve_outer_system, split_blocks)
 from mfbslq.outer import run_pipeline
 from conftest import (barred_zero_spec, corpus_path, count_calls, materialised,
                       probed_solve, record_adjoint_steps, scalar_spec, workspace)
+from referees import decoupling_residual, pack_blocks, riccati_control
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 
@@ -288,40 +287,18 @@ def test_krylov_route_matches_probed_solve(corpus):
             assert got.relative_residual <= 1e-12, name
 
 
-def test_route_rule(d2, m1_random):
-    # the linear part follows the level-mean recursion exactly when every
-    # array it reads has one node per level: node-constant d2 does at every
-    # depth, its tiled copy and m1_random do not
+def test_route_rule(d2, m1_random, m1_path):
+    # the linear part runs on the walk lattice whenever the data are
+    # functions of W(t_k): node-constant d2, its tiled copy and m1_random at
+    # every depth; path-dependent m1_path runs on the tree
     for nt in (8, 13):
         tree = build_tree(d2.horizon, nt)
         compact = realize(d2, tree)
-        tiled = materialised(tree, compact)
-        for coeffs, varying in ((compact, False), (tiled, True),
-                                (realize(m1_random, tree), True)):
+        for coeffs in (compact, materialised(tree, compact), realize(m1_random, tree)):
             ric = solve_riccati(tree, coeffs)
-            assert workspace(tree, coeffs, ric).one_node == (not varying)
-
-
-@pytest.mark.parametrize("name", ["s1", "m1", "d2"])
-@pytest.mark.parametrize("nt", [5, 13])
-def test_mean_path_matches_full_sweeps(corpus, monkeypatch, name, nt):
-    # node-constant data: the level-mean recursion gives the means and
-    # couplings of full zero-terminal sweeps, without running one
-    tree, coeffs, ric = _setup(corpus[name], nt)
-    d = eta_dimension(tree, coeffs)
-    rng = np.random.default_rng(nt)
-    lam, eta = rng.standard_normal((2, d, 3))
-    zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
-    full = solve_decoupled(tree, zero, ric, lam, eta)
-    assert len(full.x[-1]) == tree.n_nodes(nt)
-
-    steps = record_adjoint_steps(monkeypatch)
-    means, coupling = multipliers.linear_response(tree, coeffs, workspace(tree, coeffs, ric),
-                                                  lam, eta)
-    # one sweep, every level it forms one node wide
-    assert steps == [(k, 1) for k in range(nt - 1)]
-    for got, want in ((means, full.means), (coupling, full.coupling)):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert workspace(tree, coeffs, ric).lattice is not None
+    tree, coeffs, ric = _setup(m1_path, 8)
+    assert workspace(tree, coeffs, ric).lattice is None
 
 
 @pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
@@ -335,7 +312,6 @@ def test_adjoint_is_the_maximum_principle_adjoint(corpus, name):
     if name == "tiled_d2":
         coeffs = materialised(tree, coeffs)
     ric = solve_riccati(tree, coeffs)
-    assert not workspace(tree, coeffs, ric).one_node
     d = eta_dimension(tree, coeffs)
     lam, eta = np.random.default_rng(7).standard_normal((2, d, 3))
     sol = solve_decoupled(tree, coeffs, ric, lam, eta)
@@ -368,7 +344,6 @@ def test_workspace_holds_five_floats_per_node(m1_random):
     finally:
         tracemalloc.stop()
     nodes = tree.total_nodes - tree.n_nodes(tree.n_steps)
-    assert not ws.one_node
     assert held <= 5 * 8 * nodes + 64 * 1024
 
 

@@ -26,14 +26,14 @@ from mfbslq import (ConvexityError, NumericsError, SizeCapError, StepSizeError,
 from mfbslq.bsde import MeanfieldBsdeSolution
 from mfbslq.cli import CHECK_COST_GAP
 from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cost_gradient,
-                           cost_of_solution, directional_derivative,
-                           directional_derivative_fd, evaluate_cost,
+                           cost_of_solution, evaluate_cost,
                            gradient_dual_norm, solve_oracle, unstack_controls,
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
 from mfbslq.outer import run_pipeline
 from conftest import (count_calls, materialised, scalar_spec, singular_mean_doc,
                       singular_step_doc, vector_control_doc)
+from referees import directional_derivative, directional_derivative_fd
 
 WALK_TERMINAL = {"form": "affine_in_WT", "g0": 0.0, "g1": 1.0}
 

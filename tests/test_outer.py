@@ -109,7 +109,7 @@ def test_pipeline_report_contract(m1):
 
 
 def test_pipeline_without_coupling_is_plain_feedback():
-    from mfbslq.multipliers import riccati_control
+    from referees import riccati_control
     res = run_pipeline(barred_zero_spec("m1"), 8)
     assert np.linalg.norm(res.constrained.lam) <= 1e-7
     feedback = riccati_control(res.tree, res.coeffs, res.riccati)
@@ -197,12 +197,11 @@ def test_krylov_pipeline_never_probes(corpus, m1_path):
     # the base sweep, then the preconditioner's columns and one column per
     # GMRES product, then the final solve, which always sweeps the tree and
     # keeps no field but the final control.  On data that are functions of
-    # W(t_k) the base sweep runs on the lattice, and so do the
-    # preconditioner and the products where the data vary over the nodes
-    # (one node per level where they do not); on path-dependent data all
-    # but the preconditioner sweep the tree.  A second base sweep inside the
-    # outer solve would add one.  Level 2 tells the layouts apart: 4 tree
-    # nodes, 3 lattice nodes
+    # W(t_k) the base sweep, the preconditioner and the products run on the
+    # lattice; on path-dependent data all but the preconditioner, whose
+    # node-mean problem is node-constant, sweep the tree.  A second base
+    # sweep inside the outer solve would add one.  Level 2 tells the layouts
+    # apart: 4 tree nodes, 3 lattice nodes
     for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
                             ("m1_random", 5, False), ("d2", 5, True),
                             ("m1_path", 8, False)):
@@ -221,11 +220,10 @@ def test_krylov_pipeline_never_probes(corpus, m1_path):
         tree_sweeps, lattice_sweeps = steps.count((1, 4)), steps.count((1, 3))
         if name == "m1_path":
             assert 2 <= products <= 8, case
-            assert (tree_sweeps, lattice_sweeps) == (2 + products, 0), case
+            assert (tree_sweeps, lattice_sweeps) == (2 + products, 1), case
         else:
             assert products == 1, case
-            varying = name == "m1_random" or tiled
-            assert (tree_sweeps, lattice_sweeps) == (1, 1 + varying * (1 + products)), case
+            assert (tree_sweeps, lattice_sweeps) == (1, 2 + products), case
         assert max(width for _, width in steps) == res.tree.n_nodes(nt - 1), case
         diag = res.report()["diagnostics"]
         assert diag["outer_columns"] == products + 1, case
