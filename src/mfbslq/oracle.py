@@ -1,9 +1,11 @@
 """Independent certification of optimal controls by direct quadratic programming.
 
-This module never touches the Riccati/multiplier pipeline (it shares only
-the tree's kernels, such as E[M' x], :func:`.tree._level_coupling`).  It treats the
-discrete problem as the finite-dimensional convex program it is: the cost
-is evaluated by actually solving the controlled mean-field BSDE, the
+This module never touches the Riccati/multiplier pipeline.  It shares only
+the tree's kernels, such as E[M' x] (:func:`.tree._level_coupling`), and
+its walk lattice (:class:`.tree.WalkLattice`, with the coefficients
+restricted to it by :meth:`.model.CoefficientSet.on_lattice`).  It treats
+the discrete problem as the finite-dimensional convex program it is: the
+cost is evaluated by actually solving the controlled mean-field BSDE, the
 optimizer is found from the KKT system of the full discretization, and
 optimality is certified with an exact discrete adjoint gradient that is
 computed independently of the solve.  The KKT system is a tree of small
@@ -12,16 +14,21 @@ route eliminates the node blocks leaves first, one batch per level, each
 block through its own n x n and m x m pivots (the control weight N, the
 one-step matrix I - dt A, and two multiplier blocks that are of order one
 at every depth), every one checked, and closes the tail with one
-Schur-complement solve.  Its blocks are stored node-last, (rows, cols,
-nodes), so every block entry is one contiguous vector over a level's nodes,
-and a level's right-hand side is never assembled: the solved columns come
-from its known nonzero blocks.  Each level keeps only what its pivots are
-solved from, not their inverses, which are formed a node chunk at a time,
-and two passes over the levels, leaves first and then root first, recover
-the controls by the same block elimination.  A dense route, which assembles
-the reduced Hessian column by column, checks that it is positive definite
-with a Cholesky factorization and solves it once, runs only when asked for
-and serves as a cross-check of the sparse one on small trees.
+Schur-complement solve.  When the coefficients and the terminal value
+depend on the path only through W(t_k), so does every block, and the
+elimination runs on the k + 1 nodes of each lattice level instead of the
+2**k of the tree; the cost, the gradient certificate and the control
+error stay on the tree either way.  Its blocks are stored node-last,
+(rows, cols, nodes), so every block entry is one contiguous vector over a
+level's nodes, and a level's right-hand side is never assembled: the
+solved columns come from its known nonzero blocks.  Each level keeps only
+what its pivots are solved from, not their inverses, which are formed a
+node chunk at a time, and two passes over the levels, leaves first and
+then root first, recover the controls by the same block elimination.  A
+dense route, which assembles the reduced Hessian column by column, checks
+that it is positive definite with a Cholesky factorization and solves it
+once, runs only when asked for and serves as a cross-check of the sparse
+one on small trees.
 
 Every derivative of the cost comes from one function, the exact adjoint
 gradient (:func:`cost_gradient`), which takes a trailing column axis like
@@ -49,8 +56,8 @@ from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, checked_dense_sv, checked_inverse,
                    implicit_steps, solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import (ScenarioTree, _concat_nodes, _level_coupling, _mul, _mul_last,
-                   _mv, _t, column_blocks)
+from .tree import (ScenarioTree, WalkLattice, _concat_nodes, _level_coupling, _mul,
+                   _mul_last, _mv, _t, column_blocks)
 
 DENSE_SIZE_CAP = 20000
 # Nodes of a level whose pivot inverses and solved columns the sparse route
@@ -330,6 +337,12 @@ def _solve_dense(tree: ScenarioTree, coeffs: CoefficientSet) -> list:
 # After the tail solve, a leaves-first pass solves one right-hand side per
 # level, and a root-first pass adds the parents' multipliers through P^-1's
 # y columns.
+#
+# A node is a tree node, or on lattice data a node of the walk lattice
+# (:class:`.tree.WalkLattice`), where every factor, solved column and
+# leaves-first solution is the same on all tree nodes with the same number
+# of down moves.  Only the root-first pass, whose parents' multipliers
+# depend on the path, always runs on the tree.
 
 
 class _PivotFactors(NamedTuple):
@@ -486,21 +499,43 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
     return blk
 
 
-def _lift(tree: ScenarioTree, child_rows: np.ndarray) -> np.ndarray:
-    """Minus the sum of E over each parent's two children, applied to the
-    children's y rows, node-last (n, c, 2**(k+1)): (E_k[.], difference
-    quotient) stacked on the parents' (mu1, mu2) rows, (2n, c, 2**k).  The
-    tree's operators run along the node axis of a transposed view,
-    _NODE_CHUNK parents at a time, so their temporaries stay small."""
-    rows = child_rows.T
-    n, cols = child_rows.shape[:2]
-    parents = max(len(rows) // 2, 1)
-    out = np.empty((2 * n, cols, parents))
-    for start in range(0, parents, _NODE_CHUNK):
-        part = rows[2 * start:2 * (start + _NODE_CHUNK)]
-        out[:n, :, start:start + _NODE_CHUNK] = tree.cond_expect(part).T
-        out[n:, :, start:start + _NODE_CHUNK] = tree.z_from_next(part).T
+def _lift(grid: ScenarioTree | WalkLattice, child_rows: np.ndarray) -> np.ndarray:
+    """(E_k[.], difference quotient) over each parent's two children of a
+    child level's rows, node-last (r, c, children), stacked on the parents'
+    rows, (2r, c, parents), on the tree or on the walk lattice, whose
+    ``_pairs`` say which nodes are a parent's up and down child.  Both are
+    written through transposed views of the result, so no temporary of the
+    level's size is formed.  A one-node level is the same on every node: its
+    difference quotient is zero."""
+    rows = len(child_rows)
+    up, down = grid._pairs(child_rows.T, "lift")
+    if up is None:
+        return np.concatenate([child_rows, np.zeros_like(child_rows)])
+    out = np.empty((2 * rows,) + child_rows.shape[1:-1] + (len(up),))
+    mean, quotient = out[:rows].T, out[rows:].T
+    np.add(up, down, out=mean)
+    mean *= 0.5
+    np.subtract(up, down, out=quotient)
+    quotient /= 2.0 * grid.sqrt_dt
     return out
+
+
+def _fill(grid: ScenarioTree | WalkLattice, inv_yy: np.ndarray) -> np.ndarray:
+    """The parents' fill F, (2n, 2n, parents), from the y rows of a level's
+    P^-1 y columns, Y (n, n, nodes or 1).  A node's y enters its parent's
+    (mu1, mu2) rows through E' = [-1/2, -(+/-1) / (2 sqrt(dt))], whose sign
+    is the node's as a child, so F is the lift of [h | +/- h / sqrt(dt)]
+    with h = -Y / 2.  E_k of +/- h is sqrt(dt) times the difference quotient
+    of h, and the difference quotient of +/- h is E_k[h] / sqrt(dt), so F =
+    [[E_k h, DQ h], [DQ h, E_k h / dt]] is lifted from h alone, with no sign
+    on either layout, and is one node wide when Y is."""
+    n = len(inv_yy)
+    lifted = _lift(grid, -0.5 * inv_yy)
+    fill = np.empty((2 * n, 2 * n, lifted.shape[2]))
+    fill[:, :n] = lifted
+    fill[:n, n:] = lifted[n:]
+    np.divide(lifted[:n], grid.dt, out=fill[n:, n:])
+    return fill
 
 
 def _solved_columns(rows: np.ndarray, passed: np.ndarray, means_rhs: np.ndarray,
@@ -520,48 +555,66 @@ def _solved_columns(rows: np.ndarray, passed: np.ndarray, means_rhs: np.ndarray,
 
 
 def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
-    """Optimal controls from the KKT system, by block elimination on the tree.
+    """Optimal controls from the KKT system, by block elimination on the
+    walk lattice when the data allow it, else on the tree.
+
+    The route is decided by value: when the coefficients and the terminal
+    value depend on the path only through W(t_k)
+    (:meth:`.model.CoefficientSet.on_lattice` is not None and its xi is
+    not None), so does every kept factor, every solved column and every
+    leaves-first solution, and both of those passes run on the k + 1 nodes
+    of each lattice level (:meth:`.tree.ScenarioTree.lattice`).  Otherwise
+    they run on the 2**k nodes of the tree.  Per-node weights are the tree
+    node's probability 2^-k either way, and every node sum counts each node
+    as the tree nodes it stands for (:meth:`.tree.ScenarioTree.counted`).
 
     Forward, leaves first: each level's pivots are factored in one batch
     through their own checked n x n and m x m blocks (:func:`_kkt_factors`,
     refused as "KKT pivot ..." with the level).  Every block is node-last,
-    (rows, cols, nodes).  A level's solved columns [E' (2n) | r | tail of
-    levels >= k], z rows aside, are formed _NODE_CHUNK nodes at a time from
-    the chunk's pivot inverse P^-1 (:func:`_pivot_solve` of the identity)
-    and the known nonzero blocks of the level's right-hand side, which is
-    never assembled: E' is a multiple of P^-1's y columns, r and the tail of
-    deeper levels are what the children pass up on the (mu1, mu2) rows, the
-    level's own means enter the mu1 rows through A_bar, C_bar and B_bar, and
-    its own multipliers the state rows.  The eliminated nodes pass a Schur
-    update to their parents' (mu1, mu2) rows (:func:`_lift`) and add their
-    node sums to the dense tail.  A node at level k couples only to tail
-    columns of levels >= k, so no node holds a full-width block.  The y rows
-    of the solved columns are kept for the whole level, since they become
-    the parents' fill and passed columns; the (mu1, mu2) rows enter only
-    node sums (the z and u rows' sums follow from them, and those rows are
-    never formed), and the chunk's P^-1 only the chunk's columns, so both
-    are dropped with the chunk.  A level keeps only its factors (the
-    inverses of N, I - dt A and D, K2 D^-1 with K2 = F12 + dt C F22, and
-    P^-1's y columns, each at the width of its data) and its -dt [A_bar |
-    C_bar | B_bar].
+    (rows, cols, nodes).  A level's solved columns [r | tail of levels >=
+    k], z rows aside, are formed _NODE_CHUNK nodes at a time from the
+    chunk's pivot inverse P^-1 (:func:`_pivot_solve` of the identity) and
+    the known nonzero blocks of the level's right-hand side, which is never
+    assembled: r and the tail of deeper levels are what the children pass
+    up on the (mu1, mu2) rows, the level's own means enter the mu1 rows
+    through A_bar, C_bar and B_bar, and its own multipliers the state rows.
+    The eliminated nodes pass a Schur update to their parents' (mu1, mu2)
+    rows: the fill, from the y rows of P^-1's y columns (:func:`_fill`),
+    and the lift of the solved columns' y rows (:func:`_lift`); they add
+    their node sums to the dense tail.  A node at level k couples only to
+    tail columns of levels >= k, so no node holds a full-width block.  The
+    y rows of the solved columns are kept for the whole level, since they
+    become the parents' passed columns; the (mu1, mu2) rows enter only node
+    sums (the z and u rows' sums follow from them, and those rows are never
+    formed), and the chunk's P^-1 only the chunk's columns, so both are
+    dropped with the chunk.  A level keeps only its factors (the inverses of
+    N, I - dt A and D, K2 D^-1 with K2 = F12 + dt C F22, and P^-1's y
+    columns, each at the width of its data) and its -dt [A_bar | C_bar |
+    B_bar].
 
     After one tail solve, the back-substitution takes two passes over the
-    factors.  Leaves first, level k's right-hand side at the solved means,
-    v_k = [r] - [tail] means, is p times the level's own multipliers on the
-    state rows, the lift of the children's y rows of P^-1 v (of xi at the
-    deepest level) on the (mu1, mu2) rows, less -dt [A_bar | C_bar | B_bar]
-    times the level's own means on the mu1 rows; P^-1 v_k (:func:`_pivot_solve`,
-    _NODE_CHUNK nodes at a time) gives the y rows to lift and the (u, mu1,
-    mu2) rows to keep.  Root first, each node subtracts the (u, mu1, mu2)
-    rows of P^-1's y columns times its parent's multipliers as they enter
-    its y rows, -mu1 / 2 - (+/-1) mu2 / (2 sqrt(dt)), and emits u.
+    factors.  Leaves first, on the elimination's layout, level k's
+    right-hand side at the solved means, v_k = [r] - [tail] means, is p
+    times the level's own multipliers on the state rows, the lift of the
+    children's y rows of P^-1 v (of xi at the deepest level) on the (mu1,
+    mu2) rows, less -dt [A_bar | C_bar | B_bar] times the level's own means
+    on the mu1 rows; P^-1 v_k (:func:`_pivot_solve`, _NODE_CHUNK nodes at a
+    time) gives the y rows to lift and the (u, mu1, mu2) rows to keep.  Root
+    first, on the tree, since the parents' multipliers depend on the path,
+    each node subtracts the (u, mu1, mu2) rows of P^-1's y columns times its
+    parent's multipliers as they enter its y rows, -mu1 / 2 - (+/-1) mu2 /
+    (2 sqrt(dt)), and emits u; on the lattice both are first gathered to the
+    level's tree nodes (:meth:`.tree.ScenarioTree.gather`).
 
     A tail that is not finite or is numerically singular (condition number
     above 1 / machine epsilon) raises NumericsError
     (:func:`.bsde.checked_dense_sv`); below that, the gradient certificate
     of :func:`solve_oracle` judges the answer.  Returns (controls, smallest
-    singular value of the tail).
+    singular value of the tail, number of nodes the elimination ran on).
     """
+    lattice = coeffs.on_lattice(tree)
+    on_lattice = lattice is not None and lattice.xi is not None
+    grid, data = (tree.lattice(), lattice) if on_lattice else (tree, coeffs)
     n, m, n_steps, dt = coeffs.n, coeffs.m, tree.n_steps, tree.dt
     states = 2 * n + m
     mu1, mu = slice(states, 3 * n + m), slice(states, 4 * n + m)
@@ -574,61 +627,56 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     tail = np.zeros((n_steps * width, n_steps * width))
     tail_rhs = np.zeros(n_steps * width)
     fill = np.zeros((2 * n, 2 * n, 1))
-    xi_lift = _lift(tree, coeffs.xi.T[:, None, :])
+    xi_lift = _lift(grid, data.xi.T[:, None, :])
     passed = xi_lift
-    # E': a node's y enters its parent's (mu1, mu2) rows with -1/2 and
-    # -(+/-1) / (2 sqrt(dt)).  The signs alternate, and a chunk starts at an
-    # even node, so every chunk's factors are the first of these.
-    signs = np.resize([1.0, -1.0], min(_NODE_CHUNK, tree.n_nodes(n_steps - 1)))
-    coupling = np.stack([np.full(len(signs), -0.5), signs / (-2.0 * tree.sqrt_dt)])[:, None]
     pivots = [None] * n_steps               # (factors, -dt [A_bar | C_bar | B_bar]) per level
+    eliminated = 0
     for k in range(n_steps - 1, -1, -1):
-        nodes, prob = tree.n_nodes(k), tree.node_probability(k)
+        nodes, prob = passed.shape[2], tree.node_probability(k)
+        eliminated += nodes
         hi = (n_steps - k) * width
         lo = hi - width                     # tail columns of levels > k
         own = 1 + lo                        # first of the level's own tail columns
-        factors = _kkt_factors(tree, coeffs, k, fill)
+        factors = _kkt_factors(tree, data, k, fill)
         # the own mean columns' right-hand side on the mu1 rows, -dt [A_bar |
         # C_bar | B_bar], as wide as the widest of the three, and the own
         # multiplier columns' on the state rows, -p I
         means_rhs = -dt * _last(_concat_nodes(
-            [coeffs.A_bar[k], coeffs.C_bar[k], coeffs.B_bar[k]], axis=2))
+            [data.A_bar[k], data.C_bar[k], data.B_bar[k]], axis=2))
         mults_rhs = -prob * np.eye(states)[..., None]
         pivots[k] = factors, means_rhs
 
-        # The solved columns [E' | r | tail], z rows aside, one node chunk
-        # at a time.  Their y rows are kept for the whole level (`head`):
-        # E' becomes the parents' fill, and the root has no parent.  Their
-        # node sums and the tail update, the node sum of (tail columns of the
-        # right-hand side)' (solved columns [r | tail]), come from the
-        # nonzero rows only: the passed columns meet the (mu1, mu2) rows in
-        # one GEMM per row over the chunk's nodes, the own mean columns the
-        # mu1 rows through -dt [A_bar | C_bar | B_bar] (a node sum when that
-        # is one node wide), and the own multiplier columns are -p times the
-        # node sums of the state rows.  The z and u rows are not formed: their
-        # sums come from the (mu1, mu2) rows, z = b_mu2 - F21 mu1 - F22 mu2
-        # and u = Hu^-1 (b_u + dt B' mu1), by one contraction over (q, nodes)
-        # each, or by a product with the node sums when F or Hu^-1 dt B' is
-        # one node wide.
+        # The solved columns [r | tail], z rows aside, one node chunk at a
+        # time.  Their y rows are kept for the whole level (`head`), to be
+        # lifted to the parents.  Their node sums and the tail update, the
+        # node sum of (tail columns of the right-hand side)' (solved columns
+        # [r | tail]), come from the nonzero rows only, each node counted as
+        # the tree nodes it stands for: the passed columns meet the (mu1,
+        # mu2) rows in one GEMM per row over the chunk's nodes, the own mean
+        # columns the mu1 rows through -dt [A_bar | C_bar | B_bar] (a node
+        # sum when that is one node wide), and the own multiplier columns are
+        # -p times the node sums of the state rows.  The z and u rows are not
+        # formed: their sums come from the (mu1, mu2) rows, z = b_mu2 - F21
+        # mu1 - F22 mu2 and u = Hu^-1 (b_u + dt B' mu1), by one contraction
+        # over (q, nodes) each, or by a product with the node sums when F or
+        # Hu^-1 dt B' is one node wide.
         hu_b = _mul_last(factors.hu_inv, factors.bdt.swapaxes(0, 1))      # Hu^-1 dt B'
-        head = np.empty((n, 2 * n + own + width, nodes))
+        head = np.empty((n, own + width, nodes))
         sums = np.zeros((4 * n + m, 1 + hi))
         update = np.zeros((hi, 1 + hi))
         product = np.empty((lo, 1 + hi))
         for chunk in range(0, nodes, _NODE_CHUNK):
             at = slice(chunk, min(chunk + _NODE_CHUNK, nodes))
-            count = at.stop - at.start
             # at full chunk width, so that no product writes a flat GEMM into
             # the strided chunk of `head`
             inv = np.broadcast_to(_pivot_solve(factors, None, at),
-                                  (3 * n + m, 4 * n + m, count))
-            np.multiply(inv[:n, None, :n], coupling[..., :count] if k > 0 else 0.0,
-                        out=head[:, :2 * n, at].reshape(n, 2, n, count, copy=False))
+                                  (3 * n + m, 4 * n + m, at.stop - at.start))
             blocks = passed[..., at], _nodes(means_rhs, at), mults_rhs
-            _solved_columns(inv[:n], *blocks, head[:, 2 * n:, at])
-            kept = np.empty((2 * n, own + width, count))    # the (mu1, mu2) rows
+            _solved_columns(inv[:n], *blocks, head[..., at])
+            kept = np.empty((2 * n, own + width, at.stop - at.start))   # the (mu1, mu2) rows
             _solved_columns(inv[n + m:], *blocks, kept)
             del inv, blocks
+            kept = grid.counted(kept, k, at)
             sums[mu] += kept.sum(axis=2)
             kept_t = kept.transpose(0, 2, 1)                # (2n, chunk, 1 + hi)
             if fill.shape[2] > 1:
@@ -642,27 +690,26 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
             if means_rhs.shape[2] > 1:
                 update[lo:lo + states] += np.matmul(means_rhs[..., at], kept_t[:n]).sum(axis=0)
             del kept, kept_t
-        head[:, 2 * n:].sum(axis=2, out=sums[:n])
+        grid.counted(head, k).sum(axis=2, out=sums[:n])
         if fill.shape[2] == 1:
             sums[n:2 * n] = -(fill[n:, :, 0] @ sums[mu])
-        sums[n:2 * n, :own] += passed[n:].sum(axis=2)
+        sums[n:2 * n, :own] += grid.counted(passed[n:], k).sum(axis=2)
         if hu_b.shape[2] == 1:
             sums[2 * n:states] = hu_b[:, :, 0] @ sums[mu1]
         hu_inv = factors.hu_inv                 # times b_u = -p I on the own nu3 columns
         sums[2 * n:states, own + states + 2 * n:] -= prob * (
-            hu_inv.sum(axis=2) if hu_inv.shape[2] > 1 else nodes * hu_inv[:, :, 0])
+            grid.counted(hu_inv, k).sum(axis=2) if hu_inv.shape[2] > 1
+            else tree.n_nodes(k) * hu_inv[:, :, 0])
         if means_rhs.shape[2] == 1:
             update[lo:lo + states] = means_rhs[:, :, 0].T @ sums[mu1]
         update[lo + states:] = -prob * sums[:states]
         tail[lo:hi, lo:hi] += _kkt_tail_block(tree, coeffs, k)
         tail_rhs[:hi] -= update[:, 0]
         tail[:hi, :hi] -= update[:, 1:]
-        del factors, fill, passed
+        del fill, passed
         if k > 0:
-            lifted = _lift(tree, head)
-            fill, passed = lifted[:, :2 * n], lifted[:, 2 * n:]
-            del lifted
-        del head
+            fill, passed = _fill(grid, factors.inv_y[:n]), _lift(grid, head)
+        del factors, head
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
     implicit_steps(tree, coeffs)
@@ -674,7 +721,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     lifted = xi_lift
     for k in range(n_steps - 1, -1, -1):
         factors, means_rhs = pivots[k]
-        nodes, prob = tree.n_nodes(k), tree.node_probability(k)
+        nodes, prob = lifted.shape[2], tree.node_probability(k)
         lo = (n_steps - k - 1) * width
         own_means, own_nu = means[lo:lo + states], means[lo + states:lo + width]
         means_term = _mul_last(means_rhs, own_means[:, None, None])
@@ -689,21 +736,25 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
             ys[..., at], partial[k][:, at] = sol[:n], sol[n:, 0]
             del rhs, sol
         if k > 0:
-            lifted = _lift(tree, ys)
+            lifted = _lift(grid, ys)
         del ys
 
-    # root first: the parents' multipliers enter the y rows through E'
+    # root first, on the tree: the parents' multipliers enter the y rows
+    # through E'
     controls, parent = [], None
     for k in range(n_steps):
-        node = partial[k]
+        node, inv_y = partial[k], pivots[k][0].inv_y[n:]
+        if on_lattice:
+            node = tree.gather(node.T).T
+            inv_y = tree.gather(inv_y.transpose(2, 0, 1)).transpose(1, 2, 0)
         if k > 0:
             half, quotient = -0.5 * parent[:n], parent[n:] / (2.0 * tree.sqrt_dt)
             up = np.stack([half - quotient, half + quotient], axis=2).reshape(n, 1, -1)
-            node -= _mul_last(pivots[k][0].inv_y[n:], up)[:, 0]
-        pivots[k] = None
+            node -= _mul_last(inv_y, up)[:, 0]
+        pivots[k] = partial[k] = None
         controls.append(node[:m].T.copy())
         parent = node[m:]
-    return controls, min_sv
+    return controls, min_sv, eliminated
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +771,8 @@ class OracleSolution:
     method: str              # "sparse" or "dense"
     min_kkt_tail_sv: float | None   # smallest singular value of the sparse
                                     # route's KKT tail; None on the dense route
+    elimination_nodes: int | None   # nodes the sparse elimination ran on, lattice
+                                    # or tree; None on the dense route
 
 
 def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -730,9 +783,9 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
     sparse KKT system; it is a cross-check for small trees and raises
     SizeCapError above DENSE_SIZE_CAP control unknowns."""
     if method == "dense":
-        u, tail_sv = _solve_dense(tree, coeffs), None
+        u, tail_sv, eliminated = _solve_dense(tree, coeffs), None, None
     elif method == "sparse":
-        u, tail_sv = _solve_sparse(tree, coeffs)
+        u, tail_sv, eliminated = _solve_sparse(tree, coeffs)
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
@@ -750,6 +803,7 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
     return OracleSolution(
         u=u, cost=cost, gradient_norm=grad_norm, grad0_norm=grad0,
         certified=certified, method=method, min_kkt_tail_sv=tail_sv,
+        elimination_nodes=eliminated,
     )
 
 

@@ -181,6 +181,7 @@ class PipelineResult:
                 "certified": self.oracle.certified,
                 "method": self.oracle.method,
                 "min_kkt_tail_sv": self.oracle.min_kkt_tail_sv,
+                "elimination_nodes": self.oracle.elimination_nodes,
             }
         return out
 

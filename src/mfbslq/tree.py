@@ -281,6 +281,13 @@ class ScenarioTree(_Walk):
         """How many nodes the selected entries of a level stand for."""
         return int(mask.sum())
 
+    def counted(self, values: np.ndarray, level: int, at: slice = slice(None)) -> np.ndarray:
+        """A node-last stack (..., nodes) of the nodes ``at`` of a level with
+        each node's entries times the number of tree nodes it stands for, so
+        that its node sum is the sum over the tree: one each, so ``values``
+        as it is."""
+        return values
+
     # -- helpers -----------------------------------------------------------
 
     def to_children(self, values: np.ndarray) -> np.ndarray:
@@ -447,6 +454,13 @@ class WalkLattice(_Walk):
         if len(mask) == 1:
             return int(mask.sum())
         return int(self.weights(level)[mask].sum() * 2.0 ** level)
+
+    def counted(self, values: np.ndarray, level: int, at: slice = slice(None)) -> np.ndarray:
+        """A node-last stack (..., nodes) of the nodes ``at`` of a level with
+        each node's entries times the number of tree nodes it stands for, so
+        that its node sum is the sum over the tree: C(k, d) for node d, its
+        weight times 2^k, exact in binary floating point."""
+        return values * (self.weights(level)[at] * 2.0 ** level)
 
 
 def _check_child_level(values: np.ndarray, name: str) -> None:

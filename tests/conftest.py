@@ -44,6 +44,13 @@ def tile_realize(monkeypatch) -> None:
                         lambda spec, tree: materialised(tree, realize(spec, tree)))
 
 
+def on_tree(monkeypatch) -> None:
+    """Make every coefficient set refuse the walk lattice, so each solve
+    takes the tree route."""
+    from mfbslq import model
+    monkeypatch.setattr(model.CoefficientSet, "on_lattice", lambda self, tree: None)
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` so that every call appends to the returned list."""
     calls = []

@@ -48,7 +48,8 @@ def test_run_writes_report(tmp_path):
             "oracle"} == set(report)
     assert report["oracle"]["control_error"] <= 0.10
     assert {"cost", "control_error", "gradient_norm", "certified",
-            "method", "min_kkt_tail_sv"} == set(report["oracle"])
+            "method", "min_kkt_tail_sv", "elimination_nodes"} == set(report["oracle"])
+    assert report["oracle"]["elimination_nodes"] == 10     # lattice levels of 1 to 4 nodes
     assert {"outer_columns", "outer_relative_residual",
             "min_outer_preconditioner_sv"} <= set(report["diagnostics"])
 

@@ -2,9 +2,11 @@
 
 Level k of the lattice has k + 1 nodes, one per number d of down moves.
 Where every coefficient is a function of (k, W(t_k)), the Riccati pair and
-the outer system run on it; gathered back to the tree, the pair is the
-tree's solve bit for bit, and the lattice sweeps give the level means and
-couplings of the full sweeps.  The route is decided by the values.
+the outer system run on it, and so does the oracle's elimination when the
+terminal value is a function of W(T); gathered back to the tree, the pair is
+the tree's solve bit for bit, the lattice sweeps give the level means and
+couplings of the full sweeps, and the oracle gives the tree route's
+controls.  The route is decided by the values.
 """
 
 import dataclasses
@@ -15,9 +17,10 @@ import pytest
 
 from mfbslq import (RiccatiError, build_tree, load_spec, realize, run_pipeline,
                     solve_decoupled, solve_riccati)
-from mfbslq import model, multipliers
+from mfbslq import multipliers, oracle
 from mfbslq.multipliers import eta_dimension
-from conftest import corpus_path, materialised, record_adjoint_steps, workspace
+from conftest import (corpus_path, materialised, on_tree, record_adjoint_steps,
+                      workspace)
 
 
 def vector_walk_doc() -> dict:
@@ -41,12 +44,6 @@ def vector_walk_doc() -> dict:
 @pytest.fixture(scope="module")
 def walk_specs(m1_random):
     return {"m1_random": m1_random, "vector": load_spec(json.dumps(vector_walk_doc()))}
-
-
-def _on_tree(monkeypatch):
-    """Make every coefficient set refuse the lattice, so each solve takes
-    the tree route."""
-    monkeypatch.setattr(model.CoefficientSet, "on_lattice", lambda self, tree: None)
 
 
 def _class_means(tree, values):
@@ -124,7 +121,7 @@ def test_lattice_riccati_pair_is_the_tree_solve(walk_specs, monkeypatch, name):
         tree = build_tree(spec.horizon, nt)
         got = solve_riccati(tree, realize(spec, tree))
         with monkeypatch.context() as patch:
-            _on_tree(patch)
+            on_tree(patch)
             want = solve_riccati(tree, realize(spec, tree))
         assert got.newton_nodes == nt * (nt + 1) // 2
         assert want.newton_nodes == (1 << nt) - 1
@@ -145,7 +142,7 @@ def test_lattice_riccati_names_the_tree_node(m1_random, monkeypatch):
     for route in ("lattice", "tree"):
         with monkeypatch.context() as patch:
             if route == "tree":
-                _on_tree(patch)
+                on_tree(patch)
             with pytest.raises(RiccatiError, match=r"not finite at level 3, node 3$"):
                 solve_riccati(tree, dataclasses.replace(coeffs))
 
@@ -192,7 +189,7 @@ def test_lattice_pipeline_matches_the_tree_route(walk_specs, monkeypatch, nt):
     spec = walk_specs["vector"]
     got = run_pipeline(spec, nt)
     with monkeypatch.context() as patch:
-        _on_tree(patch)
+        on_tree(patch)
         want = run_pipeline(spec, nt)
     assert got.outer.columns == 2 and want.outer.columns > 2
     assert abs(got.cost - want.cost) <= 1e-12 * abs(want.cost)
@@ -200,6 +197,26 @@ def test_lattice_pipeline_matches_the_tree_route(walk_specs, monkeypatch, nt):
     assert np.abs(got.constrained.eta - want.constrained.eta).max() <= 1e-10 * scale
     for a, b in zip(got.constrained.u, want.constrained.u):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("name, nt", [("s1", 6), ("m1_random", 10), ("d2", 9),
+                                      ("vector", 8)])
+def test_lattice_oracle_matches_the_tree_route(walk_specs, corpus, monkeypatch, name, nt):
+    # the elimination and the leaves-first pass on k + 1 lattice nodes per
+    # level, the root-first pass on the tree: the tree route's controls and
+    # KKT tail on the same coefficient set, within rounding
+    spec = walk_specs["vector"] if name == "vector" else corpus[name]
+    tree = build_tree(spec.horizon, nt)
+    coeffs = realize(spec, tree)
+    got, got_sv, got_nodes = oracle._solve_sparse(tree, coeffs)
+    with monkeypatch.context() as patch:
+        on_tree(patch)
+        want, want_sv, want_nodes = oracle._solve_sparse(tree, coeffs)
+    assert (got_nodes, want_nodes) == (nt * (nt + 1) // 2, (1 << nt) - 1)
+    reference = np.concatenate([level.ravel() for level in want])
+    diff = np.concatenate([level.ravel() for level in got]) - reference
+    assert np.abs(diff).max() <= 1e-12 * np.abs(reference).max()
+    assert abs(got_sv - want_sv) <= 1e-12 * want_sv
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +268,25 @@ def test_route_is_decided_by_value(m1_path, m1_random, monkeypatch):
     coeffs = realize(m1_random, shallow)
     coeffs.N[4][7] = np.nan
     assert coeffs.on_lattice(shallow) is None
+
+
+def test_oracle_route_is_decided_by_value(m1_path, m1_random):
+    # lattice data: k + 1 nodes per level, 21 on six levels
+    shallow = build_tree(1.0, 6)
+    assert oracle.solve_oracle(shallow, realize(m1_random, shallow)).elimination_nodes == 21
+    # path-dependent drift: the tree
+    tree = build_tree(1.0, 8)
+    sol = oracle.solve_oracle(tree, realize(m1_path, tree))
+    assert sol.elimination_nodes == tree.total_nodes - tree.n_nodes(8)
+    # lattice coefficients with a leaf_table terminal off the walk: the tree
+    doc = json.loads(corpus_path("m1_random").read_text())
+    doc["terminal"] = {"form": "leaf_table",
+                       "values": np.random.default_rng(9).standard_normal(64).tolist()}
+    coeffs = realize(load_spec(json.dumps(doc)), shallow)
+    assert coeffs.on_lattice(shallow).xi is None
+    assert oracle.solve_oracle(shallow, coeffs).elimination_nodes == 63
+    # one node of a wide level moved off its class: the tree
+    coeffs = realize(m1_random, shallow)
+    coeffs.N[4][7] *= 1.01
+    assert coeffs.on_lattice(shallow) is None
+    assert oracle.solve_oracle(shallow, coeffs).elimination_nodes == 63

@@ -31,7 +31,7 @@ from mfbslq.oracle import (DENSE_SIZE_CAP, control_dimension, control_error, cos
                            weighted_hessian_eigenvalues, weighted_inner,
                            weighted_norm, zero_controls)
 from mfbslq.outer import run_pipeline
-from conftest import (count_calls, materialised, scalar_spec, singular_mean_doc,
+from conftest import (count_calls, materialised, on_tree, scalar_spec, singular_mean_doc,
                       singular_step_doc, vector_control_doc)
 from referees import directional_derivative, directional_derivative_fd
 
@@ -191,35 +191,57 @@ def test_sparse_oracle_solves_the_state_twice(m1_random, monkeypatch):
     assert sol.cost == evaluate_cost(tree, coeffs, sol.u)
 
 
-@pytest.mark.parametrize("name, depth, limit", [("m1_random", 12, 300), ("d2", 10, 780)])
-def test_sparse_oracle_peak_per_tree_node(corpus, name, depth, limit):
-    # the sparse route keeps per level only what its pivots are solved from
-    # (8 floats per node on m1_random, 22 on d2) and forms their inverses,
-    # like the multiplier rows of the solved columns, one node chunk at a
-    # time.  Keeping each level's pivot inverse (20 and 63 floats per node)
-    # peaks at 332 (m1_random) and 825 (d2) bytes per node here; this route
-    # reads 273 and 728.
-    tree, coeffs = _setup(corpus[name], depth)
-    oracle._solve_sparse(tree, coeffs)      # fills the coefficient set's caches
-    nodes = sum(tree.n_nodes(k) for k in range(depth))
+def _sparse_peak(tree, coeffs) -> int:
+    """tracemalloc peak of one sparse solve, after one that fills the
+    coefficient set's caches."""
+    oracle._solve_sparse(tree, coeffs)
     gc.collect()
     tracemalloc.start()
     try:
         oracle._solve_sparse(tree, coeffs)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, depth, limit", [("m1_random", 12, 300), ("d2", 10, 780)])
+def test_sparse_oracle_peak_per_tree_node(corpus, monkeypatch, name, depth, limit):
+    # on the tree route the sparse solve keeps per level only what its pivots
+    # are solved from (8 floats per node on m1_random, 22 on d2) and forms
+    # their inverses, like the multiplier rows of the solved columns, one
+    # node chunk at a time.  Keeping each level's pivot inverse (20 and 63
+    # floats per node) peaked at 332 (m1_random) and 825 (d2) bytes per node
+    # here; this route reads 253 and 453.
+    on_tree(monkeypatch)
+    tree, coeffs = _setup(corpus[name], depth)
+    nodes = sum(tree.n_nodes(k) for k in range(depth))
+    peak = _sparse_peak(tree, coeffs)
+    assert peak <= limit * nodes, peak / nodes
+
+
+@pytest.mark.parametrize("name, depth, limit", [("m1_random", 16, 75), ("d2", 14, 125)])
+def test_lattice_oracle_peak_per_tree_node(corpus, name, depth, limit):
+    # on lattice data the elimination keeps k + 1 nodes per level, and the
+    # peak is the root-first pass on the tree, the gathered partial solution
+    # and its product with the gathered y columns of P^-1: 59 (m1_random)
+    # and 100 (d2) bytes per tree node here, against 127 and 298 on the tree
+    # route
+    tree, coeffs = _setup(corpus[name], depth)
+    nodes = sum(tree.n_nodes(k) for k in range(depth))
+    peak = _sparse_peak(tree, coeffs)
     assert peak <= limit * nodes, peak / nodes
 
 
 @pytest.mark.parametrize("name, depth", [("m1_random", 8), ("d2", 7)])
 def test_sparse_oracle_does_not_depend_on_the_node_chunk(corpus, monkeypatch, name, depth):
-    # with 8-node chunks the deepest levels form their pivot inverses, solved
-    # columns and leaves-first solves in 16 (m1_random) and 8 (d2) chunks
+    # on the tree route, with 8-node chunks the deepest levels form their
+    # pivot inverses, solved columns and leaves-first solves in 16
+    # (m1_random) and 8 (d2) chunks
+    on_tree(monkeypatch)
     tree, coeffs = _setup(corpus[name], depth)
-    u, tail_sv = oracle._solve_sparse(tree, coeffs)
+    u, tail_sv, _ = oracle._solve_sparse(tree, coeffs)
     monkeypatch.setattr(oracle, "_NODE_CHUNK", 8)
-    chunked, chunked_sv = oracle._solve_sparse(tree, coeffs)
+    chunked, chunked_sv, _ = oracle._solve_sparse(tree, coeffs)
     reference = np.concatenate([level.ravel() for level in u])
     diff = np.concatenate([level.ravel() for level in chunked]) - reference
     assert np.abs(diff).max() <= 1e-13 * np.abs(reference).max()

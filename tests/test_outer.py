@@ -77,7 +77,10 @@ def test_pipeline_report_contract(m1):
     assert set(report["riccati"]) == {"symmetry", "min_sigma_eig",
                                       "min_I_plus_SigmaR_sv"}
     assert set(report["oracle"]) == {"cost", "control_error", "gradient_norm",
-                                     "certified", "method", "min_kkt_tail_sv"}
+                                     "certified", "method", "min_kkt_tail_sv",
+                                     "elimination_nodes"}
+    # lattice data: the elimination runs on 1 + 2 + 3 + 4 lattice nodes
+    assert report["oracle"]["elimination_nodes"] == res.oracle.elimination_nodes == 10
     assert report["oracle"]["min_kkt_tail_sv"] == res.oracle.min_kkt_tail_sv > 0.0
     assert report["oracle"]["certified"] is True
     assert report["oracle"]["method"] == "sparse"
