@@ -18,7 +18,9 @@ coupling through E[Y_k] is resolved by one checked dim-sized inverse per
 level (the per-node solves are batched; a scalar state's 1 x 1 matrices are
 inverted by division, with the exact singular value |x|).  The martingale
 term is recovered from the next level by the two-point difference quotient,
-which is exact on a binary tree.
+which is exact on a binary tree.  Forward equations take the explicit step,
+dX = b ds + s dW with b and s in their natural signs, from each node to its
+two children (:meth:`.tree.ScenarioTree.children`).
 """
 
 from __future__ import annotations
@@ -132,24 +134,19 @@ def control_weight_inverses(coeffs: CoefficientSet) -> tuple:
 
 
 def solve_forward_sde(tree: ScenarioTree, initial: np.ndarray, drift, diffusion) -> list:
-    """Integrate dX = -drift(t, X) ds - diffusion(t, X) dW forward on the tree
-    and return the list of levels 0..n_steps.
+    """Integrate dX = drift(t, X) ds + diffusion(t, X) dW forward on the tree
+    by the explicit step and return the list of levels 0..n_steps.
 
     ``initial`` has shape (dim,) or (dim, c).  ``drift(k, x)`` and
     ``diffusion(k, x)`` receive the level index and the level-k values of
     shape (2**k, dim) (or (2**k, dim, c)) and return arrays of that shape,
-    or of leading length 1 when the same on every node.  The sign
-    convention matches the backward-equation family this module solves: to
-    integrate dX = +b ds + s dW, pass callbacks returning -b and -s.
+    or of leading length 1 when the same on every node.  Each level steps
+    to its children through :meth:`.tree.ScenarioTree.children`.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float))[None]
     levels = [x]
     for k in range(tree.n_steps):
-        step = x - tree.dt * drift(k, x)
-        shock = tree.sqrt_dt * diffusion(k, x)
-        x = np.empty((2 * len(x),) + x.shape[1:])
-        np.subtract(step, shock, out=x[0::2])   # up child, dW = +sqrt(dt)
-        np.add(step, shock, out=x[1::2])        # down child, dW = -sqrt(dt)
+        x = tree.children(x + tree.dt * drift(k, x), tree.sqrt_dt * diffusion(k, x))
         levels.append(x)
     return levels
 

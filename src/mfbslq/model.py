@@ -14,6 +14,8 @@ Coefficient forms: "constant", "time_table" (one matrix per step),
 "affine_tanh_W" (m0 + m1*tanh(W(t_k))), "tanh_poly_W" (matrix coefficients
 of a polynomial in tanh(W(t_k))), "node_table" (explicit per-node values).
 Terminal forms: "leaf_table", "affine_in_WT" (g0 + g1*W(T)), "poly_in_WT".
+The affine forms are parsed as the two-term polynomials [m0, m1] and [g0,
+g1], whose Horner evaluation forms the same products and sums.
 
 Parsing (``load_spec``) is purely structural; the positivity/symmetry
 assumptions are checked on realized values by ``validate_h1_h2``, which
@@ -252,12 +254,10 @@ def _parse_coefficient(entry, rows: int, cols: int, field: str) -> Coefficient:
         mats = [_as_matrix(v, rows, cols, f"{field}[{i}]")
                 for i, v in enumerate(_as_list(entry["values"], field))]
         return Coefficient(form, {"values": mats})
-    if form == "affine_tanh_W":
+    if form == "affine_tanh_W":   # realized as the two-term tanh_poly_W
         _require_keys(entry, ("m0", "m1"), field)
-        return Coefficient(form, {
-            "m0": _as_matrix(entry["m0"], rows, cols, f"{field}.m0"),
-            "m1": _as_matrix(entry["m1"], rows, cols, f"{field}.m1"),
-        })
+        return Coefficient("tanh_poly_W", {"coeffs": [
+            _as_matrix(entry[key], rows, cols, f"{field}.{key}") for key in ("m0", "m1")]})
     if form == "tanh_poly_W":
         _require_keys(entry, ("coeffs",), field)
         mats = [_as_matrix(v, rows, cols, f"{field}.coeffs[{i}]")
@@ -295,12 +295,10 @@ def _parse_terminal(entry, n: int) -> Coefficient:
         vecs = np.stack([_as_vector(v, n, f"{field}[{i}]")
                          for i, v in enumerate(values)])
         return Coefficient(form, {"values": vecs})
-    if form == "affine_in_WT":
+    if form == "affine_in_WT":   # realized as the two-term poly_in_WT
         _require_keys(entry, ("g0", "g1"), field)
-        return Coefficient(form, {
-            "g0": _as_vector(entry["g0"], n, f"{field}.g0"),
-            "g1": _as_vector(entry["g1"], n, f"{field}.g1"),
-        })
+        return Coefficient("poly_in_WT", {"coeffs": [
+            _as_vector(entry[key], n, f"{field}.{key}") for key in ("g0", "g1")]})
     _require_keys(entry, ("coeffs",), field)
     vecs = [_as_vector(v, n, f"{field}.coeffs[{i}]")
             for i, v in enumerate(_as_list(entry["coeffs"], f"{field}.coeffs"))]
@@ -390,9 +388,6 @@ def _realize_coefficient(desc: Coefficient, tree: ScenarioTree, field: str) -> l
                     f"{tree.n_steps} steps"
                 )
             levels.append(values[k][None].copy())
-        elif desc.form == "affine_tanh_W":
-            th = np.tanh(tree.brownian(k))[:, None, None]
-            levels.append(desc.payload["m0"][None] + th * desc.payload["m1"][None])
         elif desc.form == "tanh_poly_W":
             th = np.tanh(tree.brownian(k))[:, None, None]
             coeffs = desc.payload["coeffs"]
@@ -426,13 +421,11 @@ def _realize_terminal(desc: Coefficient, tree: ScenarioTree, n: int) -> np.ndarr
             )
         return values.copy()
     w_T = tree.brownian(tree.n_steps)
-    if desc.form == "affine_in_WT":
-        return desc.payload["g0"][None, :] + w_T[:, None] * desc.payload["g1"][None, :]
     coeffs = desc.payload["coeffs"]
-    acc = np.broadcast_to(coeffs[-1], (leaves, n)).copy()
+    acc = np.broadcast_to(coeffs[-1], (leaves, n))   # each step forms a new array
     for vec in reversed(coeffs[:-1]):
         acc = acc * w_T[:, None] + vec[None, :]
-    return acc
+    return acc.copy() if len(coeffs) == 1 else acc
 
 
 def realize(spec: ProblemSpec, tree: ScenarioTree) -> CoefficientSet:

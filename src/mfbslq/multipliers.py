@@ -30,17 +30,19 @@ conditions on the *next* level (one-sided Sigma_k doubles the consistency
 constant, one-sided Sigma_{k+1} collapses the scheme onto the discrete
 optimizer and hides genuine time-step error).
 These formulas read one per-level workspace, `build_workspace` of (Sigma,
-Phi); the caller builds it once and passes it to every stage below.
+Phi) on the layout the Riccati pair is solved on; the caller builds it
+once and passes it to every stage below.
 
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]).
 Their constant part comes from one base sweep (xi terminal, lam = eta = 0);
 their linear part, `linear_response`, from sweeps with a zero terminal.
-When every coefficient and the Riccati pair are functions of the walk
-value W(t_k) (decided by value, `build_workspace`; node-constant data
-are), every map the sweeps apply on level k is a function of the number
-d of down moves, so the means and couplings read the adjoint only
-through its conditional mean given d.  The linear part then runs on the
+When every coefficient is a function of the walk value W(t_k) (decided by
+value, :meth:`.model.CoefficientSet.on_lattice`; node-constant data are),
+so is the Riccati pair, which then comes on the walk lattice, and every
+map the sweeps apply on level k is a function of the number d of down
+moves, so the means and couplings read the adjoint only through its
+conditional mean given d.  The linear part then runs on the
 walk lattice (Cox, Ross and Rubinstein, J. Financial Economics 7, 1979),
 k + 1 nodes on level k, all columns in one sweep: phi is a function of d
 there, and node d' of level k + 1 merges the adjoint's step to the up
@@ -50,8 +52,9 @@ sweep when xi is a function of W(T).  Otherwise the linear part runs
 full-width sweeps of the tree, 16 columns to a sweep.  All of them reduce
 each adjoint level to its means and couplings (one GEMM each,
 ``level_coupling``) as it is formed and keep no field (`_response`).  The
-final sweep runs the same way on the tree from xi and keeps only the
-control u = N^{-1} (B' x - lam3).
+final sweep runs the same way on the tree from xi, reading Sigma and the
+workspace fields gathered to the tree's nodes, and keeps only the control
+u = N^{-1} (B' x - lam3).
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
@@ -151,27 +154,26 @@ class DecoupledWorkspace:
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                     sigma: list, phi: list) -> DecoupledWorkspace:
-    """Assemble the per-level matrices from the Riccati pair (sigma, phi).
-    Every inverted matrix is checked; StepSizeError names the level.
+    """Assemble the per-level matrices from the Riccati pair (sigma, phi),
+    on the layout :func:`.riccati.solve_riccati` returns it on.  Every
+    inverted matrix is checked; StepSizeError names the level.
 
-    When the coefficients and the pair are functions of W(t_k) (decided by
-    value, :meth:`.tree.ScenarioTree.restrict`), the matrices are built on
-    the walk lattice, kept as ``lattice``, and gathered to the tree's nodes,
-    bit for bit what the per-node build gives; N^-1 is the coefficient
-    set's own."""
+    When the coefficients are functions of W(t_k)
+    (:meth:`.model.CoefficientSet.on_lattice`), the pair is on the walk
+    lattice, and so are the matrices, kept as ``lattice``; Sigma and the
+    fields the tree sweeps read are gathered to the tree's nodes, bit for
+    bit what the per-node build gives, and N^-1 is the coefficient set's
+    own."""
     lattice = coeffs.on_lattice(tree)
-    if lattice is not None:
-        pair = ([tree.restrict(level) for level in sigma],
-                [tree.restrict(level) for level in phi])
-        if all(level is not None for levels in pair for level in levels):
-            grid = tree.lattice()
-            small = _assemble_workspace(grid, lattice, *pair)
-            return replace(small, sigma=sigma, Ninv=list(control_weight_inverses(coeffs)),
-                           lattice=(grid, lattice, small),
-                           **{name: [tree.gather(level) for level in getattr(small, name)]
-                              for name in ("H", "sig_c", "phi_step", "vtheta_coef",
-                                           "zx", "bars")})
-    return _assemble_workspace(tree, coeffs, sigma, phi)
+    if lattice is None:
+        return _assemble_workspace(tree, coeffs, sigma, phi)
+    grid = tree.lattice()
+    small = _assemble_workspace(grid, lattice, sigma, phi)
+    return replace(small, Ninv=list(control_weight_inverses(coeffs)),
+                   lattice=(grid, lattice, small),
+                   **{name: [tree.gather(level) for level in getattr(small, name)]
+                      for name in ("sigma", "H", "sig_c", "phi_step", "vtheta_coef",
+                                   "zx", "bars")})
 
 
 def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
@@ -641,12 +643,10 @@ def picard_cross_check(tree: ScenarioTree, coeffs: CoefficientSet,
             y[k] = _mv(steps.inverses[k], rhs)
 
         def drift(k: int, xk: np.ndarray) -> np.ndarray:
-            return -(_mv(_t(coeffs.A[k]), xk) - _mv(coeffs.Q[k], y[k])
-                     - lam1[k][None])
+            return _mv(_t(coeffs.A[k]), xk) - _mv(coeffs.Q[k], y[k]) - lam1[k][None]
 
         def diffusion(k: int, xk: np.ndarray) -> np.ndarray:
-            return -(_mv(_t(coeffs.C[k]), xk) - _mv(coeffs.R[k], z[k])
-                     - lam2[k][None])
+            return _mv(_t(coeffs.C[k]), xk) - _mv(coeffs.R[k], z[k]) - lam2[k][None]
 
         x = solve_forward_sde(tree, -(coeffs.G @ y[0][0]), drift, diffusion)
         change = 0.0

@@ -1,9 +1,11 @@
 """Independent certification of optimal controls by direct quadratic programming.
 
 This module never touches the Riccati/multiplier pipeline.  It shares only
-the tree's kernels, such as E[M' x] (:func:`.tree._level_coupling`), and
-its walk lattice (:class:`.tree.WalkLattice`, with the coefficients
-restricted to it by :meth:`.model.CoefficientSet.on_lattice`).  It treats
+the tree's kernels and one-step operators, such as E[M' x]
+(:meth:`.tree.ScenarioTree.level_coupling`), the step to a level's
+children and the lift of a level to its parents, and its walk lattice
+(:class:`.tree.WalkLattice`, with the coefficients restricted to it by
+:meth:`.model.CoefficientSet.on_lattice`).  It treats
 the discrete problem as the finite-dimensional convex program it is: the
 cost is evaluated by actually solving the controlled mean-field BSDE, the
 optimizer is found from the KKT system of the full discretization, and
@@ -56,8 +58,8 @@ from ._errors import ConvexityError, NumericsError, SizeCapError
 from .bsde import (MeanfieldBsdeSolution, checked_dense_sv, checked_inverse,
                    implicit_steps, solve_forward_sde, solve_meanfield_bsde)
 from .model import CoefficientSet
-from .tree import (ScenarioTree, WalkLattice, _concat_nodes, _level_coupling, _mul,
-                   _mul_last, _mv, _t, column_blocks)
+from .tree import (ScenarioTree, WalkLattice, _concat_nodes, _mul, _mul_last, _mv, _t,
+                   column_blocks)
 
 DENSE_SIZE_CAP = 20000
 # Nodes of a level whose pivot inverses and solved columns the sparse route
@@ -185,10 +187,8 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         r = -2.0 * dt * prob * _mul(coeffs.Q[k], sol.y[k])
         if k == 0:
             r -= 2.0 * (coeffs.G @ sol.y[0])
-        if k > 0:
-            half = tree.sqrt_dt * tree.child_signs(k - 1)  # +/- sqrt(dt) per child
-            r += 0.5 * tree.to_children(mu1_prev)
-            r += (half / (2.0 * tree.dt))[:, None, None] * tree.to_children(mu2_prev)
+        if k > 0:   # each child's share of its parent's multipliers, +/- its move
+            r += tree.children(mu1_prev / 2.0, mu2_prev / (2.0 * tree.sqrt_dt))
         qb, rb, nb = coeffs.mean_weights(k)
         # mean-coupled multiplier solve:
         #   (I - dt A)' mu1 = r + p nu1,
@@ -196,19 +196,19 @@ def cost_gradient(tree: ScenarioTree, coeffs: CoefficientSet, controls: list,
         # closed by the transposed mean-closing matrix of the primal step
         resp = _t(steps.inverses[k])    # ((I - dt A)')^{-1}, checked once
         base = _mul(resp, r)
-        s_base = dt * nodes * _level_coupling(coeffs.A_bar[k], base)
+        s_base = dt * nodes * tree.level_coupling(coeffs.A_bar[k], base)
         g_ybar = 2.0 * dt * (qb @ sol.y_mean[k])
         nu1 = steps.closings[k].T @ (-g_ybar + s_base)
         mu1 = base + prob * _mul(resp, nu1)
 
         g_z = 2.0 * dt * prob * _mul(coeffs.R[k], sol.z[k])
         nu2 = (-2.0 * dt * (rb @ sol.z_mean[k])
-               + dt * nodes * _level_coupling(coeffs.C_bar[k], mu1))
+               + dt * nodes * tree.level_coupling(coeffs.C_bar[k], mu1))
         mu2 = -g_z + dt * _mul(_t(coeffs.C[k]), mu1) + prob * nu2[None]
 
         g_u = 2.0 * dt * prob * _mul(coeffs.N[k], controls[k])
         nu3 = (-2.0 * dt * (nb @ sol.u_mean[k])
-               + dt * nodes * _level_coupling(coeffs.B_bar[k], mu1))
+               + dt * nodes * tree.level_coupling(coeffs.B_bar[k], mu1))
         grad[k] = g_u - dt * _mul(_t(coeffs.B[k]), mu1) - prob * nu3[None]
         mu1_prev, mu2_prev = mu1, mu2
     if single:
@@ -254,13 +254,13 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
 
     def drift(k: int, x: np.ndarray) -> np.ndarray:
         qb = weights[k][0]
-        return -(_mv(_t(coeffs.A[k]), x) + _level_coupling(coeffs.A_bar[k], x)[None]
-                 - _mv(coeffs.Q[k], sol.y[k]) - (qb @ sol.y_mean[k])[None])
+        return (_mv(_t(coeffs.A[k]), x) + tree.level_coupling(coeffs.A_bar[k], x)[None]
+                - _mv(coeffs.Q[k], sol.y[k]) - (qb @ sol.y_mean[k])[None])
 
     def diffusion(k: int, x: np.ndarray) -> np.ndarray:
         rb = weights[k][1]
-        return -(_mv(_t(coeffs.C[k]), x) + _level_coupling(coeffs.C_bar[k], x)[None]
-                 - _mv(coeffs.R[k], sol.z[k]) - (rb @ sol.z_mean[k])[None])
+        return (_mv(_t(coeffs.C[k]), x) + tree.level_coupling(coeffs.C_bar[k], x)[None]
+                - _mv(coeffs.R[k], sol.z[k]) - (rb @ sol.z_mean[k])[None])
 
     x = solve_forward_sde(tree, x0, drift, diffusion)
     total = 0.0
@@ -268,7 +268,7 @@ def smp_stationarity_residual(tree: ScenarioTree, coeffs: CoefficientSet,
         nb = weights[k][2]
         res = (_mv(coeffs.N[k], controls[k]) + (nb @ sol.u_mean[k])[None]
                - _mv(_t(coeffs.B[k]), x[k])
-               - _level_coupling(coeffs.B_bar[k], x[k])[None])
+               - tree.level_coupling(coeffs.B_bar[k], x[k])[None])
         total += tree.dt * tree.node_probability(k) * float(np.sum(res ** 2))
     return float(np.sqrt(total))
 
@@ -499,27 +499,6 @@ def _kkt_tail_block(tree: ScenarioTree, coeffs: CoefficientSet, k: int) -> np.nd
     return blk
 
 
-def _lift(grid: ScenarioTree | WalkLattice, child_rows: np.ndarray) -> np.ndarray:
-    """(E_k[.], difference quotient) over each parent's two children of a
-    child level's rows, node-last (r, c, children), stacked on the parents'
-    rows, (2r, c, parents), on the tree or on the walk lattice, whose
-    ``_pairs`` say which nodes are a parent's up and down child.  Both are
-    written through transposed views of the result, so no temporary of the
-    level's size is formed.  A one-node level is the same on every node: its
-    difference quotient is zero."""
-    rows = len(child_rows)
-    up, down = grid._pairs(child_rows.T, "lift")
-    if up is None:
-        return np.concatenate([child_rows, np.zeros_like(child_rows)])
-    out = np.empty((2 * rows,) + child_rows.shape[1:-1] + (len(up),))
-    mean, quotient = out[:rows].T, out[rows:].T
-    np.add(up, down, out=mean)
-    mean *= 0.5
-    np.subtract(up, down, out=quotient)
-    quotient /= 2.0 * grid.sqrt_dt
-    return out
-
-
 def _fill(grid: ScenarioTree | WalkLattice, inv_yy: np.ndarray) -> np.ndarray:
     """The parents' fill F, (2n, 2n, parents), from the y rows of a level's
     P^-1 y columns, Y (n, n, nodes or 1).  A node's y enters its parent's
@@ -530,7 +509,7 @@ def _fill(grid: ScenarioTree | WalkLattice, inv_yy: np.ndarray) -> np.ndarray:
     [[E_k h, DQ h], [DQ h, E_k h / dt]] is lifted from h alone, with no sign
     on either layout, and is one node wide when Y is."""
     n = len(inv_yy)
-    lifted = _lift(grid, -0.5 * inv_yy)
+    lifted = grid.lift(-0.5 * inv_yy)
     fill = np.empty((2 * n, 2 * n, lifted.shape[2]))
     fill[:, :n] = lifted
     fill[:n, n:] = lifted[n:]
@@ -580,7 +559,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     through A_bar, C_bar and B_bar, and its own multipliers the state rows.
     The eliminated nodes pass a Schur update to their parents' (mu1, mu2)
     rows: the fill, from the y rows of P^-1's y columns (:func:`_fill`),
-    and the lift of the solved columns' y rows (:func:`_lift`); they add
+    and the lift of the solved columns' y rows (:meth:`.tree._Walk.lift`); they add
     their node sums to the dense tail.  A node at level k couples only to
     tail columns of levels >= k, so no node holds a full-width block.  The
     y rows of the solved columns are kept for the whole level, since they
@@ -603,8 +582,9 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     first, on the tree, since the parents' multipliers depend on the path,
     each node subtracts the (u, mu1, mu2) rows of P^-1's y columns times its
     parent's multipliers as they enter its y rows, -mu1 / 2 - (+/-1) mu2 /
-    (2 sqrt(dt)), and emits u; on the lattice both are first gathered to the
-    level's tree nodes (:meth:`.tree.ScenarioTree.gather`).
+    (2 sqrt(dt)) stepped to the children (:meth:`.tree.ScenarioTree.children`),
+    and emits u; on the lattice both are first gathered to the level's tree
+    nodes (:meth:`.tree.ScenarioTree.gather`).
 
     A tail that is not finite or is numerically singular (condition number
     above 1 / machine epsilon) raises NumericsError
@@ -627,7 +607,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     tail = np.zeros((n_steps * width, n_steps * width))
     tail_rhs = np.zeros(n_steps * width)
     fill = np.zeros((2 * n, 2 * n, 1))
-    xi_lift = _lift(grid, data.xi.T[:, None, :])
+    xi_lift = grid.lift(data.xi.T[:, None, :])
     passed = xi_lift
     pivots = [None] * n_steps               # (factors, -dt [A_bar | C_bar | B_bar]) per level
     eliminated = 0
@@ -708,7 +688,7 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
         tail[:hi, :hi] -= update[:, 1:]
         del fill, passed
         if k > 0:
-            fill, passed = _fill(grid, factors.inv_y[:n]), _lift(grid, head)
+            fill, passed = _fill(grid, factors.inv_y[:n]), grid.lift(head)
         del factors, head
 
     # a singular mean-closing matrix makes the tail singular: refuse it by name
@@ -736,11 +716,11 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
             ys[..., at], partial[k][:, at] = sol[:n], sol[n:, 0]
             del rhs, sol
         if k > 0:
-            lifted = _lift(grid, ys)
+            lifted = grid.lift(ys)
         del ys
 
     # root first, on the tree: the parents' multipliers enter the y rows
-    # through E'
+    # through E', stepped to their children as -mu1 / 2 -/+ mu2 / (2 sqrt(dt))
     controls, parent = [], None
     for k in range(n_steps):
         node, inv_y = partial[k], pivots[k][0].inv_y[n:]
@@ -748,9 +728,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
             node = tree.gather(node.T).T
             inv_y = tree.gather(inv_y.transpose(2, 0, 1)).transpose(1, 2, 0)
         if k > 0:
-            half, quotient = -0.5 * parent[:n], parent[n:] / (2.0 * tree.sqrt_dt)
-            up = np.stack([half - quotient, half + quotient], axis=2).reshape(n, 1, -1)
-            node -= _mul_last(inv_y, up)[:, 0]
+            e_prime = tree.children(-0.5 * parent[:n].T, parent[n:].T / (-2.0 * tree.sqrt_dt))
+            node -= _mul_last(inv_y, e_prime.T[:, None])[:, 0]
         pivots[k] = partial[k] = None
         controls.append(node[:m].T.copy())
         parent = node[m:]

@@ -48,9 +48,10 @@ where one of its inputs varies over the nodes.
 Where every coefficient level is a function of the walk value W(t_k)
 (:meth:`.model.CoefficientSet.on_lattice`, decided by value), so are Sigma
 and Phi: the recursion then runs on the walk lattice, k + 1 nodes on level
-k, with the same per-node arithmetic, and Sigma and Phi are gathered back
-to the tree's nodes bit for bit.  ``newton_nodes`` counts the nodes of the
-layout it ran on.  Any other data run on the tree.
+k, with the same per-node arithmetic, and Sigma and Phi are returned on
+it.  Gathered to the tree (:meth:`.tree.ScenarioTree.gather`), they are the
+tree's solve bit for bit.  ``newton_nodes`` counts the nodes of the layout
+it ran on.  Any other data run on the tree.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ _MAX_BACKTRACK = 30
 
 @dataclass
 class RiccatiSolution:
-    sigma: list                 # levels 0..n_steps, (2**k or 1, n, n)
-    phi: list                   # levels 0..n_steps - 1, (2**k or 1, n, n)
+    # on the layout solved on: (2**k or 1, n, n) on the tree, (k + 1 or 1,
+    # n, n) on the walk lattice where the coefficients are functions of W(t_k)
+    sigma: list                 # levels 0..n_steps
+    phi: list                   # levels 0..n_steps - 1
     symmetry_defect: float      # max |Sigma - Sigma'| entry over all nodes
     min_sigma_eig: float        # most negative eigenvalue of any Sigma node
     min_conditioner_sv: float   # min singular value of I + Sigma R over nodes
@@ -107,11 +110,14 @@ def _conditioners(sigma, R, eye, level):
 
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
-    """Run the backward recursion over all levels; raises RiccatiError on a
-    node whose starting residual is not finite or where the Newton iteration
-    fails to meet the residual tolerance _NEWTON_TOL within _MAX_NEWTON
-    iterations, and StepSizeError where N or I + Sigma R is singular.  A
-    node named in an error is the first tree node of its lattice node."""
+    """Run the backward recursion over all levels, on the walk lattice when
+    every coefficient is a function of W(t_k), else on the tree; the pair
+    is returned on that layout.  Raises RiccatiError on a node whose
+    starting residual is not finite, where the line search finds no root
+    of the implicit step, or where the Newton iteration fails to meet the
+    residual tolerance _NEWTON_TOL within _MAX_NEWTON iterations, and
+    StepSizeError where N or I + Sigma R is singular.  A node named in an
+    error is the first tree node of its lattice node."""
     lattice = coeffs.on_lattice(tree)
     grid, data = (tree, coeffs) if lattice is None else (tree.lattice(), lattice)
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
@@ -189,7 +195,9 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                 j = int(np.argmax(np.where(pending, res_norm, -np.inf)))
                 raise RiccatiError(
                     f"Newton line search stalled at level {k}, node {grid.first_node(j)} "
-                    f"(residual {res_norm[j]:.3e})"
+                    f"(residual {res_norm[j]:.3e}): no root of the implicit step was "
+                    f"found near E_{k}[Sigma_{k + 1}] at this level and node; a finer "
+                    f"time grid may help"
                 )
             sig, H, G1, cond_sv = trial, Ht, G1t, svt
             res, res_norm = res_t, rn_t
@@ -203,9 +211,6 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     defect = 0.0
     for mats in sigma[:n_steps]:
         defect = max(defect, float(np.abs(mats - _t(mats)).max()))
-    if lattice is not None:
-        sigma = [tree.gather(level) for level in sigma]
-        phi = [tree.gather(level) for level in phi]
     return RiccatiSolution(
         sigma=sigma, phi=phi, symmetry_defect=defect,
         min_sigma_eig=min_eig, min_conditioner_sv=min_sv, newton_nodes=nodes,

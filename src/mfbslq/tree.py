@@ -9,7 +9,10 @@ most significant bit first.  Every level-k node carries probability 2^-k
 
 Adapted processes are stored as one flat contiguous array per level with
 the node index as the leading axis, so children of node j sit at 2j and
-2j+1 and all level sweeps are plain slicing.  Reductions (``expect``) use
+2j+1 and all level sweeps are plain slicing.  Only this module knows that
+layout: a sweep steps from a level to its children through ``children``
+and back through ``cond_expect``, ``z_from_next`` and ``lift``, on either
+layout below.  Reductions (``expect``) use
 numpy's fixed pairwise summation order, which is bit-reproducible for a
 given input regardless of threading.
 
@@ -117,21 +120,6 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _mul(mats, vecs[..., None])[..., 0]
 
 
-def _level_coupling(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """E[mats' x] over a level, the node mean of mats_j' x_j, for vectors x
-    (nodes, n) or column stacks (nodes, n, c): one GEMM, (n, k)' x (n, c).
-    A one-node side is the same on every node and multiplies the node sum
-    of the other, one GEMV (a stride-0 broadcast would defeat BLAS)."""
-    if x.ndim == 2:
-        return _level_coupling(mats, x[..., None])[..., 0]
-    if len(mats) == 1:
-        total = np.ones(len(x)) @ x.reshape(len(x), -1)
-        return mats[0].T @ total.reshape(x.shape[1:]) / len(x)
-    if len(x) == 1:   # E[mats' x] = E[x' mats]'
-        return _level_coupling(x, mats).T
-    return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1]) / len(x)
-
-
 def _inv(mats: np.ndarray) -> np.ndarray:
     """``np.linalg.inv`` of a per-node stack; 1 x 1 matrices divide."""
     return 1.0 / mats if mats.shape[-1] == 1 else np.linalg.inv(mats)
@@ -191,6 +179,25 @@ class _Walk:
             return values
         return 0.5 * (up + down)
 
+    def lift(self, child_rows: np.ndarray) -> np.ndarray:
+        """(E_k[.], difference quotient) over each parent's two children of a
+        child level's rows, node-last (r, c, children), stacked on the
+        parents' rows, (2r, c, parents).  Both are written through
+        transposed views of the result, so no temporary of the level's size
+        is formed.  A one-node level is the same on every node: its
+        difference quotient is zero."""
+        rows = len(child_rows)
+        up, down = self._pairs(child_rows.T, "lift")
+        if up is None:
+            return np.concatenate([child_rows, np.zeros_like(child_rows)])
+        out = np.empty((2 * rows,) + child_rows.shape[1:-1] + (len(up),))
+        mean, quotient = out[:rows].T, out[rows:].T
+        np.add(up, down, out=mean)
+        mean *= 0.5
+        np.subtract(up, down, out=quotient)
+        quotient /= 2.0 * self.sqrt_dt
+        return out
+
     def z_from_next(self, y_next: np.ndarray) -> np.ndarray:
         """Martingale-representation integrand of a next-level process.
 
@@ -234,17 +241,7 @@ class ScenarioTree(_Walk):
     def brownian(self, level: int) -> np.ndarray:
         """Walk values W(level, j) for every node of a level, shape (2^level,)."""
         self._check_level(level)
-        # the set bits of j are the path's down moves
-        downs = np.bitwise_count(np.arange(1 << level, dtype=np.int64))
-        return self.sqrt_dt * (level - 2.0 * downs)
-
-    def child_signs(self, level: int) -> np.ndarray:
-        """Sign of the increment for each child node at ``level + 1``.
-
-        Entry 2j is +1 (up child of j), entry 2j+1 is -1.
-        """
-        self._check_level(level + 1)
-        return np.tile(np.array([1.0, -1.0]), 1 << level)
+        return self.sqrt_dt * (level - 2.0 * self.popcounts(level))
 
     # -- operators ---------------------------------------------------------
 
@@ -262,8 +259,19 @@ class ScenarioTree(_Walk):
         return np.add.reduce(values, axis=0) / len(values)
 
     def level_coupling(self, mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """E[mats' x] over a level (:func:`_level_coupling`)."""
-        return _level_coupling(mats, x)
+        """E[mats' x] over a level, the node mean of mats_j' x_j, for vectors
+        x (nodes, n) or column stacks (nodes, n, c): one GEMM, (n, k)' x (n,
+        c).  A one-node side is the same on every node and multiplies the
+        node sum of the other, one GEMV (a stride-0 broadcast would defeat
+        BLAS)."""
+        if x.ndim == 2:
+            return self.level_coupling(mats, x[..., None])[..., 0]
+        if len(mats) == 1:
+            total = np.ones(len(x)) @ x.reshape(len(x), -1)
+            return mats[0].T @ total.reshape(x.shape[1:]) / len(x)
+        if len(x) == 1:   # E[mats' x] = E[x' mats]'
+            return self.level_coupling(x, mats).T
+        return mats.reshape(-1, mats.shape[-1]).T @ x.reshape(-1, x.shape[-1]) / len(x)
 
     def children(self, step: np.ndarray, shock: np.ndarray) -> np.ndarray:
         """The next level of a forward step: step + shock on the up child of
@@ -287,12 +295,6 @@ class ScenarioTree(_Walk):
         that its node sum is the sum over the tree: one each, so ``values``
         as it is."""
         return values
-
-    # -- helpers -----------------------------------------------------------
-
-    def to_children(self, values: np.ndarray) -> np.ndarray:
-        """Copy level-k node values onto their two children (repeat along axis 0)."""
-        return np.repeat(values, 2, axis=0)
 
     # -- the recombining lattice -------------------------------------------
 

@@ -21,15 +21,17 @@ def _zero_controls(tree, m):
 
 
 def test_forward_unit_diffusion_gives_negated_walk():
-    # integrating dX = -1 dW from 0 must reproduce -W at every node
+    # integrating dX = -1 dW from 0 must reproduce -W at every node, and
+    # dX = 1 dW the walk itself
     tree = build_tree(1.0, 4)
-    levels = solve_forward_sde(
-        tree, np.zeros(1),
-        drift=lambda k, x: np.zeros_like(x),
-        diffusion=lambda k, x: np.ones_like(x),
-    )
-    for k in range(5):
-        assert np.allclose(levels[k][:, 0], -tree.brownian(k))
+    for sign in (-1.0, 1.0):
+        levels = solve_forward_sde(
+            tree, np.zeros(1),
+            drift=lambda k, x: np.zeros_like(x),
+            diffusion=lambda k, x: np.full_like(x, sign),
+        )
+        for k in range(5):
+            assert np.allclose(levels[k][:, 0], sign * tree.brownian(k))
 
 
 def test_forward_constant_drift():
@@ -40,7 +42,7 @@ def test_forward_constant_drift():
         diffusion=lambda k, x: np.zeros_like(x),
     )
     for k in range(5):
-        assert np.allclose(levels[k], 1.0 - 3.0 * tree.times[k])
+        assert np.allclose(levels[k], 1.0 + 3.0 * tree.times[k])
 
 
 def test_forward_linear_drift_matches_exponential_euler():
@@ -49,7 +51,7 @@ def test_forward_linear_drift_matches_exponential_euler():
     a = 0.7
     levels = solve_forward_sde(
         tree, np.array([1.0]),
-        drift=lambda k, x: a * x,
+        drift=lambda k, x: -a * x,
         diffusion=lambda k, x: np.zeros_like(x),
     )
     for k in range(9):

@@ -3,8 +3,8 @@
 Level k of the lattice has k + 1 nodes, one per number d of down moves.
 Where every coefficient is a function of (k, W(t_k)), the Riccati pair and
 the outer system run on it, and so does the oracle's elimination when the
-terminal value is a function of W(T); gathered back to the tree, the pair is
-the tree's solve bit for bit, the lattice sweeps give the level means and
+terminal value is a function of W(T); the pair stays there, and gathered to
+the tree it is the tree's solve bit for bit, the lattice sweeps give the level means and
 couplings of the full sweeps, and the oracle gives the tree route's
 controls.  The route is decided by the values.
 """
@@ -17,6 +17,8 @@ import pytest
 
 from mfbslq import (RiccatiError, build_tree, load_spec, realize, run_pipeline,
                     solve_decoupled, solve_riccati)
+from mfbslq.model import CoefficientSet
+from mfbslq.tree import ScenarioTree
 from mfbslq import multipliers, oracle
 from mfbslq.multipliers import eta_dimension
 from conftest import (corpus_path, materialised, on_tree, record_adjoint_steps,
@@ -114,8 +116,10 @@ def test_lattice_operators_match_the_tree():
 
 @pytest.mark.parametrize("name", ["m1_random", "vector"])
 def test_lattice_riccati_pair_is_the_tree_solve(walk_specs, monkeypatch, name):
-    # Sigma and Phi gathered from the lattice equal the tree's solve bit for
-    # bit, and so do the health numbers; Newton runs on k + 1 nodes of level k
+    # Sigma and Phi stay on the lattice, k + 1 nodes on level k (one on the
+    # zero terminal level and on the last Phi, its integrand); gathered to the tree they equal the tree's solve
+    # bit for bit, and so do the health numbers; Newton runs on k + 1 nodes
+    # of level k
     spec = walk_specs[name]
     for nt in (4, 8, 12, 16):
         tree = build_tree(spec.horizon, nt)
@@ -125,11 +129,42 @@ def test_lattice_riccati_pair_is_the_tree_solve(walk_specs, monkeypatch, name):
             want = solve_riccati(tree, realize(spec, tree))
         assert got.newton_nodes == nt * (nt + 1) // 2
         assert want.newton_nodes == (1 << nt) - 1
+        assert [len(level) for level in got.sigma] == list(range(1, nt + 1)) + [1]
+        assert [len(level) for level in got.phi] == list(range(1, nt)) + [1]
         for a, b in zip(got.sigma + got.phi, want.sigma + want.phi):
+            a = tree.gather(a)
             assert a.shape == b.shape and np.array_equal(a, b), nt
         for field in ("symmetry_defect", "min_sigma_eig", "min_conditioner_sv",
                       "newton_iterations_per_level"):
             assert getattr(got, field) == getattr(want, field), (nt, field)
+
+
+@pytest.mark.parametrize("name", ["m1_random", "vector"])
+def test_pipeline_keeps_the_pair_on_the_lattice(walk_specs, monkeypatch, name):
+    # a pipeline run returns Sigma and Phi on the lattice, k + 1 nodes on
+    # level k and one where node-constant (the zero terminal and its
+    # integrand), and the only tree levels it restricts are the coefficient
+    # set's own: the pair is never gathered to be restricted back
+    real_restrict, real_on_lattice = ScenarioTree.restrict, CoefficientSet.on_lattice
+    inside, callers = [], []
+
+    def on_lattice(self, tree):
+        inside.append(True)
+        try:
+            return real_on_lattice(self, tree)
+        finally:
+            inside.pop()
+
+    def restrict(self, values):
+        callers.append(bool(inside))
+        return real_restrict(self, values)
+
+    monkeypatch.setattr(CoefficientSet, "on_lattice", on_lattice)
+    monkeypatch.setattr(ScenarioTree, "restrict", restrict)
+    res = run_pipeline(walk_specs[name], 16)
+    assert [len(level) for level in res.riccati.sigma] == list(range(1, 17)) + [1]
+    assert [len(level) for level in res.riccati.phi] == list(range(1, 16)) + [1]
+    assert callers and all(callers)
 
 
 def test_lattice_riccati_names_the_tree_node(m1_random, monkeypatch):

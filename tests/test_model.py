@@ -231,6 +231,31 @@ def test_realize_terminal_forms():
         realize(spec, build_tree(1.0, 3))
 
 
+def test_affine_forms_are_the_two_term_polynomials():
+    # a document written with the affine forms and the same one written as
+    # two-term polynomials realize to the same arrays, bit for bit: Horner's
+    # rule forms m1 tanh W + m0 and g1 W(T) + g0 from the same products
+    affine = json.loads(corpus_path("d2").read_text())
+    polynomial = json.loads(corpus_path("d2").read_text())
+    terms = {"A": ([[0.1, 0.05], [0.0, 0.15]], [[0.1, 0.0], [0.05, -0.1]]),
+             "C": ([[0.2, 0.0], [0.1, 0.1]], [[0.1, 0.05], [0.0, 0.1]])}
+    for name, (m0, m1) in terms.items():
+        affine["dynamics"][name] = {"form": "affine_tanh_W", "m0": m0, "m1": m1}
+        polynomial["dynamics"][name] = {"form": "tanh_poly_W", "coeffs": [m0, m1]}
+    affine["terminal"] = {"form": "affine_in_WT", "g0": [1.0, 0.5], "g1": [0.3, -0.7]}
+    polynomial["terminal"] = {"form": "poly_in_WT", "coeffs": [[1.0, 0.5], [0.3, -0.7]]}
+    tree = build_tree(1.0, 9)
+    got, want = (realize(load_spec(json.dumps(doc)), tree) for doc in (affine, polynomial))
+    assert got.xi.shape == (512, 2) and np.array_equal(got.xi, want.xi)
+    w_T = tree.brownian(9)[:, None]
+    assert np.array_equal(got.xi, np.array([1.0, 0.5]) + w_T * np.array([0.3, -0.7]))
+    for name, (m0, m1) in terms.items():
+        for k, (a, b) in enumerate(zip(getattr(got, name), getattr(want, name))):
+            assert a.shape == b.shape == (tree.n_nodes(k), 2, 2) and np.array_equal(a, b)
+            th = np.tanh(tree.brownian(k))[:, None, None]
+            assert np.array_equal(a, np.array(m0) + th * np.array(m1)), (name, k)
+
+
 def test_realize_matrix_valued_terminal(d2):
     tree = build_tree(1.0, 3)
     coeffs = realize(d2, tree)

@@ -326,25 +326,34 @@ def test_adjoint_is_the_maximum_principle_adjoint(corpus, name):
         assert np.abs(sol.x[k + 1][1::2] - (step - shock)).max() <= 1e-12 * scale, k
 
 
-def test_workspace_holds_five_floats_per_node(m1_random):
-    # on m1_random only H, S, the phi step, the vtheta coefficient and zx
-    # vary over the nodes; the coupling maps stay one node per level and
-    # N^{-1} is the coefficient set's cached copy, so the workspace adds at
-    # most five floats per node of levels 0..n_steps-1.  The Riccati pair
-    # ran on the lattice and read the lattice set's N^{-1}: the coefficient
-    # set's own is built first, by its first reader
-    tree, coeffs, ric = _setup(m1_random, 14)
+def test_pair_and_workspace_hold_six_floats_per_node(m1_random):
+    # m1_random is a function of W(t_k): the Riccati pair stays on the walk
+    # lattice, a few floats per level.  On the tree the workspace holds only
+    # Sigma, H, S, the phi step, the vtheta coefficient and zx, which vary
+    # over the nodes, gathered once; the coupling maps stay one node per
+    # level and N^{-1} is the coefficient set's cached copy.  So the pair
+    # and the workspace add at most six floats per node of levels
+    # 0..n_steps-1.  The coefficient set's N^{-1} and its lattice copy are
+    # built first, by their first readers
+    tree = build_tree(m1_random.horizon, 14)
+    coeffs = realize(m1_random, tree)
     multipliers.control_weight_inverses(coeffs)
+    coeffs.on_lattice(tree)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
+        ric = solve_riccati(tree, coeffs)
+        pair = tracemalloc.get_traced_memory()[0] - base
         ws = multipliers.build_workspace(tree, coeffs, ric.sigma, ric.phi)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     nodes = tree.total_nodes - tree.n_nodes(tree.n_steps)
-    assert held <= 5 * 8 * nodes + 64 * 1024
+    assert [len(level) for level in ric.sigma] == list(range(1, 15)) + [1]
+    assert pair <= 64 * 1024
+    assert held <= 6 * 8 * nodes + 64 * 1024
+    assert [len(level) for level in ws.sigma] == [tree.n_nodes(k) for k in range(14)] + [1]
 
 
 def test_full_width_response_matches_full_sweeps(m1_random):

@@ -15,7 +15,7 @@ import pytest
 from mfbslq import (RiccatiError, StepSizeError, build_tree, load_spec, realize,
                     riccati, solve_riccati)
 from mfbslq.bsde import control_weight_inverses
-from conftest import scalar_spec, scalar_spec_doc, vector_control_doc
+from conftest import corpus_path, scalar_spec, scalar_spec_doc, vector_control_doc
 
 
 def test_linear_growth_exact():
@@ -85,12 +85,12 @@ def test_solution_structure_and_guards(m1, m1_random):
     # deterministic coefficients keep the pair at one node per level; random
     # A and N widen every level below the root (the terminal level is zero).
     # They are functions of W(t_k), so Newton runs on k + 1 lattice nodes of
-    # level k, 1 + 2 + ... + 6 = 21 in all
+    # level k, 1 + 2 + ... + 6 = 21 in all, and the pair is returned there
     tree = build_tree(1.0, 6)
     for spec, random_coeffs in ((m1, False), (m1_random, True)):
         ric = solve_riccati(tree, realize(spec, tree))
         for k in range(7):
-            nodes = tree.n_nodes(k) if random_coeffs and k < 6 else 1
+            nodes = k + 1 if random_coeffs and k < 6 else 1
             assert ric.sigma[k].shape == (nodes, 1, 1)
         assert ric.newton_nodes == (21 if random_coeffs else 6)
         assert ric.symmetry_defect <= 1e-10
@@ -108,13 +108,13 @@ def test_solution_structure_and_guards(m1, m1_random):
 def test_martingale_consistency(m1_random):
     # the recursion must reproduce sigma_k from its children:
     # sigma_k + dt * drift(sigma_k, phi_k) = E_k[sigma_{k+1}], and phi is the
-    # representation integrand of sigma_{k+1}
+    # representation integrand of sigma_{k+1}, on the tree's nodes
     tree = build_tree(1.0, 5)
     coeffs = realize(m1_random, tree)
     ric = solve_riccati(tree, coeffs)
     for k in range(5):
-        assert np.allclose(ric.phi[k], tree.z_from_next(ric.sigma[k + 1]),
-                           atol=1e-12)
+        assert np.allclose(tree.gather(ric.phi[k]),
+                           tree.z_from_next(tree.gather(ric.sigma[k + 1])), atol=1e-12)
 
 
 def test_newton_tolerance_enforced(m1, monkeypatch):
@@ -122,6 +122,25 @@ def test_newton_tolerance_enforced(m1, monkeypatch):
     coeffs = realize(m1, tree)
     monkeypatch.setattr(riccati, "_MAX_NEWTON", 0)
     with pytest.raises(RiccatiError):
+        solve_riccati(tree, coeffs)
+
+
+def test_stalled_line_search_names_the_missing_root():
+    # a depth-3 node_table drift on m1_random's document, off the lattice:
+    # on level 1, node 1, no step from E_1[Sigma_2] lowers the residual, so
+    # the refusal names the level, the node and the root it did not find
+    doc = json.loads(corpus_path("m1_random").read_text())
+    doc["dynamics"]["A"] = {"form": "node_table", "values": [
+        [-3.6629216506525037], [-4.982869457216688, 1.0823202114363608],
+        [6.7512207504535455, -1.1879895052321676, 2.0998702548501145, 4.25334430440538]]}
+    spec = load_spec(json.dumps(doc))
+    tree = build_tree(spec.horizon, 3)
+    coeffs = realize(spec, tree)
+    assert coeffs.on_lattice(tree) is None
+    with pytest.raises(RiccatiError, match=(
+            r"^Newton line search stalled at level 1, node 1 \(residual 1\.025e-01\): "
+            r"no root of the implicit step was found near E_1\[Sigma_2\] at this "
+            r"level and node; a finer time grid may help$")):
         solve_riccati(tree, coeffs)
 
 
@@ -140,7 +159,8 @@ def test_conditioner_sv_is_the_checked_value(m1_random):
     tree = build_tree(1.0, 5)
     coeffs = realize(m1_random, tree)
     ric = solve_riccati(tree, coeffs)
-    exact = min(float(np.linalg.svd(np.eye(1)[None] + s @ r, compute_uv=False).min())
+    exact = min(float(np.linalg.svd(np.eye(1)[None] + tree.gather(s) @ r,
+                                    compute_uv=False).min())
                 for s, r in zip(ric.sigma, coeffs.R))
     assert ric.min_conditioner_sv == pytest.approx(exact, rel=1e-12)
 
@@ -189,9 +209,10 @@ def test_singular_newton_matrix_on_a_vector_state():
 
 
 def test_vector_pair_meets_the_newton_tolerance_on_every_node():
-    # n = m = 2 with node-varying A and N: every level's Sigma solves its
-    # implicit step to the Newton tolerance on every node, and the step,
-    # taken in the upper-triangle coordinates, keeps Sigma exactly symmetric
+    # n = m = 2 with node-varying A and N: every level's Sigma, gathered to
+    # the tree from the lattice it is solved on, solves its implicit step to
+    # the Newton tolerance on every node, and the step, taken in the
+    # upper-triangle coordinates, keeps Sigma exactly symmetric
     spec = load_spec(json.dumps(vector_control_doc()))
     tree = build_tree(spec.horizon, 6)
     coeffs = realize(spec, tree)
@@ -199,13 +220,14 @@ def test_vector_pair_meets_the_newton_tolerance_on_every_node():
     assert ric.symmetry_defect == 0.0
     n_inv = control_weight_inverses(coeffs)
     for k in range(6):
-        sig, B = ric.sigma[k], coeffs.B[k]
+        assert ric.sigma[k].shape == (k + 1, 2, 2)
+        sig, B = tree.gather(ric.sigma[k]), coeffs.B[k]
         assert sig.shape == (tree.n_nodes(k), 2, 2)
         BNB = B @ (n_inv[k] @ B.swapaxes(-1, -2))
         H, G1, _ = riccati._conditioners(sig, coeffs.R[k], np.eye(2), k)
         drift = riccati._drift(coeffs.A[k], coeffs.Q[k], BNB, coeffs.C[k], sig,
-                               ric.phi[k], H, G1)
-        res = sig - tree.cond_expect(ric.sigma[k + 1]) + tree.dt * drift
+                               tree.gather(ric.phi[k]), H, G1)
+        res = sig - tree.cond_expect(tree.gather(ric.sigma[k + 1])) + tree.dt * drift
         tol = riccati._NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         assert (np.linalg.norm(res, axis=(1, 2)) <= tol).all(), k
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mfbslq import ConfigurationError, build_tree
-from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _level_coupling,
-                         _lowest_eig, _mul, _mul_last, _mv, _solve)
+from mfbslq.tree import (DEFAULT_DEPTH, MAX_DEPTH, _inv, _lowest_eig, _mul, _mul_last,
+                         _mv, _solve)
 
 
 def test_grid_basics():
@@ -63,8 +63,12 @@ def test_walk_values_match_the_bit_loop():
 
 
 def test_child_signs_alternate():
+    # a forward step's shock enters with the sign of the move: entry 2j is
+    # the up child of j, dW = +sqrt(dt), entry 2j+1 the down child
     tree = build_tree(1.0, 3)
-    assert np.allclose(tree.child_signs(1), [1.0, -1.0, 1.0, -1.0])
+    step, shock = np.array([[1.0], [2.0]]), np.array([[0.5], [0.25]])
+    assert np.array_equal(tree.children(step, shock)[:, 0], [1.5, 0.5, 2.25, 1.75])
+    assert np.array_equal(tree.children(np.zeros(2), np.ones(2)), [1.0, -1.0, 1.0, -1.0])
 
 
 def test_walk_is_martingale_with_unit_integrand():
@@ -79,9 +83,12 @@ def test_walk_is_martingale_with_unit_integrand():
 def test_cond_expect_inverts_to_children():
     tree = build_tree(1.0, 5)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((tree.n_nodes(3), 2))
-    assert np.allclose(tree.cond_expect(tree.to_children(v)), v)
-    assert np.allclose(tree.z_from_next(tree.to_children(v)), 0.0)
+    v, s = rng.standard_normal((2, tree.n_nodes(3), 2))
+    assert np.allclose(tree.cond_expect(tree.children(v, np.zeros_like(v))), v)
+    assert np.allclose(tree.z_from_next(tree.children(v, np.zeros_like(v))), 0.0)
+    # a shock s is the integrand s / sqrt(dt) and leaves the mean
+    assert np.allclose(tree.cond_expect(tree.children(v, s)), v)
+    assert np.allclose(tree.z_from_next(tree.children(v, s)), s / tree.sqrt_dt)
 
 
 def test_operators_reject_odd_levels():
@@ -136,10 +143,9 @@ def test_martingale_difference_orthogonality():
     tree = build_tree(1.0, 4)
     rng = np.random.default_rng(26)
     k = 2
-    dw = tree.sqrt_dt * tree.child_signs(k)
     for trial in range(25):
         z = rng.standard_normal(tree.n_nodes(k))
-        prod = tree.to_children(z) * dw
+        prod = tree.children(np.zeros_like(z), tree.sqrt_dt * z)   # z dW
         assert np.allclose(tree.cond_expect(prod), 0.0), trial
 
 
@@ -150,8 +156,7 @@ def test_increment_reconstruction_identity():
     y_next = rng.standard_normal(tree.n_nodes(3))
     cond = tree.cond_expect(y_next)
     z = tree.z_from_next(y_next)
-    dw = tree.sqrt_dt * tree.child_signs(2)
-    rebuilt = tree.to_children(cond) + tree.to_children(z) * dw
+    rebuilt = tree.children(cond, tree.sqrt_dt * z)   # cond + z dW
     assert np.allclose(rebuilt, y_next)
 
 
@@ -220,7 +225,7 @@ def test_wider_kernels_are_the_numpy_calls():
     for m in (mats, mats[:1]):
         for x in (stack, stack[:1], stack[..., 0], stack[:1, :, 0]):
             want = sum(m[j % len(m)].T @ x[j % len(x)] for j in range(64)) / 64
-            _close(_level_coupling(m, x), want, rtol=1e-14)
+            _close(build_tree(1.0, 6).level_coupling(m, x), want, rtol=1e-14)
     # the node-last product (r, q, nodes) @ (q, c, nodes) against the
     # per-node loop a[..., j] @ b[..., j], every branch of its dispatch,
     # transposed views among the operands as the oracle passes them
