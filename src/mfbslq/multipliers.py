@@ -52,9 +52,12 @@ sweep when xi is a function of W(T).  Otherwise the linear part runs
 full-width sweeps of the tree, 16 columns to a sweep.  All of them reduce
 each adjoint level to its means and couplings (one GEMM each,
 ``level_coupling``) as it is formed and keep no field (`_response`).  The
-final sweep runs the same way on the tree from xi, reading Sigma and the
-workspace fields gathered to the tree's nodes, and keeps only the control
-u = N^{-1} (B' x - lam3).
+final sweep keeps the control u = N^{-1} (B' x - lam3), so it steps x on
+the tree; when xi is a function of W(T) too, its backward half (phi,
+vtheta) runs on the lattice.  A tree sweep on lattice data reads the
+workspace, and phi and vtheta when they come from the lattice, one level
+at a time, each gathered to the tree's nodes as it is read
+(:meth:`DecoupledWorkspace.on`), so no tree-wide copy of them is held.
 `probe_operators` assembles both maps from the base sweep and
 2d unit impulses; for a given eta the multiplier equation L lam = eta -
 p_xi - P_eta eta is then solved by rank-truncated least squares.
@@ -130,50 +133,63 @@ def split_blocks(vec: np.ndarray, tree: ScenarioTree, coeffs: CoefficientSet):
     return a, b, g
 
 
+class _Gathered:
+    """Levels stored on the walk lattice as a sweep of the tree reads them:
+    item k is level k gathered to the tree's nodes at each read
+    (:meth:`.tree.ScenarioTree.gather`), so a sweep that reads each level
+    once holds one gathered level at a time."""
+
+    def __init__(self, tree: ScenarioTree, levels: list):
+        self.tree, self.levels = tree, levels
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.tree.gather(self.levels[k], k)
+
+
+_LEVEL_FIELDS = ("sigma", "H", "sig_c", "phi_step", "vtheta_coef", "zx", "bars")
+
+
 @dataclass
 class DecoupledWorkspace:
-    """Per-level matrices shared by every (lam, eta) solve on one Riccati pair."""
+    """Per-level matrices shared by every (lam, eta) solve on one Riccati
+    pair, on the layout it is solved on: ``layout``, the walk lattice on
+    lattice data (k + 1 nodes on level k, or one), else the tree.  A sweep
+    reads them through :meth:`on`."""
 
+    layout: ScenarioTree | WalkLattice
     sigma: list        # Sigma, levels 0..n_steps: y = Sigma x - phi
     H: list            # (I + S R)^{-1}, S the centered Sigma
     sig_c: list        # S = (Sigma_k + E_k[Sigma_{k+1}]) / 2
     phi_step: list     # (I + dt (Sigma Q - A))^{-1}
     vtheta_coef: list  # (Phi R - C) H
-    Ninv: list         # N^{-1}
     zx: list           # H (Phi + S C'): z = zx x - H (S lam2 + vtheta)
     bars: list         # [A_bar | C_bar | B_bar], the coupling maps
     x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
-    # the same problem on the walk lattice, when its data are functions of
-    # W(t_k): (lattice, coefficients, workspace), whose sweeps give this
-    # problem's means and couplings; the coefficients' xi is None when the
-    # terminal is not a function of W(T)
-    lattice: tuple | None = None
+
+    def on(self, tree: ScenarioTree | WalkLattice) -> DecoupledWorkspace:
+        """The workspace as a sweep on ``tree`` reads it: itself on its own
+        layout; from the walk lattice on the tree, every level field a
+        :class:`_Gathered` view, so the sweep gathers one level at a time."""
+        if isinstance(self.layout, ScenarioTree) or isinstance(tree, WalkLattice):
+            return self
+        return replace(self, layout=tree, **{name: _Gathered(tree, getattr(self, name))
+                                             for name in _LEVEL_FIELDS})
 
 
 def build_workspace(tree: ScenarioTree, coeffs: CoefficientSet,
                     sigma: list, phi: list) -> DecoupledWorkspace:
     """Assemble the per-level matrices from the Riccati pair (sigma, phi),
-    on the layout :func:`.riccati.solve_riccati` returns it on.  Every
-    inverted matrix is checked; StepSizeError names the level.
-
-    When the coefficients are functions of W(t_k)
-    (:meth:`.model.CoefficientSet.on_lattice`), the pair is on the walk
-    lattice, and so are the matrices, kept as ``lattice``; Sigma and the
-    fields the tree sweeps read are gathered to the tree's nodes, bit for
-    bit what the per-node build gives, and N^-1 is the coefficient set's
-    own."""
+    on the layout :func:`.riccati.solve_riccati` returns it on: the walk
+    lattice, from the coefficients there, when they are functions of
+    W(t_k) (:meth:`.model.CoefficientSet.on_lattice`), else the tree.
+    Nothing is gathered.  Every inverted matrix is checked; StepSizeError
+    names the level."""
     lattice = coeffs.on_lattice(tree)
     if lattice is None:
         return _assemble_workspace(tree, coeffs, sigma, phi)
-    grid = tree.lattice()
-    small = _assemble_workspace(grid, lattice, sigma, phi)
-    return replace(small, Ninv=list(control_weight_inverses(coeffs)),
-                   lattice=(grid, lattice, small),
-                   **{name: [tree.gather(level) for level in getattr(small, name)]
-                      for name in ("sigma", "H", "sig_c", "phi_step", "vtheta_coef",
-                                   "zx", "bars")})
+    return _assemble_workspace(tree.lattice(), lattice, sigma, phi)
 
 
 def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
@@ -183,8 +199,8 @@ def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet
     eye = np.eye(n)
     x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, sigma[0]),
                                 "I + G Sigma(0)", 0)
-    ws = DecoupledWorkspace(sigma, *([] for _ in range(7)), _mul(x0_inv, coeffs.G)[0])
-    n_inv = control_weight_inverses(coeffs)
+    ws = DecoupledWorkspace(tree, sigma, *([] for _ in range(6)),
+                            _mul(x0_inv, coeffs.G)[0])
     for k in range(tree.n_steps):
         sig, phik = sigma[k], phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
@@ -198,7 +214,6 @@ def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet
         ws.sig_c.append(sig_c)
         ws.phi_step.append(phi_step)
         ws.vtheta_coef.append(_mul(_mul(phik, R) - C, H))
-        ws.Ninv.append(n_inv[k])
         ws.zx.append(_mul(H, phik + _mul(sig_c, _t(C))))
         ws.bars.append(_concat_nodes([coeffs.A_bar[k], coeffs.C_bar[k],
                                       coeffs.B_bar[k]], axis=2))
@@ -221,10 +236,11 @@ def _backward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                     ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
                     xi: np.ndarray) -> tuple:
     """(phi, vtheta) of the auxiliary backward equation for column stacks
-    (d, c) of (lam, eta), from phi(T) = -xi on every column.  Each level is
-    as wide as its inputs: one node on node-constant data and a one-node
-    terminal."""
+    (d, c) of (lam, eta), from phi(T) = -xi on every column, on the layout
+    ``tree``.  Each level is as wide as its inputs: one node on
+    node-constant data and a one-node terminal."""
     n_steps, dt = tree.n_steps, tree.dt
+    ws, n_inv = ws.on(tree), control_weight_inverses(coeffs)
     lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
     alpha, beta, gamma = split_blocks(eta, tree, coeffs)
     phi: list = [None] * (n_steps + 1)
@@ -236,7 +252,7 @@ def _backward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
         # of y, z and u (Sigma is symmetric), the targets through the bars
         rest = (_mul(ws.vtheta_coef[k], vth) - _mul(ws.sigma[k], lam1[k])
                 - _mul(_t(ws.zx[k]), lam2[k])
-                - _mul(coeffs.B[k], _mul(_t(ws.Ninv[k]), lam3[k]))
+                - _mul(coeffs.B[k], _mul(_t(n_inv[k]), lam3[k]))
                 + _mul(ws.bars[k], np.concatenate([alpha[k], beta[k], gamma[k]])))
         phi[k] = _mul(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
         vtheta[k] = vth
@@ -263,13 +279,16 @@ def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
     level means and the mean couplings, each stacked like ``lam``.  ``tree``
     is the tree or the walk lattice: on the lattice, x is its conditional
     mean given the node, which is all the means and couplings read, since
-    every map applied to it is a function of the node.  x stops at level
-    n_steps - 1 unless ``keep`` names it; then it runs to the leaves.
+    every map applied to it is a function of the node.  ``phi`` and
+    ``vtheta`` are read one level at a time, so they may be
+    :class:`_Gathered` views.  x stops at level n_steps - 1 unless ``keep``
+    names it; then it runs to the leaves.
     Returns (kept, means, coupling), ``kept`` the levels of each field
     named in ``keep``.  The guard is the worst defect of N u - (B' x -
     lam3) relative to 1 + |B' x| over every value reconstructed; above
     _GUARD_TOL or not finite, NumericsError."""
     n, n_steps = coeffs.n, tree.n_steps
+    ws, n_inv = ws.on(tree), control_weight_inverses(coeffs)
     lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
     kept = {name: [] for name in keep}
     means = np.empty(lam.shape)
@@ -281,7 +300,7 @@ def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
     for k in range(n_steps):
         bx = _mul(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
-        uk = _mul(ws.Ninv[k], net)
+        uk = _mul(n_inv[k], net)
         yk = _mul(ws.sigma[k], x) - phi[k]
         zk = _mul(ws.zx[k], x) - _mul(ws.H[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k])
         defect = np.abs(_mul(coeffs.N[k], uk) - net).max(axis=(0, 1))
@@ -317,7 +336,7 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     kept, means, coupling = _forward_sweep(tree, coeffs, ws, lam, phi, vtheta,
                                            keep=("x", "u", "y", "z"))
     x = kept["x"]
-    y = kept["y"] + [_mul(ws.sigma[tree.n_steps], x[-1]) - phi[-1]]
+    y = kept["y"] + [_mul(ws.on(tree).sigma[tree.n_steps], x[-1]) - phi[-1]]
     fields = (phi, vtheta, x, kept["u"], y, kept["z"])
     if np.ndim(lam_vec) == 1:
         fields = tuple([lv[..., 0] for lv in levels] for levels in fields)
@@ -328,18 +347,33 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
 def _response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
               ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray, xi: np.ndarray,
               keep: tuple = ()) -> tuple:
-    """:func:`_forward_sweep` of column stacks (d, c) from phi(T) = -xi; the
-    leaves are never formed.  A sweep that keeps a field, or runs on the
-    lattice, runs all columns as one block; otherwise the tree runs full
-    width, 16 columns to a block."""
-    one_block = keep or isinstance(tree, WalkLattice)
+    """:func:`_forward_sweep` of column stacks (d, c) after
+    :func:`_backward_sweep` from phi(T) = -xi, ``xi`` the coefficient set's
+    terminal or a one-node one; the leaves are never formed.  When the
+    workspace lives on the walk lattice and xi is a function of W(T), the
+    backward half runs on the lattice, and so does the forward half unless
+    it keeps a field; a kept field is the tree's, which steps x and reads
+    phi and vtheta gathered one level at a time.  A sweep that keeps a
+    field, or runs on the lattice, runs all columns as one block;
+    otherwise the tree runs full width, 16 columns to a block."""
+    back = front = (tree, coeffs)
+    if isinstance(ws.layout, WalkLattice) and isinstance(tree, ScenarioTree):
+        lattice = coeffs.on_lattice(tree)
+        walk_xi = lattice.xi if xi is coeffs.xi else xi
+        if walk_xi is not None:
+            back, xi = (ws.layout, lattice), walk_xi
+            if not keep:
+                front = back
+    one_block = keep or isinstance(front[0], WalkLattice)
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     for block in [slice(None)] if one_block else column_blocks(lam.shape[1]):
         lam_b = lam[:, block]
-        phi, vtheta = _backward_sweep(tree, coeffs, ws, lam_b, eta[:, block], xi)
+        phi, vtheta = _backward_sweep(*back, ws, lam_b, eta[:, block], xi)
+        if back is not front:
+            phi, vtheta = _Gathered(tree, phi), _Gathered(tree, vtheta)
         kept, means[:, block], coupling[:, block] = _forward_sweep(
-            tree, coeffs, ws, lam_b, phi, vtheta, keep)
+            *front, ws, lam_b, phi, vtheta, keep)
     return kept, means, coupling
 
 
@@ -347,11 +381,9 @@ def linear_response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                     ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray) -> tuple:
     """Level means and mean couplings of the linear part of the map
     (lam, eta) -> (means, coupling), solved from a zero terminal, for column
-    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`), on the
-    workspace's lattice problem when it has one.  Returns two (d, c)
+    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`: on the
+    walk lattice when the workspace lives there).  Returns two (d, c)
     stacks."""
-    if ws.lattice is not None:
-        tree, coeffs, ws = ws.lattice
     return _response(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))[1:]
 
 
@@ -359,9 +391,8 @@ def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
                  ws: DecoupledWorkspace) -> tuple:
     """Means and couplings of the base sweep (xi terminal, lam = eta = 0),
     the constant part of the affine map, each (d,); on the lattice when the
-    workspace has a lattice problem and xi too is a function of W(T)."""
-    if ws.lattice is not None and ws.lattice[1].xi is not None:
-        tree, coeffs, ws = ws.lattice
+    workspace lives there and xi too is a function of W(T)
+    (:func:`_response`)."""
     zero = np.zeros((eta_dimension(tree, coeffs), 1))
     means, coupling = _response(tree, coeffs, ws, zero, zero, coeffs.xi)[1:]
     return means[:, 0], coupling[:, 0]
@@ -438,15 +469,16 @@ class OuterSolution(NamedTuple):
 def _reduced_problem(tree: ScenarioTree, coeffs: CoefficientSet,
                      ws: DecoupledWorkspace) -> tuple:
     """(layout, coefficients, workspace, name) of the problem whose outer
-    system preconditions this one's.  With a lattice problem (``ws.lattice``)
-    it is that one, which is exact: the products run on it too, so M = A.
+    system preconditions this one's.  With the workspace on the walk lattice
+    it is the lattice problem, which is exact: the products run on it too,
+    so M = A.
     Otherwise it is the node-mean problem: every level of the coefficients
     and of Sigma replaced by its node mean, kept as one node, and Phi = 0,
     the martingale integrand of a one-node Sigma.  It is node-constant, so
     it runs on the walk lattice.  Node means of PSD weights are PSD and keep
     N >= delta I, so its workspace passes the same checked inverses."""
-    if ws.lattice is not None:
-        return (*ws.lattice, "lattice")
+    if isinstance(ws.layout, WalkLattice):
+        return ws.layout, coeffs.on_lattice(tree), ws, "lattice"
     grid = tree.lattice()
     mean_coeffs = coeffs.node_means()
     sigma = [level.mean(axis=0, keepdims=True) for level in ws.sigma]

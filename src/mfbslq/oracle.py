@@ -725,8 +725,8 @@ def _solve_sparse(tree: ScenarioTree, coeffs: CoefficientSet) -> tuple:
     for k in range(n_steps):
         node, inv_y = partial[k], pivots[k][0].inv_y[n:]
         if on_lattice:
-            node = tree.gather(node.T).T
-            inv_y = tree.gather(inv_y.transpose(2, 0, 1)).transpose(1, 2, 0)
+            node = tree.gather(node.T, k).T
+            inv_y = tree.gather(inv_y.transpose(2, 0, 1), k).transpose(1, 2, 0)
         if k > 0:
             e_prime = tree.children(-0.5 * parent[:n].T, parent[n:].T / (-2.0 * tree.sqrt_dt))
             node -= _mul_last(inv_y, e_prime.T[:, None])[:, 0]
@@ -771,6 +771,7 @@ def solve_oracle(tree: ScenarioTree, coeffs: CoefficientSet,
     sol = solve_meanfield_bsde(tree, coeffs, u)
     cost = cost_of_solution(tree, coeffs, u, sol)
     grad_norm = gradient_dual_norm(tree, cost_gradient(tree, coeffs, u, sol))
+    del sol   # the state at u is not held while the zero control's is solved
     grad0 = gradient_dual_norm(
         tree, cost_gradient(tree, coeffs, zero_controls(tree, coeffs.m)))
     certified = grad_norm <= CERTIFICATE_TOL * (1.0 + grad0)

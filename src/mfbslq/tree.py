@@ -317,16 +317,22 @@ class ScenarioTree(_Walk):
             counts.append(nxt)
         return counts[level]
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """A lattice level, (k + 1, ...), at every node of tree level k:
-        node j takes entry popcount(j).  A length-1 level is returned as is.
+    def gather(self, values: np.ndarray, level: int) -> np.ndarray:
+        """Lattice level ``level``, (level + 1, ...), at every node of that
+        tree level: node j takes entry popcount(j).  A length-1 level is
+        returned as is; any other length is a ConfigurationError, so a tree
+        level is never taken for a lattice one.
 
         The last _LOW_BITS moves of a path are gathered once per count of
         down moves before them, and the nodes' leading moves then pick
         whole rows of that table, so every copy is a contiguous block."""
+        self._check_level(level)
         if len(values) == 1:
             return values
-        level = len(values) - 1
+        if len(values) != level + 1:
+            raise ConfigurationError(
+                f"gather needs {level + 1} lattice nodes or one node on level "
+                f"{level}, got {len(values)}")
         if level <= _LOW_BITS:
             return values[self.popcounts(level)]
         low = self.popcounts(_LOW_BITS)
@@ -354,7 +360,7 @@ class ScenarioTree(_Walk):
         expected: dict = {}   # the block of each count of leading down moves
         for block, lead in zip(blocks, self.popcounts(level - low).tolist()):
             if lead not in expected:
-                expected[lead] = self.gather(firsts[lead:lead + low + 1]).view(np.uint64)
+                expected[lead] = self.gather(firsts[lead:lead + low + 1], low).view(np.uint64)
             if not np.array_equal(block, expected[lead]):
                 return None
         return firsts

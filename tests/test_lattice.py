@@ -15,10 +15,10 @@ import json
 import numpy as np
 import pytest
 
-from mfbslq import (RiccatiError, build_tree, load_spec, realize, run_pipeline,
-                    solve_decoupled, solve_riccati)
+from mfbslq import (ConfigurationError, RiccatiError, build_tree, load_spec, realize,
+                    run_pipeline, solve_decoupled, solve_riccati)
 from mfbslq.model import CoefficientSet
-from mfbslq.tree import ScenarioTree
+from mfbslq.tree import ScenarioTree, WalkLattice
 from mfbslq import multipliers, oracle
 from mfbslq.multipliers import eta_dimension
 from conftest import (corpus_path, materialised, on_tree, record_adjoint_steps,
@@ -69,18 +69,32 @@ def test_restrict_and_gather_are_inverse():
         assert tree.popcounts(level).dtype == np.uint8
         assert np.array_equal(tree.popcounts(level), downs)
         lattice = rng.standard_normal((level + 1, 2, 3))
-        full = tree.gather(lattice)
+        full = tree.gather(lattice, level)
         assert np.array_equal(full, lattice[downs])
         assert np.array_equal(tree.restrict(full), lattice)
         if level > 1:   # one node off its class: not on the lattice
             full[-2, 1, 2] = np.nextafter(full[-2, 1, 2], np.inf)
             assert tree.restrict(full) is None
     one = rng.standard_normal((1, 2))
-    assert tree.gather(one) is one and tree.restrict(one) is one
+    assert tree.gather(one, 9) is one and tree.restrict(one) is one
     # the walk itself, and a NaN never passes
     assert np.array_equal(tree.restrict(tree.brownian(9)),
                           tree.sqrt_dt * (9 - 2.0 * np.arange(10)))
     assert tree.restrict(np.full((8, 1), np.nan)) is None
+
+
+def test_gather_refuses_a_tree_level():
+    # a level is gathered only from k + 1 lattice nodes or one node: a tree
+    # level of four nodes is not taken for lattice level 3
+    tree = build_tree(1.0, 6)
+    with pytest.raises(ConfigurationError, match="4 lattice nodes or one node on level 3, "
+                                                 "got 8"):
+        tree.gather(np.arange(8.0), 3)
+    with pytest.raises(ConfigurationError, match="7 lattice nodes .* level 6, got 4"):
+        tree.gather(np.arange(4.0), 6)
+    with pytest.raises(ConfigurationError, match="level 7 outside"):
+        tree.gather(np.arange(8.0), 7)
+    assert np.array_equal(tree.gather(np.arange(3.0), 2), [0, 1, 1, 2])
 
 
 def test_lattice_operators_match_the_tree():
@@ -95,17 +109,19 @@ def test_lattice_operators_match_the_tree():
         # a function of W(t_{k+1}): the same arithmetic, bit for bit
         for op in ("cond_expect", "z_from_next"):
             assert np.array_equal(getattr(lattice, op)(nxt),
-                                  tree.restrict(getattr(tree, op)(tree.gather(nxt))))
+                                  tree.restrict(getattr(tree, op)(
+                                      tree.gather(nxt, level + 1))))
         mats = rng.standard_normal((level + 1, 3, 2))
         x = rng.standard_normal((level + 1, 3, 4))
         for m, v in ((mats, x), (mats[:1], x), (mats, x[:1]), (mats, x[..., 0])):
-            want = tree.level_coupling(tree.gather(m), tree.gather(v))
+            want = tree.level_coupling(tree.gather(m, level), tree.gather(v, level))
             np.testing.assert_allclose(lattice.level_coupling(m, v), want, rtol=1e-13)
-        np.testing.assert_allclose(lattice.expect(x), tree.expect(tree.gather(x)),
+        np.testing.assert_allclose(lattice.expect(x), tree.expect(tree.gather(x, level)),
                                    rtol=1e-13)
         # a forward step: the lattice keeps the children's mean given d
         step, shock = x, rng.standard_normal((level + 1, 3, 4))
-        want = _class_means(tree, tree.children(tree.gather(step), tree.gather(shock)))
+        want = _class_means(tree, tree.children(tree.gather(step, level),
+                                                tree.gather(shock, level)))
         np.testing.assert_allclose(lattice.children(step, shock), want, rtol=1e-13,
                                    atol=1e-15)
 
@@ -131,9 +147,10 @@ def test_lattice_riccati_pair_is_the_tree_solve(walk_specs, monkeypatch, name):
         assert want.newton_nodes == (1 << nt) - 1
         assert [len(level) for level in got.sigma] == list(range(1, nt + 1)) + [1]
         assert [len(level) for level in got.phi] == list(range(1, nt)) + [1]
-        for a, b in zip(got.sigma + got.phi, want.sigma + want.phi):
-            a = tree.gather(a)
-            assert a.shape == b.shape and np.array_equal(a, b), nt
+        for k, (a, b) in [*enumerate(zip(got.sigma, want.sigma)),
+                          *enumerate(zip(got.phi, want.phi))]:
+            a = tree.gather(a, k)
+            assert a.shape == b.shape and np.array_equal(a, b), (nt, k)
         for field in ("symmetry_defect", "min_sigma_eig", "min_conditioner_sv",
                       "newton_iterations_per_level"):
             assert getattr(got, field) == getattr(want, field), (nt, field)
@@ -199,7 +216,7 @@ def test_lattice_means_match_full_sweeps(walk_specs, corpus, monkeypatch, name, 
         coeffs = materialised(tree, coeffs)
     ric = solve_riccati(tree, coeffs)
     ws = workspace(tree, coeffs, ric)
-    assert ws.lattice is not None
+    assert isinstance(ws.layout, WalkLattice)
     d = eta_dimension(tree, coeffs)
     lam, eta = np.random.default_rng(nt).standard_normal((2, d, 3))
     zero = dataclasses.replace(coeffs, xi=np.zeros_like(coeffs.xi))
@@ -215,6 +232,55 @@ def test_lattice_means_match_full_sweeps(walk_specs, corpus, monkeypatch, name, 
     for got, want in ((means, full.means), (coupling, full.coupling),
                       (base_means, base.means), (base_coupling, base.coupling)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def leaf_terminal_doc(nt: int) -> dict:
+    """m1_random with a leaf_table terminal for depth ``nt``: coefficients
+    on the walk lattice, a terminal off it."""
+    doc = json.loads(corpus_path("m1_random").read_text())
+    doc["terminal"] = {"form": "leaf_table",
+                       "values": np.random.default_rng(9).standard_normal(1 << nt).tolist()}
+    return doc
+
+
+@pytest.mark.parametrize("name, nt", [("m1_random", 10), ("d2", 9), ("vector", 8),
+                                      ("leaf_terminal", 8)])
+def test_final_sweep_is_the_tree_route_bit_for_bit(walk_specs, corpus, monkeypatch,
+                                                    name, nt):
+    # the final sweep reads the lattice workspace one gathered level at a
+    # time: its backward half runs on the lattice when xi is a function of
+    # W(T), on the tree for a leaf_table xi, and its forward half on the
+    # tree.  u, the means and the couplings are the forced tree route's,
+    # bit for bit, at the same (lam, eta)
+    if name == "leaf_terminal":
+        spec = load_spec(json.dumps(leaf_terminal_doc(nt)))
+    else:
+        spec = {**corpus, **walk_specs}[name]
+    tree = build_tree(spec.horizon, nt)
+    coeffs = realize(spec, tree)
+    ws = workspace(tree, coeffs, solve_riccati(tree, coeffs))
+    assert isinstance(ws.layout, WalkLattice)
+    eta, lam = multipliers.solve_outer_system(tree, coeffs, ws)[:2]
+    layouts = []
+    real = multipliers._backward_sweep
+
+    def recorded(layout, *args):
+        layouts.append(type(layout))
+        return real(layout, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multipliers, "_backward_sweep", recorded)
+        got = multipliers.constrained_solution_at(tree, coeffs, ws, lam, eta)
+    assert layouts == [ScenarioTree if name == "leaf_terminal" else WalkLattice]
+    with monkeypatch.context() as patch:
+        on_tree(patch)
+        tree_coeffs = realize(spec, tree)
+        tree_ws = workspace(tree, tree_coeffs, solve_riccati(tree, tree_coeffs))
+        want = multipliers.constrained_solution_at(tree, tree_coeffs, tree_ws, lam, eta)
+    assert tree_ws.layout is tree
+    assert all(np.array_equal(a, b) for a, b in zip(got.u, want.u))
+    assert np.array_equal(got.means, want.means)
+    assert np.array_equal(got.coupling, want.coupling)
 
 
 @pytest.mark.parametrize("nt", [6, 11])
@@ -265,7 +331,7 @@ def test_route_is_decided_by_value(m1_path, m1_random, monkeypatch):
     assert coeffs.on_lattice(tree) is None
     ric = solve_riccati(tree, coeffs)
     assert ric.newton_nodes == tree.total_nodes - tree.n_nodes(8)
-    assert workspace(tree, coeffs, ric).lattice is None
+    assert workspace(tree, coeffs, ric).layout is tree
 
     # a node_table that is a function of W(t_k) takes the lattice: the
     # values decide, not the form
@@ -278,17 +344,13 @@ def test_route_is_decided_by_value(m1_path, m1_random, monkeypatch):
 
     # a leaf_table terminal off the walk: the Riccati pair and the linear
     # part on the lattice, the base sweep on the tree
-    rng = np.random.default_rng(9)
-    doc["dynamics"]["A"] = json.loads(corpus_path("m1_random").read_text())["dynamics"]["A"]
-    doc["terminal"] = {"form": "leaf_table",
-                       "values": rng.standard_normal(64).tolist()}
-    spec = load_spec(json.dumps(doc))
+    spec = load_spec(json.dumps(leaf_terminal_doc(6)))
     coeffs = realize(spec, shallow)
     assert coeffs.on_lattice(shallow).xi is None
     ric = solve_riccati(shallow, coeffs)
     assert ric.newton_nodes == 21
     ws = workspace(shallow, coeffs, ric)
-    assert ws.lattice is not None
+    assert isinstance(ws.layout, WalkLattice)
     steps = record_adjoint_steps(monkeypatch)
     multipliers._xi_response(shallow, coeffs, ws)
     assert steps[1] == (1, 4)      # the tree
@@ -314,10 +376,7 @@ def test_oracle_route_is_decided_by_value(m1_path, m1_random):
     sol = oracle.solve_oracle(tree, realize(m1_path, tree))
     assert sol.elimination_nodes == tree.total_nodes - tree.n_nodes(8)
     # lattice coefficients with a leaf_table terminal off the walk: the tree
-    doc = json.loads(corpus_path("m1_random").read_text())
-    doc["terminal"] = {"form": "leaf_table",
-                       "values": np.random.default_rng(9).standard_normal(64).tolist()}
-    coeffs = realize(load_spec(json.dumps(doc)), shallow)
+    coeffs = realize(load_spec(json.dumps(leaf_terminal_doc(6))), shallow)
     assert coeffs.on_lattice(shallow).xi is None
     assert oracle.solve_oracle(shallow, coeffs).elimination_nodes == 63
     # one node of a wide level moved off its class: the tree

@@ -36,7 +36,8 @@ from mfbslq.multipliers import (DecoupledWorkspace, constrained_solution_at,
                                 solve_constrained_problem, solve_decoupled,
                                 solve_outer_system, split_blocks)
 from mfbslq.outer import run_pipeline
-from conftest import (barred_zero_spec, corpus_path, count_calls, materialised,
+from mfbslq.tree import WalkLattice
+from conftest import (barred_zero_spec, corpus_path, count_calls, materialised, on_tree,
                       probed_solve, record_adjoint_steps, scalar_spec, workspace)
 from referees import decoupling_residual, pack_blocks, riccati_control
 
@@ -162,7 +163,7 @@ def _reachable(root) -> list:
 def test_pipeline_builds_each_workspace_once(corpus, m1_path, monkeypatch):
     # the problem's workspace is built once and passed to every stage.  The
     # shipped specs are functions of W(t_k): it is assembled once, on the
-    # lattice, and gathered to the tree.  Path-dependent m1_path assembles
+    # lattice, and stays there.  Path-dependent m1_path assembles
     # it on the tree and adds the node-mean problem's.  Nothing keeps a
     # workspace once the pipeline returns, and the report rebuilds none
     assert "_cache" not in {f.name for f in dataclasses.fields(RiccatiSolution)}
@@ -296,9 +297,9 @@ def test_route_rule(d2, m1_random, m1_path):
         compact = realize(d2, tree)
         for coeffs in (compact, materialised(tree, compact), realize(m1_random, tree)):
             ric = solve_riccati(tree, coeffs)
-            assert workspace(tree, coeffs, ric).lattice is not None
+            assert isinstance(workspace(tree, coeffs, ric).layout, WalkLattice)
     tree, coeffs, ric = _setup(m1_path, 8)
-    assert workspace(tree, coeffs, ric).lattice is None
+    assert workspace(tree, coeffs, ric).layout is tree
 
 
 @pytest.mark.parametrize("name", ["m1_random", "tiled_d2"])
@@ -326,34 +327,70 @@ def test_adjoint_is_the_maximum_principle_adjoint(corpus, name):
         assert np.abs(sol.x[k + 1][1::2] - (step - shock)).max() <= 1e-12 * scale, k
 
 
-def test_pair_and_workspace_hold_six_floats_per_node(m1_random):
-    # m1_random is a function of W(t_k): the Riccati pair stays on the walk
-    # lattice, a few floats per level.  On the tree the workspace holds only
-    # Sigma, H, S, the phi step, the vtheta coefficient and zx, which vary
-    # over the nodes, gathered once; the coupling maps stay one node per
-    # level and N^{-1} is the coefficient set's cached copy.  So the pair
-    # and the workspace add at most six floats per node of levels
-    # 0..n_steps-1.  The coefficient set's N^{-1} and its lattice copy are
-    # built first, by their first readers
+def test_pair_and_workspace_hold_six_floats_per_node(m1_random, monkeypatch):
+    # m1_random is a function of W(t_k): the Riccati pair and the workspace
+    # both stay on the walk lattice, k + 1 nodes on level k and one where
+    # node-constant (the coupling maps), 33 KiB together at depth 14.  On the
+    # forced tree route the pair is the tree's, and the workspace adds H, S,
+    # the phi step, the vtheta coefficient and zx to its Sigma: at most six
+    # floats per node of levels 0..n_steps-1 (5.1 here).  The coefficient
+    # set's N^{-1} and its lattice copy are built first, by their first
+    # readers
     tree = build_tree(m1_random.horizon, 14)
-    coeffs = realize(m1_random, tree)
-    multipliers.control_weight_inverses(coeffs)
-    coeffs.on_lattice(tree)
+    nodes = tree.total_nodes - tree.n_nodes(tree.n_steps)
+    for route in ("lattice", "tree"):
+        with monkeypatch.context() as patch:
+            if route == "tree":
+                on_tree(patch)
+            coeffs = realize(m1_random, tree)
+            multipliers.control_weight_inverses(coeffs)
+            coeffs.on_lattice(tree)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ric = solve_riccati(tree, coeffs)
+                pair = tracemalloc.get_traced_memory()[0] - base
+                ws = multipliers.build_workspace(tree, coeffs, ric.sigma, ric.phi)
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+        if route == "lattice":
+            assert isinstance(ws.layout, WalkLattice)
+            assert held <= 64 * 1024
+            for name in multipliers._LEVEL_FIELDS:
+                widths = [len(level) for level in getattr(ws, name)]
+                assert all(w in (1, k + 1) for k, w in enumerate(widths)), (name, widths)
+        else:
+            assert ws.layout is tree
+            assert held - pair <= 6 * 8 * nodes + 64 * 1024
+            assert [len(level) for level in ws.sigma] == [tree.n_nodes(k)
+                                                          for k in range(14)] + [1]
+
+
+def test_final_sweep_peak_per_tree_node(m1_random):
+    # on lattice data the final sweep runs its backward half on the lattice
+    # and steps x on the tree, where it keeps the control (4.1 bytes per
+    # tree node at depth 16) and holds one level at a time of x, of what is
+    # reconstructed from it, and of phi, vtheta and the workspace fields,
+    # each gathered from the lattice as it is read.  Traced peak: 21.3 bytes
+    # per tree node; holding phi and vtheta over the whole tree would add
+    # 16 more
+    tree, coeffs, ric = _setup(m1_random, 16)
+    ws = workspace(tree, coeffs, ric)
+    eta, lam = solve_outer_system(tree, coeffs, ws)[:2]
+    constrained_solution_at(tree, coeffs, ws, lam, eta)   # first-call caches
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ric = solve_riccati(tree, coeffs)
-        pair = tracemalloc.get_traced_memory()[0] - base
-        ws = multipliers.build_workspace(tree, coeffs, ric.sigma, ric.phi)
-        held = tracemalloc.get_traced_memory()[0] - base
+        sol = constrained_solution_at(tree, coeffs, ws, lam, eta)
+        held, peak = (value - base for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    nodes = tree.total_nodes - tree.n_nodes(tree.n_steps)
-    assert [len(level) for level in ric.sigma] == list(range(1, 15)) + [1]
-    assert pair <= 64 * 1024
-    assert held <= 6 * 8 * nodes + 64 * 1024
-    assert [len(level) for level in ws.sigma] == [tree.n_nodes(k) for k in range(14)] + [1]
+    assert len(sol.u) == 16
+    assert held <= 4.5 * tree.total_nodes
+    assert peak <= 24 * tree.total_nodes
 
 
 def test_full_width_response_matches_full_sweeps(m1_random):

@@ -113,8 +113,9 @@ def test_martingale_consistency(m1_random):
     coeffs = realize(m1_random, tree)
     ric = solve_riccati(tree, coeffs)
     for k in range(5):
-        assert np.allclose(tree.gather(ric.phi[k]),
-                           tree.z_from_next(tree.gather(ric.sigma[k + 1])), atol=1e-12)
+        assert np.allclose(tree.gather(ric.phi[k], k),
+                           tree.z_from_next(tree.gather(ric.sigma[k + 1], k + 1)),
+                           atol=1e-12)
 
 
 def test_newton_tolerance_enforced(m1, monkeypatch):
@@ -159,9 +160,9 @@ def test_conditioner_sv_is_the_checked_value(m1_random):
     tree = build_tree(1.0, 5)
     coeffs = realize(m1_random, tree)
     ric = solve_riccati(tree, coeffs)
-    exact = min(float(np.linalg.svd(np.eye(1)[None] + tree.gather(s) @ r,
+    exact = min(float(np.linalg.svd(np.eye(1)[None] + tree.gather(s, k) @ r,
                                     compute_uv=False).min())
-                for s, r in zip(ric.sigma, coeffs.R))
+                for k, (s, r) in enumerate(zip(ric.sigma, coeffs.R)))
     assert ric.min_conditioner_sv == pytest.approx(exact, rel=1e-12)
 
 
@@ -221,13 +222,13 @@ def test_vector_pair_meets_the_newton_tolerance_on_every_node():
     n_inv = control_weight_inverses(coeffs)
     for k in range(6):
         assert ric.sigma[k].shape == (k + 1, 2, 2)
-        sig, B = tree.gather(ric.sigma[k]), coeffs.B[k]
+        sig, B = tree.gather(ric.sigma[k], k), coeffs.B[k]
         assert sig.shape == (tree.n_nodes(k), 2, 2)
         BNB = B @ (n_inv[k] @ B.swapaxes(-1, -2))
         H, G1, _ = riccati._conditioners(sig, coeffs.R[k], np.eye(2), k)
         drift = riccati._drift(coeffs.A[k], coeffs.Q[k], BNB, coeffs.C[k], sig,
-                               tree.gather(ric.phi[k]), H, G1)
-        res = sig - tree.cond_expect(tree.gather(ric.sigma[k + 1])) + tree.dt * drift
+                               tree.gather(ric.phi[k], k), H, G1)
+        res = sig - tree.cond_expect(tree.gather(ric.sigma[k + 1], k + 1)) + tree.dt * drift
         tol = riccati._NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         assert (np.linalg.norm(res, axis=(1, 2)) <= tol).all(), k
 
