@@ -36,7 +36,9 @@ once and passes it to every stage below.
 The map (lam, eta) -> level means of (y, z, u) is affine, as is the map
 to the mean-coupling functionals (E[A_bar' x], E[C_bar' x], E[B_bar' x]).
 Their constant part comes from one base sweep (xi terminal, lam = eta = 0);
-their linear part, `linear_response`, from sweeps with a zero terminal.
+their linear part from sweeps with a zero terminal.  `linear_response`
+sweeps a stack of columns, each with its own terminal -s xi, so it
+evaluates the map (lam, eta, s), linear in all three.
 When every coefficient is a function of the walk value W(t_k) (decided by
 value, :meth:`.model.CoefficientSet.on_lattice`; node-constant data are),
 so is the Riccati pair, which then comes on the walk lattice, and every
@@ -72,17 +74,22 @@ feedback,
 
 while the realized means equal eta.  `solve_outer_system` solves the
 resulting linear system A (eta, lam) = b, of size 2d with d = n_steps
-(2n + m), the same way for every input: unrestarted matrix-free GMRES, a
-product being one single-column zero-terminal sweep, right-preconditioned
-by the outer system M of a reduced problem, assembled densely from 2d
-columns in one sweep.  On lattice data that is the lattice problem, whose
-system is the problem's own: M = A, and one product suffices.  Otherwise it
-is the node-mean problem, which replaces every coefficient level and every
-Sigma level by its node mean, kept as one node, with Phi = 0; it is
-node-constant, so it runs on the lattice, and on path-dependent data about
-five products remain.  GMRES solves A M^{-1} w = b and returns
-x = M^{-1} w, so its stopping test is on the true residual |A x - b|
-(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 9).
+(2n + m), the same way for every input: unrestarted GMRES,
+right-preconditioned by the outer system M of a reduced problem, assembled
+densely from 2d unit columns in one sweep.  On lattice data that is the
+lattice problem, whose system is the problem's own: M = A.  The base column
+(xi terminal, lam = eta = 0) then rides in the same lattice sweep when xi is
+a function of W(T), each column taking its own terminal (zero on the unit
+columns, -xi on the base column), so [A | -b] comes from one sweep of
+2d + 1 columns, and GMRES's one product reads the assembled matrix.
+Otherwise M is the node-mean problem's, which replaces every coefficient
+level and every Sigma level by its node mean, kept as one node, with
+Phi = 0; it is node-constant, so it runs on the lattice.  Then b comes from
+its own sweep, and each product is one single-column zero-terminal sweep of
+the tree; on path-dependent data about five remain.  GMRES solves
+A M^{-1} w = b and returns x = M^{-1} w, so its stopping test is on the
+true residual |A x - b| (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003, ch. 9).
 With all barred coefficients zero the solve yields lam = 0 and the plain
 feedback control.
 
@@ -146,7 +153,7 @@ class _Gathered:
         return self.tree.gather(self.levels[k], k)
 
 
-_LEVEL_FIELDS = ("sigma", "H", "sig_c", "phi_step", "vtheta_coef", "zx", "bars")
+_LEVEL_FIELDS = ("sigma", "H", "sig_c", "phi_step", "vtheta_coef", "zx", "bars", "n_inv")
 
 
 @dataclass
@@ -164,6 +171,7 @@ class DecoupledWorkspace:
     vtheta_coef: list  # (Phi R - C) H
     zx: list           # H (Phi + S C'): z = zx x - H (S lam2 + vtheta)
     bars: list         # [A_bar | C_bar | B_bar], the coupling maps
+    n_inv: tuple       # N^{-1}, the layout's checked control_weight_inverses
     x0_gain: np.ndarray   # (I + G Sigma(0))^{-1} G, so x(0) = x0_gain phi(0)
     min_conditioner_sv: float = math.inf   # smallest singular value of I + S R
     min_phi_step_sv: float = math.inf      # ... of I + dt (Sigma Q - A)
@@ -200,7 +208,7 @@ def _assemble_workspace(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet
     x0_inv, _ = checked_inverse(eye[None] + _mul(coeffs.G, sigma[0]),
                                 "I + G Sigma(0)", 0)
     ws = DecoupledWorkspace(tree, sigma, *([] for _ in range(6)),
-                            _mul(x0_inv, coeffs.G)[0])
+                            control_weight_inverses(coeffs), _mul(x0_inv, coeffs.G)[0])
     for k in range(tree.n_steps):
         sig, phik = sigma[k], phi[k]
         A, C, Q, R = coeffs.A[k], coeffs.C[k], coeffs.Q[k], coeffs.R[k]
@@ -234,25 +242,25 @@ class DecoupledSolution:
 
 def _backward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                     ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
-                    xi: np.ndarray) -> tuple:
+                    terminal: np.ndarray) -> tuple:
     """(phi, vtheta) of the auxiliary backward equation for column stacks
-    (d, c) of (lam, eta), from phi(T) = -xi on every column, on the layout
-    ``tree``.  Each level is as wide as its inputs: one node on
-    node-constant data and a one-node terminal."""
+    (d, c) of (lam, eta), from phi(T) = ``terminal``, a per-column stack
+    (nodes, n, c), on the layout ``tree``.  Each level is as wide as its
+    inputs: one node on node-constant data and a one-node terminal."""
     n_steps, dt = tree.n_steps, tree.dt
-    ws, n_inv = ws.on(tree), control_weight_inverses(coeffs)
+    ws = ws.on(tree)
     lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
     alpha, beta, gamma = split_blocks(eta, tree, coeffs)
     phi: list = [None] * (n_steps + 1)
     vtheta: list = [None] * n_steps
-    phi[n_steps] = np.repeat(-xi[..., None], lam.shape[1], axis=2)
+    phi[n_steps] = terminal
     for k in range(n_steps - 1, -1, -1):
         vth = tree.z_from_next(phi[k + 1])
         # the multipliers enter through the transposed reconstruction maps
         # of y, z and u (Sigma is symmetric), the targets through the bars
         rest = (_mul(ws.vtheta_coef[k], vth) - _mul(ws.sigma[k], lam1[k])
                 - _mul(_t(ws.zx[k]), lam2[k])
-                - _mul(coeffs.B[k], _mul(_t(n_inv[k]), lam3[k]))
+                - _mul(coeffs.B[k], _mul(_t(ws.n_inv[k]), lam3[k]))
                 + _mul(ws.bars[k], np.concatenate([alpha[k], beta[k], gamma[k]])))
         phi[k] = _mul(ws.phi_step[k], tree.cond_expect(phi[k + 1]) - dt * rest)
         vtheta[k] = vth
@@ -288,7 +296,7 @@ def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
     lam3) relative to 1 + |B' x| over every value reconstructed; above
     _GUARD_TOL or not finite, NumericsError."""
     n, n_steps = coeffs.n, tree.n_steps
-    ws, n_inv = ws.on(tree), control_weight_inverses(coeffs)
+    ws = ws.on(tree)
     lam1, lam2, lam3 = split_blocks(lam, tree, coeffs)
     kept = {name: [] for name in keep}
     means = np.empty(lam.shape)
@@ -300,7 +308,7 @@ def _forward_sweep(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
     for k in range(n_steps):
         bx = _mul(_t(coeffs.B[k]), x)
         net = bx - lam3[k][None]
-        uk = _mul(n_inv[k], net)
+        uk = _mul(ws.n_inv[k], net)
         yk = _mul(ws.sigma[k], x) - phi[k]
         zk = _mul(ws.zx[k], x) - _mul(ws.H[k], _mul(ws.sig_c[k], lam2[k]) + vtheta[k])
         defect = np.abs(_mul(coeffs.N[k], uk) - net).max(axis=(0, 1))
@@ -332,7 +340,8 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
     ws = build_workspace(tree, coeffs, ric.sigma, ric.phi)
     lam = np.asarray(lam_vec, dtype=float).reshape(len(lam_vec), -1)
     eta = np.asarray(eta_vec, dtype=float).reshape(lam.shape)
-    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta, coeffs.xi)
+    phi, vtheta = _backward_sweep(tree, coeffs, ws, lam, eta,
+                                  np.repeat(-coeffs.xi[..., None], lam.shape[1], axis=2))
     kept, means, coupling = _forward_sweep(tree, coeffs, ws, lam, phi, vtheta,
                                            keep=("x", "u", "y", "z"))
     x = kept["x"]
@@ -345,31 +354,33 @@ def solve_decoupled(tree: ScenarioTree, coeffs: CoefficientSet, ric: RiccatiSolu
 
 
 def _response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
-              ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray, xi: np.ndarray,
-              keep: tuple = ()) -> tuple:
+              ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
+              xi_weight: np.ndarray, keep: tuple = ()) -> tuple:
     """:func:`_forward_sweep` of column stacks (d, c) after
-    :func:`_backward_sweep` from phi(T) = -xi, ``xi`` the coefficient set's
-    terminal or a one-node one; the leaves are never formed.  When the
-    workspace lives on the walk lattice and xi is a function of W(T), the
-    backward half runs on the lattice, and so does the forward half unless
-    it keeps a field; a kept field is the tree's, which steps x and reads
-    phi and vtheta gathered one level at a time.  A sweep that keeps a
-    field, or runs on the lattice, runs all columns as one block;
-    otherwise the tree runs full width, 16 columns to a block."""
+    :func:`_backward_sweep` from phi(T) = -s xi on each column, s the
+    column's entry of ``xi_weight`` (c,); where every s is zero the
+    terminal is one node, and the leaves are never formed.  When the
+    workspace lives on the walk lattice and xi is a function of W(T) (or
+    every s is zero), the backward half runs on the lattice, and so does the
+    forward half unless it keeps a field; a kept field is the tree's, which
+    steps x and reads phi and vtheta gathered one level at a time.  A sweep
+    that keeps a field, or runs on the lattice, runs all columns as one
+    block; otherwise the tree runs full width, 16 columns to a block."""
     back = front = (tree, coeffs)
     if isinstance(ws.layout, WalkLattice) and isinstance(tree, ScenarioTree):
         lattice = coeffs.on_lattice(tree)
-        walk_xi = lattice.xi if xi is coeffs.xi else xi
-        if walk_xi is not None:
-            back, xi = (ws.layout, lattice), walk_xi
+        if lattice.xi is not None or not xi_weight.any():
+            back = (ws.layout, lattice)
             if not keep:
                 front = back
     one_block = keep or isinstance(front[0], WalkLattice)
     means = np.empty(lam.shape)
     coupling = np.empty(lam.shape)
     for block in [slice(None)] if one_block else column_blocks(lam.shape[1]):
-        lam_b = lam[:, block]
-        phi, vtheta = _backward_sweep(*back, ws, lam_b, eta[:, block], xi)
+        lam_b, weight = lam[:, block], xi_weight[block]
+        terminal = (-back[1].xi[..., None] * weight if weight.any()
+                    else np.zeros((1, coeffs.n, len(weight))))
+        phi, vtheta = _backward_sweep(*back, ws, lam_b, eta[:, block], terminal)
         if back is not front:
             phi, vtheta = _Gathered(tree, phi), _Gathered(tree, vtheta)
         kept, means[:, block], coupling[:, block] = _forward_sweep(
@@ -378,13 +389,18 @@ def _response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
 
 
 def linear_response(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
-                    ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray) -> tuple:
-    """Level means and mean couplings of the linear part of the map
-    (lam, eta) -> (means, coupling), solved from a zero terminal, for column
-    stacks ``lam`` and ``eta`` of shape (d, c) (:func:`_response`: on the
-    walk lattice when the workspace lives there).  Returns two (d, c)
-    stacks."""
-    return _response(tree, coeffs, ws, lam, eta, np.zeros((1, coeffs.n)))[1:]
+                    ws: DecoupledWorkspace, lam: np.ndarray, eta: np.ndarray,
+                    xi_weight: np.ndarray | None = None) -> tuple:
+    """Level means and mean couplings of the map (lam, eta, s) -> (means,
+    coupling), linear in all three, for column stacks ``lam`` and ``eta`` of
+    shape (d, c) and weights s = ``xi_weight`` (c,) of the terminal
+    phi(T) = -s xi, zero when not given: the linear part of the affine map
+    in (lam, eta) on columns with s = 0, its constant part on a column
+    (0, 0, 1) (:func:`_response`: on the walk lattice when the workspace
+    lives there).  Returns two (d, c) stacks."""
+    if xi_weight is None:
+        xi_weight = np.zeros(lam.shape[1])
+    return _response(tree, coeffs, ws, lam, eta, xi_weight)[1:]
 
 
 def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
@@ -394,7 +410,7 @@ def _xi_response(tree: ScenarioTree, coeffs: CoefficientSet,
     workspace lives there and xi too is a function of W(T)
     (:func:`_response`)."""
     zero = np.zeros((eta_dimension(tree, coeffs), 1))
-    means, coupling = _response(tree, coeffs, ws, zero, zero, coeffs.xi)[1:]
+    means, coupling = _response(tree, coeffs, ws, zero, zero, np.ones(1))[1:]
     return means[:, 0], coupling[:, 0]
 
 
@@ -489,13 +505,14 @@ def _reduced_problem(tree: ScenarioTree, coeffs: CoefficientSet,
 
 def _outer_map(tree: ScenarioTree | WalkLattice, coeffs: CoefficientSet,
                ws: DecoupledWorkspace, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The outer system's matrix applied to a column stack (2d, c) of
-    (eta, lam): feasibility rows eta - means and stationarity rows
-    W eta - coupling - lam, with the linear part from
-    :func:`linear_response`."""
+    """The outer system's augmented matrix [A | -b] applied to a column
+    stack (2d + 1, c) of (eta, lam, s): feasibility rows eta - means and
+    stationarity rows W eta - coupling - lam, with means and couplings from
+    :func:`linear_response` at terminal weights s.  So A x is the map at
+    (x, 0), and b is minus the map at (0, 0, 1)."""
     d = len(weights)
-    eta, lam = cols[:d], cols[d:]
-    means, coupling = linear_response(tree, coeffs, ws, lam, eta)
+    eta, lam = cols[:d], cols[d:2 * d]
+    means, coupling = linear_response(tree, coeffs, ws, lam, eta, cols[2 * d])
     return np.concatenate([eta - means, weights @ eta - coupling - lam])
 
 
@@ -508,26 +525,42 @@ def solve_outer_system(tree: ScenarioTree, coeffs: CoefficientSet,
     feedback (stationarity in eta).  Both are affine in (eta, lam), so the
     pair is one linear system A (eta, lam) = b of size 2d, b from the base
     sweep.  GMRES solves A M^{-1} w = b and x = M^{-1} w, M the same system
-    of :func:`_reduced_problem`, assembled densely.  An M that is not
-    finite or is numerically singular (condition number above 1 / machine
-    epsilon) raises NumericsError (:func:`.bsde.checked_dense_sv`); the
-    answer itself is certified on the final sweep (see
-    :func:`constrained_solution_at`).
+    of :func:`_reduced_problem`, assembled densely from 2d unit columns.
+    When the reduced problem is this one (the workspace on the walk
+    lattice), M = A: where xi is a function of W(T) too, the base column
+    rides in the same lattice sweep, [A | -b] from one sweep of 2d + 1
+    columns of :func:`_outer_map`, and the GMRES product is a product with
+    the assembled matrix.  Otherwise b comes from its own sweep, and on the
+    node-mean problem each product is one single-column sweep of the tree.
+    An M that is not finite or is numerically singular (condition number
+    above 1 / machine epsilon) raises NumericsError
+    (:func:`.bsde.checked_dense_sv`); the answer itself is certified on the
+    final sweep (see :func:`constrained_solution_at`).
     """
     d = eta_dimension(tree, coeffs)
     weights = mean_cost_weights(tree, coeffs)
     grid, small_coeffs, small_ws, name = _reduced_problem(tree, coeffs, ws)
-    precond = _outer_map(grid, small_coeffs, small_ws, weights, np.eye(2 * d))
+    exact = small_ws is ws
+    if exact and small_coeffs.xi is not None:
+        system = _outer_map(grid, small_coeffs, ws, weights, np.eye(2 * d + 1))
+        precond, rhs = system[:, :-1], -system[:, -1]
+    else:
+        precond = _outer_map(grid, small_coeffs, small_ws, weights, np.eye(2 * d + 1, 2 * d))
+        base = np.zeros((2 * d + 1, 1))
+        base[-1] = 1.0
+        rhs = -_outer_map(tree, coeffs, ws, weights, base)[:, 0]
     min_sv = checked_dense_sv(
         precond, f"outer first-order system of the {name} problem")
-    precond = np.linalg.inv(precond)
-    rhs = np.concatenate(_xi_response(tree, coeffs, ws))
+    inverse = np.linalg.inv(precond)
 
     def product(vec: np.ndarray) -> np.ndarray:
-        return _outer_map(tree, coeffs, ws, weights, (precond @ vec)[:, None])[:, 0]
+        if exact:
+            return precond @ (inverse @ vec)
+        return _outer_map(tree, coeffs, ws, weights,
+                          np.append(inverse @ vec, 0.0)[:, None])[:, 0]
 
     sol, products, residual = _gmres(product, rhs, 2 * d)
-    sol = precond @ sol
+    sol = inverse @ sol
     return OuterSolution(sol[:d], sol[d:], products + 1, residual, min_sv)
 
 
@@ -620,8 +653,9 @@ def constrained_solution_at(tree: ScenarioTree, coeffs: CoefficientSet,
     eta_vec = np.asarray(eta_vec, dtype=float)
     lam_vec = np.asarray(lam_vec, dtype=float)
     cols = (len(eta_vec), -1)
-    kept, means, coupling = _response(tree, coeffs, ws, lam_vec.reshape(cols),
-                                      eta_vec.reshape(cols), coeffs.xi, keep=("u",))
+    lam = lam_vec.reshape(cols)
+    kept, means, coupling = _response(tree, coeffs, ws, lam, eta_vec.reshape(cols),
+                                      np.ones(lam.shape[1]), keep=("u",))
     u = kept["u"] if eta_vec.ndim > 1 else [level[..., 0] for level in kept["u"]]
     means, coupling = means.reshape(eta_vec.shape), coupling.reshape(eta_vec.shape)
     defect = means - eta_vec

@@ -4,17 +4,19 @@ The optimal deterministic mean triple eta is selected by the outer
 first-order conditions (see :func:`.multipliers.solve_outer_system`):
 feasibility of the realized means plus the multiplier/mean-cost-gradient
 matching condition, one linear system in (eta, lam).  Every input solves
-it by matrix-free GMRES, right-preconditioned by the system of a reduced
-problem; the pipeline never probes.  Where the data are functions of the
-walk value W(t_k), the Riccati pair and the outer solve run on the walk
-lattice, whose system is the problem's own, and the pair and the
-decoupled workspace stay there; the final sweep steps x on the tree,
-gathering the workspace there one level at a time (its backward half runs
-on the lattice when xi is a function of W(T)), and the cost re-solve and
-the stationarity residual run on the tree.  Other data run on the tree, preconditioned by
-the node-mean problem.
-The report's ``outer_columns`` counts the base column and one per GMRES
-product, and ``outer_relative_residual`` is |A x - b| / |b| of the system.
+it by GMRES, right-preconditioned by the system of a reduced problem; the
+pipeline never probes.  Where the data are functions of the walk value
+W(t_k), the Riccati pair and the outer solve run on the walk lattice, whose
+system is the problem's own, and the pair and the decoupled workspace stay
+there; the final sweep steps x on the tree, gathering the workspace there
+one level at a time (its backward half runs on the lattice when xi is a
+function of W(T)), and the cost re-solve and the stationarity residual run
+on the tree.  Other data run on the tree, preconditioned by the node-mean
+problem.  The report's ``outer_columns`` counts the base column and one per
+GMRES product: 2 on lattice data, where one lattice sweep assembles the
+system with its base column and the product reads that matrix; on other
+data the base column and each product sweep the tree.
+``outer_relative_residual`` is |A x - b| / |b| of the system.
 With all barred coefficients zero the system collapses to zero multipliers
 and the plain feedback control.
 

@@ -17,13 +17,18 @@ Newton iteration in the upper-triangle coordinates of Sigma.  With
 
     dS(D) = P D + D P' - V D V',   P = Sigma Q - A,   V = Phi G1 - C H,
 
-the Newton matrix on the row-major vec of D is I + dt (P(x)I + I(x)P - V(x)V),
-formed per node in this closed form and restricted to the upper triangle by
-the constant duplication matrix (Magnus and Neudecker, Matrix Differential
-Calculus, ch. 3).  In all n^2 coordinates its antisymmetric block can be
-singular where the symmetric one is not.  Nodes whose initial
-residual already meets the tolerance are left untouched (so degenerate
-problems reproduce the conditional expectation bit for bit), and the step
+the Newton matrix is I + dt dS restricted to symmetric D, formed per node
+in these coordinates: column j is the upper triangle of
+E_j + dt (P E_j + E_j P' - V E_j V') on the p = n (n + 1) / 2 symmetric unit
+matrices E_j (the duplication basis of Magnus and Neudecker, Matrix
+Differential Calculus, ch. 3).
+In all n^2 coordinates its antisymmetric block can be singular where the
+symmetric one is not.  Each residual evaluation also returns P and V, which
+the next Newton matrix reads, and forms A Sigma and C H Phi once, taking
+Sigma A' and Phi H' C' as their transposes (Sigma and Phi are exactly
+symmetric on every iterate).  Nodes whose initial residual already
+meets the tolerance are left untouched (so degenerate problems
+reproduce the conditional expectation bit for bit), and the step
 length is halved per node until the residual decreases.  Every inverse of
 the conditioner I + Sigma R is checked (:func:`.bsde.checked_inverse`): a
 singular one raises StepSizeError naming the level, and the smallest
@@ -33,10 +38,10 @@ singular value on the accepted iterates is the reported
 
 For a scalar state (n = 1, so one Newton coordinate) and a scalar control
 the per-node algebra is broadcast arithmetic: I + Sigma R is inverted by
-division, with the exact singular value |x|, every Kronecker product is a
-multiply, the Newton step is a division, and a zero or non-finite Newton
-matrix raises the same RiccatiError as a singular LAPACK solve.  Wider
-stacks run LAPACK and matmul.
+division, with the exact singular value |x|, every product of the
+Newton matrix is a multiply, the Newton step is a division, and a zero
+or non-finite Newton matrix raises the same RiccatiError as a singular
+LAPACK solve.  Wider stacks run LAPACK and matmul.
 
 The recursion starts from a terminal Sigma stored as one node (the tree's
 length-1 convention), and each level's Newton arrays take the broadcast
@@ -85,28 +90,40 @@ class RiccatiSolution:
                                 # (lattice nodes on lattice data)
 
 
-def _kron(a, b):
-    """Per-node Kronecker products of (nodes, n, n) stacks as (nodes, n*n, n*n).
-    The result owns its memory, so numpy reuses it for the sums it enters."""
-    n = a.shape[-1]
-    out = np.empty((max(len(a), len(b)), n * n, n * n))
-    np.multiply(a[:, :, None, :, None], b[:, None, :, None, :], out=out.reshape(-1, n, n, n, n))
-    return out
+def _residual(sig, cond, phi, A, Q, BNB, C, R, dt, level):
+    """F(Sigma) = Sigma - E_k[Sigma_{k+1}] + dt S(Sigma, Phi) on every node,
+    with P = Sigma Q - A and V = Phi G1 - C H, which the Newton matrix reads,
+    and the smallest singular value of the conditioner I + Sigma R, checked
+    (StepSizeError names the level).  Sigma and Phi are exactly symmetric,
+    so Sigma A' and Phi H' C' are the transposes of A Sigma and C H Phi."""
+    H, min_sv = checked_inverse(np.eye(sig.shape[-1])[None] + _mul(sig, R),
+                                "I + Sigma R", level)
+    sig_q, phi_g1, ch = _mul(sig, Q), _mul(phi, _mul(R, H)), _mul(C, H)
+    a_sig, ch_phi = _mul(A, sig), _mul(ch, phi)
+    drift = (-(a_sig + _t(a_sig)) + _mul(sig_q, sig) - BNB + _mul(phi_g1, phi)
+             - _t(ch_phi) - ch_phi - _mul(ch, _mul(sig, _t(C))))
+    return sig - cond + dt * drift, sig_q - A, phi_g1 - ch, min_sv
 
 
-def _drift(A, Q, BNB, C, sigma, phi, H, G1):
-    return (
-        -(_mul(A, sigma) + _mul(sigma, _t(A))) + _mul(_mul(sigma, Q), sigma) - BNB
-        + _mul(_mul(phi, G1), phi) - _mul(_mul(phi, _t(H)), _t(C))
-        - _mul(_mul(C, H), phi + _mul(sigma, _t(C)))
-    )
+def _symmetric_units(n):
+    """(rows, cols) of the upper triangle's p = n (n + 1) / 2 entries and the
+    symmetric unit matrices E_j, (p, n, n), with ones at (rows[j], cols[j])
+    and its mirror."""
+    rows, cols = np.triu_indices(n)
+    units = np.zeros((len(rows), n, n))
+    units[range(len(rows)), rows, cols] = units[range(len(rows)), cols, rows] = 1.0
+    return rows, cols, units
 
 
-def _conditioners(sigma, R, eye, level):
-    """H = (I + Sigma R)^{-1}, checked, with G1 = R H and the smallest
-    singular value of I + Sigma R; StepSizeError names the level."""
-    H, min_sv = checked_inverse(eye[None] + _mul(sigma, R), "I + Sigma R", level)
-    return H, _mul(R, H), min_sv
+def _newton_matrix(P, V, dt, basis):
+    """I + dt dS on the upper-triangle coordinates, per node: column j is the
+    upper triangle of E_j + dt (P E_j + E_j P' - V E_j V'), ``basis`` the
+    triangle and the E_j of :func:`_symmetric_units`, so E_j P' is the
+    transpose of P E_j."""
+    rows, cols, units = basis
+    p_e = _mul(P[:, None], units)
+    images = units + dt * (p_e + _t(p_e) - _mul(_mul(V[:, None], units), _t(V)[:, None]))
+    return images[..., rows, cols].swapaxes(1, 2)
 
 
 def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution:
@@ -121,11 +138,8 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
     lattice = coeffs.on_lattice(tree)
     grid, data = (tree, coeffs) if lattice is None else (tree.lattice(), lattice)
     n, n_steps, dt = coeffs.n, tree.n_steps, tree.dt
-    eye = np.eye(n)
-    rows, cols = np.triu_indices(n)
-    upper = rows * n + cols                 # row-major flat indices of the unknowns
-    dup = np.eye(n * n)[:, upper]           # vec(D) = dup @ D.flat[upper], D symmetric
-    dup[cols * n + rows, range(len(upper))] = 1.0
+    basis = _symmetric_units(n)
+    rows, cols, units = basis
     n_inv = control_weight_inverses(data)   # refuses a singular N up front
 
     sigma: list = [None] * (n_steps + 1)
@@ -146,8 +160,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                                     R.shape, BNB.shape)
         sig = np.broadcast_to(cond, width).copy()
         nodes += width[0]
-        H, G1, cond_sv = _conditioners(sig, R, eye, k)
-        res = sig - cond + dt * _drift(A, Q, BNB, C, sig, phik, H, G1)
+        res, P, V, cond_sv = _residual(sig, cond, phik, A, Q, BNB, C, R, dt, k)
         res_norm = np.linalg.norm(res, axis=(1, 2))
         if not np.isfinite(res_norm).all():
             # NaN fails the test below and would pass as converged; an
@@ -167,24 +180,19 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                     f"(worst residual {res_norm[j]:.3e} at node {grid.first_node(j)})"
                 )
             iters += 1
-            P = _mul(sig, Q) - A
-            V = _mul(phik, G1) - _mul(C, H)
-            jac = np.eye(n * n) + dt * (_kron(P, eye[None]) + _kron(eye[None], P) - _kron(V, V))
             try:
-                coords = _solve(_mul(jac[:, upper], dup),
-                                -res.reshape(len(res), -1)[:, upper, None])
+                coords = _solve(_newton_matrix(P, V, dt, basis), -res[:, rows, cols, None])
             except np.linalg.LinAlgError as exc:
                 raise RiccatiError(
                     f"singular Newton matrix at level {k}: {exc}"
                 ) from exc
-            step = (coords[:, :, 0] @ dup.T).reshape(sig.shape)
+            step = (coords[:, :, 0] @ units.reshape(len(rows), -1)).reshape(sig.shape)
 
             alpha = np.where(active, 1.0, 0.0)
             pending = active.copy()
             for _ in range(_MAX_BACKTRACK + 1):
                 trial = sig + alpha[:, None, None] * step
-                Ht, G1t, svt = _conditioners(trial, R, eye, k)
-                res_t = trial - cond + dt * _drift(A, Q, BNB, C, trial, phik, Ht, G1t)
+                res_t, P_t, V_t, sv_t = _residual(trial, cond, phik, A, Q, BNB, C, R, dt, k)
                 rn_t = np.linalg.norm(res_t, axis=(1, 2))
                 improved = rn_t <= (1.0 - 1e-4 * alpha) * res_norm
                 pending &= ~improved
@@ -199,8 +207,7 @@ def solve_riccati(tree: ScenarioTree, coeffs: CoefficientSet) -> RiccatiSolution
                     f"found near E_{k}[Sigma_{k + 1}] at this level and node; a finer "
                     f"time grid may help"
                 )
-            sig, H, G1, cond_sv = trial, Ht, G1t, svt
-            res, res_norm = res_t, rn_t
+            sig, res, P, V, cond_sv, res_norm = trial, res_t, P_t, V_t, sv_t, rn_t
             tol_vec = _NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
             active = res_norm > tol_vec
 

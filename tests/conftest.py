@@ -177,15 +177,16 @@ def workspace(tree, coeffs, ric):
 
 
 def perturb_coupling_response(monkeypatch, shift: float) -> None:
-    """Make every call of :func:`.multipliers.linear_response`, which builds
-    the outer solve's preconditioner and runs each GMRES product, return
-    couplings whose multiplier block M is off by ``shift`` in every entry:
-    shift times the sum of each lam column is added to every coupling."""
+    """Make every call of :func:`.multipliers.linear_response`, which
+    assembles the outer solve's matrix (with its base column on lattice
+    data) and runs each swept GMRES product, return couplings whose
+    multiplier block M is off by ``shift`` in every entry: shift times the
+    sum of each lam column is added to every coupling."""
     from mfbslq import multipliers
     real = multipliers.linear_response
 
-    def perturbed(tree, coeffs, ws, lam, eta):
-        means, coupling = real(tree, coeffs, ws, lam, eta)
+    def perturbed(tree, coeffs, ws, lam, eta, *xi_weight):
+        means, coupling = real(tree, coeffs, ws, lam, eta, *xi_weight)
         return means, coupling + shift * lam.sum(axis=0)
 
     monkeypatch.setattr(multipliers, "linear_response", perturbed)

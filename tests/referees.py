@@ -1,6 +1,7 @@
 """Referees that only the tests use: the plain feedback control, the
 defects of a reconstructed solution, directional derivatives of the cost,
-and the stacking of per-level blocks into a means/multiplier vector."""
+the stacking of per-level blocks into a means/multiplier vector, and the
+Riccati Newton matrix formed by Kronecker products."""
 
 from __future__ import annotations
 
@@ -69,3 +70,23 @@ def directional_derivative_fd(tree, coeffs, controls: list, direction: list) -> 
     up = [u + step * v for u, v in zip(controls, direction)]
     dn = [u - step * v for u, v in zip(controls, direction)]
     return (evaluate_cost(tree, coeffs, up) - evaluate_cost(tree, coeffs, dn)) / (2 * step)
+
+
+def kron_newton_matrix(P: np.ndarray, V: np.ndarray, dt: float) -> np.ndarray:
+    """The Riccati Newton matrix I + dt (P(x)I + I(x)P - V(x)V) on the
+    row-major vec of D, per node of the stacks (nodes, n, n), restricted to
+    symmetric D by the duplication matrix: (nodes, p, p) on the upper
+    triangle's p = n (n + 1) / 2 coordinates."""
+    n = P.shape[-1]
+    rows, cols = np.triu_indices(n)
+    upper = rows * n + cols                 # row-major flat indices of the unknowns
+    dup = np.eye(n * n)[:, upper]           # vec(D) = dup @ D.flat[upper], D symmetric
+    dup[cols * n + rows, range(len(upper))] = 1.0
+    eye = np.eye(n)[None]
+
+    def kron(a, b):
+        return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+            max(len(a), len(b)), n * n, n * n)
+
+    jac = np.eye(n * n) + dt * (kron(P, eye) + kron(eye, P) - kron(V, V))
+    return jac[:, upper] @ dup

@@ -283,6 +283,46 @@ def test_final_sweep_is_the_tree_route_bit_for_bit(walk_specs, corpus, monkeypat
     assert np.array_equal(got.coupling, want.coupling)
 
 
+@pytest.mark.parametrize("name", ["s1", "m1", "m1_random", "d2", "vector"])
+def test_one_sweep_outer_system_matches_separate_sweeps(walk_specs, corpus, monkeypatch,
+                                                         name):
+    # on lattice data the outer solve sweeps its 2d unit columns and its
+    # base column together: that one sweep reads the means and couplings of
+    # the unit columns swept alone and of the base sweep within 1e-14
+    # relative, and a fresh single-column sweep at the solution reads the
+    # relative residual GMRES reports
+    spec = {**corpus, **walk_specs}[name]
+    tree = build_tree(spec.horizon, 8)
+    coeffs = realize(spec, tree)
+    ws = workspace(tree, coeffs, solve_riccati(tree, coeffs))
+    d = eta_dimension(tree, coeffs)
+    swept = []
+    real = multipliers.linear_response
+
+    def recorded(*args):
+        swept.append(real(*args))
+        return swept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multipliers, "linear_response", recorded)
+        sol = multipliers.solve_outer_system(tree, coeffs, ws)
+    [(means, coupling)] = swept
+    assert means.shape == coupling.shape == (d, 2 * d + 1)
+    unit, zero = np.eye(d), np.zeros((d, d))
+    alone = multipliers.linear_response(tree, coeffs, ws, np.hstack([zero, unit]),
+                                        np.hstack([unit, zero]))
+    base = multipliers._xi_response(tree, coeffs, ws)
+    for got, want in ((means[:, :-1], alone[0]), (coupling[:, :-1], alone[1]),
+                      (means[:, -1], base[0]), (coupling[:, -1], base[1])):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    rhs = np.concatenate(base)
+    at = np.concatenate([sol.eta, sol.lam, [0.0]])[:, None]
+    fresh = multipliers._outer_map(tree, coeffs, ws, multipliers.mean_cost_weights(tree, coeffs),
+                                   at)[:, 0]
+    assert abs(np.linalg.norm(fresh - rhs) / np.linalg.norm(rhs)
+               - sol.relative_residual) <= 1e-14
+
+
 @pytest.mark.parametrize("nt", [6, 11])
 def test_lattice_pipeline_matches_the_tree_route(walk_specs, monkeypatch, nt):
     # the n = 2 document end to end: one GMRES product on the lattice, the

@@ -235,7 +235,7 @@ def _refused_preconditioner(monkeypatch, spec, nt, scale, match):
     tree, coeffs, ric = _setup(spec, nt)
     with monkeypatch.context() as patch:
         patch.setattr(multipliers, "linear_response",
-                      lambda tree, coeffs, ws, lam, eta: (scale * eta, 0.0 * eta))
+                      lambda tree, coeffs, ws, lam, eta, *rest: (scale * eta, 0.0 * eta))
         patch.setattr(multipliers, "_gmres", _refuse("GMRES must not start"))
         with pytest.raises(NumericsError, match=match):
             solve_outer_system(tree, coeffs, workspace(tree, coeffs, ric))
@@ -366,6 +366,18 @@ def test_pair_and_workspace_hold_six_floats_per_node(m1_random, monkeypatch):
             assert held - pair <= 6 * 8 * nodes + 64 * 1024
             assert [len(level) for level in ws.sigma] == [tree.n_nodes(k)
                                                           for k in range(14)] + [1]
+
+
+def test_lattice_sweeps_build_no_tree_wide_control_weight_inverse(m1_random, m1_path):
+    # on lattice data every sweep reads N^{-1} from the lattice coefficient
+    # set, the final sweep gathering it to the tree one level at a time, so
+    # the tree's coefficient set never caches its own; path-dependent data
+    # run on the tree and cache it
+    res = run_pipeline(m1_random, 8)
+    assert "control_weight_inverses" not in res.coeffs._cache
+    assert "control_weight_inverses" in res.coeffs.on_lattice(res.tree)._cache
+    res = run_pipeline(m1_path, 8)
+    assert "control_weight_inverses" in res.coeffs._cache
 
 
 def test_final_sweep_peak_per_tree_node(m1_random):

@@ -159,28 +159,35 @@ def _refuse(what):
     return refuse
 
 
-def test_pipeline_probes_once(corpus, monkeypatch):
-    # the node-mean system is probed once, by 2d columns in one call, and
-    # the base sweep runs once: then one single-column call per GMRES
-    # product, and nothing else.  A preconditioner rebuilt per product
-    # would add calls
-    widths = []
+def test_pipeline_probes_once(corpus, m1_path, monkeypatch):
+    # on data that are functions of W(t_k) the outer matrix and its base
+    # column come from one call of 2d + 1 columns, the base column the only
+    # one with the xi terminal, and the one GMRES product is a product with
+    # that matrix.  On path-dependent data the node-mean preconditioner
+    # comes from one call of 2d columns and the base column from one
+    # single-column call, then one single-column call per GMRES product.
+    # The probes' separate base sweep never runs.  A preconditioner rebuilt
+    # per product would add calls
+    calls = []
     real = multipliers.linear_response
 
-    def counted(tree, coeffs, ws, lam, eta):
-        widths.append(lam.shape[1])
-        return real(tree, coeffs, ws, lam, eta)
+    def counted(tree, coeffs, ws, lam, eta, xi_weight=None):
+        calls.append((lam.shape[1], int(np.count_nonzero(xi_weight))))
+        return real(tree, coeffs, ws, lam, eta, xi_weight)
 
     monkeypatch.setattr(multipliers, "linear_response", counted)
     base = count_calls(monkeypatch, multipliers, "_xi_response")
-    for name, nt in (("d2", 5), ("d2", 13), ("m1_random", 5)):
-        widths.clear()
-        base.clear()
-        res = run_pipeline(corpus[name], nt)
+    for name, nt in (("d2", 5), ("d2", 13), ("m1_random", 5), ("m1_path", 8)):
+        calls.clear()
+        res = run_pipeline(corpus.get(name, m1_path), nt)
         d = eta_dimension(res.tree, res.coeffs)
         products = res.outer.columns - 1
-        assert len(base) == 1, (name, nt)
-        assert widths == [2 * d] + [1] * products, (name, nt)
+        if name == "m1_path":
+            assert calls == [(2 * d, 0), (1, 1)] + [(1, 0)] * products, (name, nt)
+        else:
+            assert products == 1, (name, nt)
+            assert calls == [(2 * d + 1, 1)], (name, nt)
+        assert not base, (name, nt)
         assert res.multiplier_residual <= 1e-12
 
 
@@ -197,14 +204,14 @@ def test_deep_node_varying_trees_run_gmres(corpus, monkeypatch, name):
 
 
 def test_krylov_pipeline_never_probes(corpus, m1_path):
-    # the base sweep, then the preconditioner's columns and one column per
-    # GMRES product, then the final solve, which always sweeps the tree and
-    # keeps no field but the final control.  On data that are functions of
-    # W(t_k) the base sweep, the preconditioner and the products run on the
-    # lattice; on path-dependent data all but the preconditioner, whose
-    # node-mean problem is node-constant, sweep the tree.  A second base
-    # sweep inside the outer solve would add one.  Level 2 tells the layouts
-    # apart: 4 tree nodes, 3 lattice nodes
+    # on data that are functions of W(t_k), one lattice sweep of 2d + 1
+    # columns gives the outer matrix and its base column, and the GMRES
+    # product reads that matrix; on path-dependent data the node-mean
+    # preconditioner sweeps the lattice, and the base column and one column
+    # per GMRES product sweep the tree.  Then the final solve, which always
+    # sweeps the tree and keeps no field but the final control.  A second
+    # base sweep inside the outer solve would add one.  Level 2 tells the
+    # layouts apart: 4 tree nodes, 3 lattice nodes
     for name, nt, tiled in (("d2", 5, False), ("d2", 13, False),
                             ("m1_random", 5, False), ("d2", 5, True),
                             ("m1_path", 8, False)):
@@ -226,7 +233,7 @@ def test_krylov_pipeline_never_probes(corpus, m1_path):
             assert (tree_sweeps, lattice_sweeps) == (2 + products, 1), case
         else:
             assert products == 1, case
-            assert (tree_sweeps, lattice_sweeps) == (1, 2 + products), case
+            assert (tree_sweeps, lattice_sweeps) == (1, 1), case
         assert max(width for _, width in steps) == res.tree.n_nodes(nt - 1), case
         diag = res.report()["diagnostics"]
         assert diag["outer_columns"] == products + 1, case

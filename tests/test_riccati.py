@@ -225,12 +225,28 @@ def test_vector_pair_meets_the_newton_tolerance_on_every_node():
         sig, B = tree.gather(ric.sigma[k], k), coeffs.B[k]
         assert sig.shape == (tree.n_nodes(k), 2, 2)
         BNB = B @ (n_inv[k] @ B.swapaxes(-1, -2))
-        H, G1, _ = riccati._conditioners(sig, coeffs.R[k], np.eye(2), k)
-        drift = riccati._drift(coeffs.A[k], coeffs.Q[k], BNB, coeffs.C[k], sig,
-                               tree.gather(ric.phi[k], k), H, G1)
-        res = sig - tree.cond_expect(tree.gather(ric.sigma[k + 1], k + 1)) + tree.dt * drift
+        res = riccati._residual(sig, tree.cond_expect(tree.gather(ric.sigma[k + 1], k + 1)),
+                                tree.gather(ric.phi[k], k), coeffs.A[k], coeffs.Q[k], BNB,
+                                coeffs.C[k], coeffs.R[k], tree.dt, k)[0]
         tol = riccati._NEWTON_TOL * (1.0 + np.linalg.norm(sig, axis=(1, 2)))
         assert (np.linalg.norm(res, axis=(1, 2)) <= tol).all(), k
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("nodes", (1, 7))
+def test_newton_matrix_matches_the_kronecker_referee(n, nodes):
+    # the Newton matrix formed on the symmetric unit matrices is the
+    # n^2 x n^2 Kronecker form restricted by the duplication matrix
+    from referees import kron_newton_matrix
+    rng = np.random.default_rng(10 * n + nodes)
+    P, V = rng.standard_normal((2, nodes, n, n))
+    basis = riccati._symmetric_units(n)
+    p = len(basis[0])
+    for dt in (1.0 / 16, 0.5):
+        got = riccati._newton_matrix(P, V, dt, basis)
+        want = kron_newton_matrix(P, V, dt)
+        assert got.shape == want.shape == (nodes, p, p)
+        assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("nt", (4, 6, 8, 13))
